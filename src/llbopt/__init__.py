@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .grid import Grid, Trajectory, VectorField, cosine_modes, laplacian, norm, time_integral
 from .coils import CoilSet, ControlPath, gaussian_coil, project_box, synthesize, uniform_coil, zeta_bound
-from .llb import BlowUpError, ImplicitSolveError, SimConfig, energy_ledger, simulate, simulate_galerkin, step
+from .llb import BlowUpError, SimConfig, energy_ledger, simulate, simulate_galerkin, step
 from .tangent import LinearizationPoint, estimate_state_lipschitz, solve_tangent, taylor_remainder_order
 from .adjoint import AdjointProblem, solve_adjoint, solve_costate_derivative, tracking_adjoint
 
@@ -13,7 +13,7 @@ __all__ = [
     "Grid", "Trajectory", "VectorField", "cosine_modes", "laplacian", "norm",
     "time_integral", "CoilSet", "ControlPath", "gaussian_coil", "project_box",
     "synthesize", "uniform_coil", "zeta_bound", "BlowUpError",
-    "ImplicitSolveError", "SimConfig", "energy_ledger", "simulate",
+    "SimConfig", "energy_ledger", "simulate",
     "simulate_galerkin", "step", "LinearizationPoint", "estimate_state_lipschitz",
     "solve_tangent", "taylor_remainder_order", "AdjointProblem", "solve_adjoint",
     "solve_costate_derivative", "tracking_adjoint",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coils import CoilSet, ControlPath, synthesize_values
 from .grid import Trajectory, VectorField, laplacian_values
-from .llb import cg_implicit_solve
+from .llb import implicit_solve
 
 
 @dataclass
@@ -55,8 +55,7 @@ def adjoint_coupling(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
             - np.cross(phi, u) - (1.0 + mag_sq) * phi - 2.0 * m_dot_phi * m)
 
 
-def solve_adjoint(p: AdjointProblem, cg_tol: float = 1e-12,
-                  cg_max_iter: int = 500) -> Trajectory:
+def solve_adjoint(p: AdjointProblem) -> Trajectory:
     """Backward IMEX sweep from t=T down to t=0.
 
     The step computing phi(t_j) from phi(t_{j+1}) takes the explicit terms
@@ -75,7 +74,7 @@ def solve_adjoint(p: AdjointProblem, cg_tol: float = 1e-12,
         u = synthesize_values(p.base_control.intensities[j], p.coils)
         expl = adjoint_coupling(m, lap_m, u, phi, grid) - p.rhs[j]
         rhs = phi + dt * expl
-        phi = cg_implicit_solve(grid, dt, rhs, tol=cg_tol, max_iter=cg_max_iter)
+        phi = implicit_solve(grid, dt, rhs)
         if not np.all(np.isfinite(phi)):
             raise ValueError(f"costate became non-finite at t={j * dt:.6g}")
         frames[j] = phi
@@ -83,18 +82,15 @@ def solve_adjoint(p: AdjointProblem, cg_tol: float = 1e-12,
 
 
 def tracking_adjoint(base_traj: Trajectory, base_control: ControlPath,
-                     coils: CoilSet, m_d: np.ndarray, m_omega: np.ndarray,
-                     cg_tol: float = 1e-12, cg_max_iter: int = 500) -> Trajectory:
+                     coils: CoilSet, m_d: np.ndarray, m_omega: np.ndarray) -> Trajectory:
     """Costate for the tracking cost: g = -(m - m_d), phi(T) = m(T) - m_omega."""
     rhs = -(base_traj.values - m_d)
     terminal = VectorField(base_traj.grid, base_traj.values[-1] - m_omega)
     problem = AdjointProblem(base_traj, base_control, coils, rhs, terminal)
-    return solve_adjoint(problem, cg_tol=cg_tol, cg_max_iter=cg_max_iter)
+    return solve_adjoint(problem)
 
 
-def solve_costate_derivative(point, z: Trajectory, phi: Trajectory, dU,
-                             cg_tol: float = 1e-12,
-                             cg_max_iter: int = 500) -> Trajectory:
+def solve_costate_derivative(point, z: Trajectory, phi: Trajectory, dU) -> Trajectory:
     """Directional derivative of the costate with respect to the control.
 
     Runs the adjoint machinery with the right-hand side assembled from the
@@ -128,4 +124,4 @@ def solve_costate_derivative(point, z: Trajectory, phi: Trajectory, dU,
                   - zj)
     problem = AdjointProblem(point.base_traj, point.base_control, point.coils,
                              rhs, VectorField(grid, z.values[-1].copy()))
-    return solve_adjoint(problem, cg_tol=cg_tol, cg_max_iter=cg_max_iter)
+    return solve_adjoint(problem)

@@ -193,10 +193,8 @@ def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
     else:
         cost0, traj, phi = state
     point = LinearizationPoint(traj, U, coils)
-    z = solve_tangent(point, h, cg_tol=cfg.sim.cg_tol, cg_max_iter=cfg.sim.cg_max_iter)
-    phi_prime = solve_costate_derivative(point, z, phi, h,
-                                         cg_tol=cfg.sim.cg_tol,
-                                         cg_max_iter=cfg.sim.cg_max_iter)
+    z = solve_tangent(point, h)
+    phi_prime = solve_costate_derivative(point, z, phi, h)
     K = U.n_steps
     w = traj.grid.cell_volume
     series = np.empty(K + 1)

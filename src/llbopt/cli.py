@@ -5,13 +5,14 @@ check-curvature, convergence, oracle.  Every run writes a manifest
 (config hash, package/library versions, seed) into its output directory;
 identical config + seed produces bit-identical CSV outputs.
 
-Exit codes: 0 success, 2 config validation failure, 3 solver blow-up,
-4 verification check beyond tolerance.
+Exit codes: 0 success, 2 config validation failure, 3 solver blow-up or
+stalled descent, 4 verification check beyond tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -30,7 +31,7 @@ from .certify import (
 from .coils import ControlPath, control_inner_rms
 from .config import ConfigError, RunConfig, parse_config, read_control_csv
 from .grid import Grid, laplacian_values, write_field
-from .llb import BlowUpError, ImplicitSolveError, StalledDescentError, energy_ledger, simulate, simulate_galerkin
+from .llb import BlowUpError, StalledDescentError, energy_ledger, simulate, simulate_galerkin
 from .optimize import projected_gradient_descent, _forward_cost, _gradient_state
 from .tangent import LinearizationPoint, taylor_remainder_order
 
@@ -300,11 +301,8 @@ def temporal_self_convergence(cfg: RunConfig, n_levels: int = 4):
     grid, sim0, coils, m0, U0, _, _ = _setup(cfg)
     dts = [sim0.dt / 2**k for k in range(n_levels + 1)]
     finals = []
-    from .llb import SimConfig as SC
     for dt in dts:
-        sim = SC(T=sim0.T, dt=dt, cg_tol=sim0.cg_tol, cg_max_iter=sim0.cg_max_iter,
-                 blowup_threshold=sim0.blowup_threshold,
-                 warn_dt_factor=sim0.warn_dt_factor)
+        sim = dataclasses.replace(sim0, dt=dt)
         steps = sim.n_steps
         stride = round(sim0.dt / dt)
         intens = np.repeat(U0.intensities, stride, axis=0)[:steps + 1]
@@ -418,7 +416,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUpError, ImplicitSolveError, StalledDescentError) as exc:
+    except (BlowUpError, StalledDescentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except CheckFailure as exc:

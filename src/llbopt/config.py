@@ -58,8 +58,6 @@ _SCALAR_KEYS = {
     "targets.momega_expr_x": str,
     "targets.momega_expr_y": str,
     "targets.momega_expr_z": str,
-    "solver.cg_tol": float,
-    "solver.cg_max_iter": int,
     "solver.blowup_threshold": float,
     "solver.warn_dt_factor": float,
     "solver.opt_tol": float,
@@ -115,8 +113,6 @@ _DEFAULTS = {
     "targets.md_init_expr_x": "0", "targets.md_init_expr_y": "0", "targets.md_init_expr_z": "0",
     "targets.momega_kind": "final_md",
     "targets.momega_expr_x": "0", "targets.momega_expr_y": "0", "targets.momega_expr_z": "0",
-    "solver.cg_tol": 1e-12,
-    "solver.cg_max_iter": 500,
     "solver.blowup_threshold": 1e6,
     "solver.warn_dt_factor": 0.5,
     "solver.opt_tol": 1e-6,
@@ -191,8 +187,6 @@ class RunConfig:
             T=self.raw["time.T"], dt=self.raw["time.dt"],
             diagnostics_every=self.raw["output.diagnostics_every"],
             grid=self.build_grid(),
-            cg_tol=self.raw["solver.cg_tol"],
-            cg_max_iter=self.raw["solver.cg_max_iter"],
             blowup_threshold=self.raw["solver.blowup_threshold"],
             warn_dt_factor=self.raw["solver.warn_dt_factor"],
         )
@@ -532,8 +526,6 @@ def _validate(raw: dict, base_dir: str):
                 errors.append(f"{pkey}: file not found: {p}")
 
     for key, cond, msg in (
-        ("solver.cg_tol", lambda v: v > 0, "must be positive"),
-        ("solver.cg_max_iter", lambda v: v >= 1, "must be >= 1"),
         ("solver.opt_tol", lambda v: v > 0, "must be positive"),
         ("solver.opt_max_iters", lambda v: v >= 0, "must be >= 0"),
         ("solver.step0", lambda v: v > 0, "must be positive"),

@@ -151,12 +151,6 @@ class Trajectory:
 # discrete calculus
 # ---------------------------------------------------------------------------
 
-def _pad_edge(vals: np.ndarray, axis: int) -> np.ndarray:
-    pad = [(0, 0)] * vals.ndim
-    pad[axis] = (1, 1)
-    return np.pad(vals, pad, mode="edge")
-
-
 def laplacian_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
     """5/7-point Laplacian with mirror ghost cells, applied componentwise.
 
@@ -165,12 +159,13 @@ def laplacian_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
     """
     out = np.zeros_like(vals)
     for ax, h in enumerate(grid.spacing):
-        padded = _pad_edge(vals, ax)
-        lo = [slice(None)] * vals.ndim
-        hi = [slice(None)] * vals.ndim
-        lo[ax] = slice(0, -2)
-        hi[ax] = slice(2, None)
-        out += (padded[tuple(lo)] - 2.0 * vals + padded[tuple(hi)]) / h**2
+        v = np.moveaxis(vals, ax, 0)
+        t = -2.0 * v
+        t[1:] += v[:-1]
+        t[:1] += v[:1]    # mirror ghost below the first cell
+        t[:-1] += v[1:]
+        t[-1:] += v[-1:]  # mirror ghost above the last cell
+        out += np.moveaxis(t, 0, ax) / h**2
     return out
 
 

@@ -2,8 +2,10 @@
 
 Time stepping is first-order IMEX Euler: the Laplacian is implicit
 (unconditionally stable diffusion), every other term explicit at the old
-time level.  Each implicit stage solves the SPD system (I - dt*lap) m = rhs
-by matrix-free conjugate gradients.
+time level.  Each implicit stage solves (I - dt*lap_h) m = rhs exactly: the
+orthonormal DCT-II diagonalizes the mirror-ghost Neumann Laplacian, so the
+solve is a forward transform, a division by 1 + dt*lambda_k and an inverse
+transform.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.fft import dctn, idctn
 from scipy.integrate import solve_ivp
 
 from .coils import CoilSet, ControlPath, synthesize_values
@@ -25,10 +28,6 @@ from .grid import (
     laplacian_values,
     time_integral,
 )
-
-
-class ImplicitSolveError(RuntimeError):
-    """Inner conjugate-gradient solve failed to converge."""
 
 
 class BlowUpError(RuntimeError):
@@ -58,8 +57,6 @@ class SimConfig:
     source: Optional[Callable[[float], np.ndarray]] = None
     diagnostics_every: int = 0
     grid: Optional[Grid] = None
-    cg_tol: float = 1e-12
-    cg_max_iter: int = 500
     blowup_threshold: float = 1e6
     warn_dt_factor: float = 0.5
 
@@ -79,43 +76,25 @@ class SimConfig:
         return round(self.T / self.dt)
 
 
-def cg_implicit_solve(grid: Grid, dt: float, rhs: np.ndarray,
-                      tol: float = 1e-12, max_iter: int = 500,
-                      x0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Solve (I - dt*lap_h) x = rhs by conjugate gradients.
+def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - dt*lap_h) x = rhs exactly in the discrete cosine basis.
 
-    The operator is symmetric positive definite under the cell-sum inner
-    product; the three vector components decouple and are solved jointly.
-    Convergence is relative residual <= tol.
+    The orthonormal DCT-II over the spatial axes diagonalizes the
+    mirror-ghost Laplacian with eigenvalues
+    -sum_ax (2 - 2 cos(pi k_ax / n_ax)) / h_ax^2 (the modes of
+    :func:`cosine_modes`); trailing axes, e.g. the vector components, are
+    carried along.
     """
-    rhs_norm = np.sqrt(float(np.sum(rhs * rhs)))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-
-    def apply(v):
-        return v - dt * laplacian_values(grid, v)
-
-    x = rhs.copy() if x0 is None else x0.copy()
-    r = rhs - apply(x)
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    target = (tol * rhs_norm) ** 2
-    if rs <= target:
-        return x
-    for _ in range(max_iter):
-        ap = apply(p)
-        alpha = rs / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.sum(r * r))
-        if rs_new <= target:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise ImplicitSolveError(
-        f"implicit solve failure: CG did not reach rel. residual {tol:g} "
-        f"in {max_iter} iterations"
-    )
+    denom = np.ones(grid.shape)
+    for ax, (n, h) in enumerate(zip(grid.cells, grid.spacing)):
+        lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / h**2
+        shape = [1] * grid.dim
+        shape[ax] = n
+        denom = denom + dt * lam.reshape(shape)
+    denom = denom.reshape(grid.shape + (1,) * (rhs.ndim - grid.dim))
+    axes = tuple(range(grid.dim))
+    coeffs = dctn(rhs, type=2, axes=axes, norm="ortho")
+    return idctn(coeffs / denom, type=2, axes=axes, norm="ortho")
 
 
 def _reaction(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -125,24 +104,21 @@ def _reaction(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def step_values(grid: Grid, m: np.ndarray, u: np.ndarray, dt: float,
-                cg_tol: float = 1e-12, cg_max_iter: int = 500,
                 source: Optional[np.ndarray] = None) -> np.ndarray:
     lap_m = laplacian_values(grid, m)
     rhs = m + dt * _reaction(m, lap_m, u)
     if source is not None:
         rhs = rhs + dt * source
-    return cg_implicit_solve(grid, dt, rhs, tol=cg_tol, max_iter=cg_max_iter)
+    return implicit_solve(grid, dt, rhs)
 
 
-def step(m: VectorField, u: VectorField, dt: float,
-         cg_tol: float = 1e-12, cg_max_iter: int = 500) -> VectorField:
+def step(m: VectorField, u: VectorField, dt: float) -> VectorField:
     """One IMEX Euler update of the LLB state."""
     if m.grid != u.grid:
         raise ValueError("state and control fields must share a grid")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return VectorField(m.grid, step_values(m.grid, m.values, u.values, dt,
-                                           cg_tol=cg_tol, cg_max_iter=cg_max_iter))
+    return VectorField(m.grid, step_values(m.grid, m.values, u.values, dt))
 
 
 def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) -> Trajectory:
@@ -179,8 +155,7 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) ->
             warned = True
         u = synthesize_values(U.intensities[j], coils)
         src = cfg.source(j * cfg.dt) if cfg.source is not None else None
-        new = step_values(grid, m, u, cfg.dt, cg_tol=cfg.cg_tol,
-                          cg_max_iter=cfg.cg_max_iter, source=src)
+        new = step_values(grid, m, u, cfg.dt, source=src)
         if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > cfg.blowup_threshold:
             raise BlowUpError("state blow-up", (j + 1) * cfg.dt)
         frames[j + 1] = new

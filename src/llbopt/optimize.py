@@ -119,8 +119,7 @@ def _forward_cost(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
 def _gradient_state(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
                     cfg: OptimizeConfig):
     cost, traj = _forward_cost(U, coils, targets, cfg)
-    phi = tracking_adjoint(traj, U, coils, targets.m_d, targets.m_omega,
-                           cg_tol=cfg.sim.cg_tol, cg_max_iter=cfg.sim.cg_max_iter)
+    phi = tracking_adjoint(traj, U, coils, targets.m_d, targets.m_omega)
     grad = U.intensities + coil_pairing(traj, phi, coils)
     return grad, cost, traj, phi
 

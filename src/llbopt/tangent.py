@@ -14,7 +14,7 @@ import numpy as np
 
 from .coils import CoilSet, ControlPath, control_norm_rms, synthesize_values
 from .grid import Trajectory, VectorField, grad_sq_integral, laplacian_values
-from .llb import SimConfig, cg_implicit_solve, simulate
+from .llb import SimConfig, implicit_solve, simulate
 
 
 @dataclass
@@ -65,8 +65,7 @@ def tangent_coupling(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
             - 2.0 * m_dot_z * m - (1.0 + mag_sq) * z)
 
 
-def solve_tangent(point: LinearizationPoint, dU,
-                  cg_tol: float = 1e-12, cg_max_iter: int = 500) -> Trajectory:
+def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
     """Forward sweep of the linearized system around the base trajectory.
 
     Starts from z(0) = 0 and drives with zeta(dU) + m x zeta(dU); returns
@@ -87,7 +86,7 @@ def solve_tangent(point: LinearizationPoint, dU,
         du = synthesize_values(dvals[j], point.coils)
         expl = tangent_coupling(m, lap_m, u, z, lap_z) + du + np.cross(m, du)
         rhs = z + dt * expl
-        z = cg_implicit_solve(grid, dt, rhs, tol=cg_tol, max_iter=cg_max_iter)
+        z = implicit_solve(grid, dt, rhs)
         if not np.all(np.isfinite(z)):
             raise ValueError(f"tangent state became non-finite at t={(j + 1) * dt:.6g}")
         frames[j + 1] = z

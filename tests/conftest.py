@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from llbopt import (
     CoilSet,
@@ -24,6 +25,15 @@ def cosine_initial(grid, amp=0.4):
     vals[..., 0] = amp * np.cos(np.pi * coords[0])
     vals[..., 1] = 0.5 * amp
     return VectorField(grid, vals)
+
+
+@st.composite
+def grids(draw):
+    """1-3D grids with unequal axis lengths, singleton axes allowed."""
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.integers(1, 10)) for _ in range(dim))
+    lengths = tuple(draw(st.floats(0.5, 2.0)) for _ in range(dim))
+    return Grid(cells, lengths)
 
 
 def two_gaussian_coils(grid):

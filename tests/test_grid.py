@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from llbopt.grid import (
@@ -17,6 +18,8 @@ from llbopt.grid import (
     time_integral,
     write_field,
 )
+
+from conftest import grids
 
 
 def cos_field(grid, k=1, component=0):
@@ -42,7 +45,27 @@ class TestGrid:
             Grid((4,), (-1.0,))
 
 
+def laplacian_reference(grid, vals):
+    """Mirror ghost cells made explicit by edge padding, one axis at a time."""
+    out = np.zeros_like(vals)
+    for ax, h in enumerate(grid.spacing):
+        pad = [(0, 0)] * vals.ndim
+        pad[ax] = (1, 1)
+        padded = np.pad(vals, pad, mode="edge")
+        n = grid.cells[ax]
+        lo = np.take(padded, range(0, n), axis=ax)
+        hi = np.take(padded, range(2, n + 2), axis=ax)
+        out += (lo - 2.0 * vals + hi) / h**2
+    return out
+
+
 class TestLaplacian:
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_matches_padded_reference(self, g, seed):
+        vals = np.random.default_rng(seed).standard_normal(g.shape + (3,))
+        assert np.array_equal(laplacian_values(g, vals), laplacian_reference(g, vals))
+
     def test_annihilates_constants(self):
         for cells in [(9,), (6, 5), (4, 3, 5)]:
             g = Grid(cells, tuple(1.0 for _ in cells))

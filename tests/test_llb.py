@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from llbopt.coils import CoilSet, ControlPath, uniform_coil
-from llbopt.grid import Grid, VectorField, norm
+from llbopt.grid import Grid, VectorField, cosine_modes, laplacian_values, norm
 from llbopt.llb import (
     BlowUpError,
-    ImplicitSolveError,
     SimConfig,
-    cg_implicit_solve,
     energy_ledger,
+    implicit_solve,
     simulate,
     simulate_galerkin,
     step,
 )
 
-from conftest import cosine_initial, two_gaussian_coils
+from conftest import cosine_initial, grids, two_gaussian_coils
 
 
 def radial_exact(t):
@@ -23,26 +23,37 @@ def radial_exact(t):
     return np.sqrt(np.exp(-2 * t) / (2 - np.exp(-2 * t)))
 
 
-class TestCG:
-    def test_solves_spd_system(self):
-        rng = np.random.default_rng(0)
-        g = Grid((24,), (1.0,))
-        rhs = rng.standard_normal(g.shape + (3,))
-        x = cg_implicit_solve(g, 1e-2, rhs, tol=1e-12)
-        from llbopt.grid import laplacian_values
-        res = rhs - (x - 1e-2 * laplacian_values(g, x))
+time_steps = st.floats(1e-5, 1.0)
+solve_settings = settings(max_examples=60, deadline=None)
+
+
+class TestImplicitSolve:
+    @solve_settings
+    @given(grids(), time_steps, st.integers(0, 2**32 - 1))
+    def test_residual(self, g, dt, seed):
+        rhs = np.random.default_rng(seed).standard_normal(g.shape + (3,))
+        x = implicit_solve(g, dt, rhs)
+        res = rhs - (x - dt * laplacian_values(g, x))
         assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(rhs)
 
-    def test_zero_rhs(self):
-        g = Grid((8,), (1.0,))
-        assert np.all(cg_implicit_solve(g, 0.1, np.zeros(g.shape + (3,))) == 0)
+    @solve_settings
+    @given(grids(), time_steps)
+    def test_zero_rhs(self, g, dt):
+        x = implicit_solve(g, dt, np.zeros(g.shape + (3,)))
+        assert x.shape == g.shape + (3,)
+        assert np.all(x == 0)
 
-    def test_nonconvergence_raises(self):
-        g = Grid((64,), (1.0,))
-        rng = np.random.default_rng(1)
-        rhs = rng.standard_normal(g.shape + (3,))
-        with pytest.raises(ImplicitSolveError, match="implicit solve failure"):
-            cg_implicit_solve(g, 10.0, rhs, tol=1e-14, max_iter=2)
+    @solve_settings
+    @given(grids(), time_steps, st.data())
+    def test_cosine_mode_is_scaled(self, g, dt, data):
+        # cosine_modes returns eigenvalues rho of (-lap_h + I), so the mode
+        # is an eigenvector of (I - dt*lap_h) with eigenvalue 1 + dt*(rho - 1)
+        count = data.draw(st.integers(1, min(g.node_count, 20)))
+        modes, rho = cosine_modes(g, count)
+        rhs = modes[-1][..., None] * np.array([1.0, -2.0, 0.5])
+        x = implicit_solve(g, dt, rhs)
+        assert_allclose(x, rhs / (1.0 + dt * (rho[-1] - 1.0)),
+                        rtol=1e-12, atol=1e-12 * np.abs(rhs).max())
 
 
 class TestStep:
