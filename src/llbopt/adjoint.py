@@ -17,7 +17,7 @@ import numpy as np
 
 from .coils import CoilSet, ControlPath, synthesize_values
 from .grid import Trajectory, VectorField, laplacian_values
-from .llb import implicit_solve
+from .llb import BlowUpError, implicit_solve
 
 
 @dataclass
@@ -76,7 +76,7 @@ def solve_adjoint(p: AdjointProblem) -> Trajectory:
         rhs = phi + dt * expl
         phi = implicit_solve(grid, dt, rhs)
         if not np.all(np.isfinite(phi)):
-            raise ValueError(f"costate became non-finite at t={j * dt:.6g}")
+            raise BlowUpError("costate became non-finite", j * dt)
         frames[j] = phi
     return Trajectory(grid, dt, frames)
 

@@ -12,6 +12,7 @@ marked INDETERMINATE rather than PASS/FAIL.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,10 @@ from .optimize import (
 from .tangent import LinearizationPoint, solve_tangent, trajectory_h1_distance
 
 PASS, FAIL, INDETERMINATE = "PASS", "FAIL", "INDETERMINATE"
+
+
+class TrivialConeError(ValueError):
+    """Every sampled critical direction projected to zero."""
 
 
 @dataclass
@@ -235,9 +240,11 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
     cone is numerically trivial.
     """
     rng = rng or np.random.default_rng(0)
-    residual, upsilon, traj, phi = first_order_residual(U, coils, targets, cfg)
+    # first_order_residual inlined: the cost of this forward sweep is the
+    # curvature samples' cost0, so the control is not simulated again
+    upsilon, cost0, traj, phi = _gradient_state(U, coils, targets, cfg)
+    residual = natural_residual(U, upsilon)
     if residual > 1e-3:
-        import warnings
         warnings.warn(
             f"curvature scan at a point with first-order residual {residual:.3g}; "
             "the critical cone is only meaningful near stationarity",
@@ -250,7 +257,6 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
         ups_scale = float(np.max(np.abs(upsilon))) if upsilon.size else 0.0
         masks = critical_cone_mask(
             U, upsilon, tol_upsilon=max(1e-6 * ups_scale, 10.0 * residual))
-    cost0, _ = _forward_cost(U, coils, targets, cfg)
     samples = []
     degenerate = 0
     for d in range(n_dirs):
@@ -265,7 +271,7 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
         sample.direction_id = d
         samples.append(sample)
     if not samples:
-        raise ValueError("cone numerically trivial: all sampled directions vanish")
+        raise TrivialConeError("cone numerically trivial: all sampled directions vanish")
     min_rayleigh = min(s.q_adj for s in samples)  # directions are unit-norm
     return min_rayleigh, samples, residual
 

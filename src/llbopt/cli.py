@@ -5,8 +5,9 @@ check-curvature, convergence, oracle.  Every run writes a manifest
 (config hash, package/library versions, seed) into its output directory;
 identical config + seed produces bit-identical CSV outputs.
 
-Exit codes: 0 success, 2 config validation failure, 3 solver blow-up or
-stalled descent, 4 verification check beyond tolerance.
+Exit codes: 0 success, 2 config validation failure, 3 solver blow-up (state
+over the threshold, non-finite tangent or costate) or stalled descent,
+4 verification check beyond tolerance.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import scipy
 
 from . import __version__
 from .certify import (
+    TrivialConeError,
     critical_cone_mask,
     curvature,
     global_and_uniqueness_report,
@@ -166,7 +168,7 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
     try:
         min_rayleigh, samples, _ = second_order_scan(
             U, coils, targets, n_dirs, opt, rng=rng, eps_fd=cfg["certify.eps_fd"])
-    except ValueError:
+    except TrivialConeError:
         # sampled cone degenerated to {0}; the first-order report still stands
         min_rayleigh, samples = None, []
     report = global_and_uniqueness_report(

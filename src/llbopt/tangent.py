@@ -14,7 +14,7 @@ import numpy as np
 
 from .coils import CoilSet, ControlPath, control_norm_rms, synthesize_values
 from .grid import Trajectory, VectorField, grad_sq_integral, laplacian_values
-from .llb import SimConfig, implicit_solve, simulate
+from .llb import BlowUpError, SimConfig, implicit_solve, simulate
 
 
 @dataclass
@@ -88,7 +88,7 @@ def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
         rhs = z + dt * expl
         z = implicit_solve(grid, dt, rhs)
         if not np.all(np.isfinite(z)):
-            raise ValueError(f"tangent state became non-finite at t={(j + 1) * dt:.6g}")
+            raise BlowUpError("tangent state became non-finite", (j + 1) * dt)
         frames[j + 1] = z
     return Trajectory(grid, dt, frames)
 

@@ -10,7 +10,7 @@ from llbopt.adjoint import (
 )
 from llbopt.coils import CoilSet, ControlPath, uniform_coil, synthesize_values
 from llbopt.grid import Grid, Trajectory, VectorField, time_integral
-from llbopt.llb import SimConfig, simulate
+from llbopt.llb import BlowUpError, SimConfig, simulate
 from llbopt.tangent import LinearizationPoint, solve_tangent
 
 from conftest import cosine_initial, two_gaussian_coils
@@ -68,6 +68,20 @@ class TestSolveAdjoint:
         scale = max(np.abs(phi_sum.values).max(), 1.0)
         assert_allclose(phi_sum.values, phi_1.values + phi_2.values,
                         atol=1e-11 * scale)
+
+    def test_overflow_raises_blowup(self):
+        # |m|^2 overflows to inf, so the first backward step is non-finite
+        grid = Grid((8,), (1.0,))
+        K, dt = 5, 1e-2
+        coils = CoilSet.from_fields([uniform_coil(grid, 0)])
+        traj = Trajectory(grid, dt, np.full((K + 1,) + grid.shape + (3,), 1e200))
+        U = ControlPath.zeros(K, 1, dt)
+        prob = AdjointProblem(traj, U, coils, np.zeros_like(traj.values),
+                              VectorField.constant(grid, (1.0, 0.0, 0.0)))
+        with np.errstate(all="ignore"), \
+                pytest.raises(BlowUpError, match="costate became non-finite") as exc:
+            solve_adjoint(prob)
+        assert exc.value.time == pytest.approx((K - 1) * dt)
 
     def test_rhs_shape_validation(self):
         grid = Grid((8,), (1.0,))

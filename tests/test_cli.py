@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import llbopt.certify
 from llbopt.cli import main
 from llbopt.config import ConfigError, parse_config, read_control_csv
 
@@ -236,6 +239,22 @@ class TestSubcommands:
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 3
 
+    def test_exit_3_on_tangent_blowup_in_certify(self, stock_cfg, tmp_path,
+                                                 monkeypatch, capsys):
+        # an infinite direction drives the real tangent sweep non-finite;
+        # certify must report a blow-up, not a degenerate cone
+        real = llbopt.certify.solve_tangent
+        monkeypatch.setattr(llbopt.certify, "solve_tangent",
+                            lambda point, h: real(point, np.full_like(h, np.inf)))
+        with np.errstate(all="ignore"):
+            code = main(["certify", "--config", stock_cfg,
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: tangent state became non-finite at t=")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_exit_4_on_failed_check(self, stock_cfg, tmp_path):
         # impossible tolerance forces a check failure
         text = open(stock_cfg).read() + "checks.grad_tol = 1e-12\n"
@@ -265,3 +284,17 @@ class TestDeterminism:
         assert manifest["seed"] == 99
         assert "config_sha256" in manifest
         assert manifest["versions"]["llbopt"]
+
+
+def test_cli_import_skips_slow_scipy_modules():
+    # the implicit solve is numpy-only and the ODE oracle imports
+    # scipy.integrate on use, so start-up never loads these
+    code = ("import sys, llbopt.cli; "
+            "print(' '.join(m for m in ('scipy.fft', 'scipy.integrate', "
+            "'scipy.special') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(llbopt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == ""

@@ -37,6 +37,23 @@ class TestImplicitSolve:
         assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(rhs)
 
     @solve_settings
+    @given(grids(), time_steps, st.integers(0, 2**32 - 1))
+    def test_matches_scipy_dct_reference(self, g, dt, seed):
+        from scipy.fft import dctn, idctn
+
+        rhs = np.random.default_rng(seed).standard_normal(g.shape + (3,))
+        denom = np.ones(g.shape)
+        for ax, (n, h) in enumerate(zip(g.cells, g.spacing)):
+            lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / h**2
+            denom = denom + dt * np.expand_dims(
+                lam, tuple(a for a in range(g.dim) if a != ax))
+        axes = tuple(range(g.dim))
+        ref = idctn(dctn(rhs, type=2, axes=axes, norm="ortho") / denom[..., None],
+                    type=2, axes=axes, norm="ortho")
+        x = implicit_solve(g, dt, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @solve_settings
     @given(grids(), time_steps)
     def test_zero_rhs(self, g, dt):
         x = implicit_solve(g, dt, np.zeros(g.shape + (3,)))

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from llbopt.coils import CoilSet, ControlPath, uniform_coil
 from llbopt.grid import Grid, Trajectory
-from llbopt.llb import SimConfig, simulate
+from llbopt.llb import BlowUpError, SimConfig, simulate
 from llbopt.tangent import (
     LinearizationPoint,
     estimate_state_lipschitz,
@@ -49,6 +49,18 @@ class TestSolveTangent:
         expected = 1.0 - np.exp(-1.0)
         assert z.values[-1][0, 0] == pytest.approx(expected, abs=1e-3)
         assert_allclose(z.values[-1][..., 1:], 0.0, atol=1e-14)
+
+    def test_overflow_raises_blowup(self):
+        # |m|^2 overflows to inf, so (1+|m|^2) z is nan already at z = 0
+        grid = Grid((8,), (1.0,))
+        K, dt = 5, 1e-2
+        coils = CoilSet.from_fields([uniform_coil(grid, 0)])
+        base = Trajectory(grid, dt, np.full((K + 1,) + grid.shape + (3,), 1e200))
+        point = LinearizationPoint(base, ControlPath.zeros(K, 1, dt), coils)
+        with np.errstate(all="ignore"), \
+                pytest.raises(BlowUpError, match="tangent state became non-finite") as exc:
+            solve_tangent(point, np.ones((K + 1, 1)))
+        assert exc.value.time == pytest.approx(dt)
 
     def test_linearity(self):
         point, _ = generic_point(n=24, dt=5e-3)
