@@ -39,14 +39,17 @@ U, _ = projected_gradient_descent(
     ControlPath.zeros(K, 2, sim.dt, lower=-5.0, upper=5.0), coils, targets, cfg)
 
 # --- curvature along a few directions, adjoint assembly vs FD oracle --------
+# a stack of directions is one batched tangent, costate-derivative and
+# finite-difference sweep each
 print("curvature samples at U*")
 rng = np.random.default_rng(3)
 t = np.arange(K + 1) * sim.dt
+hs = []
 for d in range(3):
     c = rng.standard_normal((2, 3))
-    h = np.stack([c[i, 0] + c[i, 1] * np.sin(2 * np.pi * t / sim.T)
-                  + c[i, 2] * np.cos(np.pi * t / sim.T) for i in range(2)], axis=1)
-    s = curvature(U, coils, targets, h, cfg, eps_fd=1e-3)
+    hs.append(np.stack([c[i, 0] + c[i, 1] * np.sin(2 * np.pi * t / sim.T)
+                        + c[i, 2] * np.cos(np.pi * t / sim.T) for i in range(2)], axis=1))
+for d, s in enumerate(curvature(U, coils, targets, np.stack(hs), cfg, eps_fd=1e-3)):
     print(f"  dir {d}: Q_adj = {s.q_adj:+.6f}, Q_fd = {s.q_fd:+.6f}, "
           f"rel err = {s.rel_err:.2e}")
 

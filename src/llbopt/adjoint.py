@@ -27,12 +27,13 @@ class AdjointProblem:
     base_traj: Trajectory
     base_control: ControlPath
     coils: CoilSet
-    rhs: np.ndarray          # (K+1,) + grid.shape + (3,), sampled per frame
+    rhs: np.ndarray          # (...,) + (K+1,) + grid.shape + (3,), sampled per frame
     terminal: VectorField
 
     def __post_init__(self):
         self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.rhs.shape != self.base_traj.values.shape:
+        frame_axes = self.base_traj.grid.dim + 2  # time, space, component
+        if self.rhs.shape[-frame_axes:] != self.base_traj.values.shape[-frame_axes:]:
             raise ValueError(
                 f"rhs frames have shape {self.rhs.shape}, expected "
                 f"{self.base_traj.values.shape}"
@@ -61,31 +62,49 @@ def solve_adjoint(p: AdjointProblem) -> Trajectory:
     The step computing phi(t_j) from phi(t_{j+1}) takes the explicit terms
     from the known costate and samples the coefficients m, zeta(U) and the
     right-hand side g at the arrival frame t_j.
+
+    Any of the base trajectory, the base control, ``rhs`` and the terminal
+    data may carry leading batch axes (shapes ``batch + (K+1,) + grid.shape
+    + (3,)``, ``batch + (K+1, N)``, ``batch + (K+1,) + grid.shape + (3,)``
+    and ``batch + grid.shape + (3,)``); unbatched ones broadcast against
+    the rest.  The members are swept together, one implicit solve per step,
+    and the result has the broadcast batch shape in front of the time axis.
+    A member that turns non-finite raises :class:`BlowUpError` for the
+    whole sweep, with the time reached.
     """
     grid = p.base_traj.grid
     dt = p.base_traj.dt
     K = p.base_traj.n_steps
-    frames = np.empty((K + 1,) + grid.shape + (3,))
+    cell = grid.dim + 1  # spatial and component axes
+    batch = np.broadcast_shapes(p.base_traj.values.shape[:-cell - 1],
+                                p.base_control.intensities.shape[:-2],
+                                p.rhs.shape[:-cell - 1],
+                                p.terminal.values.shape[:-cell])
+    base = p.base_traj.frames
+    controls = np.moveaxis(p.base_control.intensities, -2, 0)
+    sources = np.moveaxis(p.rhs, -cell - 1, 0)
+    traj = Trajectory(grid, dt, np.empty(batch + (K + 1,) + grid.shape + (3,)))
+    frames = traj.frames
     frames[K] = p.terminal.values
     phi = frames[K]
     for j in range(K - 1, -1, -1):
-        m = p.base_traj.values[j]
+        m = base[j]
         lap_m = laplacian_values(grid, m)
-        u = synthesize_values(p.base_control.intensities[j], p.coils)
-        expl = adjoint_coupling(m, lap_m, u, phi, grid) - p.rhs[j]
+        u = synthesize_values(controls[j], p.coils)
+        expl = adjoint_coupling(m, lap_m, u, phi, grid) - sources[j]
         rhs = phi + dt * expl
         phi = implicit_solve(grid, dt, rhs)
         if not np.all(np.isfinite(phi)):
             raise BlowUpError("costate became non-finite", j * dt)
         frames[j] = phi
-    return Trajectory(grid, dt, frames)
+    return traj
 
 
 def tracking_adjoint(base_traj: Trajectory, base_control: ControlPath,
                      coils: CoilSet, m_d: np.ndarray, m_omega: np.ndarray) -> Trajectory:
     """Costate for the tracking cost: g = -(m - m_d), phi(T) = m(T) - m_omega."""
     rhs = -(base_traj.values - m_d)
-    terminal = VectorField(base_traj.grid, base_traj.values[-1] - m_omega)
+    terminal = VectorField(base_traj.grid, base_traj.frames[-1] - m_omega)
     problem = AdjointProblem(base_traj, base_control, coils, rhs, terminal)
     return solve_adjoint(problem)
 
@@ -99,7 +118,10 @@ def solve_costate_derivative(point, z: Trajectory, phi: Trajectory, dU) -> Traje
         -lap(phi x z) - (lap z x phi) + phi x zeta(dU)
         + 2 (m.z) phi + 2 (z.phi) m + 2 (m.phi) z - z,
 
-    and terminal data z(T).
+    and terminal data z(T).  ``z`` and ``dU`` may be stacks of tangents and
+    directions with leading batch axes (as :func:`solve_tangent` returns
+    and takes them); the costate derivatives then come from one batched
+    :func:`solve_adjoint` sweep.
     """
     from .tangent import _as_intensities  # local import to avoid a cycle
 
@@ -108,20 +130,23 @@ def solve_costate_derivative(point, z: Trajectory, phi: Trajectory, dU) -> Traje
     if z.n_steps != K or phi.n_steps != K:
         raise ValueError("tangent and costate trajectories must match the base time grid")
     dvals = _as_intensities(dU, point)
-    rhs = np.empty((K + 1,) + grid.shape + (3,))
+    batch = np.broadcast_shapes(z.values.shape[:-grid.dim - 2], dvals.shape[:-2])
+    rhs = np.empty(batch + (K + 1,) + grid.shape + (3,))
+    rhs_frames = np.moveaxis(rhs, -grid.dim - 2, 0)
+    directions = np.moveaxis(dvals, -2, 0)
     for j in range(K + 1):
         m = point.base_traj.values[j]
-        zj = z.values[j]
+        zj = z.frames[j]
         pj = phi.values[j]
-        du = synthesize_values(dvals[j], point.coils)
+        du = synthesize_values(directions[j], point.coils)
         m_dot_z = np.sum(m * zj, axis=-1, keepdims=True)
         z_dot_p = np.sum(zj * pj, axis=-1, keepdims=True)
         m_dot_p = np.sum(m * pj, axis=-1, keepdims=True)
-        rhs[j] = (-laplacian_values(grid, np.cross(pj, zj))
-                  - np.cross(laplacian_values(grid, zj), pj)
-                  + np.cross(pj, du)
-                  + 2.0 * m_dot_z * pj + 2.0 * z_dot_p * m + 2.0 * m_dot_p * zj
-                  - zj)
+        rhs_frames[j] = (-laplacian_values(grid, np.cross(pj, zj))
+                         - np.cross(laplacian_values(grid, zj), pj)
+                         + np.cross(pj, du)
+                         + 2.0 * m_dot_z * pj + 2.0 * z_dot_p * m + 2.0 * m_dot_p * zj
+                         - zj)
     problem = AdjointProblem(point.base_traj, point.base_control, point.coils,
-                             rhs, VectorField(grid, z.values[-1].copy()))
+                             rhs, VectorField(grid, z.frames[-1].copy()))
     return solve_adjoint(problem)

@@ -26,18 +26,38 @@ from .coils import (
     control_norm_rms,
     synthesize_values,
 )
-from .grid import Trajectory, grad_sq_integral, laplacian_values, time_integral
-from .llb import BlowUpError, simulate
+from .grid import Grid, Trajectory, grad_sq_integral, laplacian_values, time_integral
+from .llb import BlowUpError, blowup_times, simulate
 from .optimize import (
+    CostBreakdown,
     OptimizeConfig,
     TrackingTargets,
-    _forward_cost,
     _gradient_state,
+    evaluate_cost,
     natural_residual,
 )
 from .tangent import LinearizationPoint, solve_tangent, trajectory_h1_distance
 
 PASS, FAIL, INDETERMINATE = "PASS", "FAIL", "INDETERMINATE"
+
+BUDGET = 64 * 2**20
+"""Bytes of stored trajectories one batched stage of the certificate may
+hold.  A trajectory takes 8 * 3 * (K+1) * cells bytes, and a batch takes
+max(1, BUDGET // (trajectories held per member * that)) members.  A member
+holds one trajectory in the finite-difference forwards, three in the
+tangent and costate-derivative stage (z, the costate-derivative source and
+phi') and six per Lipschitz pair (two states, two adjoint sources, two
+costates).  On a 1D grid of 16 cells with K = 80 a trajectory is 31 KB,
+so a scan is one batch per stage; on a 3D 32^3 grid with K = 250 it is
+197 MB, so that scan runs one member at a time."""
+
+
+def _batches(n: int, grid: Grid, n_steps: int, held: int) -> list:
+    """Slices splitting ``n`` members, each holding ``held`` trajectories at
+    once, into batches within :data:`BUDGET`."""
+    trajectory_bytes = 8 * 3 * (n_steps + 1) * grid.node_count
+    width = max(1, BUDGET // (held * trajectory_bytes))
+    return [slice(i, i + width) for i in range(0, n, width)]
 
 
 class TrivialConeError(ValueError):
@@ -105,18 +125,36 @@ class CertificateReport:
 # first order
 # ---------------------------------------------------------------------------
 
-def first_order_residual(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
-                         cfg: OptimizeConfig):
-    """Clamp residual and the first-order quantity Upsilon.
+@dataclass
+class FirstOrderState:
+    """One forward and one adjoint sweep at a candidate control, shared by
+    the curvature scan and the report."""
+
+    upsilon: np.ndarray
+    residual: float
+    cost: CostBreakdown
+    traj: Trajectory
+    phi: Trajectory
+
+
+def first_order_state(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
+                      cfg: OptimizeConfig) -> FirstOrderState:
+    """Clamp residual and the first-order quantity Upsilon, with the cost,
+    state and costate they came from.
 
     Upsilon_i(t) = U_i(t) + int (phi x m + phi) . B_i dx; the residual is
     the time-RMS of U_i(t) - P_[a_i,b_i](-pairing_i(t)) summed over coils,
     identical to the optimizer's natural residual at unit reference step.
     """
-    grad, _, traj, phi = _gradient_state(U, coils, targets, cfg)
-    upsilon = grad
-    residual = natural_residual(U, upsilon)
-    return residual, upsilon, traj, phi
+    upsilon, cost, traj, phi = _gradient_state(U, coils, targets, cfg)
+    return FirstOrderState(upsilon, natural_residual(U, upsilon), cost, traj, phi)
+
+
+def first_order_residual(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
+                         cfg: OptimizeConfig):
+    """(residual, upsilon, traj, phi) of :func:`first_order_state`."""
+    state = first_order_state(U, coils, targets, cfg)
+    return state.residual, state.upsilon, state.traj, state.phi
 
 
 def fooc_sample_min(U: ControlPath, upsilon: np.ndarray, n_samples: int,
@@ -183,67 +221,80 @@ def project_onto_cone(h: np.ndarray, masks: ConeMasks) -> np.ndarray:
 
 def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
               h: np.ndarray, cfg: OptimizeConfig, eps_fd: float = 1e-3,
-              state=None) -> CurvatureSample:
+              state: Optional[FirstOrderState] = None):
     """Second derivative of the reduced cost along h, two ways.
 
     Q_adj assembles the curvature form from the tangent state z and the
     costate derivative phi'; Q_fd is the second central difference of the
-    reduced cost.  A blow-up at U +/- eps*h invalidates Q_fd only.
+    reduced cost.  ``h`` is one direction of shape (K+1, N), giving one
+    :class:`CurvatureSample`, or a stack of shape (B, K+1, N), giving a
+    list of B samples.  A stack's tangents, costate derivatives and 2B
+    finite-difference forwards each run as one batched sweep, split only
+    to keep a batch within :data:`BUDGET`.  A blow-up at U +/- eps*h
+    invalidates that direction's Q_fd only.
     """
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    if not np.any(h):
+    h = np.asarray(h, dtype=float)
+    single = h.ndim < 3
+    hs = np.atleast_2d(h)[None] if single else h
+    if not np.all(np.any(hs, axis=(-2, -1))):
         raise ValueError("curvature direction must be nonzero")
     if state is None:
-        _, cost0, traj, phi = _gradient_state(U, coils, targets, cfg)
-    else:
-        cost0, traj, phi = state
+        state = first_order_state(U, coils, targets, cfg)
+    traj, phi = state.traj, state.phi
+    grid, K, B = traj.grid, U.n_steps, hs.shape[0]
     point = LinearizationPoint(traj, U, coils)
-    z = solve_tangent(point, h)
-    phi_prime = solve_costate_derivative(point, z, phi, h)
-    K = U.n_steps
-    w = traj.grid.cell_volume
-    series = np.empty(K + 1)
-    for j in range(K + 1):
-        zh = synthesize_values(h[j], coils)
-        m = traj.values[j]
-        integrand = (np.cross(phi_prime.values[j], m)
-                     + np.cross(phi.values[j], z.values[j])
-                     + phi_prime.values[j])
-        series[j] = w * float(np.sum(integrand * zh))
-    q_adj = control_norm_rms(h, U.dt) ** 2 + time_integral(series, U.dt)
+    cells = tuple(range(-grid.dim - 1, 0))
+    series = np.empty((B, K + 1))
+    for sl in _batches(B, grid, K, held=3):
+        z = solve_tangent(point, hs[sl])
+        phi_prime = solve_costate_derivative(point, z, phi, hs[sl])
+        for j in range(K + 1):
+            zh = synthesize_values(hs[sl, j], coils)
+            integrand = (np.cross(phi_prime.frames[j], traj.values[j])
+                         + np.cross(phi.values[j], z.frames[j])
+                         + phi_prime.frames[j])
+            series[sl, j] = grid.cell_volume * np.sum(integrand * zh, axis=cells)
 
-    wide = np.full_like(U.intensities, np.inf)
-    fd_valid = True
-    q_fd = float("nan")
-    try:
-        cp, _ = _forward_cost(ControlPath(U.intensities + eps_fd * h, -wide, wide, U.dt),
-                              coils, targets, cfg)
-        cm, _ = _forward_cost(ControlPath(U.intensities - eps_fd * h, -wide, wide, U.dt),
-                              coils, targets, cfg)
-        q_fd = (cp.total - 2.0 * cost0.total + cm.total) / eps_fd**2
-    except BlowUpError:
-        fd_valid = False
-    rel = abs(q_adj - q_fd) / max(abs(q_fd), 1e-300) if fd_valid else float("nan")
-    return CurvatureSample(-1, q_adj, q_fd, rel, fd_valid)
+    # the 2B forwards at U + eps*h (first B) and U - eps*h (last B)
+    shifted = np.concatenate([U.intensities + eps_fd * hs, U.intensities - eps_fd * hs])
+    totals = np.full(2 * B, np.nan)
+    for sl in _batches(2 * B, grid, K, held=1):
+        paths = ControlPath(shifted[sl], -np.inf, np.inf, U.dt)
+        fwd = simulate(cfg.m0, paths, coils, cfg.sim)
+        for i, blown_at, values in zip(range(2 * B)[sl], blowup_times(fwd), fwd.values):
+            if np.isinf(blown_at):
+                member = ControlPath(shifted[i], -np.inf, np.inf, U.dt)
+                totals[i] = evaluate_cost(Trajectory(grid, U.dt, values), member,
+                                          targets).total
+    samples = []
+    for b in range(B):
+        q_adj = control_norm_rms(hs[b], U.dt) ** 2 + time_integral(series[b], U.dt)
+        cp, cm = totals[b], totals[B + b]  # NaN where the member blew up
+        fd_valid = bool(np.isfinite(cp) and np.isfinite(cm))
+        q_fd = float((cp - 2.0 * state.cost.total + cm) / eps_fd**2)
+        rel = abs(q_adj - q_fd) / max(abs(q_fd), 1e-300) if fd_valid else float("nan")
+        samples.append(CurvatureSample(-1, q_adj, q_fd, rel, fd_valid))
+    return samples[0] if single else samples
 
 
 def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
                       n_dirs: int, cfg: OptimizeConfig,
                       rng: Optional[np.random.Generator] = None,
                       masks: Optional[ConeMasks] = None,
-                      eps_fd: float = 1e-3):
+                      eps_fd: float = 1e-3,
+                      state: Optional[FirstOrderState] = None):
     """Minimum Rayleigh value Q(h)/||h||^2 over random critical directions.
 
-    Directions are drawn, projected onto the cone mask and normalized; the
-    scan warns rather than fails when no first-order residual information
-    is available.  All directions degenerating to zero means the sampled
-    cone is numerically trivial.
+    Directions are drawn, projected onto the cone mask and normalized, then
+    sampled by one :func:`curvature` call; the scan warns rather than fails
+    when no first-order residual information is available.  All directions
+    degenerating to zero means the sampled cone is numerically trivial.
+    ``state`` is the :func:`first_order_state` at U when the caller has it.
     """
     rng = rng or np.random.default_rng(0)
-    # first_order_residual inlined: the cost of this forward sweep is the
-    # curvature samples' cost0, so the control is not simulated again
-    upsilon, cost0, traj, phi = _gradient_state(U, coils, targets, cfg)
-    residual = natural_residual(U, upsilon)
+    if state is None:
+        state = first_order_state(U, coils, targets, cfg)
+    upsilon, residual = state.upsilon, state.residual
     if residual > 1e-3:
         warnings.warn(
             f"curvature scan at a point with first-order residual {residual:.3g}; "
@@ -257,21 +308,19 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
         ups_scale = float(np.max(np.abs(upsilon))) if upsilon.size else 0.0
         masks = critical_cone_mask(
             U, upsilon, tol_upsilon=max(1e-6 * ups_scale, 10.0 * residual))
-    samples = []
-    degenerate = 0
+    directions, ids = [], []
     for d in range(n_dirs):
         h = project_onto_cone(rng.standard_normal(U.intensities.shape), masks)
         nrm = control_norm_rms(h, U.dt)
-        if nrm < 1e-14:
-            degenerate += 1
-            continue
-        h = h / nrm
-        sample = curvature(U, coils, targets, h, cfg, eps_fd=eps_fd,
-                           state=(cost0, traj, phi))
-        sample.direction_id = d
-        samples.append(sample)
-    if not samples:
+        if nrm >= 1e-14:
+            directions.append(h / nrm)
+            ids.append(d)
+    if not directions:
         raise TrivialConeError("cone numerically trivial: all sampled directions vanish")
+    samples = curvature(U, coils, targets, np.stack(directions), cfg, eps_fd=eps_fd,
+                        state=state)
+    for d, sample in zip(ids, samples):
+        sample.direction_id = d
     min_rayleigh = min(s.q_adj for s in samples)  # directions are unit-norm
     return min_rayleigh, samples, residual
 
@@ -316,27 +365,37 @@ def _estimate_lipschitz_pair(U: ControlPath, coils: CoilSet,
                              targets: TrackingTargets, cfg: OptimizeConfig,
                              rng: np.random.Generator, n_pairs: int = 3,
                              spread: float = 0.2):
-    """Empirical (lower-bound) squared Lipschitz ratios for state and costate."""
-    state_best = 0.0
-    costate_best = 0.0
-    wide = np.full_like(U.intensities, np.inf)
+    """Empirical (lower-bound) squared Lipschitz ratios for state and costate.
+
+    The pairs' forwards run as one batched sweep and their costates as one
+    batched adjoint sweep (split only to stay within :data:`BUDGET`); a
+    blow-up of any member ends the estimate with :class:`BlowUpError`.
+    """
+    pairs, denoms = [], []
     for _ in range(n_pairs):
         d1 = spread * rng.standard_normal(U.intensities.shape)
         d2 = spread * rng.standard_normal(U.intensities.shape)
-        U1 = ControlPath(U.intensities + d1, -wide, wide, U.dt)
-        U2 = ControlPath(U.intensities + d2, -wide, wide, U.dt)
-        denom = control_norm_rms(U1.intensities - U2.intensities, U.dt)
-        if denom == 0.0:
-            continue
-        t1 = simulate(cfg.m0, U1, coils, cfg.sim)
-        t2 = simulate(cfg.m0, U2, coils, cfg.sim)
-        state_best = max(state_best, trajectory_h1_distance(t1, t2) / denom)
-        p1 = tracking_adjoint(t1, U1, coils, targets.m_d, targets.m_omega)
-        p2 = tracking_adjoint(t2, U2, coils, targets.m_d, targets.m_omega)
-        pdiff = Trajectory(t1.grid, t1.dt, p1.values - p2.values)
-        nrm = trajectory_norms(pdiff)
-        costate_norm = np.sqrt(nrm["linf_l2"] ** 2 + nrm["l2_h1"] ** 2)
-        costate_best = max(costate_best, float(costate_norm) / denom)
+        U1, U2 = U.intensities + d1, U.intensities + d2
+        denom = control_norm_rms(U1 - U2, U.dt)
+        if denom != 0.0:
+            pairs.append((U1, U2))
+            denoms.append(denom)
+    state_best = 0.0
+    costate_best = 0.0
+    grid = cfg.m0.grid
+    for sl in _batches(len(pairs), grid, U.n_steps, held=6):
+        paths = ControlPath(np.array(pairs[sl]), -np.inf, np.inf, U.dt)
+        states = simulate(cfg.m0, paths, coils, cfg.sim)
+        blown_at = float(np.min(blowup_times(states)))
+        if np.isfinite(blown_at):
+            raise BlowUpError("state blow-up", blown_at)
+        costates = tracking_adjoint(states, paths, coils, targets.m_d, targets.m_omega)
+        for m, p, denom in zip(states.values, costates.values, denoms[sl]):
+            t1, t2 = (Trajectory(grid, U.dt, v) for v in m)
+            state_best = max(state_best, trajectory_h1_distance(t1, t2) / denom)
+            nrm = trajectory_norms(Trajectory(grid, U.dt, p[0] - p[1]))
+            costate_norm = np.sqrt(nrm["linf_l2"] ** 2 + nrm["l2_h1"] ** 2)
+            costate_best = max(costate_best, float(costate_norm) / denom)
     return float(state_best**2), float(costate_best**2)
 
 
@@ -346,7 +405,8 @@ def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
                                  rng: Optional[np.random.Generator] = None,
                                  n_fooc_samples: int = 200,
                                  curvature_samples: Optional[list] = None,
-                                 min_rayleigh: Optional[float] = None) -> CertificateReport:
+                                 min_rayleigh: Optional[float] = None,
+                                 state: Optional[FirstOrderState] = None) -> CertificateReport:
     """Assemble the certificate report at a candidate control.
 
     All measurable factors are computed from the forward and adjoint solves;
@@ -354,7 +414,8 @@ def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
     Lipschitz constants fall back to empirical estimators and downgrade the
     uniqueness verdict to INDETERMINATE; the global-condition constant and
     the embedding constant have no estimator and are required for their
-    respective comparisons.
+    respective comparisons.  ``state`` is the :func:`first_order_state` at
+    U when the caller has it.
     """
     if constants.go_constant is None or constants.c4n is None:
         missing = [name for name, v in (("go_constant", constants.go_constant),
@@ -363,8 +424,9 @@ def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
             "missing required constants with no estimator fallback: "
             + ", ".join(missing))
     rng = rng or np.random.default_rng(0)
-    residual, upsilon, traj, phi = first_order_residual(U, coils, targets, cfg)
-    masks = critical_cone_mask(U, upsilon)
+    if state is None:
+        state = first_order_state(U, coils, targets, cfg)
+    residual, upsilon, traj, phi = state.residual, state.upsilon, state.traj, state.phi
     fooc_min = fooc_sample_min(U, upsilon, n_fooc_samples, rng)
 
     m_norms = trajectory_norms(traj)

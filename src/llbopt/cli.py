@@ -6,8 +6,8 @@ check-curvature, convergence, oracle.  Every run writes a manifest
 identical config + seed produces bit-identical CSV outputs.
 
 Exit codes: 0 success, 2 config validation failure, 3 solver blow-up (state
-over the threshold, non-finite tangent or costate) or stalled descent,
-4 verification check beyond tolerance.
+over the threshold, non-finite tangent or costate), stalled descent or a
+failed Galerkin-oracle integration, 4 verification check beyond tolerance.
 """
 
 from __future__ import annotations
@@ -27,13 +27,21 @@ from .certify import (
     TrivialConeError,
     critical_cone_mask,
     curvature,
+    first_order_state,
     global_and_uniqueness_report,
     second_order_scan,
 )
 from .coils import ControlPath, control_inner_rms
 from .config import ConfigError, RunConfig, parse_config, read_control_csv
 from .grid import Grid, laplacian_values, write_field
-from .llb import BlowUpError, StalledDescentError, energy_ledger, simulate, simulate_galerkin
+from .llb import (
+    BlowUpError,
+    OracleError,
+    StalledDescentError,
+    energy_ledger,
+    simulate,
+    simulate_galerkin,
+)
 from .optimize import projected_gradient_descent, _forward_cost, _gradient_state
 from .tangent import LinearizationPoint, taylor_remainder_order
 
@@ -76,7 +84,6 @@ def write_manifest(out_dir, subcommand, config_path, seed):
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "llb_threads": os.environ.get("LLB_THREADS"),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -165,9 +172,11 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
                         upper if upper is not None else U.upper, sim.dt)
     rng = np.random.default_rng(cfg.seed)
     n_dirs = cfg["certify.n_dirs"]
+    state = first_order_state(U, coils, targets, opt)
     try:
         min_rayleigh, samples, _ = second_order_scan(
-            U, coils, targets, n_dirs, opt, rng=rng, eps_fd=cfg["certify.eps_fd"])
+            U, coils, targets, n_dirs, opt, rng=rng, eps_fd=cfg["certify.eps_fd"],
+            state=state)
     except TrivialConeError:
         # sampled cone degenerated to {0}; the first-order report still stands
         min_rayleigh, samples = None, []
@@ -175,7 +184,7 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
         U, coils, targets, opt, cfg.build_constants(),
         rng=np.random.default_rng(cfg.seed + 1),
         n_fooc_samples=cfg["certify.n_fooc_samples"],
-        curvature_samples=samples, min_rayleigh=min_rayleigh)
+        curvature_samples=samples, min_rayleigh=min_rayleigh, state=state)
 
     lines = {
         "pf_residual": report.pf_residual,
@@ -275,12 +284,11 @@ def cmd_check_curvature(cfg: RunConfig, out_dir, quiet):
     grid, sim, coils, m0, U, targets, opt = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
     n_dirs = cfg["certify.n_dirs"]
-    samples = []
-    for d in range(n_dirs):
-        h = smooth_directions(sim.n_steps, coils.n_coils, sim.dt, rng)
-        s = curvature(U, coils, targets, h, opt, eps_fd=cfg["certify.eps_fd"])
+    hs = np.stack([smooth_directions(sim.n_steps, coils.n_coils, sim.dt, rng)
+                   for _ in range(n_dirs)])
+    samples = curvature(U, coils, targets, hs, opt, eps_fd=cfg["certify.eps_fd"])
+    for d, s in enumerate(samples):
         s.direction_id = d
-        samples.append(s)
     write_csv(os.path.join(out_dir, "curvature.csv"),
               ["direction", "q_adj", "q_fd", "rel_err", "fd_valid"],
               [(s.direction_id, s.q_adj, s.q_fd, s.rel_err, s.fd_valid)
@@ -418,7 +426,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUpError, StalledDescentError) as exc:
+    except (BlowUpError, StalledDescentError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except CheckFailure as exc:

@@ -96,7 +96,11 @@ def uniform_coil(grid: Grid, axis: int, amplitude: float = 1.0) -> VectorField:
 
 @dataclass
 class ControlPath:
-    """Coil intensities U_i(t_j) on a uniform time grid with box bounds."""
+    """Coil intensities U_i(t_j) on a uniform time grid with box bounds.
+
+    Batched sweeps take a stack of paths: ``intensities`` of shape
+    ``batch + (K+1, N)``, with the bounds broadcast to it.
+    """
 
     intensities: np.ndarray  # (K+1, N)
     lower: np.ndarray        # (K+1, N)
@@ -128,11 +132,11 @@ class ControlPath:
 
     @property
     def n_steps(self) -> int:
-        return self.intensities.shape[0] - 1
+        return self.intensities.shape[-2] - 1
 
     @property
     def n_coils(self) -> int:
-        return self.intensities.shape[1]
+        return self.intensities.shape[-1]
 
     @property
     def final_time(self) -> float:
@@ -166,15 +170,20 @@ def project_box(values: np.ndarray, lower, upper) -> np.ndarray:
 
 
 def synthesize_values(intensities_at_t: np.ndarray, coils: CoilSet) -> np.ndarray:
-    """Pointwise sum_k U_k B_k(x) for one time sample of the intensities."""
-    if intensities_at_t.shape[0] != coils.n_coils:
+    """Pointwise sum_k U_k B_k(x) for one time sample of the intensities.
+
+    ``intensities_at_t`` has shape ``(..., N)``; leading axes are batch axes
+    and the result has shape ``(...,) + grid.shape + (3,)``.
+    """
+    if intensities_at_t.shape[-1] != coils.n_coils:
         raise ValueError(
-            f"coil/grid incompatibility: {intensities_at_t.shape[0]} intensities "
+            f"coil/grid incompatibility: {intensities_at_t.shape[-1]} intensities "
             f"for {coils.n_coils} coils"
         )
     if coils.n_coils == 0:
-        return np.zeros(coils.grid.shape + (3,))
-    return np.einsum("k,k...->...", intensities_at_t, coils.geometries)
+        return np.zeros(intensities_at_t.shape[:-1] + coils.grid.shape + (3,))
+    cell = "xyzc"[-coils.grid.dim - 1:]
+    return np.einsum(f"...k,k{cell}->...{cell}", intensities_at_t, coils.geometries)
 
 
 def synthesize(U: ControlPath, coils: CoilSet, frame_index: int) -> VectorField:

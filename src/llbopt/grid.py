@@ -77,7 +77,9 @@ class Grid:
 class VectorField:
     """An R^3-valued field sampled at the cell centers of a grid.
 
-    ``values`` has shape ``grid.shape + (3,)`` with axis 0 = x.
+    ``values`` has shape ``batch + grid.shape + (3,)``: optional leading
+    batch axes (a stack of fields, as batched sweeps produce), then the
+    spatial axes with x first, then the components.
     """
 
     grid: Grid
@@ -86,9 +88,10 @@ class VectorField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         expected = self.grid.shape + (3,)
-        if self.values.shape != expected:
+        if self.values.shape[-len(expected):] != expected:
             raise ValueError(
-                f"field values have shape {self.values.shape}, expected {expected}"
+                f"field values have shape {self.values.shape}, expected "
+                f"(...,) + {expected}"
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
@@ -110,7 +113,9 @@ class VectorField:
 class Trajectory:
     """Time-indexed stack of vector fields on a fixed grid and uniform step.
 
-    ``values`` has shape ``(K + 1,) + grid.shape + (3,)``; frame 0 is t = 0.
+    ``values`` has shape ``batch + (K + 1,) + grid.shape + (3,)``; frame 0
+    is t = 0.  The batch axes are optional: a batched sweep returns one
+    trajectory per member, stacked in front of the time axis.
     """
 
     grid: Grid
@@ -122,15 +127,22 @@ class Trajectory:
         if self.dt <= 0:
             raise ValueError("trajectory dt must be positive")
         expected_tail = self.grid.shape + (3,)
-        if self.values.ndim != len(expected_tail) + 1 or self.values.shape[1:] != expected_tail:
+        if (self.values.ndim < len(expected_tail) + 1
+                or self.values.shape[-len(expected_tail):] != expected_tail):
             raise ValueError(
                 f"trajectory values have shape {self.values.shape}, "
-                f"expected (K+1,) + {expected_tail}"
+                f"expected (..., K+1) + {expected_tail}"
             )
 
     @property
+    def frames(self) -> np.ndarray:
+        """Time-leading view of ``values``: ``frames[j]`` is frame j of
+        every batch member."""
+        return np.moveaxis(self.values, -(self.grid.dim + 2), 0)
+
+    @property
     def n_steps(self) -> int:
-        return self.values.shape[0] - 1
+        return self.values.shape[-self.grid.dim - 2] - 1
 
     @property
     def final_time(self) -> float:
@@ -141,10 +153,10 @@ class Trajectory:
         return np.arange(self.values.shape[0]) * self.dt
 
     def frame(self, j: int) -> VectorField:
-        return VectorField(self.grid, self.values[j])
+        return VectorField(self.grid, self.frames[j])
 
     def frame_values(self, j: int) -> np.ndarray:
-        return self.values[j]
+        return self.frames[j]
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +166,13 @@ class Trajectory:
 def laplacian_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
     """5/7-point Laplacian with mirror ghost cells, applied componentwise.
 
-    Works on any array whose leading ``grid.dim`` axes are the spatial axes
-    (trailing axes, e.g. the vector components, are carried along).
+    ``vals`` has shape ``batch + grid.shape + (3,)``: the spatial axes are
+    the ``grid.dim`` axes just before the last (component) axis, and any
+    axes in front of them are batch axes, carried along.
     """
+    first = vals.ndim - 1 - grid.dim
     out = np.zeros_like(vals)
-    for ax, h in enumerate(grid.spacing):
+    for ax, h in enumerate(grid.spacing, start=first):
         v = np.moveaxis(vals, ax, 0)
         t = -2.0 * v
         t[1:] += v[:-1]

@@ -48,6 +48,10 @@ class StalledDescentError(RuntimeError):
     """Armijo line search exhausted its halving budget."""
 
 
+class OracleError(RuntimeError):
+    """The Galerkin oracle's ODE integration failed."""
+
+
 @dataclass
 class SimConfig:
     """Time-stepping configuration shared by the forward/tangent/adjoint sweeps.
@@ -104,13 +108,15 @@ def _apply_along(mat: np.ndarray, x: np.ndarray, ax: int) -> np.ndarray:
 def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - dt*lap_h) x = rhs exactly in the discrete cosine basis.
 
-    The orthonormal DCT-II over the spatial axes diagonalizes the
-    mirror-ghost Laplacian with eigenvalues
-    -sum_ax (2 - 2 cos(pi k_ax / n_ax)) / h_ax^2 (the modes of
-    :func:`cosine_modes`); trailing axes, e.g. the vector components, are
-    carried along.  The basis change is applied per axis by ``matmul`` with
-    :func:`_dct_matrix` (and its transpose on the way back), which keeps
-    ``scipy.fft`` and its import cost out of the process.
+    ``rhs`` has shape ``batch + grid.shape + (3,)``: the spatial axes are
+    the ``grid.dim`` axes just before the last (component) axis, and any
+    axes in front of them are batch axes, solved independently.  The
+    orthonormal DCT-II over the spatial axes diagonalizes the mirror-ghost
+    Laplacian with eigenvalues -sum_ax (2 - 2 cos(pi k_ax / n_ax)) / h_ax^2
+    (the modes of :func:`cosine_modes`).  The basis change is applied per
+    axis by ``matmul`` with :func:`_dct_matrix` (and its transpose on the
+    way back), which keeps ``scipy.fft`` and its import cost out of the
+    process.
     """
     denom = np.ones(grid.shape)
     for ax, (n, h) in enumerate(zip(grid.cells, grid.spacing)):
@@ -118,12 +124,13 @@ def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
         shape = [1] * grid.dim
         shape[ax] = n
         denom = denom + dt * lam.reshape(shape)
-    denom = denom.reshape(grid.shape + (1,) * (rhs.ndim - grid.dim))
+    denom = denom.reshape(grid.shape + (1,))
+    first = rhs.ndim - 1 - grid.dim
     coeffs = rhs
-    for ax, n in enumerate(grid.cells):
+    for ax, n in enumerate(grid.cells, start=first):
         coeffs = _apply_along(_dct_matrix(n), coeffs, ax)
     x = coeffs / denom
-    for ax, n in enumerate(grid.cells):
+    for ax, n in enumerate(grid.cells, start=first):
         x = _apply_along(_dct_matrix(n).T, x, ax)
     return x
 
@@ -157,6 +164,15 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) ->
 
     Frame j of the result is the state at t_j = j*dt; the control field for
     the step t_j -> t_{j+1} is synthesized at node j.
+
+    ``U.intensities`` (and ``m0.values``) may carry leading batch axes, e.g.
+    a stack of B controls of shape ``(B, K+1, N)``; the members then march
+    together, one implicit solve per step, and the result has shape
+    ``batch + (K+1,) + grid.shape + (3,)``.  Blow-up: an unbatched sweep
+    raises :class:`BlowUpError` at the first step that leaves the finite
+    and bounded regime.  In a batched sweep such a member is NaN-filled
+    from that step on and the others march on unaffected; read the
+    per-member blow-up times with :func:`blowup_times`.
     """
     grid = m0.grid
     if cfg.grid is not None and cfg.grid != grid:
@@ -171,12 +187,18 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) ->
             "manufactured forcing is active: this run verifies the scheme, "
             "not the physical model", RuntimeWarning)
 
-    frames = np.empty((K + 1,) + grid.shape + (3,))
+    cells = tuple(range(-grid.dim - 1, 0))
+    batch = np.broadcast_shapes(m0.values.shape[:-grid.dim - 1], U.intensities.shape[:-2])
+    values = np.empty(batch + (K + 1,) + grid.shape + (3,))
+    traj = Trajectory(grid, cfg.dt, values)
+    frames = traj.frames
     frames[0] = m0.values
+    intensities = np.moveaxis(U.intensities, -2, 0)
     warned = False
     for j in range(K):
         m = frames[j]
-        mag_max = float(np.max(np.sum(m * m, axis=-1))) if m.size else 0.0
+        # fmax skips the NaN-filled members of a batch
+        mag_max = float(np.fmax.reduce(np.sum(m * m, axis=-1), axis=None)) if m.size else 0.0
         if not warned and cfg.dt * (1.0 + mag_max) > cfg.warn_dt_factor:
             warnings.warn(
                 f"explicit reaction is marginally resolved: dt*(1+|m|^2) = "
@@ -184,13 +206,29 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) ->
                 RuntimeWarning,
             )
             warned = True
-        u = synthesize_values(U.intensities[j], coils)
+        u = synthesize_values(intensities[j], coils)
         src = cfg.source(j * cfg.dt) if cfg.source is not None else None
         new = step_values(grid, m, u, cfg.dt, source=src)
-        if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > cfg.blowup_threshold:
-            raise BlowUpError("state blow-up", (j + 1) * cfg.dt)
+        # a NaN or inf peak fails the bound too
+        blown = ~(np.max(np.abs(new), axis=cells) <= cfg.blowup_threshold)
+        if np.any(blown):
+            if not batch:
+                raise BlowUpError("state blow-up", (j + 1) * cfg.dt)
+            new[blown] = np.nan
         frames[j + 1] = new
-    return Trajectory(grid, cfg.dt, frames)
+    return traj
+
+
+def blowup_times(traj: Trajectory) -> np.ndarray:
+    """Per-member blow-up times of a batched forward sweep.
+
+    A member's blow-up time is the time of its first non-finite frame
+    (:func:`simulate` NaN-fills a member from the step that left the
+    bounded regime); members that stayed bounded read ``inf``.  Returns an
+    array of the trajectory's batch shape.
+    """
+    finite = np.all(np.isfinite(traj.values), axis=tuple(range(-traj.grid.dim - 1, 0)))
+    return np.where(finite.all(axis=-1), np.inf, np.argmin(finite, axis=-1) * traj.dt)
 
 
 def energy_ledger(traj: Trajectory, U: ControlPath, coils: CoilSet) -> dict:
@@ -298,7 +336,7 @@ def simulate_galerkin(m0: VectorField, U: ControlPath, coils: CoilSet,
     sol = solve_ivp(rhs, (0.0, cfg.T), a0, method="DOP853",
                     t_eval=times, rtol=rtol, atol=atol)
     if not sol.success:
-        raise RuntimeError(f"Galerkin oracle integration failed: {sol.message}")
+        raise OracleError(f"Galerkin oracle integration failed: {sol.message}")
     frames = np.empty((K + 1,) + grid.shape + (3,))
     for j in range(K + 1):
         frames[j] = synth(sol.y[:, j])

@@ -47,10 +47,10 @@ class LinearizationPoint:
 def _as_intensities(dU, point: LinearizationPoint) -> np.ndarray:
     vals = dU.intensities if isinstance(dU, ControlPath) else np.asarray(dU, dtype=float)
     vals = np.atleast_2d(vals)
-    if vals.shape != (point.n_steps + 1, point.coils.n_coils):
+    if vals.shape[-2:] != (point.n_steps + 1, point.coils.n_coils):
         raise ValueError(
             f"control increment has shape {vals.shape}, expected "
-            f"{(point.n_steps + 1, point.coils.n_coils)}"
+            f"(...,) + {(point.n_steps + 1, point.coils.n_coils)}"
         )
     return vals
 
@@ -71,26 +71,34 @@ def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
     Starts from z(0) = 0 and drives with zeta(dU) + m x zeta(dU); returns
     the discrete directional derivative of the state with respect to the
     control, in the direction dU.
+
+    ``dU`` may be a stack of directions of shape ``batch + (K+1, N)``; they
+    are swept together around the one (unbatched) base trajectory, one
+    implicit solve per step, and the result has shape ``batch + (K+1,) +
+    grid.shape + (3,)``.  A member that turns non-finite raises
+    :class:`BlowUpError` for the whole sweep, with the time reached.
     """
     grid = point.grid
     dt = point.dt
     dvals = _as_intensities(dU, point)
     K = point.n_steps
-    frames = np.zeros((K + 1,) + grid.shape + (3,))
+    directions = np.moveaxis(dvals, -2, 0)
+    traj = Trajectory(grid, dt, np.zeros(dvals.shape[:-2] + (K + 1,) + grid.shape + (3,)))
+    frames = traj.frames
     z = frames[0]
     for j in range(K):
         m = point.base_traj.values[j]
         lap_m = laplacian_values(grid, m)
         lap_z = laplacian_values(grid, z)
         u = synthesize_values(point.base_control.intensities[j], point.coils)
-        du = synthesize_values(dvals[j], point.coils)
+        du = synthesize_values(directions[j], point.coils)
         expl = tangent_coupling(m, lap_m, u, z, lap_z) + du + np.cross(m, du)
         rhs = z + dt * expl
         z = implicit_solve(grid, dt, rhs)
         if not np.all(np.isfinite(z)):
             raise BlowUpError("tangent state became non-finite", (j + 1) * dt)
         frames[j + 1] = z
-    return Trajectory(grid, dt, frames)
+    return traj
 
 
 # ---------------------------------------------------------------------------

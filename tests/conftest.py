@@ -36,6 +36,10 @@ def grids(draw):
     return Grid(cells, lengths)
 
 
+# 0-2 leading batch axes of small extent
+batch_shapes = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+
+
 def two_gaussian_coils(grid):
     if grid.dim == 1:
         c1, c2 = [0.3], [0.7]

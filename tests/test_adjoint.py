@@ -83,6 +83,26 @@ class TestSolveAdjoint:
             solve_adjoint(prob)
         assert exc.value.time == pytest.approx((K - 1) * dt)
 
+    def test_batched_matches_stacked(self):
+        # batched base trajectories and controls, as the Lipschitz pairs use
+        grid = Grid((12,), (1.0,))
+        K, dt = 30, 5e-3
+        coils = two_gaussian_coils(grid)
+        cfg = SimConfig(T=K * dt, dt=dt)
+        stack = np.random.default_rng(3).standard_normal((2, 2, K + 1, 2))
+        paths = ControlPath(stack, -np.inf, np.inf, dt)
+        trajs = simulate(cosine_initial(grid), paths, coils, cfg)
+        m_d = np.zeros((K + 1,) + grid.shape + (3,))
+        m_omega = np.full(grid.shape + (3,), 0.1)
+        phi = tracking_adjoint(trajs, paths, coils, m_d, m_omega)
+        assert phi.values.shape == trajs.values.shape
+        for idx in np.ndindex(2, 2):
+            U = ControlPath(stack[idx], -np.inf, np.inf, dt)
+            traj = simulate(cosine_initial(grid), U, coils, cfg)
+            ref = tracking_adjoint(traj, U, coils, m_d, m_omega)
+            assert_allclose(phi.values[idx], ref.values, rtol=1e-13,
+                            atol=1e-13 * np.abs(ref.values).max())
+
     def test_rhs_shape_validation(self):
         grid = Grid((8,), (1.0,))
         coils = CoilSet.empty(grid)
@@ -187,3 +207,23 @@ class TestCostateDerivative:
         p2 = solve_costate_derivative(point, z2, phi, 3.0 * dU)
         scale = max(np.abs(p2.values).max(), 1.0)
         assert_allclose(p2.values, 3.0 * p1.values, atol=1e-11 * scale)
+
+    def test_batched_matches_stacked(self):
+        grid = Grid((16,), (1.0,))
+        K, dt = 40, 5e-3
+        coils = two_gaussian_coils(grid)
+        cfg = SimConfig(T=K * dt, dt=dt)
+        U = ControlPath.constant([0.4, -0.2], K, dt)
+        traj = simulate(cosine_initial(grid), U, coils, cfg)
+        point = LinearizationPoint(traj, U, coils)
+        phi = tracking_adjoint(traj, U, coils, np.zeros_like(traj.values),
+                               np.zeros(grid.shape + (3,)))
+        stack = np.random.default_rng(4).standard_normal((3, K + 1, 2))
+        zs = solve_tangent(point, stack)
+        primes = solve_costate_derivative(point, zs, phi, stack)
+        assert primes.values.shape == (3,) + traj.values.shape
+        for b in range(3):
+            ref = solve_costate_derivative(point, solve_tangent(point, stack[b]),
+                                           phi, stack[b])
+            assert_allclose(primes.values[b], ref.values, rtol=1e-13,
+                            atol=1e-13 * np.abs(ref.values).max())

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+
+import llbopt.certify
+from llbopt.adjoint import tracking_adjoint
 from llbopt.coils import CoilSet, ControlPath, control_norm_rms, uniform_coil
-from llbopt.grid import Grid, VectorField
-from llbopt.llb import SimConfig, simulate
+from llbopt.grid import Grid, Trajectory, VectorField
+from llbopt.llb import BlowUpError, SimConfig, simulate
 from llbopt.optimize import OptimizeConfig, TrackingTargets, projected_gradient_descent
+from llbopt.tangent import trajectory_h1_distance
 from llbopt.certify import (
     UserConstants,
     critical_cone_mask,
@@ -14,6 +18,7 @@ from llbopt.certify import (
     project_onto_cone,
     second_order_scan,
     smallness_monitor,
+    trajectory_norms,
 )
 
 from conftest import smooth_time_profiles, tracking_problem
@@ -151,6 +156,35 @@ class TestCurvature:
         rhs = 2 * q["1"] + 2 * q["2"]
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
+    def test_stack_matches_single_directions(self, converged):
+        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        rng = np.random.default_rng(11)
+        hs = np.stack([smooth_time_profiles(sim.n_steps, sim.dt,
+                                            [tuple(r) for r in rng.standard_normal((2, 3))])
+                       for _ in range(3)])
+        samples = curvature(U, coils, targets, hs, cfg)
+        assert len(samples) == 3
+        for h, s in zip(hs, samples):
+            ref = curvature(U, coils, targets, h, cfg)
+            assert s.fd_valid and ref.fd_valid
+            assert s.q_adj == pytest.approx(ref.q_adj, rel=1e-12)
+            assert s.q_fd == pytest.approx(ref.q_fd, rel=1e-6)
+
+    def test_exploding_direction_invalidates_only_its_fd(self, converged):
+        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        h = smooth_time_profiles(sim.n_steps, sim.dt, [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
+        hs = np.stack([h, 1e9 * h, -h])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(RuntimeWarning, match="marginally resolved"):
+            samples = curvature(U, coils, targets, hs, cfg)
+        assert [s.fd_valid for s in samples] == [True, False, True]
+        assert np.isnan(samples[1].q_fd) and np.isnan(samples[1].rel_err)
+        assert np.isfinite(samples[1].q_adj)
+        for b in (0, 2):
+            ref = curvature(U, coils, targets, hs[b], cfg)
+            assert samples[b].q_fd == pytest.approx(ref.q_fd, rel=1e-6)
+            assert samples[b].rel_err <= 1e-2
+
     def test_closed_form_constant_problem(self):
         # zero base, zero costate, one constant unit coil, h = 1:
         # Q = 2T - 1/2 + e^{-2T}/2
@@ -203,6 +237,65 @@ class TestSecondOrderScan:
                                              rng=np.random.default_rng(3))
         assert len(samples) == 4
         assert mr > 0
+
+
+    def test_batches_within_budget_match_one_batch(self, converged, monkeypatch):
+        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        one_batch = second_order_scan(U, coils, targets, 4, cfg,
+                                      rng=np.random.default_rng(3))[1]
+        calls = {"tangent": 0, "forward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(llbopt.certify, "solve_tangent",
+                            counted("tangent", llbopt.certify.solve_tangent))
+        monkeypatch.setattr(llbopt.certify, "simulate",
+                            counted("forward", llbopt.certify.simulate))
+        # room for six trajectories: tangent batches of 2, forward batches of 6
+        monkeypatch.setattr(llbopt.certify, "BUDGET", 6 * U0.intensities.shape[0]
+                            * grid.node_count * 3 * 8)
+        chunked = second_order_scan(U, coils, targets, 4, cfg,
+                                    rng=np.random.default_rng(3))[1]
+        assert calls == {"tangent": 2, "forward": 2}
+        assert [s.direction_id for s in chunked] == [s.direction_id for s in one_batch]
+        for a, b in zip(chunked, one_batch):
+            assert a.q_adj == pytest.approx(b.q_adj, rel=1e-12)
+            assert a.q_fd == pytest.approx(b.q_fd, rel=1e-6)
+
+
+class TestLipschitzPairs:
+    def test_batched_pairs_match_pairwise_sweeps(self, converged):
+        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        c2, c3 = llbopt.certify._estimate_lipschitz_pair(
+            U, coils, targets, cfg, np.random.default_rng(12))
+        # reference: the pairs one sweep at a time
+        rng = np.random.default_rng(12)
+        state_best = costate_best = 0.0
+        for _ in range(3):
+            U1, U2 = (ControlPath(U.intensities + 0.2 * rng.standard_normal(U.intensities.shape),
+                                  -np.inf, np.inf, U.dt) for _ in range(2))
+            denom = control_norm_rms(U1.intensities - U2.intensities, U.dt)
+            t1, t2 = (simulate(m0, V, coils, sim) for V in (U1, U2))
+            state_best = max(state_best, trajectory_h1_distance(t1, t2) / denom)
+            p1, p2 = (tracking_adjoint(t, V, coils, targets.m_d, targets.m_omega)
+                      for t, V in ((t1, U1), (t2, U2)))
+            nrm = trajectory_norms(Trajectory(grid, U.dt, p1.values - p2.values))
+            costate_best = max(costate_best,
+                               np.sqrt(nrm["linf_l2"] ** 2 + nrm["l2_h1"] ** 2) / denom)
+        assert c2 == pytest.approx(state_best**2, rel=1e-12)
+        assert c3 == pytest.approx(costate_best**2, rel=1e-12)
+
+    def test_member_blowup_raises(self, converged):
+        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(RuntimeWarning, match="marginally resolved"), \
+                pytest.raises(BlowUpError, match="state blow-up"):
+            llbopt.certify._estimate_lipschitz_pair(
+                U, coils, targets, cfg, np.random.default_rng(13), spread=1e7)
 
 
 class TestGlobalUniquenessReport:

@@ -255,6 +255,24 @@ class TestSubcommands:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_exit_3_on_failed_oracle_integration(self, tmp_path, monkeypatch, capsys):
+        import types
+
+        import scipy.integrate
+
+        monkeypatch.setattr(
+            scipy.integrate, "solve_ivp",
+            lambda *args, **kwargs: types.SimpleNamespace(
+                success=False, message="Required step size is less than spacing"))
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("grid.dim = 1\ngrid.cells = 8\ntime.T = 0.1\ntime.dt = 0.01\n")
+        code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == ("error: Galerkin oracle integration failed: "
+                       "Required step size is less than spacing\n")
+
     def test_exit_4_on_failed_check(self, stock_cfg, tmp_path):
         # impossible tolerance forces a check failure
         text = open(stock_cfg).read() + "checks.grad_tol = 1e-12\n"

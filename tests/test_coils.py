@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from llbopt.coils import (
@@ -10,13 +11,14 @@ from llbopt.coils import (
     gaussian_coil,
     project_box,
     synthesize,
+    synthesize_values,
     uniform_coil,
     zeta_bound,
     zeta_l2h1_norm,
 )
-from llbopt.grid import Grid, norm
+from llbopt.grid import Grid, VectorField, norm
 
-from conftest import smooth_time_profiles
+from conftest import batch_shapes, grids, smooth_time_profiles
 
 
 @pytest.fixture
@@ -56,6 +58,19 @@ class TestSynthesize:
         lhs = synthesize(Ua, coils, 0).values
         rhs = a * synthesize(Uu, coils, 0).values + b * synthesize(Uv, coils, 0).values
         assert_allclose(lhs, rhs, atol=1e-12 * max(np.abs(lhs).max(), 1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(grids(), batch_shapes, st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_batched_matches_members(self, g, batch, n_coils, seed):
+        rng = np.random.default_rng(seed)
+        coils = CoilSet.from_fields(
+            [VectorField(g, rng.standard_normal(g.shape + (3,))) for _ in range(n_coils)]
+        ) if n_coils else CoilSet.empty(g)
+        intens = rng.standard_normal(batch + (n_coils,))
+        fields = synthesize_values(intens, coils)
+        assert fields.shape == batch + g.shape + (3,)
+        for idx in np.ndindex(batch):
+            assert np.array_equal(fields[idx], synthesize_values(intens[idx], coils))
 
     def test_grid_mismatch(self, unit_square):
         coils = CoilSet.from_fields([uniform_coil(unit_square, 0)])
@@ -113,6 +128,17 @@ class TestProjectBox:
         p = project_box(x, lo, hi)
         assert_allclose(project_box(p, lo, hi), p, rtol=0)
         assert np.all(p >= lo) and np.all(p <= hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
+    def test_idempotent_on_any_box(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal((n, 2)) * 10
+        lo = rng.standard_normal((n, 2))
+        hi = lo + scale * np.abs(rng.standard_normal((n, 2)))
+        p = project_box(x, lo, hi)
+        assert np.array_equal(project_box(p, lo, hi), p)
+        assert np.all((lo <= p) & (p <= hi))
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(7)

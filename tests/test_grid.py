@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +22,7 @@ from llbopt.grid import (
     write_field,
 )
 
-from conftest import grids
+from conftest import batch_shapes, grids
 
 
 def cos_field(grid, k=1, component=0):
@@ -65,6 +68,32 @@ class TestLaplacian:
     def test_matches_padded_reference(self, g, seed):
         vals = np.random.default_rng(seed).standard_normal(g.shape + (3,))
         assert np.array_equal(laplacian_values(g, vals), laplacian_reference(g, vals))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), batch_shapes, st.integers(0, 2**32 - 1))
+    def test_batched_matches_members(self, g, batch, seed):
+        vals = np.random.default_rng(seed).standard_normal(batch + g.shape + (3,))
+        lap = laplacian_values(g, vals)
+        for idx in np.ndindex(batch):
+            assert np.array_equal(lap[idx], laplacian_values(g, vals[idx]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), batch_shapes, st.integers(0, 2**32 - 1))
+    def test_annihilates_constants_on_any_grid(self, g, batch, seed):
+        vec = np.random.default_rng(seed).standard_normal(batch + (1,) * g.dim + (3,))
+        vals = np.broadcast_to(vec, batch + g.shape + (3,))
+        assert np.all(laplacian_values(g, vals) == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_self_adjoint_on_any_grid(self, g, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(g.shape + (3,))
+        b = rng.standard_normal(g.shape + (3,))
+        la, lb = laplacian_values(g, a), laplacian_values(g, b)
+        # roundoff bound of the two cell sums
+        scale = g.cell_volume * (np.sum(np.abs(la * b)) + np.sum(np.abs(a * lb)))
+        assert abs(inner_values(g, la, b) - inner_values(g, a, lb)) <= 1e-12 * scale
 
     def test_annihilates_constants(self):
         for cells in [(9,), (6, 5), (4, 3, 5)]:
@@ -213,6 +242,15 @@ class TestFieldIO:
         write_field(path, f)
         back = read_field(path, g)
         assert_allclose(back.values, f.values, rtol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_roundtrip_on_any_grid(self, g, seed):
+        f = VectorField(g, np.random.default_rng(seed).standard_normal(g.shape + (3,)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snap.llbfield")
+            write_field(path, f)
+            assert np.array_equal(read_field(path, g).values, f.values)
 
     def test_header_and_order(self, tmp_path):
         # x-fastest node ordering with 3 little-endian doubles per node

@@ -8,6 +8,7 @@ from llbopt.grid import Grid, VectorField, cosine_modes, laplacian_values, norm
 from llbopt.llb import (
     BlowUpError,
     SimConfig,
+    blowup_times,
     energy_ledger,
     implicit_solve,
     simulate,
@@ -15,7 +16,7 @@ from llbopt.llb import (
     step,
 )
 
-from conftest import cosine_initial, grids, two_gaussian_coils
+from conftest import batch_shapes, cosine_initial, grids, two_gaussian_coils
 
 
 def radial_exact(t):
@@ -71,6 +72,17 @@ class TestImplicitSolve:
         x = implicit_solve(g, dt, rhs)
         assert_allclose(x, rhs / (1.0 + dt * (rho[-1] - 1.0)),
                         rtol=1e-12, atol=1e-12 * np.abs(rhs).max())
+
+
+    @solve_settings
+    @given(grids(), time_steps, batch_shapes, st.integers(0, 2**32 - 1))
+    def test_batched_matches_members(self, g, dt, batch, seed):
+        rhs = np.random.default_rng(seed).standard_normal(batch + g.shape + (3,))
+        x = implicit_solve(g, dt, rhs)
+        assert x.shape == rhs.shape
+        for idx in np.ndindex(batch):
+            ref = implicit_solve(g, dt, rhs[idx])
+            assert np.linalg.norm(x[idx] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestStep:
@@ -155,6 +167,47 @@ class TestSimulate:
             with pytest.warns(RuntimeWarning, match="marginally resolved"):
                 simulate(m0, ControlPath.zeros(100, 0, 1e-2), CoilSet.empty(g), cfg)
         assert err.value.time > 0
+
+    def test_batched_matches_stacked(self):
+        g = Grid((12,), (1.0,))
+        cfg = SimConfig(T=0.2, dt=5e-3)
+        K = cfg.n_steps
+        coils = two_gaussian_coils(g)
+        m0 = cosine_initial(g)
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((3, K + 1, 2))
+        traj = simulate(m0, ControlPath(stack, -np.inf, np.inf, cfg.dt), coils, cfg)
+        assert traj.values.shape == (3, K + 1) + g.shape + (3,)
+        assert traj.n_steps == K
+        for b in range(3):
+            ref = simulate(m0, ControlPath(stack[b], -np.inf, np.inf, cfg.dt), coils, cfg)
+            assert_allclose(traj.values[b], ref.values, rtol=1e-13, atol=0)
+        assert np.all(np.isinf(blowup_times(traj)))
+
+    def test_blowup_isolated_per_member(self):
+        g = Grid((8,), (1.0,))
+        cfg = SimConfig(T=0.2, dt=1e-2)
+        K = cfg.n_steps
+        coils = CoilSet.from_fields([uniform_coil(g, 0)])
+        m0 = cosine_initial(g)
+        stack = np.full((3, K + 1, 1), 0.3)
+        stack[1] = 1e7
+        with pytest.raises(BlowUpError) as err:
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.warns(RuntimeWarning, match="marginally resolved"):
+                simulate(m0, ControlPath(stack[1], -np.inf, np.inf, cfg.dt), coils, cfg)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(RuntimeWarning, match="marginally resolved"):
+            traj = simulate(m0, ControlPath(stack, -np.inf, np.inf, cfg.dt), coils, cfg)
+        times = blowup_times(traj)
+        assert times[1] == err.value.time
+        assert np.isinf(times[0]) and np.isinf(times[2])
+        j = round(err.value.time / cfg.dt)
+        assert np.all(np.isfinite(traj.values[1, :j]))
+        assert np.all(np.isnan(traj.values[1, j:]))
+        ref = simulate(m0, ControlPath(stack[0], -np.inf, np.inf, cfg.dt), coils, cfg)
+        assert_allclose(traj.values[0], ref.values, rtol=1e-13, atol=0)
+        assert_allclose(traj.values[2], ref.values, rtol=1e-13, atol=0)
 
     def test_dt_must_divide_T(self):
         with pytest.raises(ValueError, match="does not divide"):

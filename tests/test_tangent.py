@@ -62,6 +62,16 @@ class TestSolveTangent:
             solve_tangent(point, np.ones((K + 1, 1)))
         assert exc.value.time == pytest.approx(dt)
 
+    def test_batched_matches_stacked(self):
+        point, _ = generic_point(n=16, dt=5e-3)
+        stack = np.random.default_rng(2).standard_normal((3, point.n_steps + 1, 2))
+        z = solve_tangent(point, stack)
+        assert z.values.shape == (3,) + point.base_traj.values.shape
+        for b in range(3):
+            ref = solve_tangent(point, stack[b])
+            assert_allclose(z.values[b], ref.values, rtol=1e-13,
+                            atol=1e-13 * np.abs(ref.values).max())
+
     def test_linearity(self):
         point, _ = generic_point(n=24, dt=5e-3)
         rng = np.random.default_rng(0)
