@@ -22,7 +22,7 @@ from llbopt import (
 )
 from llbopt.coils import control_inner_rms, synthesize_values
 from llbopt.grid import time_integral
-from llbopt.optimize import OptimizeConfig, TrackingTargets, _forward_cost, reduced_gradient
+from llbopt.optimize import OptimizeConfig, TrackingTargets, forward_cost, reduced_state
 
 grid = Grid((64,), (1.0,))
 sim = SimConfig(T=0.25, dt=1e-3)
@@ -50,10 +50,10 @@ cfg = OptimizeConfig(m0=m0, sim=sim)
 t = np.arange(K + 1) * sim.dt
 h = np.stack([0.6 + 0.4 * np.sin(2 * np.pi * t / sim.T),
               -0.5 + 0.3 * np.cos(np.pi * t / sim.T)], axis=1)
-g = reduced_gradient(U, coils, targets, cfg)
+g = reduced_state(U, coils, targets, cfg).grad
 eps = 1e-4
-cp, _ = _forward_cost(U.with_intensities(U.intensities + eps * h), coils, targets, cfg)
-cm, _ = _forward_cost(U.with_intensities(U.intensities - eps * h), coils, targets, cfg)
+cp, _ = forward_cost(U.with_intensities(U.intensities + eps * h), coils, targets, cfg)
+cm, _ = forward_cost(U.with_intensities(U.intensities - eps * h), coils, targets, cfg)
 fd = (cp.total - cm.total) / (2 * eps)
 ad = control_inner_rms(g, h, sim.dt)
 print("adjoint gradient vs finite differences")

@@ -11,11 +11,12 @@ import numpy as np
 
 from llbopt import ControlPath, Grid, SimConfig, VectorField, simulate
 from llbopt import CoilSet, gaussian_coil
-from llbopt.certify import first_order_residual, fooc_sample_min
+from llbopt.certify import fooc_sample_min
 from llbopt.optimize import (
     OptimizeConfig,
     TrackingTargets,
     projected_gradient_descent,
+    reduced_state,
 )
 
 grid = Grid((32,), (1.0,))
@@ -37,14 +38,16 @@ targets = TrackingTargets.from_trajectory(target_traj)
 U0 = ControlPath.zeros(K, 2, sim.dt, lower=-5.0, upper=5.0)
 cfg = OptimizeConfig(m0=m0, sim=sim, tol=1e-6, max_iters=500)
 
-U, history = projected_gradient_descent(U0, coils, targets, cfg)
+state, history = projected_gradient_descent(U0, coils, targets, cfg)
+U = state.U
 
 print("iter   cost          tracking      terminal      control       residual")
 for rec in history:
     print(f"{rec.iteration:4d}   {rec.cost:.6e}  {rec.tracking:.6e}  "
           f"{rec.terminal:.6e}  {rec.control:.6e}  {rec.residual:.3e}")
 
-res, upsilon, _, _ = first_order_residual(U, coils, targets, cfg)
+rs = reduced_state(U, coils, targets, cfg)
+res, upsilon = rs.residual, rs.grad
 fooc = fooc_sample_min(U, upsilon, 200, np.random.default_rng(0))
 print()
 print(f"clamp-formula residual at U*: {res:.3e}")

@@ -35,8 +35,9 @@ target_traj = simulate(VectorField(grid, 0.55 * vals + 0.12),
 targets = TrackingTargets.from_trajectory(target_traj)
 cfg = OptimizeConfig(m0=m0, sim=sim, tol=1e-6)
 
-U, _ = projected_gradient_descent(
+state, _ = projected_gradient_descent(
     ControlPath.zeros(K, 2, sim.dt, lower=-5.0, upper=5.0), coils, targets, cfg)
+U = state.U
 
 # --- curvature along a few directions, adjoint assembly vs FD oracle --------
 # a stack of directions is one batched tangent, costate-derivative and

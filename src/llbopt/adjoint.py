@@ -123,13 +123,11 @@ def solve_costate_derivative(point, z: Trajectory, phi: Trajectory, dU) -> Traje
     and takes them); the costate derivatives then come from one batched
     :func:`solve_adjoint` sweep.
     """
-    from .tangent import _as_intensities  # local import to avoid a cycle
-
     grid = point.grid
     K = point.n_steps
     if z.n_steps != K or phi.n_steps != K:
         raise ValueError("tangent and costate trajectories must match the base time grid")
-    dvals = _as_intensities(dU, point)
+    dvals = point.direction_values(dU)
     batch = np.broadcast_shapes(z.values.shape[:-grid.dim - 2], dvals.shape[:-2])
     rhs = np.empty(batch + (K + 1,) + grid.shape + (3,))
     rhs_frames = np.moveaxis(rhs, -grid.dim - 2, 0)

@@ -1,7 +1,13 @@
 """Numerical evaluation of the optimality certificates at a candidate
-control: first-order clamp residual, critical-cone masks, second-order
-curvature samples and scan, and the global-optimality / uniqueness
-comparisons.
+control: first-order variational-inequality samples, critical-cone masks,
+second-order curvature samples and scan, and the global-optimality /
+uniqueness comparisons.
+
+The clamp residual, the first-order quantity Upsilon and the state and
+costate behind them are the optimizer's :class:`~llbopt.optimize.ReducedState`
+at the control.  :func:`curvature`, :func:`second_order_scan` and
+:func:`global_and_uniqueness_report` take it as ``state=`` when the caller
+holds it and evaluate it otherwise.
 
 The analysis constants (the global-condition constant, the smallness
 constant, the Lipschitz constants and the H1->L4 embedding constant) are
@@ -29,12 +35,11 @@ from .coils import (
 from .grid import Grid, Trajectory, grad_sq_integral, laplacian_values, time_integral
 from .llb import BlowUpError, blowup_times, simulate
 from .optimize import (
-    CostBreakdown,
     OptimizeConfig,
+    ReducedState,
     TrackingTargets,
-    _gradient_state,
     evaluate_cost,
-    natural_residual,
+    reduced_state,
 )
 from .tangent import LinearizationPoint, solve_tangent, trajectory_h1_distance
 
@@ -125,38 +130,6 @@ class CertificateReport:
 # first order
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FirstOrderState:
-    """One forward and one adjoint sweep at a candidate control, shared by
-    the curvature scan and the report."""
-
-    upsilon: np.ndarray
-    residual: float
-    cost: CostBreakdown
-    traj: Trajectory
-    phi: Trajectory
-
-
-def first_order_state(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
-                      cfg: OptimizeConfig) -> FirstOrderState:
-    """Clamp residual and the first-order quantity Upsilon, with the cost,
-    state and costate they came from.
-
-    Upsilon_i(t) = U_i(t) + int (phi x m + phi) . B_i dx; the residual is
-    the time-RMS of U_i(t) - P_[a_i,b_i](-pairing_i(t)) summed over coils,
-    identical to the optimizer's natural residual at unit reference step.
-    """
-    upsilon, cost, traj, phi = _gradient_state(U, coils, targets, cfg)
-    return FirstOrderState(upsilon, natural_residual(U, upsilon), cost, traj, phi)
-
-
-def first_order_residual(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
-                         cfg: OptimizeConfig):
-    """(residual, upsilon, traj, phi) of :func:`first_order_state`."""
-    state = first_order_state(U, coils, targets, cfg)
-    return state.residual, state.upsilon, state.traj, state.phi
-
-
 def fooc_sample_min(U: ControlPath, upsilon: np.ndarray, n_samples: int,
                     rng: np.random.Generator) -> float:
     """Minimum over random feasible V of the normalized variational-inequality
@@ -221,7 +194,7 @@ def project_onto_cone(h: np.ndarray, masks: ConeMasks) -> np.ndarray:
 
 def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
               h: np.ndarray, cfg: OptimizeConfig, eps_fd: float = 1e-3,
-              state: Optional[FirstOrderState] = None):
+              state: Optional[ReducedState] = None):
     """Second derivative of the reduced cost along h, two ways.
 
     Q_adj assembles the curvature form from the tangent state z and the
@@ -239,7 +212,7 @@ def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
     if not np.all(np.any(hs, axis=(-2, -1))):
         raise ValueError("curvature direction must be nonzero")
     if state is None:
-        state = first_order_state(U, coils, targets, cfg)
+        state = reduced_state(U, coils, targets, cfg)
     traj, phi = state.traj, state.phi
     grid, K, B = traj.grid, U.n_steps, hs.shape[0]
     point = LinearizationPoint(traj, U, coils)
@@ -282,19 +255,20 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
                       rng: Optional[np.random.Generator] = None,
                       masks: Optional[ConeMasks] = None,
                       eps_fd: float = 1e-3,
-                      state: Optional[FirstOrderState] = None):
+                      state: Optional[ReducedState] = None):
     """Minimum Rayleigh value Q(h)/||h||^2 over random critical directions.
 
     Directions are drawn, projected onto the cone mask and normalized, then
     sampled by one :func:`curvature` call; the scan warns rather than fails
     when no first-order residual information is available.  All directions
     degenerating to zero means the sampled cone is numerically trivial.
-    ``state`` is the :func:`first_order_state` at U when the caller has it.
+    ``state`` is the :func:`~llbopt.optimize.reduced_state` at U when the
+    caller has it.
     """
     rng = rng or np.random.default_rng(0)
     if state is None:
-        state = first_order_state(U, coils, targets, cfg)
-    upsilon, residual = state.upsilon, state.residual
+        state = reduced_state(U, coils, targets, cfg)
+    upsilon, residual = state.grad, state.residual
     if residual > 1e-3:
         warnings.warn(
             f"curvature scan at a point with first-order residual {residual:.3g}; "
@@ -406,7 +380,7 @@ def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
                                  n_fooc_samples: int = 200,
                                  curvature_samples: Optional[list] = None,
                                  min_rayleigh: Optional[float] = None,
-                                 state: Optional[FirstOrderState] = None) -> CertificateReport:
+                                 state: Optional[ReducedState] = None) -> CertificateReport:
     """Assemble the certificate report at a candidate control.
 
     All measurable factors are computed from the forward and adjoint solves;
@@ -414,8 +388,8 @@ def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
     Lipschitz constants fall back to empirical estimators and downgrade the
     uniqueness verdict to INDETERMINATE; the global-condition constant and
     the embedding constant have no estimator and are required for their
-    respective comparisons.  ``state`` is the :func:`first_order_state` at
-    U when the caller has it.
+    respective comparisons.  ``state`` is the
+    :func:`~llbopt.optimize.reduced_state` at U when the caller has it.
     """
     if constants.go_constant is None or constants.c4n is None:
         missing = [name for name, v in (("go_constant", constants.go_constant),
@@ -425,8 +399,8 @@ def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
             + ", ".join(missing))
     rng = rng or np.random.default_rng(0)
     if state is None:
-        state = first_order_state(U, coils, targets, cfg)
-    residual, upsilon, traj, phi = state.residual, state.upsilon, state.traj, state.phi
+        state = reduced_state(U, coils, targets, cfg)
+    residual, upsilon, traj, phi = state.residual, state.grad, state.traj, state.phi
     fooc_min = fooc_sample_min(U, upsilon, n_fooc_samples, rng)
 
     m_norms = trajectory_norms(traj)

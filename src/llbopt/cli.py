@@ -27,7 +27,6 @@ from .certify import (
     TrivialConeError,
     critical_cone_mask,
     curvature,
-    first_order_state,
     global_and_uniqueness_report,
     second_order_scan,
 )
@@ -42,7 +41,7 @@ from .llb import (
     simulate,
     simulate_galerkin,
 )
-from .optimize import projected_gradient_descent, _forward_cost, _gradient_state
+from .optimize import forward_cost, projected_gradient_descent, reduced_state
 from .tangent import LinearizationPoint, taylor_remainder_order
 
 EXIT_OK = 0
@@ -138,7 +137,8 @@ def cmd_simulate(cfg: RunConfig, out_dir, quiet):
 
 def cmd_optimize(cfg: RunConfig, out_dir, quiet):
     grid, sim, coils, m0, U0, targets, opt = _setup(cfg)
-    U, history = projected_gradient_descent(U0, coils, targets, opt)
+    state, history = projected_gradient_descent(U0, coils, targets, opt)
+    U = state.U
     write_csv(os.path.join(out_dir, "history.csv"),
               ["iter", "cost", "tracking", "terminal", "control", "residual", "step"],
               [(h.iteration, h.cost, h.tracking, h.terminal, h.control,
@@ -149,8 +149,8 @@ def cmd_optimize(cfg: RunConfig, out_dir, quiet):
     rows = [[t] + list(U.intensities[j]) + list(U.lower[j]) + list(U.upper[j])
             for j, t in enumerate(U.times)]
     write_csv(os.path.join(out_dir, "control.csv"), header, rows)
-    traj = simulate(m0, U, coils, sim)
-    write_field(os.path.join(out_dir, "state_final.llbfield"), traj.frame(traj.n_steps))
+    write_field(os.path.join(out_dir, "state_final.llbfield"),
+                state.traj.frame(state.traj.n_steps))
     final = history[-1]
     if not quiet:
         print(f"optimize: {final.iteration} iterations, cost {final.cost:.8g}, "
@@ -172,7 +172,7 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
                         upper if upper is not None else U.upper, sim.dt)
     rng = np.random.default_rng(cfg.seed)
     n_dirs = cfg["certify.n_dirs"]
-    state = first_order_state(U, coils, targets, opt)
+    state = reduced_state(U, coils, targets, opt)
     try:
         min_rayleigh, samples, _ = second_order_scan(
             U, coils, targets, n_dirs, opt, rng=rng, eps_fd=cfg["certify.eps_fd"],
@@ -238,13 +238,15 @@ def cmd_check_grad(cfg: RunConfig, out_dir, quiet):
     grid, sim, coils, m0, U, targets, opt = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
     h = smooth_directions(sim.n_steps, coils.n_coils, sim.dt, rng)
-    grad, cost0, _, _ = _gradient_state(U, coils, targets, opt)
+    # keep only the gradient: the state's trajectories would stay alive
+    # through the two forwards below
+    grad = reduced_state(U, coils, targets, opt).grad
     eps = cfg["checks.grad_eps"]
     wide = np.full_like(U.intensities, np.inf)
-    cp, _ = _forward_cost(ControlPath(U.intensities + eps * h, -wide, wide, sim.dt),
-                          coils, targets, opt)
-    cm, _ = _forward_cost(ControlPath(U.intensities - eps * h, -wide, wide, sim.dt),
-                          coils, targets, opt)
+    cp, _ = forward_cost(ControlPath(U.intensities + eps * h, -wide, wide, sim.dt),
+                         coils, targets, opt)
+    cm, _ = forward_cost(ControlPath(U.intensities - eps * h, -wide, wide, sim.dt),
+                         coils, targets, opt)
     fd = (cp.total - cm.total) / (2 * eps)
     ad = control_inner_rms(grad, h, sim.dt)
     rel = abs(fd - ad) / max(abs(fd), 1e-300)

@@ -150,13 +150,10 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.values.shape[0]) * self.dt
+        return np.arange(self.n_steps + 1) * self.dt
 
     def frame(self, j: int) -> VectorField:
         return VectorField(self.grid, self.frames[j])
-
-    def frame_values(self, j: int) -> np.ndarray:
-        return self.frames[j]
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ class SimConfig:
 
     T: float
     dt: float
-    scheme: str = "imex_euler"
     source: Optional[Callable[[float], np.ndarray]] = None
     diagnostics_every: int = 0
     grid: Optional[Grid] = None
@@ -75,8 +74,6 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.T <= 0:
             raise ValueError("T must be positive")
-        if self.scheme != "imex_euler":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         steps = round(self.T / self.dt)
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-12 * max(self.T, 1.0):
             raise ValueError(f"dt={self.dt} does not divide T={self.T}")

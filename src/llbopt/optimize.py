@@ -1,5 +1,12 @@
-"""Tracking cost, adjoint-based reduced gradient, and projected-gradient
+"""Tracking cost, the reduced-problem evaluator, and projected-gradient
 descent over the box-constrained coil intensities.
+
+:func:`forward_cost` is one forward sweep; :func:`reduced_state` adds one
+adjoint sweep and gives the gradient and natural residual.  The optimizer,
+the certificates and the CLI all evaluate the reduced problem through
+these two, and hand a :class:`ReducedState` on instead of recomputing it:
+the optimizer reuses the accepted line-search trial's forward sweep and
+returns the final state with its trajectory.
 
 The stationary points of the projected iteration are exactly the fixed
 points of the clamp formula U_i = P_[a,b](-pairing_i), so the optimizer's
@@ -110,32 +117,52 @@ def coil_pairing(traj: Trajectory, phi: Trajectory, coils: CoilSet) -> np.ndarra
     return out
 
 
-def _forward_cost(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
-                  cfg: OptimizeConfig):
-    traj = simulate(cfg.m0, U, coils, cfg.sim)
-    return evaluate_cost(traj, U, targets), traj
-
-
-def _gradient_state(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
-                    cfg: OptimizeConfig):
-    cost, traj = _forward_cost(U, coils, targets, cfg)
-    phi = tracking_adjoint(traj, U, coils, targets.m_d, targets.m_omega)
-    grad = U.intensities + coil_pairing(traj, phi, coils)
-    return grad, cost, traj, phi
-
-
-def reduced_gradient(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
-                     cfg: OptimizeConfig) -> np.ndarray:
-    """Gradient of the reduced cost in the summed-componentwise-L2 geometry:
-    g_i(t_j) = U_i(t_j) + int (phi x m + phi) . B_i dx."""
-    grad, _, _, _ = _gradient_state(U, coils, targets, cfg)
-    return grad
-
-
 def natural_residual(U: ControlPath, grad: np.ndarray, step: float = 1.0) -> float:
     """Scale-free fixed-point residual ||U - P_box(U - step*grad)|| / sqrt(T)."""
     trial = project_box(U.intensities - step * grad, U.lower, U.upper)
     return control_norm_rms(U.intensities - trial, U.dt) / np.sqrt(U.final_time)
+
+
+def forward_cost(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
+                 cfg: OptimizeConfig) -> tuple[CostBreakdown, Trajectory]:
+    """The reduced cost J(U) and the state it was measured on: one forward
+    sweep."""
+    traj = simulate(cfg.m0, U, coils, cfg.sim)
+    return evaluate_cost(traj, U, targets), traj
+
+
+@dataclass
+class ReducedState:
+    """The reduced problem at one control: cost, state, costate, gradient
+    and natural residual from one forward and one adjoint sweep.
+
+    ``grad`` is the first-order quantity Upsilon_i(t) = U_i(t) +
+    int (phi x m + phi) . B_i dx, the gradient of J in the summed
+    componentwise L2 geometry; ``residual`` is :func:`natural_residual` at
+    unit step, the time-RMS of U_i - P_[a_i,b_i](-pairing_i) summed over
+    coils.
+    """
+
+    U: ControlPath
+    cost: CostBreakdown
+    traj: Trajectory
+    phi: Trajectory
+    grad: np.ndarray
+    residual: float
+
+
+def reduced_state(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
+                  cfg: OptimizeConfig,
+                  forward: tuple[CostBreakdown, Trajectory] | None = None) -> ReducedState:
+    """The :class:`ReducedState` at U.
+
+    ``forward`` is the ``(cost, traj)`` of :func:`forward_cost` at U when
+    the caller already holds it; then only the adjoint sweep runs.
+    """
+    cost, traj = forward_cost(U, coils, targets, cfg) if forward is None else forward
+    phi = tracking_adjoint(traj, U, coils, targets.m_d, targets.m_omega)
+    grad = U.intensities + coil_pairing(traj, phi, coils)
+    return ReducedState(U, cost, traj, phi, grad, natural_residual(U, grad))
 
 
 @dataclass
@@ -156,20 +183,22 @@ def projected_gradient_descent(U0: ControlPath, coils: CoilSet,
     Iterates U <- P_box(U - s * grad) with s halved from ``step0`` until the
     sufficient-decrease test passes; stops when the natural residual at the
     reference step drops below ``tol`` or the iteration budget runs out.
+    Each line-search trial costs one forward sweep and each accepted step
+    one adjoint sweep: the accepted trial's forward sweep is reused.
 
     Returns
     -------
-    U : ControlPath
-        Final iterate (feasible).
+    state : ReducedState
+        The reduced problem at the final iterate (feasible), ``state.U``.
     history : list[IterationRecord]
         One record per visited iterate, including the last.
     """
     U = U0 if U0.is_feasible() else U0.projected()
     history: list[IterationRecord] = []
-    grad, cost, _, _ = _gradient_state(U, coils, targets, cfg)
+    state = reduced_state(U, coils, targets, cfg)
 
     for it in range(cfg.max_iters + 1):
-        residual = natural_residual(U, grad)
+        U, cost, grad, residual = state.U, state.cost, state.grad, state.residual
         # .step is overwritten with the accepted step once the next iterate
         # exists; it stays 0 on the final record
         history.append(IterationRecord(it, cost.total, cost.tracking,
@@ -177,6 +206,7 @@ def projected_gradient_descent(U0: ControlPath, coils: CoilSet,
                                        0.0))
         if residual <= cfg.tol or it == cfg.max_iters:
             break
+        del state  # free its trajectories before the line search
 
         s = cfg.step0
         accepted = False
@@ -185,7 +215,7 @@ def projected_gradient_descent(U0: ControlPath, coils: CoilSet,
             delta = trial_int - U.intensities
             predicted = control_inner_rms(grad, delta, U.dt)
             trial = U.with_intensities(trial_int)
-            trial_cost, _ = _forward_cost(trial, coils, targets, cfg)
+            trial_cost, trial_traj = forward_cost(trial, coils, targets, cfg)
             if trial_cost.total <= cost.total + cfg.armijo_c1 * predicted:
                 accepted = True
                 break
@@ -195,8 +225,8 @@ def projected_gradient_descent(U0: ControlPath, coils: CoilSet,
                 f"stalled descent: no sufficient decrease after "
                 f"{cfg.max_halvings} halvings at iteration {it}"
             )
-        U = trial
-        grad, cost, _, _ = _gradient_state(U, coils, targets, cfg)
+        state = reduced_state(trial, coils, targets, cfg,
+                              forward=(trial_cost, trial_traj))
         history[-1].step = s  # step that produced the next iterate
 
-    return U, history
+    return state, history

@@ -43,16 +43,18 @@ class LinearizationPoint:
     def n_steps(self) -> int:
         return self.base_traj.n_steps
 
-
-def _as_intensities(dU, point: LinearizationPoint) -> np.ndarray:
-    vals = dU.intensities if isinstance(dU, ControlPath) else np.asarray(dU, dtype=float)
-    vals = np.atleast_2d(vals)
-    if vals.shape[-2:] != (point.n_steps + 1, point.coils.n_coils):
-        raise ValueError(
-            f"control increment has shape {vals.shape}, expected "
-            f"(...,) + {(point.n_steps + 1, point.coils.n_coils)}"
-        )
-    return vals
+    def direction_values(self, dU) -> np.ndarray:
+        """Intensities of a control increment (a :class:`ControlPath` or an
+        array of shape ``batch + (K+1, N)``), checked against this point's
+        time nodes and coils."""
+        vals = dU.intensities if isinstance(dU, ControlPath) else np.asarray(dU, dtype=float)
+        vals = np.atleast_2d(vals)
+        if vals.shape[-2:] != (self.n_steps + 1, self.coils.n_coils):
+            raise ValueError(
+                f"control increment has shape {vals.shape}, expected "
+                f"(...,) + {(self.n_steps + 1, self.coils.n_coils)}"
+            )
+        return vals
 
 
 def tangent_coupling(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
@@ -80,7 +82,7 @@ def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
     """
     grid = point.grid
     dt = point.dt
-    dvals = _as_intensities(dU, point)
+    dvals = point.direction_values(dU)
     K = point.n_steps
     directions = np.moveaxis(dvals, -2, 0)
     traj = Trajectory(grid, dt, np.zeros(dvals.shape[:-2] + (K + 1,) + grid.shape + (3,)))
@@ -158,7 +160,7 @@ def taylor_remainder_order(point: LinearizationPoint, dU, epsilons,
     if cfg is None:
         cfg = SimConfig(T=point.n_steps * point.dt, dt=point.dt)
     z = solve_tangent(point, dU)
-    dvals = _as_intensities(dU, point)
+    dvals = point.direction_values(dU)
     m0 = point.base_traj.frame(0)
     base = point.base_traj
     wide = np.full_like(point.base_control.intensities, np.inf)

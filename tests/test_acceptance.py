@@ -12,11 +12,11 @@ from llbopt.grid import Grid, VectorField, laplacian_values, time_integral
 from llbopt.llb import SimConfig, energy_ledger, simulate, simulate_galerkin
 from llbopt.optimize import (
     TrackingTargets,
-    _forward_cost,
+    forward_cost,
     projected_gradient_descent,
-    reduced_gradient,
+    reduced_state,
 )
-from llbopt.certify import curvature, first_order_residual, fooc_sample_min, smallness_monitor
+from llbopt.certify import curvature, fooc_sample_min, smallness_monitor
 from llbopt.tangent import LinearizationPoint, solve_tangent, taylor_remainder_order
 
 from conftest import cosine_initial, smooth_time_profiles, tracking_problem, two_gaussian_coils
@@ -31,7 +31,8 @@ def report(num, ok, desc, detail):
 def stock_converged(stock_problem):
     grid, sim, coils, m0, U0, targets, cfg = stock_problem
     tic = time.perf_counter()
-    U, history = projected_gradient_descent(U0, coils, targets, cfg)
+    state, history = projected_gradient_descent(U0, coils, targets, cfg)
+    U = state.U
     return U, history, time.perf_counter() - tic
 
 
@@ -125,14 +126,14 @@ def _gradient_rel_err(dim, n, dt):
     grid, sim, coils, m0, U0, targets, cfg = tracking_problem(
         n=n, dt=dt, T=0.25, dim=dim)
     U = U0.with_intensities(U0.intensities + np.array([0.5, -0.4]))
-    g = reduced_gradient(U, coils, targets, cfg)
+    g = reduced_state(U, coils, targets, cfg).grad
     h = smooth_time_profiles(sim.n_steps, sim.dt,
                              [(0.6, 0.4, -0.2), (-0.5, 0.1, 0.3)])
     eps = 1e-4
-    cp, _ = _forward_cost(U.with_intensities(U.intensities + eps * h),
-                          coils, targets, cfg)
-    cm, _ = _forward_cost(U.with_intensities(U.intensities - eps * h),
-                          coils, targets, cfg)
+    cp, _ = forward_cost(U.with_intensities(U.intensities + eps * h),
+                         coils, targets, cfg)
+    cm, _ = forward_cost(U.with_intensities(U.intensities - eps * h),
+                         coils, targets, cfg)
     fd = (cp.total - cm.total) / (2 * eps)
     return abs(fd - control_inner_rms(g, h, sim.dt)) / abs(fd)
 
@@ -214,7 +215,7 @@ def test_criterion_09_projected_gradient_optimization(stock_problem, stock_conve
     strict = all(b < a for a, b in zip(costs, costs[1:]))
     residual = history[-1].residual
     iters = history[-1].iteration
-    _, upsilon, _, _ = first_order_residual(U, coils, targets, cfg)
+    upsilon = reduced_state(U, coils, targets, cfg).grad
     fooc = fooc_sample_min(U, upsilon, 200, np.random.default_rng(2024))
     ok = (residual <= 1e-6 and iters <= 500 and strict
           and fooc >= -1e-6 and elapsed < 300)

@@ -6,13 +6,17 @@ from llbopt.adjoint import tracking_adjoint
 from llbopt.coils import CoilSet, ControlPath, control_norm_rms, uniform_coil
 from llbopt.grid import Grid, Trajectory, VectorField
 from llbopt.llb import BlowUpError, SimConfig, simulate
-from llbopt.optimize import OptimizeConfig, TrackingTargets, projected_gradient_descent
+from llbopt.optimize import (
+    OptimizeConfig,
+    TrackingTargets,
+    projected_gradient_descent,
+    reduced_state,
+)
 from llbopt.tangent import trajectory_h1_distance
 from llbopt.certify import (
     UserConstants,
     critical_cone_mask,
     curvature,
-    first_order_residual,
     fooc_sample_min,
     global_and_uniqueness_report,
     project_onto_cone,
@@ -27,14 +31,16 @@ from conftest import smooth_time_profiles, tracking_problem
 @pytest.fixture(scope="module")
 def converged(stock_problem):
     grid, sim, coils, m0, U0, targets, cfg = stock_problem
-    U, history = projected_gradient_descent(U0, coils, targets, cfg)
+    state, history = projected_gradient_descent(U0, coils, targets, cfg)
+    U = state.U
     return U, history, stock_problem
 
 
 class TestFirstOrderResidual:
     def test_residual_at_converged_control(self, converged):
         U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        res, upsilon, _, _ = first_order_residual(U, coils, targets, cfg)
+        rs = reduced_state(U, coils, targets, cfg)
+        res, upsilon = rs.residual, rs.grad
         assert res <= cfg.tol
         assert upsilon.shape == U.intensities.shape
 
@@ -43,7 +49,8 @@ class TestFirstOrderResidual:
         grid, sim, coils, m0, U0, _, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
         traj = simulate(m0, U0, coils, sim)
         targets = TrackingTargets.from_trajectory(traj)
-        res, upsilon, _, _ = first_order_residual(U0, coils, targets, cfg)
+        rs = reduced_state(U0, coils, targets, cfg)
+        res, upsilon = rs.residual, rs.grad
         assert res == 0.0
         assert np.all(upsilon == 0.0)
 
@@ -53,8 +60,8 @@ class TestFirstOrderResidual:
         bumped = U.intensities.copy()
         j, i = bumped.shape[0] // 2, 0
         bumped[j, i] += delta
-        res, _, _, _ = first_order_residual(U.with_intensities(bumped),
-                                            coils, targets, cfg)
+        res = reduced_state(U.with_intensities(bumped),
+                            coils, targets, cfg).residual
         # natural residual of an interior coordinate responds ~ identically
         from llbopt.grid import time_integral
         spike = np.zeros_like(bumped)
@@ -385,8 +392,10 @@ class TestActiveConstraints:
         # bound: there Upsilon must be <= 0 and the cone pins the direction
         grid, sim, coils, m0, U0, targets, cfg = tracking_problem(
             n=32, dt=5e-3, T=0.5, lower=-0.004, upper=0.004)
-        U, history = projected_gradient_descent(U0, coils, targets, cfg)
-        res, ups, _, _ = first_order_residual(U, coils, targets, cfg)
+        state, history = projected_gradient_descent(U0, coils, targets, cfg)
+        U = state.U
+        rs = reduced_state(U, coils, targets, cfg)
+        res, ups = rs.residual, rs.grad
         assert res <= cfg.tol
         at_upper = np.abs(U.upper - U.intensities) <= 1e-12
         at_lower = np.abs(U.intensities - U.lower) <= 1e-12
@@ -405,7 +414,7 @@ class TestActiveConstraints:
 class TestFOOCSampling:
     def test_nonnegative_at_fixed_point(self, converged):
         U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        _, upsilon, _, _ = first_order_residual(U, coils, targets, cfg)
+        upsilon = reduced_state(U, coils, targets, cfg).grad
         val = fooc_sample_min(U, upsilon, 200, np.random.default_rng(9))
         assert val >= -1e-6
 

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+import llbopt.adjoint
 import llbopt.certify
+import llbopt.llb
 from llbopt.cli import main
 from llbopt.config import ConfigError, parse_config, read_control_csv
 
@@ -160,6 +162,28 @@ class TestSubcommands:
         assert (cert / "upsilon.csv").exists()
         assert (cert / "masks.csv").exists()
         assert (cert / "curvature.csv").exists()
+
+    def test_optimize_sweep_counts(self, stock_cfg, tmp_path, monkeypatch):
+        # forwards: the set-up target run, the start and one per line-search
+        # trial; adjoints: the start and one per accepted step.  The accepted
+        # trial's forward sweep is reused, also for state_final.llbfield.
+        counts = {"simulate": 0, "solve_adjoint": 0}
+        for real in (llbopt.llb.simulate, llbopt.adjoint.solve_adjoint):
+            def counted(*args, _real=real, **kwargs):
+                counts[_real.__name__] += 1
+                return _real(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):  # every import site
+                if mod_name.split(".")[0] == "llbopt" and getattr(mod, real.__name__, None) is real:
+                    monkeypatch.setattr(mod, real.__name__, counted)
+        out = tmp_path / "opt"
+        assert main(["optimize", "--config", stock_cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        steps = np.loadtxt(out / "history.csv", delimiter=",", skiprows=1,
+                           ndmin=2)[:-1, 6]
+        assert steps.size > 0
+        trials = int(sum(round(np.log2(1.0 / s)) + 1 for s in steps))  # step0 = 1
+        assert counts == {"simulate": 2 + trials, "solve_adjoint": steps.size + 1}
 
     def test_check_grad(self, stock_cfg, tmp_path):
         out = tmp_path / "cg"

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from llbopt.grid import (
     Grid,
+    Trajectory,
     VectorField,
     cosine_modes,
     gradient_values,
@@ -149,6 +150,16 @@ class TestLaplacian:
             errs.append(abs(lam + np.pi**2))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.9 <= slope <= 2.1
+
+
+class TestTrajectory:
+    @settings(max_examples=40, deadline=None)
+    @given(grids(), batch_shapes, st.integers(0, 6), st.floats(1e-3, 1.0))
+    def test_times_follow_the_time_axis(self, grid, batch, n_steps, dt):
+        # leading batch axes are not time nodes
+        traj = Trajectory(grid, dt, np.zeros(batch + (n_steps + 1,) + grid.shape + (3,)))
+        assert traj.n_steps == n_steps
+        assert np.array_equal(traj.times, np.arange(n_steps + 1) * dt)
 
 
 class TestNorms:

@@ -10,9 +10,9 @@ from llbopt.optimize import (
     TrackingTargets,
     evaluate_cost,
     natural_residual,
+    forward_cost,
     projected_gradient_descent,
-    reduced_gradient,
-    _forward_cost,
+    reduced_state,
 )
 
 from conftest import cosine_initial, smooth_time_profiles, tracking_problem, two_gaussian_coils
@@ -59,7 +59,7 @@ class TestEvaluateCost:
     def test_breakdown_sums(self):
         grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
         U = U0.with_intensities(U0.intensities + 0.5)
-        cost, traj = _forward_cost(U, coils, targets, cfg)
+        cost, traj = forward_cost(U, coils, targets, cfg)
         assert cost.total == pytest.approx(
             cost.tracking + cost.terminal + cost.control, rel=1e-12)
         assert cost.tracking >= 0 and cost.terminal >= 0 and cost.control >= 0
@@ -81,20 +81,20 @@ class TestReducedGradient:
         U = U0.with_intensities(U0.intensities + 0.7)
         traj = simulate(m0, U, coils, sim)
         targets = TrackingTargets.from_trajectory(traj)
-        g = reduced_gradient(U, coils, targets, cfg)
+        g = reduced_state(U, coils, targets, cfg).grad
         assert_allclose(g, U.intensities, atol=1e-12)
 
     def test_matches_central_difference(self):
         grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=64, dt=1e-3, T=0.25)
         U = U0.with_intensities(U0.intensities + np.array([0.5, -0.4]))
-        g = reduced_gradient(U, coils, targets, cfg)
+        g = reduced_state(U, coils, targets, cfg).grad
         h = smooth_time_profiles(sim.n_steps, sim.dt,
                                  [(0.6, 0.4, -0.2), (-0.5, 0.1, 0.3)])
         eps = 1e-4
-        cp, _ = _forward_cost(U.with_intensities(U.intensities + eps * h),
-                              coils, targets, cfg)
-        cm, _ = _forward_cost(U.with_intensities(U.intensities - eps * h),
-                              coils, targets, cfg)
+        cp, _ = forward_cost(U.with_intensities(U.intensities + eps * h),
+                             coils, targets, cfg)
+        cm, _ = forward_cost(U.with_intensities(U.intensities - eps * h),
+                             coils, targets, cfg)
         fd = (cp.total - cm.total) / (2 * eps)
         ad = control_inner_rms(g, h, sim.dt)
         assert abs(fd - ad) / abs(fd) <= 1e-3
@@ -109,7 +109,7 @@ class TestReducedGradient:
         traj = simulate(m0, U, coils, sim)
         targets = TrackingTargets.constant(grid, (0.1, 0, 0), 10)
         cfg = OptimizeConfig(m0=m0, sim=sim)
-        g = reduced_gradient(U, coils, targets, cfg)
+        g = reduced_state(U, coils, targets, cfg).grad
         assert g.shape == (11, 0)
         cost = evaluate_cost(traj, U, targets)
         assert cost.control == 0.0 and cost.tracking > 0
@@ -118,7 +118,8 @@ class TestReducedGradient:
 class TestProjectedGradientDescent:
     def test_converges_on_stock_problem(self, stock_problem):
         grid, sim, coils, m0, U0, targets, cfg = stock_problem
-        U, history = projected_gradient_descent(U0, coils, targets, cfg)
+        state, history = projected_gradient_descent(U0, coils, targets, cfg)
+        U = state.U
         assert history[-1].residual <= cfg.tol
         assert history[-1].iteration <= cfg.max_iters
         costs = [h.cost for h in history]
@@ -127,8 +128,10 @@ class TestProjectedGradientDescent:
 
     def test_immediate_return_at_fixed_point(self, stock_problem):
         grid, sim, coils, m0, U0, targets, cfg = stock_problem
-        U, history = projected_gradient_descent(U0, coils, targets, cfg)
-        U2, history2 = projected_gradient_descent(U, coils, targets, cfg)
+        state, history = projected_gradient_descent(U0, coils, targets, cfg)
+        U = state.U
+        state2, history2 = projected_gradient_descent(U, coils, targets, cfg)
+        U2 = state2.U
         assert len(history2) == 1
         assert history2[0].iteration == 0
         assert_allclose(U2.intensities, U.intensities, rtol=0)
@@ -140,29 +143,44 @@ class TestProjectedGradientDescent:
                         coils, sim)
         targets = TrackingTargets.from_trajectory(traj)
         start = U0.with_intensities(U0.intensities + 1.5)
-        U, history = projected_gradient_descent(start, coils, targets, cfg)
+        state, history = projected_gradient_descent(start, coils, targets, cfg)
+        U = state.U
         assert np.abs(U.intensities).max() <= 1e-6
 
     def test_infeasible_start_projected(self, stock_problem):
         grid, sim, coils, m0, U0, targets, cfg = stock_problem
         bad = ControlPath(U0.intensities + 100.0, U0.lower, U0.upper, U0.dt)
-        U, history = projected_gradient_descent(
+        state, history = projected_gradient_descent(
             bad, coils, targets,
             OptimizeConfig(m0=m0, sim=sim, tol=1e-4, max_iters=50))
+        U = state.U
         assert U.is_feasible()
         assert history[-1].residual <= 1e-4
 
     def test_fixed_point_is_projection_formula(self, stock_problem):
         # at U*, U* = P_box(-pairing) within the stopping tolerance
         grid, sim, coils, m0, U0, targets, cfg = stock_problem
-        U, _ = projected_gradient_descent(U0, coils, targets, cfg)
-        g = reduced_gradient(U, coils, targets, cfg)
+        state, _ = projected_gradient_descent(U0, coils, targets, cfg)
+        U = state.U
+        g = reduced_state(U, coils, targets, cfg).grad
         from llbopt.coils import project_box
         pairing = g - U.intensities
         clamp = project_box(-pairing, U.lower, U.upper)
         from llbopt.coils import control_norm_rms
         gap = control_norm_rms(U.intensities - clamp, U.dt) / np.sqrt(U.final_time)
         assert gap <= cfg.tol
+
+    def test_returned_state_is_the_final_control_bit_for_bit(self, stock_problem):
+        # the state comes from the accepted trial's forward sweep, not a
+        # fresh one, and must be exactly what a fresh evaluation gives
+        grid, sim, coils, m0, U0, targets, cfg = stock_problem
+        state, history = projected_gradient_descent(U0, coils, targets, cfg)
+        assert len(history) > 1
+        assert np.array_equal(state.traj.values,
+                              simulate(m0, state.U, coils, sim).values)
+        fresh = reduced_state(state.U, coils, targets, cfg)
+        assert np.array_equal(state.grad, fresh.grad)
+        assert state.residual == fresh.residual == history[-1].residual
 
     def test_natural_residual_zero_iff_fixed_point(self):
         U = ControlPath(np.array([[0.0], [0.5]]), -1.0, 1.0, 1.0)
@@ -174,6 +192,7 @@ class TestProjectedGradientDescent:
     def test_converges_in_2d(self):
         grid, sim, coils, m0, U0, targets, cfg = tracking_problem(
             n=16, dt=1e-2, T=0.3, dim=2)
-        U, history = projected_gradient_descent(U0, coils, targets, cfg)
+        state, history = projected_gradient_descent(U0, coils, targets, cfg)
+        U = state.U
         assert history[-1].residual <= cfg.tol
         assert U.is_feasible()
