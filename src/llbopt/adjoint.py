@@ -3,10 +3,12 @@ right-hand side and terminal data, and the costate-derivative system.
 
 The sweep is the continuous adjoint discretized by backward IMEX Euler:
 after time reversal the costate's own Laplacian is implicit and every
-coupled term explicit.  The coupled Laplacian term is lap_h applied to the
-nodewise cross product, which keeps the divergence-form pairing with the
-tangent solver exact in space; the remaining gradient mismatch is purely
-the O(dt) time-discretization gap, quantified by the duality test.
+coupled term explicit.  It runs on the forward sweep's
+:func:`~llbopt.llb.march`, in reverse.  The coupled Laplacian term is
+lap_h applied to the nodewise cross product, which keeps the
+divergence-form pairing with the tangent solver exact in space; the
+remaining gradient mismatch is purely the O(dt) time-discretization gap,
+quantified by the duality test.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .coils import CoilSet, ControlPath, synthesize_values
 from .grid import Trajectory, VectorField, laplacian_values
-from .llb import BlowUpError, implicit_solve
+from .llb import implicit_solve, march
 
 
 @dataclass
@@ -69,8 +71,9 @@ def solve_adjoint(p: AdjointProblem) -> Trajectory:
     and ``batch + grid.shape + (3,)``); unbatched ones broadcast against
     the rest.  The members are swept together, one implicit solve per step,
     and the result has the broadcast batch shape in front of the time axis.
-    A member that turns non-finite raises :class:`BlowUpError` for the
-    whole sweep, with the time reached.
+    A member that turns non-finite raises
+    :class:`~llbopt.llb.BlowUpError` for the whole sweep, with the time
+    reached.
     """
     grid = p.base_traj.grid
     dt = p.base_traj.dt
@@ -83,21 +86,21 @@ def solve_adjoint(p: AdjointProblem) -> Trajectory:
     base = p.base_traj.frames
     controls = np.moveaxis(p.base_control.intensities, -2, 0)
     sources = np.moveaxis(p.rhs, -cell - 1, 0)
-    traj = Trajectory(grid, dt, np.empty(batch + (K + 1,) + grid.shape + (3,)))
-    frames = traj.frames
-    frames[K] = p.terminal.values
-    phi = frames[K]
-    for j in range(K - 1, -1, -1):
+
+    def advance(j: int, phi: np.ndarray) -> np.ndarray:
         m = base[j]
         lap_m = laplacian_values(grid, m)
         u = synthesize_values(controls[j], p.coils)
-        expl = adjoint_coupling(m, lap_m, u, phi, grid) - sources[j]
-        rhs = phi + dt * expl
-        phi = implicit_solve(grid, dt, rhs)
-        if not np.all(np.isfinite(phi)):
-            raise BlowUpError("costate became non-finite", j * dt)
-        frames[j] = phi
-    return traj
+        # built in place to save frame-sized temporaries; the same operations
+        # as phi + dt * (coupling - g)
+        rhs = adjoint_coupling(m, lap_m, u, phi, grid)
+        rhs -= sources[j]
+        rhs *= dt
+        rhs += phi
+        return implicit_solve(grid, dt, rhs)
+
+    return march(grid, dt, p.terminal.values, batch, K, advance,
+                 "costate became non-finite", reverse=True)
 
 
 def tracking_adjoint(base_traj: Trajectory, base_control: ControlPath,

@@ -32,7 +32,7 @@ from .coils import (
     control_norm_rms,
     synthesize_values,
 )
-from .grid import Grid, Trajectory, grad_sq_integral, laplacian_values, time_integral
+from .grid import Grid, Trajectory, frame_norms, laplacian_values, time_integral
 from .llb import BlowUpError, blowup_times, simulate
 from .optimize import (
     OptimizeConfig,
@@ -305,16 +305,8 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
 
 def trajectory_norms(traj: Trajectory) -> dict:
     """The space-time norms entering the global/uniqueness comparisons."""
-    grid = traj.grid
-    w = grid.cell_volume
-    K = traj.n_steps
-    l2_sq = np.empty(K + 1)
-    h1_sq = np.empty(K + 1)
-    for j in range(K + 1):
-        v = traj.values[j]
-        l2 = w * float(np.sum(v * v))
-        l2_sq[j] = l2
-        h1_sq[j] = l2 + grad_sq_integral(grid, v)
+    l2_sq, grad_sq = frame_norms(traj.grid, traj.frames, grad=True)
+    h1_sq = l2_sq + grad_sq
     return {
         "l2_l2": float(np.sqrt(time_integral(l2_sq, traj.dt))),
         "l2_h1": float(np.sqrt(time_integral(h1_sq, traj.dt))),
@@ -327,12 +319,7 @@ def smallness_monitor(traj: Trajectory) -> np.ndarray:
     """||lap m(t)||_L2^2 per frame (the quantity watched for the small-data
     global-existence regime)."""
     grid = traj.grid
-    w = grid.cell_volume
-    out = np.empty(traj.n_steps + 1)
-    for j in range(traj.n_steps + 1):
-        lap = laplacian_values(grid, traj.values[j])
-        out[j] = w * float(np.sum(lap * lap))
-    return out
+    return frame_norms(grid, (laplacian_values(grid, m) for m in traj.frames))
 
 
 def _estimate_lipschitz_pair(U: ControlPath, coils: CoilSet,

@@ -31,8 +31,8 @@ from .certify import (
     second_order_scan,
 )
 from .coils import ControlPath, control_inner_rms
-from .config import ConfigError, RunConfig, parse_config, read_control_csv
-from .grid import Grid, laplacian_values, write_field
+from .config import ConfigError, RunConfig, parse_config, read_control_csv, read_input
+from .grid import Grid, frame_norms, laplacian_values, write_field
 from .llb import (
     BlowUpError,
     OracleError,
@@ -166,7 +166,8 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
                            for key in missing])
     grid, sim, coils, m0, U, targets, opt = _setup(cfg)
     if control_csv is not None:
-        intens, lower, upper = read_control_csv(control_csv, sim.n_steps, coils.n_coils)
+        intens, lower, upper = read_input("--control", read_control_csv, control_csv,
+                                          sim.n_steps, coils.n_coils)
         U = ControlPath(intens,
                         lower if lower is not None else U.lower,
                         upper if upper is not None else U.upper, sim.dt)
@@ -372,9 +373,7 @@ def cmd_oracle(cfg: RunConfig, out_dir, quiet):
     grid, sim, coils, m0, U, _, _ = _setup(cfg)
     traj = simulate(m0, U, coils, sim)
     oracle = simulate_galerkin(m0, U, coils, sim, cfg["checks.oracle_modes"])
-    w = grid.cell_volume
-    disc = np.array([np.sqrt(w * np.sum((traj.values[j] - oracle.values[j]) ** 2))
-                     for j in range(traj.n_steps + 1)])
+    disc = np.sqrt(frame_norms(grid, (a - b for a, b in zip(traj.frames, oracle.frames))))
     write_csv(os.path.join(out_dir, "oracle.csv"), ["t", "l2_discrepancy"],
               zip(traj.times, disc))
     tol = cfg["checks.oracle_tol"]

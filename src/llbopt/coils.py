@@ -1,11 +1,9 @@
 """Coil-parameterized controls: u(x,t) = sum_k U_k(t) B_k(x).
 
 A coil set holds the N time-independent geometry fields B_k; a control path
-holds the (K+1) x N intensity samples together with their box bounds.  Two
-control norms coexist on purpose: NORM_SUM (the sum of per-component L2
-norms, used for radius checks of the open control ball) and NORM_RMS (the
-root of the summed squared component norms, the geometry used by the cost
-functional and all gradients).
+holds the (K+1) x N intensity samples together with their box bounds.  The
+control norm is the root of the summed squared per-component L2(0,T) norms,
+the geometry used by the cost functional and all gradients.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, VectorField, grad_sq_integral, norm_values, time_integral
+from .grid import Grid, VectorField, norm_values, time_integral
 
 
 @dataclass
@@ -194,18 +192,8 @@ def synthesize(U: ControlPath, coils: CoilSet, frame_index: int) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# control norms and the synthesis bound
+# control norms
 # ---------------------------------------------------------------------------
-
-def control_norm_sum(intensities: np.ndarray, dt: float) -> float:
-    """Sum over coils of the per-component L2(0,T) norms."""
-    intensities = np.atleast_2d(intensities)
-    if intensities.shape[1] == 0:
-        return 0.0
-    per = [np.sqrt(time_integral(intensities[:, i] ** 2, dt))
-           for i in range(intensities.shape[1])]
-    return float(np.sum(per))
-
 
 def control_norm_rms(intensities: np.ndarray, dt: float) -> float:
     """sqrt of the summed squared per-component L2(0,T) norms."""
@@ -224,20 +212,3 @@ def control_inner_rms(a: np.ndarray, b: np.ndarray, dt: float) -> float:
     if a.shape[1] == 0:
         return 0.0
     return float(sum(time_integral(a[:, i] * b[:, i], dt) for i in range(a.shape[1])))
-
-
-def zeta_bound(U: ControlPath, coils: CoilSet) -> float:
-    """Upper bound max_k ||B_k||_H1 * ||U||_sum for ||zeta(U)||_{L2(0,T;H1)}."""
-    if coils.n_coils == 0:
-        return 0.0
-    return float(coils.h1_norms.max()) * control_norm_sum(U.intensities, U.dt)
-
-
-def zeta_l2h1_norm(U: ControlPath, coils: CoilSet) -> float:
-    """Actual ||zeta(U)||_{L2(0,T;H1)} by synthesis and quadrature."""
-    grid = coils.grid
-    h1sq = np.empty(U.n_steps + 1)
-    for j in range(U.n_steps + 1):
-        vals = synthesize_values(U.intensities[j], coils)
-        h1sq[j] = grid.cell_volume * float(np.sum(vals * vals)) + grad_sq_integral(grid, vals)
-    return float(np.sqrt(time_integral(h1sq, U.dt)))

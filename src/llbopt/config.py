@@ -9,23 +9,26 @@ offending key.  See docs/config.md for the full key reference.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coils import CoilSet, ControlPath, gaussian_coil, uniform_coil
-from .grid import Grid, Trajectory, VectorField, read_field
+from .grid import Grid, Trajectory, VectorField, decode_record, encode_record, read_field
 from .llb import SimConfig, simulate
 from .optimize import OptimizeConfig, TrackingTargets
 from .certify import UserConstants
 
 
 class ConfigError(ValueError):
-    """Carries every validation violation found in a config file."""
+    """Carries every validation violation found in a config file, or the
+    one input file a config key names that cannot be read."""
 
     def __init__(self, errors):
         self.errors = list(errors)
-        super().__init__("invalid configuration:\n  " + "\n  ".join(self.errors))
+        sep = " " if len(self.errors) == 1 else "\n  "
+        super().__init__("invalid configuration:" + sep + sep.join(self.errors))
 
 
 _COIL_KEYS = {"kind", "center", "width", "axis", "amplitude", "path"}
@@ -215,7 +218,7 @@ class RunConfig:
         if kind == "expr":
             return VectorField(grid, self._eval_expr_field(grid, expr_fmt))
         if kind == "file":
-            return read_field(self._path(self.raw[path_key]), grid)
+            return read_input(path_key, read_field, self._path(self.raw[path_key]), grid)
         raise ValueError(f"unknown field kind {kind!r}")
 
     def build_initial(self, grid: Grid) -> VectorField:
@@ -242,7 +245,8 @@ class RunConfig:
                 else:
                     raise ValueError(f"unknown kind {kind!r}")
             except (ValueError, OSError) as exc:
-                raise ValueError(f"coil {k}: {exc}") from exc
+                key = f"coil.{k}.path: " if kind == "file" else ""
+                raise ConfigError([f"{key}coil {k}: {exc}"]) from exc
         return CoilSet.from_fields(fields)
 
     def build_control(self, n_steps: int, n_coils: int) -> ControlPath:
@@ -265,8 +269,8 @@ class RunConfig:
             intens = np.broadcast_to(
                 np.asarray(self.raw["control.value"], dtype=float), shape).copy()
         elif kind == "csv":
-            intens = read_control_csv(self._path(self.raw["control.path"]),
-                                      n_steps, n_coils)[0]
+            intens = read_input("control.path", read_control_csv,
+                                self._path(self.raw["control.path"]), n_steps, n_coils)[0]
         else:
             raise ValueError(f"unknown control kind {kind!r}")
         return ControlPath(intens, lower, upper, dt)
@@ -288,8 +292,8 @@ class RunConfig:
             m_d = np.broadcast_to(np.asarray(self.raw["targets.md_value"], dtype=float),
                                   (K + 1,) + grid.shape + (3,)).copy()
         elif kind == "file":
-            m_d = read_trajectory(self._path(self.raw["targets.md_path"]),
-                                  grid, K, sim.dt).values
+            m_d = read_input("targets.md_path", read_trajectory,
+                             self._path(self.raw["targets.md_path"]), grid, K, sim.dt).values
         else:
             m_d = np.zeros((K + 1,) + grid.shape + (3,))
 
@@ -554,6 +558,8 @@ def _validate(raw: dict, base_dir: str):
                     f"difference {worst:.3g} exceeds init.neumann_tol "
                     f"{raw['init.neumann_tol']:.3g}"
                 )
+    except ConfigError as exc:
+        errors.extend(exc.errors)
     except (ValueError, OSError) as exc:
         errors.append(str(exc))
     return errors
@@ -593,7 +599,10 @@ def read_control_csv(path, n_steps: int, n_coils: int):
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # a table without rows is reported by the row-count check below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     expected_cols = (1 + n_coils, 1 + 3 * n_coils)
     if len(header) not in expected_cols or data.shape[1] != len(header):
         raise ValueError(
@@ -612,38 +621,35 @@ def read_control_csv(path, n_steps: int, n_coils: int):
     return intens, lower, upper
 
 
+def read_input(key: str, reader, *args):
+    """``reader(*args)``, with a file it cannot open or parse reported as a
+    :class:`ConfigError` that names ``key``, the option giving the path."""
+    try:
+        return reader(*args)
+    except (ValueError, OSError) as exc:
+        raise ConfigError([f"{key}: {exc}"]) from exc
+
+
 def write_trajectory(path, traj: Trajectory) -> None:
     """Write a trajectory as K+1 concatenated LLBFIELD records."""
-    grid = traj.grid
-    header = " ".join(["LLBFIELD v1", str(grid.dim)] + [str(c) for c in grid.cells])
-    spatial = tuple(range(grid.dim))
     with open(path, "wb") as fh:
-        for j in range(traj.n_steps + 1):
-            flat = np.transpose(traj.values[j],
-                                spatial[::-1] + (grid.dim,)).reshape(-1, 3)
-            fh.write((header + "\n").encode("ascii"))
-            fh.write(flat.astype("<f8").tobytes())
+        for frame in traj.frames:
+            fh.write(encode_record(traj.grid, frame))
 
 
 def read_trajectory(path, grid: Grid, n_steps: int, dt: float) -> Trajectory:
-    """Read a trajectory stored as K+1 concatenated LLBFIELD records."""
-    frames = np.empty((n_steps + 1,) + grid.shape + (3,))
+    """Read a trajectory stored as exactly K+1 concatenated LLBFIELD records."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    frames = np.empty((n_steps + 1,) + grid.shape + (3,))
     offset = 0
-    record = grid.node_count * 3 * 8
     for j in range(n_steps + 1):
-        nl = blob.index(b"\n", offset)
-        header = blob[offset:nl].decode("ascii").split()
-        if header[:2] != ["LLBFIELD", "v1"]:
-            raise ValueError(f"trajectory file {path}: bad record header at frame {j}")
-        cells = tuple(int(tok) for tok in header[3:3 + int(header[2])])
-        if cells != grid.cells:
-            raise ValueError(f"trajectory file {path}: frame {j} grid {cells} != {grid.cells}")
-        start = nl + 1
-        flat = np.frombuffer(blob[start:start + record], dtype="<f8")
-        rev = flat.reshape(grid.cells[::-1] + (3,))
-        spatial = tuple(range(grid.dim))
-        frames[j] = np.transpose(rev, spatial[::-1] + (grid.dim,))
-        offset = start + record
+        if offset == len(blob):
+            raise ValueError(f"trajectory file {path}: {j} frames, expected {n_steps + 1}")
+        try:
+            frames[j], offset = decode_record(blob, grid, offset)
+        except ValueError as exc:
+            raise ValueError(f"trajectory file {path}: frame {j}: {exc}") from exc
+    if offset != len(blob):
+        raise ValueError(f"trajectory file {path}: more than {n_steps + 1} frames")
     return Trajectory(grid, dt, frames)

@@ -220,6 +220,25 @@ def grad_sq_integral(grid: Grid, vals: np.ndarray) -> float:
     return total
 
 
+def frame_norms(grid: Grid, frames, grad: bool = False):
+    """Per-frame squared L2 norms of a sequence of fields on ``grid``.
+
+    ``frames`` is any iterable of arrays of shape ``grid.shape + tail``
+    (vector frames, or scalar ones such as |m|^2); it is walked one frame
+    at a time, so a generator of derived frames never holds more than one.
+    With ``grad`` the squared gradient norms (:func:`grad_sq_integral`) come
+    too.  Returns ``l2_sq``, or ``(l2_sq, grad_sq)`` with ``grad``.
+    """
+    w = grid.cell_volume
+    l2_sq, grad_sq = [], []
+    for v in frames:
+        l2_sq.append(w * float(np.sum(v * v)))
+        if grad:
+            grad_sq.append(grad_sq_integral(grid, v))
+    l2_sq = np.array(l2_sq)
+    return (l2_sq, np.array(grad_sq)) if grad else l2_sq
+
+
 def inner(f: VectorField, g: VectorField) -> float:
     """Cell-sum L2 inner product of two fields on the same grid."""
     if f.grid != g.grid:
@@ -330,27 +349,30 @@ def cosine_modes(grid: Grid, count: int):
 _MAGIC = "LLBFIELD v1"
 
 
-def write_field(path, f: VectorField) -> None:
-    """Write a field snapshot: ASCII header, then little-endian float64
-    triples per node in x-fastest order."""
-    grid = f.grid
+def encode_record(grid: Grid, values: np.ndarray) -> bytes:
+    """One LLBFIELD record of a field of shape ``grid.shape + (3,)``: an
+    ASCII header line, then little-endian float64 triples per node in
+    x-fastest order."""
     header = " ".join([_MAGIC, str(grid.dim)] + [str(c) for c in grid.cells])
     # x-fastest: reverse the spatial axes so that ravel runs x innermost
     spatial = tuple(range(grid.dim))
-    flat = np.transpose(f.values, spatial[::-1] + (grid.dim,)).reshape(-1, 3)
-    with open(path, "wb") as fh:
-        fh.write((header + "\n").encode("ascii"))
-        fh.write(flat.astype("<f8").tobytes())
+    flat = np.transpose(values, spatial[::-1] + (grid.dim,)).reshape(-1, 3)
+    return (header + "\n").encode("ascii") + flat.astype("<f8").tobytes()
 
 
-def read_field(path, grid: Grid) -> VectorField:
-    """Read a field snapshot written by :func:`write_field` onto ``grid``."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        payload = fh.read()
+def decode_record(blob: bytes, grid: Grid, offset: int = 0):
+    """Decode the LLBFIELD record that starts at ``offset`` of ``blob``.
+
+    Returns the record's values on ``grid`` (a read-only view of ``blob``)
+    and the offset just past the record.  Raises ValueError for a bad
+    header, a record on another grid or a short payload.
+    """
+    nl = blob.find(b"\n", offset)
+    header = blob[offset:nl if nl >= 0 else len(blob)].decode("ascii", "replace").strip()
     parts = header.split()
-    if parts[:2] != _MAGIC.split():
-        raise ValueError(f"not an LLBFIELD v1 file: header {header!r}")
+    if (nl < 0 or parts[:2] != _MAGIC.split() or len(parts) < 3
+            or not all(p.isdigit() for p in parts[2:])):
+        raise ValueError(f"not an LLBFIELD v1 record: header {header[:80]!r}")
     dim = int(parts[2])
     cells = tuple(int(p) for p in parts[3:3 + dim])
     if dim != grid.dim or cells != grid.cells:
@@ -358,13 +380,28 @@ def read_field(path, grid: Grid) -> VectorField:
             f"snapshot grid {cells} (dim {dim}) does not match target grid "
             f"{grid.cells} (dim {grid.dim})"
         )
-    flat = np.frombuffer(payload, dtype="<f8")
-    if flat.size != grid.node_count * 3:
+    start, count = nl + 1, grid.node_count * 3
+    end = start + 8 * count
+    if end > len(blob):
         raise ValueError(
-            f"snapshot payload has {flat.size} floats, expected {grid.node_count * 3}"
-        )
-    rev_shape = grid.cells[::-1] + (3,)
-    vals = flat.reshape(rev_shape)
+            f"snapshot payload has {(len(blob) - start) // 8} floats, expected {count}")
+    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
     spatial = tuple(range(grid.dim))
-    vals = np.transpose(vals, spatial[::-1] + (grid.dim,))
+    vals = flat.reshape(grid.cells[::-1] + (3,)).transpose(spatial[::-1] + (grid.dim,))
+    return vals, end
+
+
+def write_field(path, f: VectorField) -> None:
+    """Write a field snapshot: one LLBFIELD record (:func:`encode_record`)."""
+    with open(path, "wb") as fh:
+        fh.write(encode_record(f.grid, f.values))
+
+
+def read_field(path, grid: Grid) -> VectorField:
+    """Read a field snapshot written by :func:`write_field` onto ``grid``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    vals, end = decode_record(blob, grid)
+    if end != len(blob):
+        raise ValueError(f"snapshot has {len(blob) - end} bytes past its record")
     return VectorField(grid, vals.copy())

@@ -11,6 +11,11 @@ matmul with the cached DCT-II matrix of that axis rather than through
 ``numpy.f2py`` and ``scipy.special``, about 0.4 s of every CLI process's
 start-up on a 2-core machine.  ``scipy.integrate`` (about 0.2 s) is
 likewise imported only by the Galerkin oracle.
+
+The forward sweep here, the tangent sweep and the costate sweep share one
+time loop, :func:`march`: it owns the trajectory storage, the order of the
+steps (forward or in reverse) and the blow-up rule, and each sweep passes
+only its step, the explicit terms plus one :func:`implicit_solve`.
 """
 
 from __future__ import annotations
@@ -29,9 +34,8 @@ from .grid import (
     Trajectory,
     VectorField,
     cosine_modes,
-    grad_sq_integral,
+    frame_norms,
     laplacian_values,
-    time_integral,
 )
 
 
@@ -156,6 +160,46 @@ def step(m: VectorField, u: VectorField, dt: float) -> VectorField:
     return VectorField(m.grid, step_values(m.grid, m.values, u.values, dt))
 
 
+def march(grid: Grid, dt: float, first, batch: tuple, n_steps: int,
+          step: Callable[[int, np.ndarray], np.ndarray], blowup: str, *,
+          reverse: bool = False, threshold: Optional[float] = None) -> Trajectory:
+    """The time loop every sweep (state, tangent, costate) runs.
+
+    Allocates the ``batch + (K+1,) + grid.shape + (3,)`` trajectory, stores
+    ``first`` as frame 0 (frame K when ``reverse``) and fills the others in
+    order: ``step(j, prev)`` returns the frame that follows ``prev``, where
+    j is the coefficient frame the step samples, the departure frame going
+    forward and the arrival frame going back.
+
+    Blow-up, at the arrival time and with message ``blowup``: with a
+    ``threshold`` (the state sweep) a member whose new frame has a peak
+    magnitude over it, or a NaN, has blown up; an unbatched sweep raises
+    :class:`BlowUpError`, and a batched one NaN-fills that member and
+    marches the others on.  Without one (the linear tangent and costate
+    sweeps) a new frame that is not finite raises for the whole sweep.
+    """
+    traj = Trajectory(grid, dt, np.empty(batch + (n_steps + 1,) + grid.shape + (3,)))
+    frames = traj.frames
+    cells = tuple(range(-grid.dim - 1, 0))
+    prev = frames[n_steps if reverse else 0]
+    prev[...] = first
+    for j in (range(n_steps - 1, -1, -1) if reverse else range(n_steps)):
+        arrival = j if reverse else j + 1
+        new = step(j, prev)
+        if threshold is None:
+            if not np.all(np.isfinite(new)):
+                raise BlowUpError(blowup, arrival * dt)
+        else:
+            # a NaN or inf peak fails the bound too
+            blown = ~(np.max(np.abs(new), axis=cells) <= threshold)
+            if np.any(blown):
+                if not batch:
+                    raise BlowUpError(blowup, arrival * dt)
+                new[blown] = np.nan
+        frames[arrival] = prev = new
+    return traj
+
+
 def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) -> Trajectory:
     """March the controlled LLB system from t=0 to t=T.
 
@@ -184,16 +228,12 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) ->
             "manufactured forcing is active: this run verifies the scheme, "
             "not the physical model", RuntimeWarning)
 
-    cells = tuple(range(-grid.dim - 1, 0))
     batch = np.broadcast_shapes(m0.values.shape[:-grid.dim - 1], U.intensities.shape[:-2])
-    values = np.empty(batch + (K + 1,) + grid.shape + (3,))
-    traj = Trajectory(grid, cfg.dt, values)
-    frames = traj.frames
-    frames[0] = m0.values
     intensities = np.moveaxis(U.intensities, -2, 0)
     warned = False
-    for j in range(K):
-        m = frames[j]
+
+    def advance(j: int, m: np.ndarray) -> np.ndarray:
+        nonlocal warned
         # fmax skips the NaN-filled members of a batch
         mag_max = float(np.fmax.reduce(np.sum(m * m, axis=-1), axis=None)) if m.size else 0.0
         if not warned and cfg.dt * (1.0 + mag_max) > cfg.warn_dt_factor:
@@ -205,15 +245,10 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) ->
             warned = True
         u = synthesize_values(intensities[j], coils)
         src = cfg.source(j * cfg.dt) if cfg.source is not None else None
-        new = step_values(grid, m, u, cfg.dt, source=src)
-        # a NaN or inf peak fails the bound too
-        blown = ~(np.max(np.abs(new), axis=cells) <= cfg.blowup_threshold)
-        if np.any(blown):
-            if not batch:
-                raise BlowUpError("state blow-up", (j + 1) * cfg.dt)
-            new[blown] = np.nan
-        frames[j + 1] = new
-    return traj
+        return step_values(grid, m, u, cfg.dt, source=src)
+
+    return march(grid, cfg.dt, m0.values, batch, K, advance, "state blow-up",
+                 threshold=cfg.blowup_threshold)
 
 
 def blowup_times(traj: Trajectory) -> np.ndarray:
@@ -241,20 +276,10 @@ def energy_ledger(traj: Trajectory, U: ControlPath, coils: CoilSet) -> dict:
     which is <= 0 for the exact evolution.
     """
     grid = traj.grid
-    K = traj.n_steps
-    w = grid.cell_volume
-    l2_sq = np.empty(K + 1)
-    grad_sq = np.empty(K + 1)
-    l4_quart = np.empty(K + 1)
-    u_sq = np.empty(K + 1)
-    for j in range(K + 1):
-        m = traj.values[j]
-        mag_sq = np.sum(m * m, axis=-1)
-        l2_sq[j] = w * float(np.sum(mag_sq))
-        grad_sq[j] = grad_sq_integral(grid, m)
-        l4_quart[j] = w * float(np.sum(mag_sq**2))
-        u = synthesize_values(U.intensities[j], coils)
-        u_sq[j] = w * float(np.sum(u * u))
+    l2_sq, grad_sq = frame_norms(grid, traj.frames, grad=True)
+    # |m|_L4^4 is the squared L2 norm of the scalar frames |m|^2
+    l4_quart = frame_norms(grid, (np.sum(m * m, axis=-1) for m in traj.frames))
+    u_sq = frame_norms(grid, (synthesize_values(v, coils) for v in U.intensities))
 
     dissip = grad_sq + l2_sq + l4_quart
     cum_dissip = _cumulative_trapezoid(dissip, traj.dt)

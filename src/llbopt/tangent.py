@@ -1,9 +1,10 @@
 """Linearized state solver (the control-to-state derivative) and the
-Taylor/Lipschitz verification utilities built on it.
+Taylor verification built on it.
 
 The tangent sweep is the exact derivative of the discrete forward map: it
-uses the same IMEX structure, the same frozen base-trajectory frames for
-the coupling coefficients, and the same implicit Laplacian.
+runs on the forward sweep's :func:`~llbopt.llb.march` with the same IMEX
+structure, the same frozen base-trajectory frames for the coupling
+coefficients, and the same implicit Laplacian.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coils import CoilSet, ControlPath, control_norm_rms, synthesize_values
-from .grid import Trajectory, VectorField, grad_sq_integral, laplacian_values
-from .llb import BlowUpError, SimConfig, implicit_solve, simulate
+from .coils import CoilSet, ControlPath, synthesize_values
+from .grid import Trajectory, frame_norms, laplacian_values
+from .llb import SimConfig, implicit_solve, march, simulate
 
 
 @dataclass
@@ -78,57 +79,48 @@ def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
     are swept together around the one (unbatched) base trajectory, one
     implicit solve per step, and the result has shape ``batch + (K+1,) +
     grid.shape + (3,)``.  A member that turns non-finite raises
-    :class:`BlowUpError` for the whole sweep, with the time reached.
+    :class:`~llbopt.llb.BlowUpError` for the whole sweep, with the time
+    reached.
     """
     grid = point.grid
     dt = point.dt
     dvals = point.direction_values(dU)
-    K = point.n_steps
+    base = point.base_traj.values
+    controls = point.base_control.intensities
     directions = np.moveaxis(dvals, -2, 0)
-    traj = Trajectory(grid, dt, np.zeros(dvals.shape[:-2] + (K + 1,) + grid.shape + (3,)))
-    frames = traj.frames
-    z = frames[0]
-    for j in range(K):
-        m = point.base_traj.values[j]
+
+    def advance(j: int, z: np.ndarray) -> np.ndarray:
+        m = base[j]
         lap_m = laplacian_values(grid, m)
         lap_z = laplacian_values(grid, z)
-        u = synthesize_values(point.base_control.intensities[j], point.coils)
+        u = synthesize_values(controls[j], point.coils)
         du = synthesize_values(directions[j], point.coils)
-        expl = tangent_coupling(m, lap_m, u, z, lap_z) + du + np.cross(m, du)
-        rhs = z + dt * expl
-        z = implicit_solve(grid, dt, rhs)
-        if not np.all(np.isfinite(z)):
-            raise BlowUpError("tangent state became non-finite", (j + 1) * dt)
-        frames[j + 1] = z
-    return traj
+        # built in place to save frame-sized temporaries; the same operations
+        # as z + dt * (coupling + du + m x du)
+        rhs = tangent_coupling(m, lap_m, u, z, lap_z)
+        rhs += du
+        rhs += np.cross(m, du)
+        rhs *= dt
+        rhs += z
+        return implicit_solve(grid, dt, rhs)
+
+    return march(grid, dt, 0.0, dvals.shape[:-2], point.n_steps, advance,
+                 "tangent state became non-finite")
 
 
 # ---------------------------------------------------------------------------
 # verification utilities
 # ---------------------------------------------------------------------------
 
+def _max_h1(grid, frames) -> float:
+    """max over ``frames`` of the H1 norm."""
+    l2_sq, grad_sq = frame_norms(grid, frames, grad=True)
+    return float(np.sqrt(np.max(l2_sq + grad_sq)))
+
+
 def trajectory_h1_distance(a: Trajectory, b: Trajectory) -> float:
     """max over frames of the H1 norm of the difference."""
-    grid = a.grid
-    w = grid.cell_volume
-    worst = 0.0
-    for j in range(a.n_steps + 1):
-        d = a.values[j] - b.values[j]
-        h1_sq = w * float(np.sum(d * d)) + grad_sq_integral(grid, d)
-        worst = max(worst, h1_sq)
-    return float(np.sqrt(worst))
-
-
-def _h1_norm_traj_minus(a: Trajectory, b: Trajectory, scaled: Trajectory,
-                        scale: float) -> float:
-    grid = a.grid
-    w = grid.cell_volume
-    worst = 0.0
-    for j in range(a.n_steps + 1):
-        d = a.values[j] - b.values[j] - scale * scaled.values[j]
-        h1_sq = w * float(np.sum(d * d)) + grad_sq_integral(grid, d)
-        worst = max(worst, h1_sq)
-    return float(np.sqrt(worst))
+    return _max_h1(a.grid, (x - y for x, y in zip(a.frames, b.frames)))
 
 
 @dataclass
@@ -170,7 +162,8 @@ def taylor_remainder_order(point: LinearizationPoint, dU, epsilons,
         perturbed = ControlPath(point.base_control.intensities + eps * dvals,
                                 -wide, wide, point.dt)
         traj = simulate(m0, perturbed, point.coils, cfg)
-        remainders[i] = _h1_norm_traj_minus(traj, base, z, eps)
+        remainders[i] = _max_h1(base.grid, (m - b - eps * dz for m, b, dz
+                                            in zip(traj.frames, base.frames, z.frames)))
         first_diffs[i] = trajectory_h1_distance(traj, base)
     return TaylorResult(
         epsilons=epsilons,
@@ -179,39 +172,3 @@ def taylor_remainder_order(point: LinearizationPoint, dU, epsilons,
         remainder_order=_loglog_slope(epsilons, remainders),
         first_difference_order=_loglog_slope(epsilons, first_diffs),
     )
-
-
-@dataclass
-class LipschitzEstimate:
-    value: float
-    informative_pairs: int
-    total_pairs: int
-
-    @property
-    def informative(self) -> bool:
-        return self.informative_pairs > 0
-
-
-def estimate_state_lipschitz(m0: VectorField, coils: CoilSet, cfg: SimConfig,
-                             pairs, lower=-np.inf, upper=np.inf) -> LipschitzEstimate:
-    """Empirical lower bound for the state Lipschitz ratio.
-
-    ``pairs`` is an iterable of (U1, U2) intensity arrays.  Returns the max
-    over informative pairs of ||G(U1) - G(U2)||_{max-t H1} / ||U1 - U2||_rms;
-    pairs with U1 = U2 are skipped.
-    """
-    best = 0.0
-    used = 0
-    total = 0
-    for U1, U2 in pairs:
-        total += 1
-        U1 = np.atleast_2d(np.asarray(U1, dtype=float))
-        U2 = np.atleast_2d(np.asarray(U2, dtype=float))
-        denom = control_norm_rms(U1 - U2, cfg.dt)
-        if denom == 0.0:
-            continue
-        used += 1
-        t1 = simulate(m0, ControlPath(U1, lower, upper, cfg.dt), coils, cfg)
-        t2 = simulate(m0, ControlPath(U2, lower, upper, cfg.dt), coils, cfg)
-        best = max(best, trajectory_h1_distance(t1, t2) / denom)
-    return LipschitzEstimate(best, used, total)

@@ -12,7 +12,7 @@ from llbopt.optimize import (
     projected_gradient_descent,
     reduced_state,
 )
-from llbopt.tangent import trajectory_h1_distance
+from llbopt.tangent import LinearizationPoint, solve_tangent, trajectory_h1_distance
 from llbopt.certify import (
     UserConstants,
     critical_cone_mask,
@@ -303,6 +303,36 @@ class TestLipschitzPairs:
                 pytest.raises(BlowUpError, match="state blow-up"):
             llbopt.certify._estimate_lipschitz_pair(
                 U, coils, targets, cfg, np.random.default_rng(13), spread=1e7)
+
+
+    def test_stable_under_resampling(self):
+        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=24, dt=5e-3, T=0.2)
+        rng = np.random.default_rng(3)
+        small, large = (np.sqrt(llbopt.certify._estimate_lipschitz_pair(
+            U0, coils, targets, cfg, rng, n_pairs=n, spread=0.3)[0]) for n in (4, 8))
+        assert small > 0
+        # doubling the sample count moves the max ratio by a bounded factor
+        assert abs(large - small) <= 0.25 * max(large, small)
+
+    def test_difference_quotient_approaches_derivative(self):
+        # one pair U + s*d1, U + s*d2: as s -> 0 the state ratio tends to
+        # the tangent's ||z(d1 - d2)|| / ||d1 - d2||
+        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=24, dt=5e-3, T=0.2)
+        rng = np.random.default_rng(4)
+        direction = rng.standard_normal(U0.intensities.shape) - rng.standard_normal(
+            U0.intensities.shape)
+        point = LinearizationPoint(simulate(m0, U0, coils, sim), U0, coils)
+        z = solve_tangent(point, direction)
+        zero = Trajectory(grid, sim.dt, np.zeros_like(z.values))
+        expected = trajectory_h1_distance(z, zero) / control_norm_rms(direction, sim.dt)
+        errs = []
+        for spread in (1e-1, 1e-2):
+            c2, _ = llbopt.certify._estimate_lipschitz_pair(
+                U0, coils, targets, cfg, np.random.default_rng(4), n_pairs=1,
+                spread=spread)
+            errs.append(abs(np.sqrt(c2) - expected) / expected)
+        assert errs[-1] < errs[0]
+        assert errs[-1] <= 1e-2
 
 
 class TestGlobalUniquenessReport:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import llbopt.certify
 import llbopt.llb
 from llbopt.cli import main
 from llbopt.config import ConfigError, parse_config, read_control_csv
+from llbopt.grid import Grid, encode_record
 
 STOCK = """
 grid.dim = 1
@@ -304,6 +306,54 @@ class TestSubcommands:
         cfg.write_text(text)
         assert main(["check-grad", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--quiet"]) == 4
+
+
+def field_records(cells, count):
+    """``count`` LLBFIELD records of a constant field on ``cells`` cells."""
+    grid = Grid((cells,), (1.0,))
+    return b"".join(encode_record(grid, np.full(grid.shape + (3,), 0.1))
+                    for _ in range(count))
+
+
+# K = 20 steps on 16 cells, so a target trajectory file holds 21 records
+INPUT_BASE = ("grid.dim = 1\ngrid.cells = 16\ntime.T = 0.2\ntime.dt = 0.01\n"
+              "certify.c_go = 0.05\ncertify.c4n = 1.2\n")
+MD_FILE = "targets.md_kind = file\ntargets.md_path = in.dat\n"
+
+
+@pytest.mark.parametrize("key, config, content, command", [
+    ("targets.md_path", MD_FILE, field_records(16, 20), "simulate"),
+    ("targets.md_path", MD_FILE, field_records(16, 26), "simulate"),
+    ("targets.md_path", MD_FILE, b"LLBFIELD v2 1 16\n" + field_records(16, 21), "simulate"),
+    ("init.path", "init.kind = file\ninit.path = in.dat\n", field_records(8, 1), "simulate"),
+    ("targets.momega_path", "targets.momega_kind = file\ntargets.momega_path = in.dat\n",
+     field_records(8, 1), "simulate"),
+    ("coil.1.path", "coils.count = 1\ncoil.1.kind = file\ncoil.1.path = in.dat\n",
+     b"not a snapshot", "simulate"),
+    ("control.path", "control.kind = csv\ncontrol.path = in.dat\n", b"t\n0\n0.01\n",
+     "simulate"),
+    ("--control", "", b"t\n0\n0.01\n", "certify"),
+    ("--control", "", b"t\n", "certify"),
+    ("--control", "", None, "certify"),
+], ids=["md-K-frames", "md-K+5-frames", "md-bad-header", "init-wrong-grid",
+        "momega-wrong-grid", "coil-bad-header", "control-short", "flag-short",
+        "flag-no-rows", "flag-missing"])
+def test_unreadable_input_file_exits_2_naming_the_key(tmp_path, capsys, key, config,
+                                                      content, command):
+    data = tmp_path / "in.dat"
+    if content is not None:
+        data.write_bytes(content)
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text(INPUT_BASE + config)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]
+    if key == "--control":
+        argv += ["--control", str(data)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would add lines to stderr
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid configuration: {key}: ")
+    assert err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -7,18 +7,15 @@ from llbopt.coils import (
     CoilSet,
     ControlPath,
     control_norm_rms,
-    control_norm_sum,
     gaussian_coil,
     project_box,
     synthesize,
     synthesize_values,
     uniform_coil,
-    zeta_bound,
-    zeta_l2h1_norm,
 )
 from llbopt.grid import Grid, VectorField, norm
 
-from conftest import batch_shapes, grids, smooth_time_profiles
+from conftest import batch_shapes, grids
 
 
 @pytest.fixture
@@ -79,39 +76,6 @@ class TestSynthesize:
             synthesize(U, coils, 0)
 
 
-class TestZetaBound:
-    def test_zero_control(self, unit_square):
-        coils = CoilSet.from_fields([uniform_coil(unit_square, 0)])
-        U = ControlPath.zeros(10, 1, 0.1)
-        assert zeta_bound(U, coils) == 0.0
-        assert zeta_l2h1_norm(U, coils) == 0.0
-
-    def test_equality_case(self, unit_square):
-        # constant unit coil, unit intensity on [0,1]: both sides equal 1
-        coils = CoilSet.from_fields([uniform_coil(unit_square, 0)])
-        U = ControlPath.constant([1.0], 10, 0.1)
-        assert zeta_bound(U, coils) == pytest.approx(1.0, rel=1e-12)
-        assert zeta_l2h1_norm(U, coils) == pytest.approx(1.0, rel=1e-12)
-
-    def test_strict_inequality_orthogonal_coils(self, unit_square):
-        coils = CoilSet.from_fields([uniform_coil(unit_square, 0),
-                                     uniform_coil(unit_square, 1)])
-        U = ControlPath.constant([1.0, 1.0], 10, 0.1)
-        actual = zeta_l2h1_norm(U, coils)
-        bound = zeta_bound(U, coils)
-        assert actual == pytest.approx(np.sqrt(2.0), rel=1e-12)
-        assert actual < bound
-
-    def test_bound_holds_on_random_controls(self, unit_square):
-        rng = np.random.default_rng(5)
-        coils = CoilSet.from_fields([gaussian_coil(unit_square, [0.3, 0.3], 0.15, 0),
-                                     gaussian_coil(unit_square, [0.6, 0.7], 0.2, 1),
-                                     uniform_coil(unit_square, 2, 0.5)])
-        for _ in range(20):
-            U = ControlPath(rng.standard_normal((9, 3)), -np.inf, np.inf, 0.125)
-            assert zeta_l2h1_norm(U, coils) <= zeta_bound(U, coils) * (1 + 1e-12)
-
-
 class TestProjectBox:
     def test_interior_fixed(self):
         assert project_box(np.array([0.5]), -1.0, 1.0)[0] == 0.5
@@ -155,16 +119,7 @@ class TestProjectBox:
 
 
 class TestControlNorms:
-    def test_sum_vs_rms(self):
-        # two equal components: sum norm is sqrt(2) times the rms norm
-        dt = 0.1
-        prof = smooth_time_profiles(10, dt, [(1.0, 0.2, -0.1), (1.0, 0.2, -0.1)])
-        s = control_norm_sum(prof, dt)
-        r = control_norm_rms(prof, dt)
-        assert s == pytest.approx(np.sqrt(2.0) * r, rel=1e-12)
-
     def test_empty(self):
-        assert control_norm_sum(np.zeros((5, 0)), 0.1) == 0.0
         assert control_norm_rms(np.zeros((5, 0)), 0.1) == 0.0
 
 

@@ -23,6 +23,8 @@ from llbopt.grid import (
     write_field,
 )
 
+from llbopt.config import read_trajectory, write_trajectory
+
 from conftest import batch_shapes, grids
 
 
@@ -262,6 +264,30 @@ class TestFieldIO:
             path = os.path.join(tmp, "snap.llbfield")
             write_field(path, f)
             assert np.array_equal(read_field(path, g).values, f.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grids(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_trajectory_file_is_field_records(self, g, n_steps, seed):
+        vals = np.random.default_rng(seed).standard_normal((n_steps + 1,) + g.shape + (3,))
+        traj = Trajectory(g, 0.1, vals)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "traj.llbtraj")
+            write_trajectory(path, traj)
+            assert np.array_equal(read_trajectory(path, g, n_steps, 0.1).values, vals)
+            records = []
+            for j in range(n_steps + 1):
+                one = os.path.join(tmp, f"frame{j}.llbfield")
+                write_field(one, traj.frame(j))
+                assert np.array_equal(read_field(one, g).values, vals[j])
+                with open(one, "rb") as fh:
+                    records.append(fh.read())
+            with open(path, "rb") as fh:
+                assert fh.read() == b"".join(records)
+            # the frame count must match the time grid exactly
+            with pytest.raises(ValueError, match="more than"):
+                read_trajectory(path, g, n_steps - 1, 0.1)
+            with pytest.raises(ValueError, match="expected"):
+                read_trajectory(path, g, n_steps + 1, 0.1)
 
     def test_header_and_order(self, tmp_path):
         # x-fastest node ordering with 3 little-endian doubles per node

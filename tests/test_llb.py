@@ -1,8 +1,13 @@
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import llbopt.llb
+from llbopt.adjoint import AdjointProblem, solve_adjoint
 from llbopt.coils import CoilSet, ControlPath, uniform_coil
 from llbopt.grid import Grid, VectorField, cosine_modes, laplacian_values, norm
 from llbopt.llb import (
@@ -15,6 +20,7 @@ from llbopt.llb import (
     simulate_galerkin,
     step,
 )
+from llbopt.tangent import LinearizationPoint, solve_tangent
 
 from conftest import batch_shapes, cosine_initial, grids, two_gaussian_coils
 
@@ -212,6 +218,88 @@ class TestSimulate:
     def test_dt_must_divide_T(self):
         with pytest.raises(ValueError, match="does not divide"):
             SimConfig(T=1.0, dt=0.3)
+
+
+@contextlib.contextmanager
+def counting_solves(calls):
+    """Count implicit solves through every llbopt module that imported
+    ``implicit_solve``, as the bench's sweep self-check does."""
+    original = llbopt.llb.implicit_solve
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    sites = [m for name, m in list(sys.modules.items())
+             if name.startswith("llbopt") and getattr(m, "implicit_solve", None) is original]
+    for m in sites:
+        m.implicit_solve = counted
+    try:
+        yield
+    finally:
+        for m in sites:
+            m.implicit_solve = original
+
+
+def random_sweep_inputs(g, K, seed):
+    """A small unbatched base state, control and coil for the sweep tests."""
+    rng = np.random.default_rng(seed)
+    dt = 1e-2
+    cfg = SimConfig(T=K * dt, dt=dt)
+    coils = CoilSet.from_fields([VectorField(g, 0.5 + rng.random(g.shape + (3,)))])
+    U = ControlPath(0.1 * rng.standard_normal((K + 1, 1)), -np.inf, np.inf, dt)
+    m0 = VectorField(g, 0.1 * rng.standard_normal(g.shape + (3,)))
+    return rng, cfg, coils, U, m0
+
+
+sweep_settings = settings(max_examples=25, deadline=None)
+
+
+class TestSweepSkeleton:
+    """simulate, solve_tangent and solve_adjoint run on one march."""
+
+    @sweep_settings
+    @given(grids(), batch_shapes, st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_one_implicit_solve_per_step(self, g, batch, K, seed):
+        rng, cfg, coils, U, m0 = random_sweep_inputs(g, K, seed)
+        stack = ControlPath(0.1 * rng.standard_normal(batch + (K + 1, 1)),
+                            -np.inf, np.inf, cfg.dt)
+        base = simulate(m0, U, coils, cfg)
+        point = LinearizationPoint(base, U, coils)
+        problem = AdjointProblem(
+            base, U, coils, rng.standard_normal(batch + base.values.shape),
+            VectorField(g, rng.standard_normal(g.shape + (3,))))
+        for sweep in (lambda: simulate(m0, stack, coils, cfg),
+                      lambda: solve_tangent(point, stack.intensities),
+                      lambda: solve_adjoint(problem)):
+            calls = []
+            with counting_solves(calls):
+                traj = sweep()
+            assert len(calls) == K
+            assert traj.values.shape == batch + (K + 1,) + g.shape + (3,)
+
+    @sweep_settings
+    @given(grids(), batch_shapes, st.integers(1, 4), st.data())
+    def test_member_blowup_raises_at_the_unbatched_time(self, g, batch, K, data):
+        rng, cfg, coils, U, m0 = random_sweep_inputs(g, K, data.draw(st.integers(0, 2**32 - 1)))
+        member = tuple(data.draw(st.integers(0, n - 1)) for n in batch)
+        j = data.draw(st.integers(0, K - 1))
+        point = LinearizationPoint(simulate(m0, U, coils, cfg), U, coils)
+        # an infinite direction at node j spoils the tangent from t_{j+1};
+        # an infinite costate source at frame j spoils the costate at t_j
+        directions = rng.standard_normal(batch + (K + 1, 1))
+        directions[member + (j,)] = np.inf
+        rhs = rng.standard_normal(batch + point.base_traj.values.shape)
+        rhs[member + (j,)] = np.inf
+        terminal = VectorField.zero(g)
+        sweeps = ((lambda d: solve_tangent(point, d), directions, j + 1),
+                  (lambda r: solve_adjoint(AdjointProblem(point.base_traj, U, coils,
+                                                          r, terminal)), rhs, j))
+        for sweep, arg, arrival in sweeps:
+            for a in (arg, arg[member]):
+                with np.errstate(all="ignore"), pytest.raises(BlowUpError) as err:
+                    sweep(a)
+                assert err.value.time == arrival * cfg.dt
 
 
 class TestEnergyLedger:

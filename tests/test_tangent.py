@@ -7,7 +7,6 @@ from llbopt.grid import Grid, Trajectory
 from llbopt.llb import BlowUpError, SimConfig, simulate
 from llbopt.tangent import (
     LinearizationPoint,
-    estimate_state_lipschitz,
     solve_tangent,
     taylor_remainder_order,
     trajectory_h1_distance,
@@ -144,58 +143,3 @@ class TestTaylor:
         ratios = np.asarray(ratios)
         assert np.all(np.isfinite(ratios))
         assert ratios.max() / ratios.min() < 50
-
-
-class TestLipschitzEstimator:
-    def test_no_informative_pairs(self):
-        grid = Grid((16,), (1.0,))
-        cfg = SimConfig(T=0.1, dt=5e-3)
-        coils = two_gaussian_coils(grid)
-        U = np.zeros((cfg.n_steps + 1, 2))
-        est = estimate_state_lipschitz(cosine_initial(grid), coils, cfg,
-                                       [(U, U), (U.copy(), U.copy())])
-        assert est.value == 0.0
-        assert not est.informative
-        assert est.total_pairs == 2
-
-    def test_stable_under_resampling(self):
-        grid = Grid((24,), (1.0,))
-        cfg = SimConfig(T=0.2, dt=5e-3)
-        coils = two_gaussian_coils(grid)
-        m0 = cosine_initial(grid)
-        rng = np.random.default_rng(3)
-
-        def draw(n):
-            return [(0.3 * rng.standard_normal((cfg.n_steps + 1, 2)),
-                     0.3 * rng.standard_normal((cfg.n_steps + 1, 2)))
-                    for _ in range(n)]
-
-        small = estimate_state_lipschitz(m0, coils, cfg, draw(4))
-        large = estimate_state_lipschitz(m0, coils, cfg, draw(8))
-        assert small.informative and large.informative
-        assert small.value > 0
-        # doubling the sample count moves the max ratio by a bounded factor
-        assert abs(large.value - small.value) <= 0.25 * max(large.value, small.value)
-
-    def test_difference_quotient_approaches_derivative(self):
-        grid = Grid((24,), (1.0,))
-        cfg = SimConfig(T=0.2, dt=5e-3)
-        coils = two_gaussian_coils(grid)
-        m0 = cosine_initial(grid)
-        U1 = np.zeros((cfg.n_steps + 1, 2))
-        direction = smooth_time_profiles(cfg.n_steps, cfg.dt,
-                                         [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
-        base = simulate(m0, ControlPath(U1, -np.inf, np.inf, cfg.dt), coils, cfg)
-        point = LinearizationPoint(base,
-                                   ControlPath(U1, -np.inf, np.inf, cfg.dt), coils)
-        z = solve_tangent(point, direction)
-        zero = Trajectory(grid, cfg.dt, np.zeros_like(z.values))
-        z_norm = trajectory_h1_distance(z, zero)
-        from llbopt.coils import control_norm_rms
-        d_norm = control_norm_rms(direction, cfg.dt)
-        ratios = []
-        for t in (1e-1, 1e-2):
-            est = estimate_state_lipschitz(m0, coils, cfg,
-                                           [(U1, U1 + t * direction)])
-            ratios.append(est.value)
-        assert ratios[-1] == pytest.approx(z_norm / d_norm, rel=1e-2)
