@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coils import CoilSet, ControlPath, synthesize_values
-from .grid import Trajectory, VectorField, laplacian_values
+from .grid import Trajectory, VectorField, cross, laplacian_values
 from .llb import implicit_solve, march
 
 
@@ -54,8 +54,8 @@ def adjoint_coupling(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
     lap(phi x m) + lap m x phi - phi x u - (1+|m|^2) phi - 2 (m.phi) m."""
     mag_sq = np.sum(m * m, axis=-1, keepdims=True)
     m_dot_phi = np.sum(m * phi, axis=-1, keepdims=True)
-    return (laplacian_values(grid, np.cross(phi, m)) + np.cross(lap_m, phi)
-            - np.cross(phi, u) - (1.0 + mag_sq) * phi - 2.0 * m_dot_phi * m)
+    return (laplacian_values(grid, cross(phi, m)) + cross(lap_m, phi)
+            - cross(phi, u) - (1.0 + mag_sq) * phi - 2.0 * m_dot_phi * m)
 
 
 def solve_adjoint(p: AdjointProblem) -> Trajectory:
@@ -135,17 +135,18 @@ def solve_costate_derivative(point, z: Trajectory, phi: Trajectory, dU) -> Traje
     rhs = np.empty(batch + (K + 1,) + grid.shape + (3,))
     rhs_frames = np.moveaxis(rhs, -grid.dim - 2, 0)
     directions = np.moveaxis(dvals, -2, 0)
+    z_frames = z.frames
     for j in range(K + 1):
         m = point.base_traj.values[j]
-        zj = z.frames[j]
+        zj = z_frames[j]
         pj = phi.values[j]
         du = synthesize_values(directions[j], point.coils)
         m_dot_z = np.sum(m * zj, axis=-1, keepdims=True)
         z_dot_p = np.sum(zj * pj, axis=-1, keepdims=True)
         m_dot_p = np.sum(m * pj, axis=-1, keepdims=True)
-        rhs_frames[j] = (-laplacian_values(grid, np.cross(pj, zj))
-                         - np.cross(laplacian_values(grid, zj), pj)
-                         + np.cross(pj, du)
+        rhs_frames[j] = (-laplacian_values(grid, cross(pj, zj))
+                         - cross(laplacian_values(grid, zj), pj)
+                         + cross(pj, du)
                          + 2.0 * m_dot_z * pj + 2.0 * z_dot_p * m + 2.0 * m_dot_p * zj
                          - zj)
     problem = AdjointProblem(point.base_traj, point.base_control, point.coils,

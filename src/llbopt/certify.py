@@ -32,7 +32,7 @@ from .coils import (
     control_norm_rms,
     synthesize_values,
 )
-from .grid import Grid, Trajectory, frame_norms, laplacian_values, time_integral
+from .grid import Grid, Trajectory, cross, frame_norms, laplacian_values, time_integral
 from .llb import BlowUpError, blowup_times, simulate
 from .optimize import (
     OptimizeConfig,
@@ -221,11 +221,12 @@ def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
     for sl in _batches(B, grid, K, held=3):
         z = solve_tangent(point, hs[sl])
         phi_prime = solve_costate_derivative(point, z, phi, hs[sl])
+        z_frames, pp_frames = z.frames, phi_prime.frames
         for j in range(K + 1):
             zh = synthesize_values(hs[sl, j], coils)
-            integrand = (np.cross(phi_prime.frames[j], traj.values[j])
-                         + np.cross(phi.values[j], z.frames[j])
-                         + phi_prime.frames[j])
+            integrand = (cross(pp_frames[j], traj.values[j])
+                         + cross(phi.values[j], z_frames[j])
+                         + pp_frames[j])
             series[sl, j] = grid.cell_volume * np.sum(integrand * zh, axis=cells)
 
     # the 2B forwards at U + eps*h (first B) and U - eps*h (last B)
@@ -305,11 +306,17 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
 
 def trajectory_norms(traj: Trajectory) -> dict:
     """The space-time norms entering the global/uniqueness comparisons."""
-    l2_sq, grad_sq = frame_norms(traj.grid, traj.frames, grad=True)
+    return _space_time_norms(traj.grid, traj.frames, traj.dt)
+
+
+def _space_time_norms(grid: Grid, frames, dt: float) -> dict:
+    """:func:`trajectory_norms` of a sequence of frames, walked one frame at
+    a time (:func:`~llbopt.grid.frame_norms`)."""
+    l2_sq, grad_sq = frame_norms(grid, frames, grad=True)
     h1_sq = l2_sq + grad_sq
     return {
-        "l2_l2": float(np.sqrt(time_integral(l2_sq, traj.dt))),
-        "l2_h1": float(np.sqrt(time_integral(h1_sq, traj.dt))),
+        "l2_l2": float(np.sqrt(time_integral(l2_sq, dt))),
+        "l2_h1": float(np.sqrt(time_integral(h1_sq, dt))),
         "linf_l2": float(np.sqrt(l2_sq.max())),
         "linf_h1": float(np.sqrt(h1_sq.max())),
     }
@@ -354,7 +361,7 @@ def _estimate_lipschitz_pair(U: ControlPath, coils: CoilSet,
         for m, p, denom in zip(states.values, costates.values, denoms[sl]):
             t1, t2 = (Trajectory(grid, U.dt, v) for v in m)
             state_best = max(state_best, trajectory_h1_distance(t1, t2) / denom)
-            nrm = trajectory_norms(Trajectory(grid, U.dt, p[0] - p[1]))
+            nrm = _space_time_norms(grid, (a - b for a, b in zip(*p)), U.dt)
             costate_norm = np.sqrt(nrm["linf_l2"] ** 2 + nrm["l2_h1"] ** 2)
             costate_best = max(costate_best, float(costate_norm) / denom)
     return float(state_best**2), float(costate_best**2)

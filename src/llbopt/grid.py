@@ -165,18 +165,42 @@ def laplacian_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
 
     ``vals`` has shape ``batch + grid.shape + (3,)``: the spatial axes are
     the ``grid.dim`` axes just before the last (component) axis, and any
-    axes in front of them are batch axes, carried along.
+    axes in front of them are batch axes, carried along.  Each spatial axis
+    is sliced in place, by an index that counts its position from the end
+    (``(..., s) + (slice(None),) * (grid.dim - ax)``), so no per-call
+    ``moveaxis`` or axis normalization runs: on small grids that
+    bookkeeping, not the arithmetic, set the cost of a call.
     """
-    first = vals.ndim - 1 - grid.dim
     out = np.zeros_like(vals)
-    for ax, h in enumerate(grid.spacing, start=first):
-        v = np.moveaxis(vals, ax, 0)
-        t = -2.0 * v
-        t[1:] += v[:-1]
-        t[:1] += v[:1]    # mirror ghost below the first cell
-        t[:-1] += v[1:]
-        t[-1:] += v[-1:]  # mirror ghost above the last cell
-        out += np.moveaxis(t, 0, ax) / h**2
+    for ax, h in enumerate(grid.spacing):
+        tail = (slice(None),) * (grid.dim - ax)
+        lo, hi = (..., slice(None, -1)) + tail, (..., slice(1, None)) + tail
+        first, last = (..., slice(None, 1)) + tail, (..., slice(-1, None)) + tail
+        t = -2.0 * vals
+        t[hi] += vals[lo]
+        t[first] += vals[first]  # mirror ghost below the first cell
+        t[lo] += vals[hi]
+        t[last] += vals[last]    # mirror ghost above the last cell
+        t /= h**2
+        out += t
+    return out
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last (component) axis, with broadcasting.
+
+    Bit for bit numpy's cross product on float arrays: each component is
+    ``a1*b2 - a2*b1``, ``a2*b0 - a0*b2``, ``a0*b1 - a1*b0``, one rounding
+    per product and per difference, in numpy's order.  Written out so that
+    the sweeps' steps skip numpy's axis moves and input copies, which cost
+    more than the arithmetic on small grids.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast(a, b).shape)
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
     return out
 
 

@@ -12,6 +12,14 @@ matmul with the cached DCT-II matrix of that axis rather than through
 start-up on a 2-core machine.  ``scipy.integrate`` (about 0.2 s) is
 likewise imported only by the Galerkin oracle.
 
+A step's kernels do arithmetic only.  On small grids numpy's per-call
+argument handling costs more than the arithmetic, so the divisor
+1 + dt*lambda_k of the solve is cached per (grid, dt), the cross products
+are :func:`~llbopt.grid.cross` (numpy's own moves axes and copies its
+inputs on every call), the Laplacian slices its axes in place rather than
+moving them, and |m|^2 is formed once per forward step, shared by the
+resolution check and the reaction term.
+
 The forward sweep here, the tangent sweep and the costate sweep share one
 time loop, :func:`march`: it owns the trajectory storage, the order of the
 steps (forward or in reverse) and the blow-up rule, and each sweep passes
@@ -34,6 +42,7 @@ from .grid import (
     Trajectory,
     VectorField,
     cosine_modes,
+    cross,
     frame_norms,
     laplacian_values,
 )
@@ -106,6 +115,21 @@ def _apply_along(mat: np.ndarray, x: np.ndarray, ax: int) -> np.ndarray:
     return np.matmul(mat, x.reshape(lead, shape[ax], -1)).reshape(shape)
 
 
+@functools.lru_cache(maxsize=16)
+def _denominator(grid: Grid, dt: float) -> np.ndarray:
+    """The diagonal 1 + dt*lambda_k of (I - dt*lap_h) in the cosine basis,
+    shaped ``grid.shape + (1,)``; read-only because it is shared."""
+    denom = np.ones(grid.shape)
+    for ax, (n, h) in enumerate(zip(grid.cells, grid.spacing)):
+        lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / h**2
+        shape = [1] * grid.dim
+        shape[ax] = n
+        denom = denom + dt * lam.reshape(shape)
+    denom = denom.reshape(grid.shape + (1,))
+    denom.flags.writeable = False
+    return denom
+
+
 def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - dt*lap_h) x = rhs exactly in the discrete cosine basis.
 
@@ -117,35 +141,35 @@ def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
     (the modes of :func:`cosine_modes`).  The basis change is applied per
     axis by ``matmul`` with :func:`_dct_matrix` (and its transpose on the
     way back), which keeps ``scipy.fft`` and its import cost out of the
-    process.
+    process.  The divisor 1 + dt*lambda_k is built once per (grid, dt) and
+    cached (:func:`_denominator`), so a step's solve is the two transforms
+    and one division.
     """
-    denom = np.ones(grid.shape)
-    for ax, (n, h) in enumerate(zip(grid.cells, grid.spacing)):
-        lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / h**2
-        shape = [1] * grid.dim
-        shape[ax] = n
-        denom = denom + dt * lam.reshape(shape)
-    denom = denom.reshape(grid.shape + (1,))
     first = rhs.ndim - 1 - grid.dim
     coeffs = rhs
     for ax, n in enumerate(grid.cells, start=first):
         coeffs = _apply_along(_dct_matrix(n), coeffs, ax)
-    x = coeffs / denom
+    x = coeffs / _denominator(grid, dt)
     for ax, n in enumerate(grid.cells, start=first):
         x = _apply_along(_dct_matrix(n).T, x, ax)
     return x
 
 
-def _reaction(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Explicit right-hand side m x lap m + m x u - (1+|m|^2) m + u."""
-    mag_sq = np.sum(m * m, axis=-1, keepdims=True)
-    return np.cross(m, lap_m) + np.cross(m, u) - (1.0 + mag_sq) * m + u
+def _reaction(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
+              mag_sq: np.ndarray) -> np.ndarray:
+    """Explicit right-hand side m x lap m + m x u - (1+|m|^2) m + u, with
+    ``mag_sq`` = |m|^2 per node (last axis kept)."""
+    return cross(m, lap_m) + cross(m, u) - (1.0 + mag_sq) * m + u
 
 
 def step_values(grid: Grid, m: np.ndarray, u: np.ndarray, dt: float,
-                source: Optional[np.ndarray] = None) -> np.ndarray:
+                mag_sq: np.ndarray, source: Optional[np.ndarray] = None) -> np.ndarray:
+    """One IMEX Euler update of state values ``m`` under control values
+    ``u``.  ``mag_sq`` is |m|^2 per node, ``np.sum(m * m, axis=-1,
+    keepdims=True)``: :func:`simulate` forms it once per step, for its
+    resolution check and for the reaction term."""
     lap_m = laplacian_values(grid, m)
-    rhs = m + dt * _reaction(m, lap_m, u)
+    rhs = m + dt * _reaction(m, lap_m, u, mag_sq)
     if source is not None:
         rhs = rhs + dt * source
     return implicit_solve(grid, dt, rhs)
@@ -157,7 +181,8 @@ def step(m: VectorField, u: VectorField, dt: float) -> VectorField:
         raise ValueError("state and control fields must share a grid")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return VectorField(m.grid, step_values(m.grid, m.values, u.values, dt))
+    mag_sq = np.sum(m.values * m.values, axis=-1, keepdims=True)
+    return VectorField(m.grid, step_values(m.grid, m.values, u.values, dt, mag_sq))
 
 
 def march(grid: Grid, dt: float, first, batch: tuple, n_steps: int,
@@ -234,8 +259,9 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) ->
 
     def advance(j: int, m: np.ndarray) -> np.ndarray:
         nonlocal warned
+        mag_sq = np.sum(m * m, axis=-1, keepdims=True)
         # fmax skips the NaN-filled members of a batch
-        mag_max = float(np.fmax.reduce(np.sum(m * m, axis=-1), axis=None)) if m.size else 0.0
+        mag_max = float(np.fmax.reduce(mag_sq, axis=None)) if m.size else 0.0
         if not warned and cfg.dt * (1.0 + mag_max) > cfg.warn_dt_factor:
             warnings.warn(
                 f"explicit reaction is marginally resolved: dt*(1+|m|^2) = "
@@ -245,7 +271,7 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) ->
             warned = True
         u = synthesize_values(intensities[j], coils)
         src = cfg.source(j * cfg.dt) if cfg.source is not None else None
-        return step_values(grid, m, u, cfg.dt, source=src)
+        return step_values(grid, m, u, cfg.dt, mag_sq, source=src)
 
     return march(grid, cfg.dt, m0.values, batch, K, advance, "state blow-up",
                  threshold=cfg.blowup_threshold)
@@ -349,7 +375,7 @@ def simulate_galerkin(m0: VectorField, U: ControlPath, coils: CoilSet,
         m = synth(a_flat)
         lap_m = laplacian_values(grid, m)
         u = control_at(t)
-        f = lap_m + _reaction(m, lap_m, u)
+        f = lap_m + _reaction(m, lap_m, u, np.sum(m * m, axis=-1, keepdims=True))
         if cfg.source is not None:
             f = f + cfg.source(t)
         return project(f).ravel()

@@ -26,7 +26,7 @@ from .coils import (
     control_norm_rms,
     project_box,
 )
-from .grid import Trajectory, VectorField, time_integral
+from .grid import Trajectory, VectorField, cross, time_integral
 from .llb import SimConfig, StalledDescentError, simulate
 
 
@@ -112,7 +112,7 @@ def coil_pairing(traj: Trajectory, phi: Trajectory, coils: CoilSet) -> np.ndarra
     w = traj.grid.cell_volume
     geom_flat = coils.geometries.reshape(N, -1)
     for j in range(K + 1):
-        f = np.cross(phi.values[j], traj.values[j]) + phi.values[j]
+        f = cross(phi.values[j], traj.values[j]) + phi.values[j]
         out[j] = w * (geom_flat @ f.ravel())
     return out
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coils import CoilSet, ControlPath, synthesize_values
-from .grid import Trajectory, frame_norms, laplacian_values
+from .grid import Trajectory, cross, frame_norms, laplacian_values
 from .llb import SimConfig, implicit_solve, march, simulate
 
 
@@ -64,7 +64,7 @@ def tangent_coupling(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
     z x lap m + m x lap z + z x u - 2(m.z) m - (1+|m|^2) z."""
     mag_sq = np.sum(m * m, axis=-1, keepdims=True)
     m_dot_z = np.sum(m * z, axis=-1, keepdims=True)
-    return (np.cross(z, lap_m) + np.cross(m, lap_z) + np.cross(z, u)
+    return (cross(z, lap_m) + cross(m, lap_z) + cross(z, u)
             - 2.0 * m_dot_z * m - (1.0 + mag_sq) * z)
 
 
@@ -99,7 +99,7 @@ def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
         # as z + dt * (coupling + du + m x du)
         rhs = tangent_coupling(m, lap_m, u, z, lap_z)
         rhs += du
-        rhs += np.cross(m, du)
+        rhs += cross(m, du)
         rhs *= dt
         rhs += z
         return implicit_solve(grid, dt, rhs)

@@ -11,6 +11,7 @@ from llbopt.grid import (
     Trajectory,
     VectorField,
     cosine_modes,
+    cross,
     gradient_values,
     grad_sq_integral,
     inner,
@@ -65,7 +66,35 @@ def laplacian_reference(grid, vals):
     return out
 
 
+def laplacian_moveaxis(grid, vals):
+    """The Laplacian in its earlier form, which moved each spatial axis to
+    the front and back again; same additions in the same order."""
+    first = vals.ndim - 1 - grid.dim
+    out = np.zeros_like(vals)
+    for ax, h in enumerate(grid.spacing, start=first):
+        v = np.moveaxis(vals, ax, 0)
+        t = -2.0 * v
+        t[1:] += v[:-1]
+        t[:1] += v[:1]
+        t[:-1] += v[1:]
+        t[-1:] += v[-1:]
+        out += np.moveaxis(t, 0, ax) / h**2
+    return out
+
+
+def wide_values(rng, shape):
+    """Normal samples scaled over 2^-60..2^60, so that any change in the
+    order of additions or products shows in the rounding."""
+    return rng.standard_normal(shape) * 2.0 ** rng.uniform(-60, 60, shape)
+
+
 class TestLaplacian:
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), batch_shapes, st.integers(0, 2**32 - 1))
+    def test_matches_moveaxis_form_bit_for_bit(self, g, batch, seed):
+        vals = wide_values(np.random.default_rng(seed), batch + g.shape + (3,))
+        assert np.array_equal(laplacian_values(g, vals), laplacian_moveaxis(g, vals))
+
     @settings(max_examples=60, deadline=None)
     @given(grids(), st.integers(0, 2**32 - 1))
     def test_matches_padded_reference(self, g, seed):
@@ -152,6 +181,26 @@ class TestLaplacian:
             errs.append(abs(lam + np.pi**2))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.9 <= slope <= 2.1
+
+
+class TestCross:
+    @settings(max_examples=80, deadline=None)
+    @given(grids(), batch_shapes, st.sampled_from(("batch", "frame", "vector")),
+           st.integers(0, 2**32 - 1))
+    def test_equals_numpy_bit_for_bit(self, g, batch, other, seed):
+        """Against a same-shaped batch, one frame or one vector, with
+        overflow, inf, nan and signed zeros sprinkled in."""
+        rng = np.random.default_rng(seed)
+        full = batch + g.shape + (3,)
+        narrow = {"batch": full, "frame": g.shape + (3,), "vector": (3,)}[other]
+        specials = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308, -1e308])
+        a, b = wide_values(rng, full), wide_values(rng, narrow)
+        for x in (a, b):
+            hit = rng.random(x.shape) < 0.1
+            x[hit] = rng.choice(specials, hit.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, y in ((a, b), (b, a)):
+                assert np.array_equal(cross(x, y), np.cross(x, y), equal_nan=True)
 
 
 class TestTrajectory:

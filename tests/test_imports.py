@@ -1,5 +1,9 @@
-"""No llbopt module imports an underscore-prefixed name from another: what
-a module shares with its neighbours is part of its public surface."""
+"""Source checks over the llbopt modules.
+
+No module imports an underscore-prefixed name from another: what a module
+shares with its neighbours is part of its public surface.  And no module
+calls numpy's cross product: ``grid.cross`` is the one the sweeps run.
+"""
 
 import ast
 import pathlib
@@ -40,3 +44,32 @@ def test_detects_relative_absolute_and_function_local_imports(tmp_path):
                     "    from .tangent import _helper\n")
     assert private_imports(path) == ["mod.py:2 _pad", "mod.py:3 _dct_matrix",
                                      "mod.py:6 _helper"]
+
+
+def numpy_cross_uses(path):
+    """``file:line`` for each ``np.cross`` / ``numpy.cross`` in ``path``,
+    and each ``cross`` imported from numpy."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr == "cross"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            hits.append(f"{path.name}:{node.lineno}")
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+              and any(alias.name == "cross" for alias in node.names)):
+            hits.append(f"{path.name}:{node.lineno}")
+    return sorted(hits, key=lambda hit: int(hit.rsplit(':', 1)[1]))
+
+
+def test_no_numpy_cross():
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in numpy_cross_uses(path)]
+    assert hits == []
+
+
+def test_detects_numpy_cross(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\n"
+                    "from numpy import cross\n"
+                    "x = np.cross(a, b)\n"
+                    "f = numpy.cross\n"
+                    "y = grid.cross(a, b)\n")
+    assert numpy_cross_uses(path) == ["mod.py:2", "mod.py:3", "mod.py:4"]
