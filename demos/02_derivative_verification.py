@@ -22,7 +22,7 @@ from llbopt import (
 )
 from llbopt.coils import control_inner_rms, synthesize_values
 from llbopt.grid import time_integral
-from llbopt.optimize import OptimizeConfig, TrackingTargets, forward_cost, reduced_state
+from llbopt.optimize import OptimizeConfig, TrackingTargets, reduced_state, streamed_cost
 
 grid = Grid((64,), (1.0,))
 sim = SimConfig(T=0.25, dt=1e-3)
@@ -52,8 +52,9 @@ h = np.stack([0.6 + 0.4 * np.sin(2 * np.pi * t / sim.T),
               -0.5 + 0.3 * np.cos(np.pi * t / sim.T)], axis=1)
 g = reduced_state(U, coils, targets, cfg).grad
 eps = 1e-4
-cp, _ = forward_cost(U.with_intensities(U.intensities + eps * h), coils, targets, cfg)
-cm, _ = forward_cost(U.with_intensities(U.intensities - eps * h), coils, targets, cfg)
+# both shifted forwards in one batched sweep that keeps only the costs
+shifted = np.stack([U.intensities + eps * h, U.intensities - eps * h])
+(cp, cm), _ = streamed_cost(U.with_intensities(shifted), coils, targets, cfg)
 fd = (cp.total - cm.total) / (2 * eps)
 ad = control_inner_rms(g, h, sim.dt)
 print("adjoint gradient vs finite differences")

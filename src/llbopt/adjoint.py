@@ -9,11 +9,15 @@ lap_h applied to the nodewise cross product, which keeps the
 divergence-form pairing with the tangent solver exact in space; the
 remaining gradient mismatch is purely the O(dt) time-discretization gap,
 quantified by the duality test.
+
+A step forms its source frame when it reaches it (the tracking source and
+the costate-derivative source), never a trajectory-sized source array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,33 +33,25 @@ class AdjointProblem:
     base_traj: Trajectory
     base_control: ControlPath
     coils: CoilSet
-    rhs: np.ndarray          # (...,) + (K+1,) + grid.shape + (3,), sampled per frame
+    # frames (...,) + (K+1,) + grid.shape + (3,), or j -> frame j at step j
+    rhs: np.ndarray | Callable[[int], np.ndarray]
     terminal: VectorField
 
     def __post_init__(self):
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        frame_axes = self.base_traj.grid.dim + 2  # time, space, component
-        if self.rhs.shape[-frame_axes:] != self.base_traj.values.shape[-frame_axes:]:
-            raise ValueError(
-                f"rhs frames have shape {self.rhs.shape}, expected "
-                f"{self.base_traj.values.shape}"
-            )
+        if not callable(self.rhs):
+            self.rhs = np.asarray(self.rhs, dtype=float)
+            frame_axes = self.base_traj.grid.dim + 2  # time, space, component
+            if self.rhs.shape[-frame_axes:] != self.base_traj.values.shape[-frame_axes:]:
+                raise ValueError(
+                    f"rhs frames have shape {self.rhs.shape}, expected "
+                    f"{self.base_traj.values.shape}"
+                )
         if self.terminal.grid != self.base_traj.grid:
             raise ValueError("terminal field grid does not match base trajectory")
         if not np.all(np.isfinite(self.terminal.values)):
             raise ValueError("terminal field must be finite")
         if self.base_traj.n_steps != self.base_control.n_steps:
             raise ValueError("base trajectory and control disagree on time nodes")
-
-
-def adjoint_coupling(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
-                     phi: np.ndarray, grid) -> np.ndarray:
-    """Explicit coupled terms of the costate equation:
-    lap(phi x m) + lap m x phi - phi x u - (1+|m|^2) phi - 2 (m.phi) m."""
-    mag_sq = np.sum(m * m, axis=-1, keepdims=True)
-    m_dot_phi = np.sum(m * phi, axis=-1, keepdims=True)
-    return (laplacian_values(grid, cross(phi, m)) + cross(lap_m, phi)
-            - cross(phi, u) - (1.0 + mag_sq) * phi - 2.0 * m_dot_phi * m)
 
 
 def solve_adjoint(p: AdjointProblem) -> Trajectory:
@@ -69,8 +65,9 @@ def solve_adjoint(p: AdjointProblem) -> Trajectory:
     data may carry leading batch axes (shapes ``batch + (K+1,) + grid.shape
     + (3,)``, ``batch + (K+1, N)``, ``batch + (K+1,) + grid.shape + (3,)``
     and ``batch + grid.shape + (3,)``); unbatched ones broadcast against
-    the rest.  The members are swept together, one implicit solve per step,
-    and the result has the broadcast batch shape in front of the time axis.
+    the rest; a callable ``rhs``'s frames broadcast against the others.
+    The members are swept together, one implicit solve per step, and the
+    result has the broadcast batch shape in front of the time axis.
     A member that turns non-finite raises
     :class:`~llbopt.llb.BlowUpError` for the whole sweep, with the time
     reached.
@@ -81,20 +78,23 @@ def solve_adjoint(p: AdjointProblem) -> Trajectory:
     cell = grid.dim + 1  # spatial and component axes
     batch = np.broadcast_shapes(p.base_traj.values.shape[:-cell - 1],
                                 p.base_control.intensities.shape[:-2],
-                                p.rhs.shape[:-cell - 1],
+                                () if callable(p.rhs) else p.rhs.shape[:-cell - 1],
                                 p.terminal.values.shape[:-cell])
     base = p.base_traj.frames
     controls = np.moveaxis(p.base_control.intensities, -2, 0)
-    sources = np.moveaxis(p.rhs, -cell - 1, 0)
+    source = p.rhs if callable(p.rhs) else np.moveaxis(p.rhs, -cell - 1, 0).__getitem__
 
     def advance(j: int, phi: np.ndarray) -> np.ndarray:
         m = base[j]
-        lap_m = laplacian_values(grid, m)
-        u = synthesize_values(controls[j], p.coils)
-        # built in place to save frame-sized temporaries; the same operations
-        # as phi + dt * (coupling - g)
-        rhs = adjoint_coupling(m, lap_m, u, phi, grid)
-        rhs -= sources[j]
+        # phi + dt * (coupling - g), the coupling lap(phi x m) + lap m x phi
+        # - phi x u - (1+|m|^2) phi - 2 (m.phi) m summed in place in that
+        # order: the expression's roundings, one frame-sized sum held at a time
+        rhs = laplacian_values(grid, cross(phi, m))
+        rhs += cross(laplacian_values(grid, m), phi)
+        rhs -= cross(phi, synthesize_values(controls[j], p.coils))
+        rhs -= (1.0 + np.sum(m * m, axis=-1, keepdims=True)) * phi
+        rhs -= 2.0 * np.sum(m * phi, axis=-1, keepdims=True) * m
+        rhs -= source(j)
         rhs *= dt
         rhs += phi
         return implicit_solve(grid, dt, rhs)
@@ -106,9 +106,10 @@ def solve_adjoint(p: AdjointProblem) -> Trajectory:
 def tracking_adjoint(base_traj: Trajectory, base_control: ControlPath,
                      coils: CoilSet, m_d: np.ndarray, m_omega: np.ndarray) -> Trajectory:
     """Costate for the tracking cost: g = -(m - m_d), phi(T) = m(T) - m_omega."""
-    rhs = -(base_traj.values - m_d)
-    terminal = VectorField(base_traj.grid, base_traj.frames[-1] - m_omega)
-    problem = AdjointProblem(base_traj, base_control, coils, rhs, terminal)
+    base = base_traj.frames
+    terminal = VectorField(base_traj.grid, base[-1] - m_omega)
+    problem = AdjointProblem(base_traj, base_control, coils,
+                             lambda j: -(base[j] - m_d[j]), terminal)
     return solve_adjoint(problem)
 
 
@@ -130,25 +131,21 @@ def solve_costate_derivative(point, z: Trajectory, phi: Trajectory, dU) -> Traje
     K = point.n_steps
     if z.n_steps != K or phi.n_steps != K:
         raise ValueError("tangent and costate trajectories must match the base time grid")
-    dvals = point.direction_values(dU)
-    batch = np.broadcast_shapes(z.values.shape[:-grid.dim - 2], dvals.shape[:-2])
-    rhs = np.empty(batch + (K + 1,) + grid.shape + (3,))
-    rhs_frames = np.moveaxis(rhs, -grid.dim - 2, 0)
-    directions = np.moveaxis(dvals, -2, 0)
-    z_frames = z.frames
-    for j in range(K + 1):
-        m = point.base_traj.values[j]
-        zj = z_frames[j]
-        pj = phi.values[j]
+    directions = np.moveaxis(point.direction_values(dU), -2, 0)
+    base, z_frames, phi_frames = point.base_traj.frames, z.frames, phi.frames
+
+    def source(j: int) -> np.ndarray:
+        m, zj, pj = base[j], z_frames[j], phi_frames[j]
         du = synthesize_values(directions[j], point.coils)
         m_dot_z = np.sum(m * zj, axis=-1, keepdims=True)
         z_dot_p = np.sum(zj * pj, axis=-1, keepdims=True)
         m_dot_p = np.sum(m * pj, axis=-1, keepdims=True)
-        rhs_frames[j] = (-laplacian_values(grid, cross(pj, zj))
-                         - cross(laplacian_values(grid, zj), pj)
-                         + cross(pj, du)
-                         + 2.0 * m_dot_z * pj + 2.0 * z_dot_p * m + 2.0 * m_dot_p * zj
-                         - zj)
+        return (-laplacian_values(grid, cross(pj, zj))
+                - cross(laplacian_values(grid, zj), pj)
+                + cross(pj, du)
+                + 2.0 * m_dot_z * pj + 2.0 * z_dot_p * m + 2.0 * m_dot_p * zj
+                - zj)
+
     problem = AdjointProblem(point.base_traj, point.base_control, point.coils,
-                             rhs, VectorField(grid, z.frames[-1].copy()))
+                             source, VectorField(grid, z.frames[-1].copy()))
     return solve_adjoint(problem)

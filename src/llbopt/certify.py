@@ -38,8 +38,8 @@ from .optimize import (
     OptimizeConfig,
     ReducedState,
     TrackingTargets,
-    evaluate_cost,
     reduced_state,
+    streamed_cost,
 )
 from .tangent import LinearizationPoint, solve_tangent, trajectory_h1_distance
 
@@ -49,19 +49,19 @@ BUDGET = 64 * 2**20
 """Bytes of stored trajectories one batched stage of the certificate may
 hold.  A trajectory takes 8 * 3 * (K+1) * cells bytes, and a batch takes
 max(1, BUDGET // (trajectories held per member * that)) members.  A member
-holds one trajectory in the finite-difference forwards, three in the
-tangent and costate-derivative stage (z, the costate-derivative source and
-phi') and six per Lipschitz pair (two states, two adjoint sources, two
-costates).  On a 1D grid of 16 cells with K = 80 a trajectory is 31 KB,
-so a scan is one batch per stage; on a 3D 32^3 grid with K = 250 it is
-197 MB, so that scan runs one member at a time."""
+holds two trajectories in the tangent and costate-derivative stage (z and
+phi') and four per Lipschitz pair (two states, two costates); the adjoint
+sources are formed per step.  The finite-difference forwards hold frames
+only, so they run as one batch.  On a 1D grid of 16 cells with K = 80 a
+trajectory is 31 KB, so a scan is one batch per stage; on a 3D 32^3 grid
+with K = 250 it is 197 MB, so that scan runs one member at a time."""
 
 
 def _batches(n: int, grid: Grid, n_steps: int, held: int) -> list:
     """Slices splitting ``n`` members, each holding ``held`` trajectories at
-    once, into batches within :data:`BUDGET`."""
+    once, into batches within :data:`BUDGET`; one batch when ``held`` is 0."""
     trajectory_bytes = 8 * 3 * (n_steps + 1) * grid.node_count
-    width = max(1, BUDGET // (held * trajectory_bytes))
+    width = max(1, BUDGET // (held * trajectory_bytes) if held else n)
     return [slice(i, i + width) for i in range(0, n, width)]
 
 
@@ -201,9 +201,10 @@ def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
     costate derivative phi'; Q_fd is the second central difference of the
     reduced cost.  ``h`` is one direction of shape (K+1, N), giving one
     :class:`CurvatureSample`, or a stack of shape (B, K+1, N), giving a
-    list of B samples.  A stack's tangents, costate derivatives and 2B
-    finite-difference forwards each run as one batched sweep, split only
-    to keep a batch within :data:`BUDGET`.  A blow-up at U +/- eps*h
+    list of B samples.  A stack's tangents and costate derivatives each run
+    as one batched sweep, split only to keep a batch within
+    :data:`BUDGET`; its 2B finite-difference forwards keep no trajectory
+    and run as one.  A blow-up at U +/- eps*h
     invalidates that direction's Q_fd only.
     """
     h = np.asarray(h, dtype=float)
@@ -218,7 +219,7 @@ def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
     point = LinearizationPoint(traj, U, coils)
     cells = tuple(range(-grid.dim - 1, 0))
     series = np.empty((B, K + 1))
-    for sl in _batches(B, grid, K, held=3):
+    for sl in _batches(B, grid, K, held=2):
         z = solve_tangent(point, hs[sl])
         phi_prime = solve_costate_derivative(point, z, phi, hs[sl])
         z_frames, pp_frames = z.frames, phi_prime.frames
@@ -231,15 +232,11 @@ def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
 
     # the 2B forwards at U + eps*h (first B) and U - eps*h (last B)
     shifted = np.concatenate([U.intensities + eps_fd * hs, U.intensities - eps_fd * hs])
-    totals = np.full(2 * B, np.nan)
-    for sl in _batches(2 * B, grid, K, held=1):
-        paths = ControlPath(shifted[sl], -np.inf, np.inf, U.dt)
-        fwd = simulate(cfg.m0, paths, coils, cfg.sim)
-        for i, blown_at, values in zip(range(2 * B)[sl], blowup_times(fwd), fwd.values):
-            if np.isinf(blown_at):
-                member = ControlPath(shifted[i], -np.inf, np.inf, U.dt)
-                totals[i] = evaluate_cost(Trajectory(grid, U.dt, values), member,
-                                          targets).total
+    totals = []
+    for sl in _batches(2 * B, grid, K, held=0):
+        costs, _ = streamed_cost(ControlPath(shifted[sl], -np.inf, np.inf, U.dt),
+                                 coils, targets, cfg)
+        totals += [c.total for c in costs]
     samples = []
     for b in range(B):
         q_adj = control_norm_rms(hs[b], U.dt) ** 2 + time_integral(series[b], U.dt)
@@ -351,7 +348,7 @@ def _estimate_lipschitz_pair(U: ControlPath, coils: CoilSet,
     state_best = 0.0
     costate_best = 0.0
     grid = cfg.m0.grid
-    for sl in _batches(len(pairs), grid, U.n_steps, held=6):
+    for sl in _batches(len(pairs), grid, U.n_steps, held=4):
         paths = ControlPath(np.array(pairs[sl]), -np.inf, np.inf, U.dt)
         states = simulate(cfg.m0, paths, coils, cfg.sim)
         blown_at = float(np.min(blowup_times(states)))

@@ -9,6 +9,7 @@ the cell-sum inner product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ class Grid:
     def dim(self) -> int:
         return len(self.cells)
 
-    @property
+    @functools.cached_property  # outside the fields: eq, hash and repr ignore it
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / c for L, c in zip(self.lengths, self.cells))
 
@@ -54,7 +55,7 @@ class Grid:
     def node_count(self) -> int:
         return int(np.prod(self.cells))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -172,11 +173,12 @@ def laplacian_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
     bookkeeping, not the arithmetic, set the cost of a call.
     """
     out = np.zeros_like(vals)
+    t = np.empty_like(out)  # one axis term, its buffer reused per axis
     for ax, h in enumerate(grid.spacing):
         tail = (slice(None),) * (grid.dim - ax)
         lo, hi = (..., slice(None, -1)) + tail, (..., slice(1, None)) + tail
         first, last = (..., slice(None, 1)) + tail, (..., slice(-1, None)) + tail
-        t = -2.0 * vals
+        np.multiply(-2.0, vals, out=t)
         t[hi] += vals[lo]
         t[first] += vals[first]  # mirror ghost below the first cell
         t[lo] += vals[hi]

@@ -21,9 +21,10 @@ moving them, and |m|^2 is formed once per forward step, shared by the
 resolution check and the reaction term.
 
 The forward sweep here, the tangent sweep and the costate sweep share one
-time loop, :func:`march`: it owns the trajectory storage, the order of the
-steps (forward or in reverse) and the blow-up rule, and each sweep passes
-only its step, the explicit terms plus one :func:`implicit_solve`.
+time loop, :func:`march`: it owns the order of the steps (forward or in
+reverse), the blow-up rule and the frames, stored or handed to a consumer,
+and each sweep passes only its step, the explicit terms plus one
+:func:`implicit_solve`.
 """
 
 from __future__ import annotations
@@ -146,10 +147,10 @@ def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
     and one division.
     """
     first = rhs.ndim - 1 - grid.dim
-    coeffs = rhs
+    x = rhs
     for ax, n in enumerate(grid.cells, start=first):
-        coeffs = _apply_along(_dct_matrix(n), coeffs, ax)
-    x = coeffs / _denominator(grid, dt)
+        x = _apply_along(_dct_matrix(n), x, ax)
+    x = x / _denominator(grid, dt)
     for ax, n in enumerate(grid.cells, start=first):
         x = _apply_along(_dct_matrix(n).T, x, ax)
     return x
@@ -187,14 +188,18 @@ def step(m: VectorField, u: VectorField, dt: float) -> VectorField:
 
 def march(grid: Grid, dt: float, first, batch: tuple, n_steps: int,
           step: Callable[[int, np.ndarray], np.ndarray], blowup: str, *,
-          reverse: bool = False, threshold: Optional[float] = None) -> Trajectory:
+          reverse: bool = False, threshold: Optional[float] = None,
+          consume: Optional[Callable[[int, np.ndarray], None]] = None) -> Optional[Trajectory]:
     """The time loop every sweep (state, tangent, costate) runs.
 
-    Allocates the ``batch + (K+1,) + grid.shape + (3,)`` trajectory, stores
-    ``first`` as frame 0 (frame K when ``reverse``) and fills the others in
-    order: ``step(j, prev)`` returns the frame that follows ``prev``, where
-    j is the coefficient frame the step samples, the departure frame going
-    forward and the arrival frame going back.
+    Starts from ``first`` as frame 0 (frame K when ``reverse``) and makes
+    the others in order: ``step(j, prev)`` returns the frame that follows
+    ``prev``, where j is the coefficient frame the step samples, the
+    departure frame going forward and the arrival frame going back.  Each
+    frame j (``batch + grid.shape + (3,)``, ``first`` included) goes to
+    ``consume(j, frame)`` once the blow-up rule has run on it, and none is
+    kept; without a consumer they are stored in the returned ``batch +
+    (K+1,) + grid.shape + (3,)`` trajectory.
 
     Blow-up, at the arrival time and with message ``blowup``: with a
     ``threshold`` (the state sweep) a member whose new frame has a peak
@@ -203,11 +208,14 @@ def march(grid: Grid, dt: float, first, batch: tuple, n_steps: int,
     marches the others on.  Without one (the linear tangent and costate
     sweeps) a new frame that is not finite raises for the whole sweep.
     """
-    traj = Trajectory(grid, dt, np.empty(batch + (n_steps + 1,) + grid.shape + (3,)))
-    frames = traj.frames
+    traj = None
+    if consume is None:
+        traj = Trajectory(grid, dt, np.empty(batch + (n_steps + 1,) + grid.shape + (3,)))
+        consume = traj.frames.__setitem__
     cells = tuple(range(-grid.dim - 1, 0))
-    prev = frames[n_steps if reverse else 0]
+    prev = np.empty(batch + grid.shape + (3,))
     prev[...] = first
+    consume(n_steps if reverse else 0, prev)
     for j in (range(n_steps - 1, -1, -1) if reverse else range(n_steps)):
         arrival = j if reverse else j + 1
         new = step(j, prev)
@@ -221,11 +229,13 @@ def march(grid: Grid, dt: float, first, batch: tuple, n_steps: int,
                 if not batch:
                     raise BlowUpError(blowup, arrival * dt)
                 new[blown] = np.nan
-        frames[arrival] = prev = new
+        consume(arrival, new)
+        prev = new
     return traj
 
 
-def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) -> Trajectory:
+def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
+             consume: Optional[Callable] = None) -> Optional[Trajectory]:
     """March the controlled LLB system from t=0 to t=T.
 
     Frame j of the result is the state at t_j = j*dt; the control field for
@@ -238,7 +248,8 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) ->
     raises :class:`BlowUpError` at the first step that leaves the finite
     and bounded regime.  In a batched sweep such a member is NaN-filled
     from that step on and the others march on unaffected; read the
-    per-member blow-up times with :func:`blowup_times`.
+    per-member blow-up times with :func:`blowup_times`.  With ``consume``
+    the frames go to it as they are made and None is returned (:func:`march`).
     """
     grid = m0.grid
     if cfg.grid is not None and cfg.grid != grid:
@@ -274,7 +285,7 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig) ->
         return step_values(grid, m, u, cfg.dt, mag_sq, source=src)
 
     return march(grid, cfg.dt, m0.values, batch, K, advance, "state blow-up",
-                 threshold=cfg.blowup_threshold)
+                 threshold=cfg.blowup_threshold, consume=consume)
 
 
 def blowup_times(traj: Trajectory) -> np.ndarray:

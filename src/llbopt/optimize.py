@@ -6,7 +6,9 @@ adjoint sweep and gives the gradient and natural residual.  The optimizer,
 the certificates and the CLI all evaluate the reduced problem through
 these two, and hand a :class:`ReducedState` on instead of recomputing it:
 the optimizer reuses the accepted line-search trial's forward sweep and
-returns the final state with its trajectory.
+returns the final state with its trajectory.  One :class:`CostTally` sums
+every cost frame by frame; :func:`streamed_cost` is the forward that keeps
+no trajectory, for finite differences that need only the number.
 
 The stationary points of the projected iteration are exactly the fixed
 points of the clamp formula U_i = P_[a,b](-pairing_i), so the optimizer's
@@ -51,17 +53,12 @@ class TrackingTargets:
     def from_trajectory(cls, traj: Trajectory) -> "TrackingTargets":
         return cls(traj.values.copy(), traj.values[-1].copy())
 
-    def check_compatible(self, traj: Trajectory):
-        if self.m_d.shape != traj.values.shape:
+    def check_compatible(self, grid, n_steps: int):
+        frames = (n_steps + 1,) + grid.shape + (3,)
+        if self.m_d.shape != frames or self.m_omega.shape != frames[1:]:
             raise ValueError(
-                f"target/grid incompatibility: m_d frames {self.m_d.shape} vs "
-                f"trajectory {traj.values.shape}"
-            )
-        if self.m_omega.shape != traj.values.shape[1:]:
-            raise ValueError(
-                f"target/grid incompatibility: m_Omega shape {self.m_omega.shape} "
-                f"vs field {traj.values.shape[1:]}"
-            )
+                f"target/grid incompatibility: m_d frames {self.m_d.shape} and m_Omega "
+                f"{self.m_omega.shape} vs trajectory {frames}")
 
 
 @dataclass
@@ -88,18 +85,44 @@ class OptimizeConfig:
     max_halvings: int = 40
 
 
+class CostTally:
+    """The tracking and terminal terms of the cost, summed frame by frame:
+    the one cost formula, fed by a sweep (``simulate(..., consume=
+    tally.add)``) or by :func:`evaluate_cost` from a stored trajectory.
+    Frames may carry batch axes in front."""
+
+    def __init__(self, targets: TrackingTargets, grid, dt: float, n_steps: int):
+        targets.check_compatible(grid, n_steps)
+        self.targets, self.w, self.dt, self.cells = targets, grid.cell_volume, dt, grid.dim + 1
+        self.per_frame = [None] * (n_steps + 1)
+
+    def add(self, j: int, m: np.ndarray):
+        lead = m.shape[:m.ndim - self.cells] + (-1,)
+        diff = (m - self.targets.m_d[j]).reshape(lead)
+        self.per_frame[j] = self.w * np.sum(diff ** 2, axis=-1)
+        if j == len(self.per_frame) - 1:
+            dT = (m - self.targets.m_omega).reshape(lead)
+            self.terminal = 0.5 * self.w * np.sum(dT * dT, axis=-1)
+
+    def costs(self, U: ControlPath):
+        """The :class:`CostBreakdown` of an unbatched sweep, or a list of one
+        per member in C order; NaN for a member that blew up (NaN frames)."""
+        batch, tail = np.shape(self.terminal), U.intensities.shape[-2:]
+        series = np.stack(self.per_frame, axis=-1).reshape(-1, len(self.per_frame))
+        controls = np.broadcast_to(U.intensities, batch + tail).reshape((len(series),) + tail)
+        out = [CostBreakdown(0.5 * time_integral(s, self.dt), float(t),
+                             0.5 * control_norm_rms(c, U.dt) ** 2)
+               for s, t, c in zip(series, np.ravel(self.terminal), controls)]
+        return out if batch else out[0]
+
+
 def evaluate_cost(traj: Trajectory, U: ControlPath, targets: TrackingTargets) -> CostBreakdown:
-    """The three-term cost: tracking + terminal + control energy."""
-    targets.check_compatible(traj)
-    grid = traj.grid
-    w = grid.cell_volume
-    diff = traj.values - targets.m_d
-    per_frame = w * np.sum(diff.reshape(diff.shape[0], -1) ** 2, axis=1)
-    tracking = 0.5 * time_integral(per_frame, traj.dt)
-    dT = traj.values[-1] - targets.m_omega
-    terminal = 0.5 * w * float(np.sum(dT * dT))
-    control = 0.5 * control_norm_rms(U.intensities, U.dt) ** 2
-    return CostBreakdown(tracking, terminal, control)
+    """The three-term cost of a stored trajectory: tracking + terminal +
+    control energy."""
+    tally = CostTally(targets, traj.grid, traj.dt, traj.n_steps)
+    for j, m in enumerate(traj.frames):
+        tally.add(j, m)
+    return tally.costs(U)
 
 
 def coil_pairing(traj: Trajectory, phi: Trajectory, coils: CoilSet) -> np.ndarray:
@@ -126,9 +149,32 @@ def natural_residual(U: ControlPath, grad: np.ndarray, step: float = 1.0) -> flo
 def forward_cost(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
                  cfg: OptimizeConfig) -> tuple[CostBreakdown, Trajectory]:
     """The reduced cost J(U) and the state it was measured on: one forward
-    sweep."""
-    traj = simulate(cfg.m0, U, coils, cfg.sim)
-    return evaluate_cost(traj, U, targets), traj
+    sweep, the cost summed frame by frame as the sweep stores them."""
+    tally = CostTally(targets, cfg.m0.grid, cfg.sim.dt, cfg.sim.n_steps)
+    traj = Trajectory(cfg.m0.grid, cfg.sim.dt,
+                      np.empty((cfg.sim.n_steps + 1,) + cfg.m0.values.shape))
+
+    def keep(j: int, m: np.ndarray):
+        traj.values[j] = m
+        tally.add(j, m)
+
+    simulate(cfg.m0, U, coils, cfg.sim, consume=keep)
+    return tally.costs(U), traj
+
+
+def streamed_cost(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
+                  cfg: OptimizeConfig):
+    """``(cost, blown_at)``: J(U) from one forward sweep that keeps no
+    trajectory.  ``U`` may be a stack of controls (``batch + (K+1, N)``),
+    swept together; the cost is then a list, NaN for a member that blew up
+    at ``blown_at`` (``inf`` where it stayed bounded, as
+    :func:`~llbopt.llb.blowup_times` reads it).  Unbatched, a blow-up raises.
+    """
+    tally = CostTally(targets, cfg.m0.grid, cfg.sim.dt, cfg.sim.n_steps)
+    simulate(cfg.m0, U, coils, cfg.sim, consume=tally.add)
+    nan = np.isnan(np.stack(tally.per_frame, axis=-1))
+    blown_at = np.where(nan.any(axis=-1), np.argmax(nan, axis=-1) * cfg.sim.dt, np.inf)
+    return tally.costs(U), blown_at
 
 
 @dataclass

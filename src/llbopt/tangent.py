@@ -147,6 +147,7 @@ def taylor_remainder_order(point: LinearizationPoint, dU, epsilons,
     remainder R(eps) = max_t ||m_eps - m_base - eps z||_H1 is formed with z
     from :func:`solve_tangent`.  A Frechet-differentiable map gives slope 2;
     the first difference ||m_eps - m_base|| gives slope 1 for contrast.
+    Both are formed per frame of the perturbed sweep, which keeps none.
     """
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     if cfg is None:
@@ -154,17 +155,21 @@ def taylor_remainder_order(point: LinearizationPoint, dU, epsilons,
     z = solve_tangent(point, dU)
     dvals = point.direction_values(dU)
     m0 = point.base_traj.frame(0)
-    base = point.base_traj
-    wide = np.full_like(point.base_control.intensities, np.inf)
+    grid, base, z_frames = point.grid, point.base_traj.frames, z.frames
     remainders = np.empty(epsilons.shape)
     first_diffs = np.empty(epsilons.shape)
     for i, eps in enumerate(epsilons):
         perturbed = ControlPath(point.base_control.intensities + eps * dvals,
-                                -wide, wide, point.dt)
-        traj = simulate(m0, perturbed, point.coils, cfg)
-        remainders[i] = _max_h1(base.grid, (m - b - eps * dz for m, b, dz
-                                            in zip(traj.frames, base.frames, z.frames)))
-        first_diffs[i] = trajectory_h1_distance(traj, base)
+                                -np.inf, np.inf, point.dt)
+        h1_sq = np.empty((2, point.n_steps + 1))  # remainder, first difference
+
+        def take(j: int, m: np.ndarray):
+            diff = m - base[j]
+            l2_sq, grad_sq = frame_norms(grid, (diff - eps * z_frames[j], diff), grad=True)
+            h1_sq[:, j] = l2_sq + grad_sq
+
+        simulate(m0, perturbed, point.coils, cfg, consume=take)
+        remainders[i], first_diffs[i] = np.sqrt(np.max(h1_sq, axis=1))
     return TaylorResult(
         epsilons=epsilons,
         remainders=remainders,

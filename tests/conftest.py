@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -83,3 +85,25 @@ def tracking_problem(n=32, dt=5e-3, T=0.5, amp=0.4, lower=-5.0, upper=5.0,
 @pytest.fixture(scope="session")
 def stock_problem():
     return tracking_problem()
+
+
+def peak_rise(fn, *args, **kwargs):
+    """Call ``fn`` and return its result and the peak of the memory it
+    allocated, in bytes above what was allocated when it was called, as
+    ``tracemalloc`` traces it (started here unless already tracing)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def trajectory_bytes(grid, n_steps):
+    """Bytes of one stored (K+1)-frame trajectory on ``grid``."""
+    return 8 * 3 * (n_steps + 1) * grid.node_count

@@ -9,11 +9,101 @@ from llbopt.adjoint import (
     tracking_adjoint,
 )
 from llbopt.coils import CoilSet, ControlPath, uniform_coil, synthesize_values
-from llbopt.grid import Grid, Trajectory, VectorField, time_integral
-from llbopt.llb import BlowUpError, SimConfig, simulate
+from llbopt.grid import Grid, Trajectory, VectorField, cross, laplacian_values, time_integral
+from llbopt.llb import BlowUpError, SimConfig, implicit_solve, simulate
 from llbopt.tangent import LinearizationPoint, solve_tangent
 
 from conftest import cosine_initial, two_gaussian_coils
+
+
+def solve_adjoint_full_source(p, rhs):
+    """The backward sweep in its earlier form: the whole source array
+    ``rhs`` built up front and the coupling summed as one expression; the
+    same operations in the same order as :func:`solve_adjoint`."""
+    grid, dt, K = p.base_traj.grid, p.base_traj.dt, p.base_traj.n_steps
+    cell = grid.dim + 1
+    batch = np.broadcast_shapes(p.base_traj.values.shape[:-cell - 1],
+                                p.base_control.intensities.shape[:-2],
+                                rhs.shape[:-cell - 1], p.terminal.values.shape[:-cell])
+    out = np.empty(batch + (K + 1,) + grid.shape + (3,))
+    frames = np.moveaxis(out, -cell - 1, 0)
+    sources = np.moveaxis(rhs, -cell - 1, 0)
+    controls = np.moveaxis(p.base_control.intensities, -2, 0)
+    frames[K] = phi = p.terminal.values
+    for j in range(K - 1, -1, -1):
+        m = p.base_traj.frames[j]
+        lap_m = laplacian_values(grid, m)
+        u = synthesize_values(controls[j], p.coils)
+        mag_sq = np.sum(m * m, axis=-1, keepdims=True)
+        m_dot_phi = np.sum(m * phi, axis=-1, keepdims=True)
+        step = (laplacian_values(grid, cross(phi, m)) + cross(lap_m, phi)
+                - cross(phi, u) - (1.0 + mag_sq) * phi - 2.0 * m_dot_phi * m)
+        step -= sources[j]
+        step *= dt
+        step += phi
+        frames[j] = phi = implicit_solve(grid, dt, step)
+    return out
+
+
+def costate_derivative_source(point, z, phi, dU):
+    """The costate-derivative source in its earlier form: every frame of
+    every member stored in one ``batch + (K+1,) + grid.shape + (3,)`` array."""
+    grid, K = point.grid, point.n_steps
+    dvals = point.direction_values(dU)
+    rhs = np.empty(dvals.shape[:-2] + (K + 1,) + grid.shape + (3,))
+    rhs_frames = np.moveaxis(rhs, -grid.dim - 2, 0)
+    directions = np.moveaxis(dvals, -2, 0)
+    for j in range(K + 1):
+        m, zj, pj = point.base_traj.values[j], z.frames[j], phi.values[j]
+        du = synthesize_values(directions[j], point.coils)
+        m_dot_z = np.sum(m * zj, axis=-1, keepdims=True)
+        z_dot_p = np.sum(zj * pj, axis=-1, keepdims=True)
+        m_dot_p = np.sum(m * pj, axis=-1, keepdims=True)
+        rhs_frames[j] = (-laplacian_values(grid, cross(pj, zj))
+                         - cross(laplacian_values(grid, zj), pj)
+                         + cross(pj, du)
+                         + 2.0 * m_dot_z * pj + 2.0 * z_dot_p * m + 2.0 * m_dot_p * zj
+                         - zj)
+    return rhs
+
+
+def two_dimensional_base(batch=()):
+    """A 2D base state (batched when ``batch`` is given), its control, the
+    coils and random tracking targets."""
+    grid = Grid((10, 6), (1.0, 0.7))
+    K, dt = 20, 5e-3
+    coils = two_gaussian_coils(grid)
+    rng = np.random.default_rng(5)
+    U = ControlPath(0.4 * rng.standard_normal(batch + (K + 1, 2)), -np.inf, np.inf, dt)
+    traj = simulate(cosine_initial(grid), U, coils, SimConfig(T=K * dt, dt=dt))
+    m_d = rng.standard_normal((K + 1,) + grid.shape + (3,))
+    return grid, traj, U, coils, m_d, rng.standard_normal(grid.shape + (3,))
+
+
+class TestStreamedSources:
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+    def test_tracking_adjoint_matches_full_source_bit_for_bit(self, batch):
+        grid, traj, U, coils, m_d, m_omega = two_dimensional_base(batch)
+        phi = tracking_adjoint(traj, U, coils, m_d, m_omega)
+        problem = AdjointProblem(traj, U, coils, -(traj.values - m_d),
+                                 VectorField(grid, traj.frames[-1] - m_omega))
+        assert np.array_equal(phi.values, solve_adjoint(problem).values)
+        assert np.array_equal(phi.values,
+                              solve_adjoint_full_source(problem, problem.rhs))
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_costate_derivative_matches_full_source_bit_for_bit(self, batch):
+        grid, traj, U, coils, m_d, m_omega = two_dimensional_base()
+        point = LinearizationPoint(traj, U, coils)
+        phi = tracking_adjoint(traj, U, coils, m_d, m_omega)
+        dU = np.random.default_rng(6).standard_normal(batch + U.intensities.shape)
+        z = solve_tangent(point, dU)
+        phi_prime = solve_costate_derivative(point, z, phi, dU)
+        problem = AdjointProblem(traj, U, coils, costate_derivative_source(point, z, phi, dU),
+                                 VectorField(grid, z.frames[-1].copy()))
+        assert np.array_equal(phi_prime.values, solve_adjoint(problem).values)
+        assert np.array_equal(phi_prime.values,
+                              solve_adjoint_full_source(problem, problem.rhs))
 
 
 def zero_base(grid, K, dt, coils):

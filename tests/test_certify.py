@@ -260,18 +260,25 @@ class TestSecondOrderScan:
 
         monkeypatch.setattr(llbopt.certify, "solve_tangent",
                             counted("tangent", llbopt.certify.solve_tangent))
-        monkeypatch.setattr(llbopt.certify, "simulate",
-                            counted("forward", llbopt.certify.simulate))
-        # room for six trajectories: tangent batches of 2, forward batches of 6
-        monkeypatch.setattr(llbopt.certify, "BUDGET", 6 * U0.intensities.shape[0]
+        monkeypatch.setattr(llbopt.certify, "streamed_cost",
+                            counted("forward", llbopt.certify.streamed_cost))
+        # room for four trajectories: tangent batches of 2 (z and phi' each);
+        # the 8 finite-difference forwards keep no trajectory, so one batch
+        monkeypatch.setattr(llbopt.certify, "BUDGET", 4 * U0.intensities.shape[0]
                             * grid.node_count * 3 * 8)
         chunked = second_order_scan(U, coils, targets, 4, cfg,
                                     rng=np.random.default_rng(3))[1]
-        assert calls == {"tangent": 2, "forward": 2}
+        assert calls == {"tangent": 2, "forward": 1}
         assert [s.direction_id for s in chunked] == [s.direction_id for s in one_batch]
         for a, b in zip(chunked, one_batch):
             assert a.q_adj == pytest.approx(b.q_adj, rel=1e-12)
             assert a.q_fd == pytest.approx(b.q_fd, rel=1e-6)
+
+
+def test_members_holding_no_trajectory_run_as_one_batch():
+    grid = Grid((8,), (1.0,))
+    assert llbopt.certify._batches(7, grid, 10, held=0) == [slice(0, 7)]
+    assert llbopt.certify._batches(0, grid, 10, held=0) == []
 
 
 class TestLipschitzPairs:

@@ -9,9 +9,13 @@ import pytest
 import llbopt.adjoint
 import llbopt.certify
 import llbopt.llb
-from llbopt.cli import main
+from llbopt.cli import main, smooth_directions
+from llbopt.coils import ControlPath
 from llbopt.config import ConfigError, parse_config, read_control_csv
 from llbopt.grid import Grid, encode_record
+from llbopt.llb import BlowUpError, simulate
+
+from conftest import peak_rise, trajectory_bytes
 
 STOCK = """
 grid.dim = 1
@@ -50,11 +54,60 @@ seed = 7
 """
 
 
+# a 3D problem of the same shape: 12^3 cells and K = 50, so one stored
+# trajectory is 2.1 MB
+STOCK3D = """
+grid.dim = 3
+grid.cells = 12
+grid.lengths = 1.0
+time.T = 0.05
+time.dt = 1e-3
+init.kind = expr
+init.expr_x = 0.33*cos(pi*x)*cos(pi*y)*cos(pi*z)
+init.expr_y = 0.2
+init.expr_z = 0.1*cos(pi*z)
+coils.count = 2
+coil.1.kind = gaussian
+coil.1.center = 0.3 0.46 0.53
+coil.1.width = 0.15
+coil.1.axis = 0
+coil.2.kind = gaussian
+coil.2.center = 0.63 0.27 0.74
+coil.2.width = 0.15
+coil.2.axis = 1
+bounds.lower = -5
+bounds.upper = 5
+control.kind = constant
+control.value = -0.45 -0.45
+targets.md_kind = run
+targets.md_init_kind = expr
+targets.md_init_expr_x = 0.18*cos(pi*x)*cos(pi*y)*cos(pi*z) + 0.08
+targets.md_init_expr_y = 0.21
+targets.md_init_expr_z = 0
+seed = 14
+"""
+
+
 @pytest.fixture
 def stock_cfg(tmp_path):
     path = tmp_path / "stock.cfg"
     path.write_text(STOCK)
     return str(path)
+
+
+def count_sweeps(monkeypatch):
+    """Count ``simulate`` and ``solve_adjoint`` calls through every llbopt
+    import site; returns the live counts."""
+    counts = {"simulate": 0, "solve_adjoint": 0}
+    for real in (llbopt.llb.simulate, llbopt.adjoint.solve_adjoint):
+        def counted(*args, _real=real, **kwargs):
+            counts[_real.__name__] += 1
+            return _real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "llbopt" and getattr(mod, real.__name__, None) is real:
+                monkeypatch.setattr(mod, real.__name__, counted)
+    return counts
 
 
 class TestParseConfig:
@@ -169,15 +222,7 @@ class TestSubcommands:
         # forwards: the set-up target run, the start and one per line-search
         # trial; adjoints: the start and one per accepted step.  The accepted
         # trial's forward sweep is reused, also for state_final.llbfield.
-        counts = {"simulate": 0, "solve_adjoint": 0}
-        for real in (llbopt.llb.simulate, llbopt.adjoint.solve_adjoint):
-            def counted(*args, _real=real, **kwargs):
-                counts[_real.__name__] += 1
-                return _real(*args, **kwargs)
-
-            for mod_name, mod in list(sys.modules.items()):  # every import site
-                if mod_name.split(".")[0] == "llbopt" and getattr(mod, real.__name__, None) is real:
-                    monkeypatch.setattr(mod, real.__name__, counted)
+        counts = count_sweeps(monkeypatch)
         out = tmp_path / "opt"
         assert main(["optimize", "--config", stock_cfg, "--out", str(out),
                      "--quiet"]) == 0
@@ -193,6 +238,58 @@ class TestSubcommands:
                      "--quiet"]) == 0
         rows = np.loadtxt(out / "checkgrad.csv", delimiter=",", skiprows=1, ndmin=2)
         assert rows[0, 3] <= 1e-3
+
+    def test_check_grad_sweep_counts(self, stock_cfg, tmp_path, monkeypatch):
+        # forwards: the set-up target run, the base point and the +/-eps
+        # pair as one batch; adjoints: the base point
+        counts = count_sweeps(monkeypatch)
+        assert main(["check-grad", "--config", stock_cfg, "--out", str(tmp_path / "cg"),
+                     "--quiet"]) == 0
+        assert counts == {"simulate": 3, "solve_adjoint": 1}
+
+    def test_check_grad_holds_three_trajectories(self, tmp_path):
+        # the targets, the base state and its costate; the +/-eps forwards
+        # keep no trajectory
+        path = tmp_path / "stock3d.cfg"
+        path.write_text(STOCK3D)
+        cfg = parse_config(str(path))
+        one = trajectory_bytes(cfg.build_grid(), cfg.build_sim().n_steps)
+        assert one >= 2e6
+        argv = ["check-grad", "--config", str(path), "--out", str(tmp_path / "cg"), "--quiet"]
+        # a first run imports numpy.random and fills the solver caches, which
+        # would otherwise count here or not depending on the tests run before
+        assert main(argv) == 0
+        code, peak = peak_rise(main, argv)
+        assert code == 0
+        assert peak < 3.5 * one
+
+    @pytest.mark.parametrize("eps", [20.0, 100.0])
+    def test_exit_3_when_a_shifted_forward_blows_up(self, stock_cfg, tmp_path, capsys, eps):
+        # eps = 20 blows up the -eps member only; eps = 100 both, the -eps
+        # one first.  The message names the member the forwards, run one at
+        # a time, would have stopped at (+eps first), at its own time.
+        path = tmp_path / "wide.cfg"
+        path.write_text(open(stock_cfg).read() + f"checks.grad_eps = {eps}\n")
+        cfg = parse_config(str(path))
+        grid, sim = cfg.build_grid(), cfg.build_sim()
+        coils, opt = cfg.build_coils(grid), cfg.build_optimize(grid)
+        U = cfg.build_control(sim.n_steps, coils.n_coils)
+        h = smooth_directions(sim.n_steps, coils.n_coils, sim.dt,
+                              np.random.default_rng(cfg.seed))
+        blown = []
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for sign in (1.0, -1.0):
+                shifted = ControlPath(U.intensities + sign * eps * h, -np.inf, np.inf, sim.dt)
+                try:
+                    simulate(opt.m0, shifted, coils, sim)
+                except BlowUpError as exc:
+                    blown.append(f"error: {exc}\n")
+            code = main(["check-grad", "--config", str(path),
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert len(blown) == (1 if eps == 20.0 else 2)
+        assert code == 3
+        assert capsys.readouterr().err == blown[0]
 
     def test_check_taylor(self, stock_cfg, tmp_path):
         out = tmp_path / "ct"

@@ -43,6 +43,15 @@ class TestGrid:
         assert g.node_count == 200
         assert g.cell_volume == pytest.approx(0.02)
 
+    def test_spacing_is_computed_once_outside_the_fields(self):
+        # Grid keys lru caches, so equality, hashing and repr must stay on
+        # its two fields whatever has been read and cached
+        g = Grid((10, 20), (1.0, 4.0))
+        assert g.spacing is g.spacing and g.cell_volume == 0.1 * 0.2
+        fresh = Grid((10, 20), (1.0, 4.0))
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        assert repr(g) == "Grid(cells=(10, 20), lengths=(1.0, 4.0))"
+
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             Grid((4, 4, 4, 4), (1, 1, 1, 1))

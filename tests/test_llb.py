@@ -302,6 +302,26 @@ class TestSweepSkeleton:
                 assert err.value.time == arrival * cfg.dt
 
 
+    @sweep_settings
+    @given(grids(), batch_shapes, st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_consumer_gets_the_stored_frames_and_nothing_is_kept(self, g, batch, K, seed):
+        rng, cfg, coils, U, m0 = random_sweep_inputs(g, K, seed)
+        intensities = 0.1 * rng.standard_normal(batch + (K + 1, 1))
+        if batch:  # one member blows up at its last step and is NaN-filled
+            intensities[(0,) * len(batch) + (K - 1,)] = 1e12
+        stack = ControlPath(intensities, -np.inf, np.inf, cfg.dt)
+        got = []
+        with np.errstate(all="ignore"):
+            stored = simulate(m0, stack, coils, cfg)
+            kept = simulate(m0, stack, coils, cfg,
+                            consume=lambda j, m: got.append((j, m.copy())))
+        assert kept is None
+        assert [j for j, _ in got] == list(range(K + 1))
+        for j, m in got:
+            assert np.array_equal(m, stored.frames[j], equal_nan=True)
+        assert np.isnan(got[-1][1]).any() == bool(batch)
+
+
 class TestEnergyLedger:
     def test_zero_trajectory(self):
         g = Grid((8,), (1.0,))

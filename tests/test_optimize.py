@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from llbopt.coils import ControlPath, control_inner_rms
-from llbopt.grid import Grid
-from llbopt.llb import SimConfig, simulate
+from llbopt.coils import ControlPath, control_inner_rms, control_norm_rms
+from llbopt.grid import Grid, Trajectory, time_integral
+from llbopt.llb import SimConfig, blowup_times, simulate
 from llbopt.optimize import (
+    CostBreakdown,
+    CostTally,
     OptimizeConfig,
     TrackingTargets,
     evaluate_cost,
@@ -13,9 +16,99 @@ from llbopt.optimize import (
     forward_cost,
     projected_gradient_descent,
     reduced_state,
+    streamed_cost,
 )
 
-from conftest import cosine_initial, smooth_time_profiles, tracking_problem, two_gaussian_coils
+from conftest import (
+    batch_shapes,
+    cosine_initial,
+    grids,
+    peak_rise,
+    smooth_time_profiles,
+    tracking_problem,
+    trajectory_bytes,
+    two_gaussian_coils,
+)
+
+
+def evaluate_cost_full(traj, U, targets):
+    """The cost in its earlier form, which built the trajectory-sized
+    difference and its square; the same roundings."""
+    w = traj.grid.cell_volume
+    diff = traj.values - targets.m_d
+    per_frame = w * np.sum(diff.reshape(diff.shape[0], -1) ** 2, axis=1)
+    tracking = 0.5 * time_integral(per_frame, traj.dt)
+    dT = traj.values[-1] - targets.m_omega
+    terminal = 0.5 * w * float(np.sum(dT * dT))
+    control = 0.5 * control_norm_rms(U.intensities, U.dt) ** 2
+    return CostBreakdown(tracking, terminal, control)
+
+
+class TestCostTally:
+    @settings(max_examples=40, deadline=None)
+    @given(grids(), batch_shapes, st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_matches_full_size_form_bit_for_bit(self, g, batch, K, seed):
+        # each member of a batch of frames, summed frame by frame, costs
+        # what the earlier whole-trajectory formula gives that member
+        rng = np.random.default_rng(seed)
+        dt = 0.1
+        values = rng.standard_normal(batch + (K + 1,) + g.shape + (3,)) * 10.0 ** rng.uniform(
+            -8, 8, batch + (K + 1,) + g.shape + (3,))
+        targets = TrackingTargets(rng.standard_normal((K + 1,) + g.shape + (3,)),
+                                  rng.standard_normal(g.shape + (3,)))
+        intensities = rng.standard_normal(batch + (K + 1, 2))
+        tally = CostTally(targets, g, dt, K)
+        for j, m in enumerate(np.moveaxis(values, len(batch), 0)):
+            tally.add(j, m)
+        costs = tally.costs(ControlPath(intensities, -np.inf, np.inf, dt))
+        for idx, cost in zip(np.ndindex(batch), costs if batch else [costs]):
+            member = ControlPath(intensities[idx], -np.inf, np.inf, dt)
+            traj = Trajectory(g, dt, values[idx])
+            assert cost == evaluate_cost_full(traj, member, targets)
+            assert evaluate_cost(traj, member, targets) == cost
+
+
+class TestStreamedCost:
+    def test_equals_evaluate_cost_on_the_stored_trajectory(self):
+        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
+        U = U0.with_intensities(U0.intensities + np.array([0.5, -0.4]))
+        stored = evaluate_cost(simulate(m0, U, coils, sim), U, targets)
+        cost, blown_at = streamed_cost(U, coils, targets, cfg)
+        assert cost == stored and np.isinf(blown_at)
+        assert forward_cost(U, coils, targets, cfg)[0] == stored
+        stack = np.stack([U.intensities, U.intensities + 0.3, -U.intensities])
+        paths = ControlPath(stack, -np.inf, np.inf, U.dt)
+        costs, blown_at = streamed_cost(paths, coils, targets, cfg)
+        members = simulate(m0, paths, coils, sim).values
+        for cost, values, intensities in zip(costs, members, stack):
+            member = ControlPath(intensities, -np.inf, np.inf, U.dt)
+            assert cost == evaluate_cost(Trajectory(grid, U.dt, values), member, targets)
+        assert np.all(np.isinf(blown_at))
+
+    def test_blown_member_costs_nan_at_its_own_time(self):
+        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
+        stack = np.stack([U0.intensities + 0.5, U0.intensities + 1e9])
+        paths = ControlPath(stack, -np.inf, np.inf, U0.dt)
+        with np.errstate(all="ignore"):
+            (ok, blown), blown_at = streamed_cost(paths, coils, targets, cfg)
+            expected = blowup_times(simulate(m0, paths, coils, sim))
+        assert np.isfinite(ok.total) and np.isnan(blown.total)
+        assert np.array_equal(blown_at, expected) and np.isfinite(blown_at[1])
+
+    def test_cost_only_forward_keeps_no_trajectory(self):
+        # 12^3 cells and K = 50: one trajectory is 2.1 MB
+        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(
+            n=12, dt=1e-3, T=0.05, dim=3)
+        one = trajectory_bytes(grid, sim.n_steps)
+        assert one >= 2e6
+        U = U0.with_intensities(U0.intensities + np.array([0.5, -0.4]))
+        pair = ControlPath(np.stack([U.intensities, -U.intensities]), -np.inf, np.inf, U.dt)
+        for paths in (U, pair):
+            _, rise = peak_rise(streamed_cost, paths, coils, targets, cfg)
+            assert rise < 0.5 * one
+        # the forward that keeps its state adds that one trajectory only
+        _, rise = peak_rise(forward_cost, U, coils, targets, cfg)
+        assert rise < 1.5 * one
 
 
 class TestEvaluateCost:
