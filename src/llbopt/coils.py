@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, VectorField, norm_values, time_integral
+from .grid import Grid, VectorField, h1_norm, time_integral
 
 
 @dataclass
@@ -35,7 +35,7 @@ class CoilSet:
         if self.h1_norms.shape != (self.n_coils,):
             raise ValueError("h1_norms must have one entry per coil")
         for k in range(self.n_coils):
-            actual = norm_values(self.grid, self.geometries[k], "H1")
+            actual = h1_norm(self.grid, self.geometries[k])
             if abs(actual - self.h1_norms[k]) > 1e-12 * max(actual, 1.0):
                 raise ValueError(
                     f"cached H1 norm of coil {k} ({self.h1_norms[k]!r}) is "
@@ -51,7 +51,7 @@ class CoilSet:
             if f.grid != grid:
                 raise ValueError(f"coil/grid incompatibility: coil {k} lives on a different grid")
         geom = np.stack([f.values for f in fields])
-        h1 = np.array([norm_values(grid, f.values, "H1") for f in fields])
+        h1 = np.array([h1_norm(grid, f.values) for f in fields])
         return cls(grid, geom, h1)
 
     @classmethod
@@ -61,9 +61,6 @@ class CoilSet:
     @property
     def n_coils(self) -> int:
         return self.geometries.shape[0]
-
-    def field(self, k: int) -> VectorField:
-        return VectorField(self.grid, self.geometries[k])
 
 
 def gaussian_coil(grid: Grid, center, width: float, axis: int, amplitude: float = 1.0) -> VectorField:
@@ -182,13 +179,6 @@ def synthesize_values(intensities_at_t: np.ndarray, coils: CoilSet) -> np.ndarra
         return np.zeros(intensities_at_t.shape[:-1] + coils.grid.shape + (3,))
     cell = "xyzc"[-coils.grid.dim - 1:]
     return np.einsum(f"...k,k{cell}->...{cell}", intensities_at_t, coils.geometries)
-
-
-def synthesize(U: ControlPath, coils: CoilSet, frame_index: int) -> VectorField:
-    """The control field zeta(U) at time node ``frame_index``."""
-    if not 0 <= frame_index <= U.n_steps:
-        raise ValueError(f"frame index {frame_index} out of range 0..{U.n_steps}")
-    return VectorField(coils.grid, synthesize_values(U.intensities[frame_index], coils))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@
 The config format is a flat text file of dotted keys, one ``section.key =
 value`` assignment per line, with ``#`` comments.  Unknown keys are
 rejected and validation reports every violation at once, naming the
-offending key.  See docs/config.md for the full key reference.
+offending key.  What a key is (how its text parses, its default and the
+check on its own value) is one row of :data:`SCHEMA`, or of
+:data:`COIL_SCHEMA` for the per-coil ``coil.<k>.*`` keys; ``_validate``
+holds only the rules that relate keys to each other.  See docs/config.md
+for the full key reference.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,125 +36,6 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:" + sep + sep.join(self.errors))
 
 
-_COIL_KEYS = {"kind", "center", "width", "axis", "amplitude", "path"}
-
-_SCALAR_KEYS = {
-    "grid.dim": int,
-    "time.T": float,
-    "time.dt": float,
-    "init.kind": str,
-    "init.expr_x": str,
-    "init.expr_y": str,
-    "init.expr_z": str,
-    "init.path": str,
-    "init.check_ic": bool,
-    "init.neumann_tol": float,
-    "coils.count": int,
-    "control.kind": str,
-    "control.path": str,
-    "targets.md_kind": str,
-    "targets.md_path": str,
-    "targets.md_expr_x": str,
-    "targets.md_expr_y": str,
-    "targets.md_expr_z": str,
-    "targets.md_init_kind": str,
-    "targets.md_init_expr_x": str,
-    "targets.md_init_expr_y": str,
-    "targets.md_init_expr_z": str,
-    "targets.momega_kind": str,
-    "targets.momega_path": str,
-    "targets.momega_expr_x": str,
-    "targets.momega_expr_y": str,
-    "targets.momega_expr_z": str,
-    "solver.blowup_threshold": float,
-    "solver.warn_dt_factor": float,
-    "solver.opt_tol": float,
-    "solver.opt_max_iters": int,
-    "solver.armijo_c1": float,
-    "solver.step0": float,
-    "solver.max_halvings": int,
-    "certify.n_dirs": int,
-    "certify.eps_fd": float,
-    "certify.n_fooc_samples": int,
-    "certify.tol_active": float,
-    "certify.tol_upsilon": float,
-    "certify.c_go": float,
-    "certify.c4n": float,
-    "certify.c2": float,
-    "certify.c3": float,
-    "certify.ctilde": float,
-    "checks.grad_tol": float,
-    "checks.grad_eps": float,
-    "checks.taylor_min_slope": float,
-    "checks.curvature_tol": float,
-    "checks.oracle_tol": float,
-    "checks.oracle_modes": int,
-    "output.diagnostics_every": int,
-    "seed": int,
-}
-
-_VECTOR_KEYS = {
-    "grid.cells",
-    "grid.lengths",
-    "init.value",
-    "bounds.lower",
-    "bounds.upper",
-    "control.value",
-    "targets.md_value",
-    "targets.md_init_value",
-    "targets.momega_value",
-    "checks.taylor_eps",
-    "checks.temporal_order_range",
-    "checks.spatial_order_range",
-}
-
-_DEFAULTS = {
-    "init.kind": "zero",
-    "init.expr_x": "0", "init.expr_y": "0", "init.expr_z": "0",
-    "init.check_ic": False,
-    "init.neumann_tol": 0.1,
-    "coils.count": 0,
-    "control.kind": "zero",
-    "targets.md_kind": "zero",
-    "targets.md_expr_x": "0", "targets.md_expr_y": "0", "targets.md_expr_z": "0",
-    "targets.md_init_kind": "zero",
-    "targets.md_init_expr_x": "0", "targets.md_init_expr_y": "0", "targets.md_init_expr_z": "0",
-    "targets.momega_kind": "final_md",
-    "targets.momega_expr_x": "0", "targets.momega_expr_y": "0", "targets.momega_expr_z": "0",
-    "solver.blowup_threshold": 1e6,
-    "solver.warn_dt_factor": 0.5,
-    "solver.opt_tol": 1e-6,
-    "solver.opt_max_iters": 500,
-    "solver.armijo_c1": 1e-4,
-    "solver.step0": 1.0,
-    "solver.max_halvings": 40,
-    "certify.n_dirs": 8,
-    "certify.eps_fd": 1e-3,
-    "certify.n_fooc_samples": 200,
-    "checks.grad_tol": 1e-3,
-    "checks.grad_eps": 1e-4,
-    "checks.taylor_min_slope": 1.9,
-    "checks.curvature_tol": 1e-2,
-    "checks.oracle_tol": 1e-3,
-    "checks.oracle_modes": 8,
-    "output.diagnostics_every": 0,
-    "seed": 0,
-}
-
-_VECTOR_DEFAULTS = {
-    "bounds.lower": [-np.inf],
-    "bounds.upper": [np.inf],
-    "checks.taylor_eps": [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3],
-    "checks.temporal_order_range": [0.9, 1.1],
-    "checks.spatial_order_range": [1.9, 2.1],
-}
-
-_EXPR_NAMES = {
-    "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
-    "sqrt": np.sqrt, "abs": np.abs, "pi": np.pi,
-}
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -157,6 +43,117 @@ def _parse_bool(text: str) -> bool:
     if low in ("false", "0", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _numbers(text: str) -> list:
+    return [float(tok) for tok in text.split()]
+
+
+REQUIRED = object()  # the default of a key every config must set
+
+
+@dataclass(frozen=True)
+class Key:
+    """What one config key is.
+
+    ``parse`` turns its text into its value: int, float, str,
+    ``_parse_bool`` or ``_numbers`` (a whitespace-separated list).
+    ``default`` is its value when unset, :data:`REQUIRED`, or None for a
+    key that stays unset.  At most one check on the value alone: ``kinds``
+    (the allowed values), ``length`` (a list's length) or ``check``, a
+    (predicate, message) pair.
+    """
+
+    parse: Callable[[str], object]
+    default: object = None
+    kinds: tuple = ()
+    length: Optional[int] = None
+    check: Optional[tuple] = None
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_ORDER_RANGE = (lambda v: len(v) == 2 and v[0] <= v[1], "need two values lo <= hi")
+_FIELD_KINDS = ("zero", "constant", "expr")
+
+# Rows in the order their checks report: control before the initial state
+# and the targets.
+SCHEMA = {
+    "grid.dim": Key(int, REQUIRED),
+    "grid.cells": Key(_numbers, REQUIRED),
+    "grid.lengths": Key(_numbers, [1.0]),
+    "time.T": Key(float, REQUIRED),
+    "time.dt": Key(float, REQUIRED),
+    "coils.count": Key(int, 0),
+    "bounds.lower": Key(_numbers, [-np.inf]),
+    "bounds.upper": Key(_numbers, [np.inf]),
+    "control.kind": Key(str, "zero", kinds=("zero", "constant", "csv")),
+    "control.value": Key(_numbers),
+    "control.path": Key(str),
+    "init.kind": Key(str, "zero", kinds=_FIELD_KINDS + ("file",)),
+    "init.value": Key(_numbers, length=3),
+    "init.path": Key(str),
+    "init.check_ic": Key(_parse_bool, False),
+    "init.neumann_tol": Key(float, 0.1),
+    "targets.md_kind": Key(str, "zero", kinds=_FIELD_KINDS + ("run", "file")),
+    "targets.md_value": Key(_numbers, length=3),
+    "targets.md_path": Key(str),
+    "targets.md_init_kind": Key(str, "zero", kinds=_FIELD_KINDS),
+    "targets.md_init_value": Key(_numbers, length=3),
+    "targets.momega_kind": Key(str, "final_md", kinds=_FIELD_KINDS + ("final_md", "file")),
+    "targets.momega_value": Key(_numbers, length=3),
+    "targets.momega_path": Key(str),
+    "solver.blowup_threshold": Key(float, 1e6),
+    "solver.warn_dt_factor": Key(float, 0.5),
+    "solver.opt_tol": Key(float, 1e-6, check=_POSITIVE),
+    "solver.opt_max_iters": Key(int, 500, check=_NONNEGATIVE),
+    "solver.armijo_c1": Key(float, 1e-4),
+    "solver.step0": Key(float, 1.0, check=_POSITIVE),
+    "solver.max_halvings": Key(int, 40, check=_NONNEGATIVE),
+    "certify.n_dirs": Key(int, 8, check=_AT_LEAST_ONE),
+    "certify.eps_fd": Key(float, 1e-3, check=_POSITIVE),
+    "certify.n_fooc_samples": Key(int, 200, check=_NONNEGATIVE),
+    "certify.tol_active": Key(float),
+    "certify.tol_upsilon": Key(float),
+    "certify.c_go": Key(float),
+    "certify.c4n": Key(float),
+    "certify.c2": Key(float),
+    "certify.c3": Key(float),
+    "certify.ctilde": Key(float),
+    "checks.grad_tol": Key(float, 1e-3),
+    "checks.grad_eps": Key(float, 1e-4, check=_POSITIVE),
+    "checks.taylor_eps": Key(_numbers, [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3],
+                             check=(lambda v: len(set(v)) >= 2 and min(v) > 0,
+                                    "need at least two distinct positive values")),
+    "checks.taylor_min_slope": Key(float, 1.9),
+    "checks.curvature_tol": Key(float, 1e-2),
+    "checks.temporal_order_range": Key(_numbers, [0.9, 1.1], check=_ORDER_RANGE),
+    "checks.spatial_order_range": Key(_numbers, [1.9, 2.1], check=_ORDER_RANGE),
+    "checks.oracle_tol": Key(float, 1e-3),
+    "checks.oracle_modes": Key(int, 8, check=_AT_LEAST_ONE),
+    "output.diagnostics_every": Key(int, 0, check=_NONNEGATIVE),
+    "seed": Key(int, 0),
+}
+# the x, y and z components of the four expression fields
+SCHEMA.update({f"{prefix}expr_{c}": Key(str, "0") for prefix in
+               ("init.", "targets.md_", "targets.md_init_", "targets.momega_")
+               for c in "xyz"})
+
+# coil.<k>.<field>, for each declared coil k
+COIL_SCHEMA = {
+    "kind": Key(str, REQUIRED),
+    "center": Key(_numbers),
+    "width": Key(float),
+    "axis": Key(int, 0),
+    "amplitude": Key(float, 1.0),
+    "path": Key(str),
+}
+
+_EXPR_NAMES = {
+    "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
+    "sqrt": np.sqrt, "abs": np.abs, "pi": np.pi,
+}
 
 
 @dataclass
@@ -195,6 +192,10 @@ class RunConfig:
         )
 
     def _eval_expr_field(self, grid: Grid, expr_fmt: str, t: float = 0.0) -> np.ndarray:
+        """The three component expressions ``expr_fmt.format(c)`` on the
+        grid.  An expression that fails to evaluate, or whose value is not
+        a finite number or array on the grid, is a :class:`ConfigError`
+        naming its key."""
         coords = grid.meshgrid()
         ns = dict(_EXPR_NAMES)
         ns["t"] = t
@@ -204,22 +205,30 @@ class RunConfig:
             ns[name] = 0.0
         vals = np.zeros(grid.shape + (3,))
         for c, comp in enumerate(("x", "y", "z")):
-            expr = self.raw[expr_fmt.format(comp)]
-            out = eval(expr, {"__builtins__": {}}, ns)  # noqa: S307 - documented restricted namespace
-            vals[..., c] = out
+            key = expr_fmt.format(comp)
+            expr = self.raw[key]
+            try:
+                # a non-finite value is reported below, a warning (such as
+                # a complex value cast to real) as a failure
+                with np.errstate(all="ignore"), warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    out = eval(expr, {"__builtins__": {}}, ns)  # noqa: S307 - documented restricted namespace
+                    vals[..., c] = out
+            except Exception as exc:  # whatever the user's text raises
+                raise ConfigError([f"{key}: cannot evaluate {expr!r}: {exc}"]) from exc
+            if not np.all(np.isfinite(vals[..., c])):
+                raise ConfigError([f"{key}: {expr!r} is not finite on the grid"])
         return vals
 
     def _build_field(self, grid: Grid, kind: str, value_key: str,
                      expr_fmt: str, path_key: str) -> VectorField:
-        if kind == "zero":
-            return VectorField.zero(grid)
         if kind == "constant":
             return VectorField.constant(grid, self.raw[value_key])
         if kind == "expr":
             return VectorField(grid, self._eval_expr_field(grid, expr_fmt))
         if kind == "file":
             return read_input(path_key, read_field, self._path(self.raw[path_key]), grid)
-        raise ValueError(f"unknown field kind {kind!r}")
+        return VectorField.zero(grid)
 
     def build_initial(self, grid: Grid) -> VectorField:
         return self._build_field(grid, self.raw["init.kind"], "init.value",
@@ -232,48 +241,35 @@ class RunConfig:
         fields = []
         for k in range(1, n + 1):
             kind = self.raw[f"coil.{k}.kind"]
-            amp = self.raw.get(f"coil.{k}.amplitude", 1.0)
-            axis = self.raw.get(f"coil.{k}.axis", 0)
+            amp = self.raw[f"coil.{k}.amplitude"]
+            axis = self.raw[f"coil.{k}.axis"]
             try:
                 if kind == "gaussian":
                     fields.append(gaussian_coil(grid, self.raw[f"coil.{k}.center"],
                                                 self.raw[f"coil.{k}.width"], axis, amp))
                 elif kind == "uniform":
                     fields.append(uniform_coil(grid, axis, amp))
-                elif kind == "file":
-                    fields.append(read_field(self._path(self.raw[f"coil.{k}.path"]), grid))
                 else:
-                    raise ValueError(f"unknown kind {kind!r}")
+                    fields.append(read_field(self._path(self.raw[f"coil.{k}.path"]), grid))
             except (ValueError, OSError) as exc:
                 key = f"coil.{k}.path: " if kind == "file" else ""
                 raise ConfigError([f"{key}coil {k}: {exc}"]) from exc
         return CoilSet.from_fields(fields)
 
     def build_control(self, n_steps: int, n_coils: int) -> ControlPath:
-        dt = self.raw["time.dt"]
-        lower = np.asarray(self.raw["bounds.lower"], dtype=float)
-        upper = np.asarray(self.raw["bounds.upper"], dtype=float)
         shape = (n_steps + 1, n_coils)
-        if lower.size == 1:
-            lower = np.full(shape, lower.item())
-        else:
-            lower = np.broadcast_to(lower, shape).copy()
-        if upper.size == 1:
-            upper = np.full(shape, upper.item())
-        else:
-            upper = np.broadcast_to(upper, shape).copy()
         kind = self.raw["control.kind"]
-        if kind == "zero":
-            intens = np.zeros(shape)
-        elif kind == "constant":
+        if kind == "constant":
             intens = np.broadcast_to(
                 np.asarray(self.raw["control.value"], dtype=float), shape).copy()
         elif kind == "csv":
             intens = read_input("control.path", read_control_csv,
                                 self._path(self.raw["control.path"]), n_steps, n_coils)[0]
         else:
-            raise ValueError(f"unknown control kind {kind!r}")
-        return ControlPath(intens, lower, upper, dt)
+            intens = np.zeros(shape)
+        # ControlPath broadcasts the 1 or N bound values to every sample
+        return ControlPath(intens, self.raw["bounds.lower"], self.raw["bounds.upper"],
+                           self.raw["time.dt"])
 
     def build_targets(self, grid: Grid, coils: CoilSet, sim: SimConfig) -> TrackingTargets:
         K = sim.n_steps
@@ -360,15 +356,18 @@ def parse_config(path) -> RunConfig:
         else:
             raw[key] = parsed
 
-    for key, default in _DEFAULTS.items():
-        raw.setdefault(key, default)
-    for key, default in _VECTOR_DEFAULTS.items():
-        raw.setdefault(key, list(default))
-
+    _fill_defaults(raw, SCHEMA, "")
     errors.extend(_validate(raw, os.path.dirname(os.path.abspath(path))))
     if errors:
         raise ConfigError(errors)
     return RunConfig(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def _fill_defaults(raw: dict, schema: dict, prefix: str) -> None:
+    for name, spec in schema.items():
+        if spec.default is not None and spec.default is not REQUIRED:
+            default = spec.default
+            raw.setdefault(prefix + name, list(default) if isinstance(default, list) else default)
 
 
 def _parse_value(key: str, value: str):
@@ -376,76 +375,61 @@ def _parse_value(key: str, value: str):
     if len(parts) == 3 and parts[0] == "coil":
         if not parts[1].isdigit():
             return None, f"unknown key {key!r} (coil index must be an integer)"
-        if parts[2] not in _COIL_KEYS:
-            return None, f"unknown key {key!r}"
-        if parts[2] in ("kind", "path"):
-            return value, None
-        if parts[2] == "axis":
-            return _try(key, value, int)
-        if parts[2] == "center":
-            return _try_vector(key, value)
-        return _try(key, value, float)
-    if key in _SCALAR_KEYS:
-        typ = _SCALAR_KEYS[key]
-        if typ is str:
-            return value, None
-        if typ is bool:
-            return _try(key, value, _parse_bool)
-        return _try(key, value, typ)
-    if key in _VECTOR_KEYS:
-        return _try_vector(key, value)
-    return None, f"unknown key {key!r}"
-
-
-def _try(key, value, typ):
+        spec = COIL_SCHEMA.get(parts[2])
+    else:
+        spec = SCHEMA.get(key)
+    if spec is None:
+        return None, f"unknown key {key!r}"
     try:
-        return typ(value), None
+        return spec.parse(value), None
     except ValueError:
-        return None, f"{key}: cannot parse {value!r} as {typ.__name__}"
+        what = "a list of numbers" if spec.parse is _numbers else spec.parse.__name__
+        return None, f"{key}: cannot parse {value!r} as {what}"
 
 
-def _try_vector(key, value):
-    try:
-        return [float(tok) for tok in value.split()], None
-    except ValueError:
-        return None, f"{key}: cannot parse {value!r} as a list of numbers"
+def _check_keys(raw: dict):
+    """The violations of each set key's own check (:class:`Key`)."""
+    errors = []
+    for key, spec in SCHEMA.items():
+        v = raw.get(key)
+        if v is None:
+            continue
+        if spec.kinds and v not in spec.kinds:
+            errors.append(f"{key}: unknown kind {v!r}")
+        elif spec.length is not None and len(v) != spec.length:
+            errors.append(f"{key}: need {spec.length} components")
+        elif spec.check is not None and not spec.check[0](v):
+            errors.append(f"{key}: {spec.check[1]}, got {v}")
+    return errors
 
 
 def _validate(raw: dict, base_dir: str):
-    errors = []
-
-    def need(key):
-        if key not in raw:
-            errors.append(f"missing required key {key!r}")
-            return False
-        return True
-
-    for key in ("grid.dim", "grid.cells", "time.T", "time.dt"):
-        need(key)
-    if errors:
-        return errors
+    missing = [key for key, spec in SCHEMA.items()
+               if spec.default is REQUIRED and key not in raw]
+    if missing:
+        return [f"missing required key {key!r}" for key in missing]
 
     dim = raw["grid.dim"]
     if dim not in (1, 2, 3):
-        errors.append(f"grid.dim: must be 1, 2 or 3, got {dim}")
-        return errors
+        return [f"grid.dim: must be 1, 2 or 3, got {dim}"]
+    errors = []
     cells = raw["grid.cells"]
     if len(cells) == 1:
         cells = cells * dim
         raw["grid.cells"] = cells
-    if len(cells) != dim or any(c < 1 or c != int(c) for c in cells):
+    if len(cells) != dim or not all(c >= 1 and float(c).is_integer() for c in cells):
         errors.append(f"grid.cells: need {dim} positive integers, got {cells}")
-    lengths = raw.setdefault("grid.lengths", [1.0] * dim)
+    lengths = raw["grid.lengths"]
     if len(lengths) == 1:
         lengths = lengths * dim
         raw["grid.lengths"] = lengths
-    if len(lengths) != dim or any(L <= 0 for L in lengths):
+    if len(lengths) != dim or not all(L > 0 for L in lengths):
         errors.append(f"grid.lengths: need {dim} positive reals, got {lengths}")
 
     T, dt = raw["time.T"], raw["time.dt"]
-    if dt <= 0:
+    if not dt > 0:  # NaN included
         errors.append(f"time.dt: must be positive, got {dt}")
-    elif T <= 0:
+    elif not T > 0:
         errors.append(f"time.T: must be positive, got {T}")
     elif abs(round(T / dt) * dt - T) > 1e-12 * max(T, 1.0) or round(T / dt) < 1:
         errors.append(f"time.dt: {dt} does not divide time.T = {T}")
@@ -456,47 +440,48 @@ def _validate(raw: dict, base_dir: str):
         n_coils = 0
     declared = {k for k in raw if k.startswith("coil.")}
     for k in range(1, n_coils + 1):
-        declared -= {key for key in list(declared) if key.startswith(f"coil.{k}.")}
-        kind = raw.get(f"coil.{k}.kind")
+        prefix = f"coil.{k}."
+        declared -= {key for key in declared if key.startswith(prefix)}
+        kind = raw.get(prefix + "kind")
         if kind is None:
-            errors.append(f"coil.{k}.kind: missing for declared coil {k}")
+            errors.append(f"{prefix}kind: missing for declared coil {k}")
             continue
+        _fill_defaults(raw, COIL_SCHEMA, prefix)
         if kind == "gaussian":
-            center = raw.get(f"coil.{k}.center")
+            center = raw.get(prefix + "center")
             if center is None or len(center) != dim:
-                errors.append(f"coil.{k}.center: need {dim} coordinates")
-            width = raw.get(f"coil.{k}.width")
+                errors.append(f"{prefix}center: need {dim} coordinates")
+            width = raw.get(prefix + "width")
             if width is None or width <= 0:
-                errors.append(f"coil.{k}.width: need a positive width")
+                errors.append(f"{prefix}width: need a positive width")
         elif kind == "file":
-            p = raw.get(f"coil.{k}.path")
+            p = raw.get(prefix + "path")
             if p is None:
-                errors.append(f"coil.{k}.path: missing for file coil")
+                errors.append(f"{prefix}path: missing for file coil")
             elif not os.path.exists(_join(base_dir, p)):
-                errors.append(f"coil.{k}.path: file not found: {p}")
+                errors.append(f"{prefix}path: file not found: {p}")
         elif kind != "uniform":
-            errors.append(f"coil.{k}.kind: unknown kind {kind!r}")
-        axis = raw.get(f"coil.{k}.axis", 0)
+            errors.append(f"{prefix}kind: unknown kind {kind!r}")
+        axis = raw[prefix + "axis"]
         if not 0 <= axis <= 2:
-            errors.append(f"coil.{k}.axis: must be 0, 1 or 2, got {axis}")
+            errors.append(f"{prefix}axis: must be 0, 1 or 2, got {axis}")
     for key in sorted(declared):
         errors.append(f"{key}: coil index out of range (coils.count = {n_coils})")
 
+    n_bounds = max(n_coils, 1)
     for side in ("lower", "upper"):
         v = raw[f"bounds.{side}"]
-        if len(v) not in (1, max(n_coils, 1)):
+        if len(v) not in (1, n_bounds):
             errors.append(f"bounds.{side}: need 1 or {n_coils} values, got {len(v)}")
-    lo = np.asarray(raw["bounds.lower"])
-    up = np.asarray(raw["bounds.upper"])
-    if lo.size == up.size and np.any(lo > up):
+    lo, up = np.asarray(raw["bounds.lower"]), np.asarray(raw["bounds.upper"])
+    # a single value is compared with each of the other side's N values
+    if (lo.size == up.size or {lo.size, up.size} == {1, n_bounds}) and np.any(lo > up):
         errors.append("bounds: lower exceeds upper")
 
     kind = raw["control.kind"]
-    if kind not in ("zero", "constant", "csv"):
-        errors.append(f"control.kind: unknown kind {kind!r}")
     if kind == "constant":
         v = raw.get("control.value")
-        if v is None or len(v) not in (1, max(n_coils, 1)):
+        if v is None or len(v) not in (1, n_bounds):
             errors.append(f"control.value: need {n_coils} values")
         elif len(v) == 1 and n_coils > 1:
             raw["control.value"] = v * n_coils
@@ -507,40 +492,21 @@ def _validate(raw: dict, base_dir: str):
         elif not os.path.exists(_join(base_dir, p)):
             errors.append(f"control.path: file not found: {p}")
 
-    for prefix, kinds in (("init", ("zero", "constant", "expr", "file")),
-                          ("targets.md", ("zero", "constant", "expr", "run", "file")),
-                          ("targets.md_init", ("zero", "constant", "expr")),
-                          ("targets.momega", ("zero", "constant", "expr", "final_md", "file"))):
-        key = f"{prefix}.kind" if prefix == "init" else f"{prefix}_kind"
-        k = raw[key]
-        if k not in kinds:
-            errors.append(f"{key}: unknown kind {k!r}")
-            continue
-        if k == "constant":
-            vkey = f"{prefix}.value" if prefix == "init" else f"{prefix}_value"
-            v = raw.get(vkey)
-            if v is None or len(v) != 3:
-                errors.append(f"{vkey}: need 3 components")
-        if k == "file":
-            pkey = f"{prefix}.path" if prefix == "init" else f"{prefix}_path"
-            p = raw.get(pkey)
+    # the data keys a field's kind needs: <prefix>value, <prefix>path
+    for prefix in ("init.", "targets.md_", "targets.md_init_", "targets.momega_"):
+        kind = raw[prefix + "kind"]
+        if kind not in SCHEMA[prefix + "kind"].kinds:
+            continue  # reported by the key check
+        if kind == "constant" and prefix + "value" not in raw:
+            errors.append(f"{prefix}value: need 3 components")
+        if kind == "file":
+            p = raw.get(prefix + "path")
             if p is None:
-                errors.append(f"{pkey}: required for kind = file")
+                errors.append(f"{prefix}path: required for kind = file")
             elif not os.path.exists(_join(base_dir, p)):
-                errors.append(f"{pkey}: file not found: {p}")
+                errors.append(f"{prefix}path: file not found: {p}")
 
-    for key, cond, msg in (
-        ("solver.opt_tol", lambda v: v > 0, "must be positive"),
-        ("solver.opt_max_iters", lambda v: v >= 0, "must be >= 0"),
-        ("solver.step0", lambda v: v > 0, "must be positive"),
-        ("certify.n_dirs", lambda v: v >= 1, "must be >= 1"),
-        ("certify.eps_fd", lambda v: v > 0, "must be positive"),
-        ("checks.grad_eps", lambda v: v > 0, "must be positive"),
-        ("output.diagnostics_every", lambda v: v >= 0, "must be >= 0"),
-    ):
-        if key in raw and not cond(raw[key]):
-            errors.append(f"{key}: {msg}, got {raw[key]}")
-
+    errors.extend(_check_keys(raw))
     if errors:
         return errors
 
@@ -548,6 +514,10 @@ def _validate(raw: dict, base_dir: str):
     try:
         cfg = RunConfig(raw, base_dir)
         grid = cfg.build_grid()
+        modes = raw["checks.oracle_modes"]
+        if modes > grid.node_count:
+            errors.append(f"checks.oracle_modes: must be at most the grid's "
+                          f"{grid.node_count} nodes, got {modes}")
         coils = cfg.build_coils(grid)
         if raw["init.check_ic"]:
             m0 = cfg.build_initial(grid)

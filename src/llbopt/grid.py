@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_KINDS = ("L2", "L4", "L6", "Linf", "H1", "H2equiv")
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform cell-centered box grid in 1, 2 or 3 dimensions."""
@@ -105,9 +102,6 @@ class VectorField:
     @classmethod
     def zero(cls, grid: Grid) -> "VectorField":
         return cls(grid, np.zeros(grid.shape + (3,)))
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -206,11 +200,6 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplacian(f: VectorField) -> VectorField:
-    """Discrete Neumann Laplacian of a vector field."""
-    return VectorField(f.grid, laplacian_values(f.grid, f.values))
-
-
 def gradient_values(grid: Grid, vals: np.ndarray) -> list[np.ndarray]:
     """Face differences per axis (forward difference / h along that axis).
 
@@ -229,15 +218,11 @@ def gradient_values(grid: Grid, vals: np.ndarray) -> list[np.ndarray]:
     return grads
 
 
-def gradient(f: VectorField) -> list[np.ndarray]:
-    return gradient_values(f.grid, f.values)
-
-
 def grad_sq_integral(grid: Grid, vals: np.ndarray) -> float:
     """Cell-sum integral of |grad f|^2 over interior faces.
 
-    Equals ``-inner(laplacian(f), f)`` exactly (discrete integration by
-    parts with the reflecting boundary).
+    Equals ``-inner_values(grid, laplacian_values(grid, f), f)`` exactly
+    (discrete integration by parts with the reflecting boundary).
     """
     w = grid.cell_volume
     total = 0.0
@@ -265,40 +250,14 @@ def frame_norms(grid: Grid, frames, grad: bool = False):
     return (l2_sq, np.array(grad_sq)) if grad else l2_sq
 
 
-def inner(f: VectorField, g: VectorField) -> float:
-    """Cell-sum L2 inner product of two fields on the same grid."""
-    if f.grid != g.grid:
-        raise ValueError("inner product requires fields on the same grid")
-    return inner_values(f.grid, f.values, g.values)
-
-
 def inner_values(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     return grid.cell_volume * float(np.sum(a * b))
 
 
-def norm_values(grid: Grid, vals: np.ndarray, which: str = "L2") -> float:
-    w = grid.cell_volume
-    if which in ("L2", "L4", "L6"):
-        p = int(which[1])
-        mag_sq = np.sum(vals * vals, axis=-1)
-        return float((w * np.sum(mag_sq ** (p / 2.0))) ** (1.0 / p))
-    if which == "Linf":
-        mag_sq = np.sum(vals * vals, axis=-1)
-        return float(np.sqrt(mag_sq.max())) if mag_sq.size else 0.0
-    if which == "H1":
-        l2sq = w * float(np.sum(vals * vals))
-        return float(np.sqrt(l2sq + grad_sq_integral(grid, vals)))
-    if which == "H2equiv":
-        # equivalent-norm form: ||f||_L2 + ||lap f||_L2
-        lap = laplacian_values(grid, vals)
-        return norm_values(grid, vals, "L2") + norm_values(grid, lap, "L2")
-    raise ValueError(f"unknown norm kind {which!r}; expected one of {NORM_KINDS}")
-
-
-def norm(f: VectorField, which: str = "L2") -> float:
-    """Norm of a vector field: L2/L4/L6/Linf, H1, or the L2 + L2-of-Laplacian
-    equivalent H2 norm."""
-    return norm_values(f.grid, f.values, which)
+def h1_norm(grid: Grid, vals: np.ndarray) -> float:
+    """Discrete H1 norm: sqrt(|f|_L2^2 + |grad f|_L2^2)."""
+    l2sq = grid.cell_volume * float(np.sum(vals * vals))
+    return float(np.sqrt(l2sq + grad_sq_integral(grid, vals)))
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz

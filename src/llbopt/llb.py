@@ -176,16 +176,6 @@ def step_values(grid: Grid, m: np.ndarray, u: np.ndarray, dt: float,
     return implicit_solve(grid, dt, rhs)
 
 
-def step(m: VectorField, u: VectorField, dt: float) -> VectorField:
-    """One IMEX Euler update of the LLB state."""
-    if m.grid != u.grid:
-        raise ValueError("state and control fields must share a grid")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    mag_sq = np.sum(m.values * m.values, axis=-1, keepdims=True)
-    return VectorField(m.grid, step_values(m.grid, m.values, u.values, dt, mag_sq))
-
-
 def march(grid: Grid, dt: float, first, batch: tuple, n_steps: int,
           step: Callable[[int, np.ndarray], np.ndarray], blowup: str, *,
           reverse: bool = False, threshold: Optional[float] = None,

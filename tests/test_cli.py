@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,8 @@ import llbopt.certify
 import llbopt.llb
 from llbopt.cli import main, smooth_directions
 from llbopt.coils import ControlPath
-from llbopt.config import ConfigError, parse_config, read_control_csv
+from llbopt.config import (COIL_SCHEMA, REQUIRED, SCHEMA, ConfigError, parse_config,
+                           read_control_csv)
 from llbopt.grid import Grid, encode_record
 from llbopt.llb import BlowUpError, simulate
 
@@ -451,6 +453,111 @@ def test_unreadable_input_file_exits_2_naming_the_key(tmp_path, capsys, key, con
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid configuration: {key}: ")
     assert err.count("\n") == 1
+
+
+TWO_COILS = ("coils.count = 2\ncoil.1.kind = uniform\n"
+             "coil.2.kind = uniform\ncoil.2.axis = 1\n")
+EXPR_INIT = "init.kind = expr\n"
+
+
+@pytest.mark.parametrize("key, config, command", [
+    ("bounds", TWO_COILS + "bounds.lower = 5\nbounds.upper = 1 2\n", "simulate"),
+    ("bounds", TWO_COILS + "bounds.lower = 5\nbounds.upper = 1 2\n", "optimize"),
+    ("init.expr_x", EXPR_INIT + "init.expr_x = foo\n", "simulate"),
+    ("init.expr_y", EXPR_INIT + "init.expr_y = x +\n", "simulate"),
+    ("init.expr_z", EXPR_INIT + "init.expr_z = 1/0*x\n", "simulate"),
+    ("targets.md_expr_x", "targets.md_kind = expr\ntargets.md_expr_x = foo*t\n", "simulate"),
+    ("init.expr_x", EXPR_INIT + "init.expr_x = 1/(x-x)\n", "simulate"),
+    ("init.expr_x", EXPR_INIT + "init.expr_x = x[:3]\n", "simulate"),
+    ("checks.oracle_modes", "checks.oracle_modes = 0\n", "oracle"),
+    ("checks.oracle_modes", "checks.oracle_modes = 17\n", "oracle"),
+    ("checks.temporal_order_range", "checks.temporal_order_range = 0.9\n", "convergence"),
+    ("checks.spatial_order_range", "checks.spatial_order_range = 2.1 1.9\n", "convergence"),
+    ("checks.taylor_eps", "checks.taylor_eps = 0.1\n", "check-taylor"),
+    ("checks.taylor_eps", "checks.taylor_eps = 0.1 -0.01\n", "check-taylor"),
+    ("checks.taylor_eps", "checks.taylor_eps = 0.1 0.1\n", "check-taylor"),
+    ("solver.max_halvings", "solver.max_halvings = -1\n", "optimize"),
+    ("certify.n_fooc_samples", "certify.n_fooc_samples = -3\n", "certify"),
+    ("time.dt", "time.dt = nan\n", "simulate"),
+    ("time.T", "time.T = nan\n", "simulate"),
+    ("grid.lengths", "grid.lengths = nan\n", "simulate"),
+], ids=["bounds-broadcast-simulate", "bounds-broadcast-optimize", "expr-name",
+        "expr-syntax", "expr-zero-division", "md-expr-name", "expr-not-finite",
+        "expr-wrong-shape", "oracle-modes-0", "oracle-modes-over-nodes",
+        "temporal-range-one-value", "spatial-range-reversed", "taylor-one-eps",
+        "taylor-negative-eps", "taylor-repeated-eps", "halvings-negative",
+        "fooc-samples-negative", "dt-nan", "T-nan", "lengths-nan"])
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, key, config, command):
+    # 16 cells, so 17 oracle modes over-resolve the grid
+    cfg = tmp_path / "bad.cfg"
+    given = {line.split("=")[0].strip() for line in config.splitlines()}
+    cfg.write_text("".join(line + "\n" for line in INPUT_BASE.splitlines()
+                           if line.split("=")[0].strip() not in given) + config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would add lines to stderr
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid configuration: {key}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+DOCS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "docs", "config.md")
+
+
+def table_cells(line):
+    """The cells of a markdown table row; a ``|`` inside backticks or after
+    a backslash does not split."""
+    cells, cell, code, prev = [], "", False, ""
+    for ch in line.strip()[1:]:
+        if ch == "`":
+            code = not code
+        if ch == "|" and not code and prev != "\\":
+            cells.append(cell.strip())
+            cell = ""
+        else:
+            cell += ch
+        prev = ch
+    return cells
+
+
+def documented_defaults():
+    """(key, default cell) for each key in docs/config.md's key tables, with
+    ``*`` and comma lists expanded; ``coil.<k>.`` is kept as the prefix."""
+    rows, column = [], None
+    with open(DOCS, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.startswith("|"):
+                column = None
+                continue
+            cells = table_cells(line)
+            if cells[0] == "key":
+                column = cells.index("default")
+            elif column is not None and cells[0].startswith("`"):
+                for name in re.findall(r"`([^`]+)`", cells[0]):
+                    names = [name[:-1] + c for c in "xyz"] if name.endswith("*") else [name]
+                    rows += [(n, cells[column]) for n in names]
+    return rows
+
+
+def test_docs_key_tables_match_the_schema():
+    rows = documented_defaults()
+    keys = {key for key, _ in rows if not key.startswith("coil.<k>.")}
+    coil_fields = {key[len("coil.<k>."):] for key, _ in rows if key.startswith("coil.<k>.")}
+    assert keys == set(SCHEMA)
+    assert coil_fields == set(COIL_SCHEMA)
+    for key, cell in rows:
+        spec = (COIL_SCHEMA[key[len("coil.<k>."):]] if key.startswith("coil.<k>.")
+                else SCHEMA[key])
+        literal = re.fullmatch(r"`([^`]+)`[^`]*", cell)
+        if cell == "required":
+            assert spec.default is REQUIRED, key
+        elif cell == "—":
+            assert spec.default is None, key
+        elif literal and ".." not in literal.group(1):  # one literal, not a range
+            assert spec.parse(literal.group(1)) == spec.default, key
 
 
 class TestDeterminism:

@@ -1,8 +1,10 @@
 """Source checks over the llbopt modules.
 
 No module imports an underscore-prefixed name from another: what a module
-shares with its neighbours is part of its public surface.  And no module
-calls numpy's cross product: ``grid.cross`` is the one the sweeps run.
+shares with its neighbours is part of its public surface.  No module
+calls numpy's cross product: ``grid.cross`` is the one the sweeps run.  And
+no module imports a name from llbopt that it never uses, so a deleted
+function leaves no stale import behind.
 """
 
 import ast
@@ -73,3 +75,44 @@ def test_detects_numpy_cross(tmp_path):
                     "f = numpy.cross\n"
                     "y = grid.cross(a, b)\n")
     assert numpy_cross_uses(path) == ["mod.py:2", "mod.py:3", "mod.py:4"]
+
+
+def unused_package_imports(path):
+    """``file:line name`` for each name ``path`` imports from llbopt and
+    never reads (a name listed in ``__all__`` is read by its importers)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "llbopt":
+            continue
+        for alias in node.names:
+            if (alias.asname or alias.name) not in used:
+                hits.append(f"{path.name}:{node.lineno} {alias.asname or alias.name}")
+    return sorted(hits, key=lambda hit: int(hit.split(":")[1].split()[0]))
+
+
+def test_no_unused_package_imports():
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_package_imports(path)]
+    assert hits == []
+
+
+def test_detects_unused_package_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from .grid import Grid, cross, frame_norms as fn, laplacian_values\n"
+                    "from llbopt.llb import simulate, step_values\n"
+                    "from os import sep\n"
+                    "__all__ = ['simulate']\n"
+                    "def f(g: Grid):\n"
+                    "    from .coils import CoilSet\n"
+                    "    laplacian_values = None\n"
+                    "    return fn.__name__\n")
+    assert unused_package_imports(path) == ["mod.py:1 cross", "mod.py:1 laplacian_values",
+                                            "mod.py:2 step_values", "mod.py:6 CoilSet"]
