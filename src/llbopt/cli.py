@@ -32,12 +32,12 @@ from .certify import (
 )
 from .coils import ControlPath, control_inner_rms
 from .config import ConfigError, RunConfig, parse_config, read_control_csv, read_input
-from .grid import Grid, frame_norms, laplacian_values, write_field
+from .grid import Grid, VectorField, frame_norms, laplacian_values, write_field
 from .llb import (
     BlowUpError,
+    EnergyTally,
     OracleError,
     StalledDescentError,
-    energy_ledger,
     simulate,
     simulate_galerkin,
 )
@@ -101,15 +101,23 @@ def smooth_directions(n_steps, n_coils, dt, rng):
     return out[:, :n_coils] if n_coils else np.zeros((n_steps + 1, 0))
 
 
-def _setup(cfg: RunConfig):
+def _forward_setup(cfg: RunConfig):
+    """What a forward sweep needs: grid, sim, coils, m0 and U."""
     grid = cfg.build_grid()
     sim = cfg.build_sim()
     coils = cfg.build_coils(grid)
-    opt = cfg.build_optimize(grid)
-    m0 = opt.m0
+    m0 = cfg.build_initial(grid)
     U = cfg.build_control(sim.n_steps, coils.n_coils)
+    return grid, sim, coils, m0, U
+
+
+def _setup(cfg: RunConfig):
+    """The forward set-up plus the tracking targets (a forward sweep when
+    ``targets.md_kind = run``) and the optimizer's settings, for the
+    subcommands that evaluate the cost."""
+    grid, sim, coils, m0, U = _forward_setup(cfg)
     targets = cfg.build_targets(grid, coils, sim)
-    return grid, sim, coils, m0, U, targets, opt
+    return grid, sim, coils, m0, U, targets, cfg.build_optimize(m0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +125,32 @@ def _setup(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: RunConfig, out_dir, quiet):
-    grid, sim, coils, m0, U, _, _ = _setup(cfg)
-    traj = simulate(m0, U, coils, sim)
-    ledger = energy_ledger(traj, U, coils)
+    grid, sim, coils, m0, U = _forward_setup(cfg)
+    K, every = sim.n_steps, sim.diagnostics_every
+    tally = EnergyTally(grid, sim.dt, K)
+    snapshots = {}
+
+    def consume(j, m):
+        tally.add(j, m)
+        if (every > 0 and j % every == 0) or j == K:
+            snapshots[j] = m
+
+    # one streamed sweep; every file is written after it, so a blow-up
+    # leaves no diagnostics and no snapshot
+    simulate(m0, U, coils, sim, consume=consume)
+    ledger = tally.finish(U, coils)
     rows = zip(ledger["t"], ledger["l2_sq"], ledger["grad_sq"],
                ledger["l4_quart"], ledger["u_sq"], ledger["defect"])
     write_csv(os.path.join(out_dir, "diagnostics.csv"),
               ["t", "l2_sq", "grad_sq", "l4_quart", "u_sq", "defect"], rows)
-    every = sim.diagnostics_every
     if every > 0:
-        for j in range(0, traj.n_steps + 1, every):
-            write_field(os.path.join(out_dir, f"state_{j:06d}.llbfield"), traj.frame(j))
-    write_field(os.path.join(out_dir, "state_final.llbfield"), traj.frame(traj.n_steps))
+        for j in range(0, K + 1, every):
+            write_field(os.path.join(out_dir, f"state_{j:06d}.llbfield"),
+                        VectorField(grid, snapshots[j]))
+    write_field(os.path.join(out_dir, "state_final.llbfield"),
+                VectorField(grid, snapshots[K]))
     if not quiet:
-        print(f"simulate: {traj.n_steps} steps, final |m|_L2^2 = "
+        print(f"simulate: {K} steps, final |m|_L2^2 = "
               f"{ledger['l2_sq'][-1]:.6g}, max defect = {ledger['defect'].max():.3g}")
     return EXIT_OK
 
@@ -264,7 +284,7 @@ def cmd_check_grad(cfg: RunConfig, out_dir, quiet):
 
 
 def cmd_check_taylor(cfg: RunConfig, out_dir, quiet):
-    grid, sim, coils, m0, U, targets, opt = _setup(cfg)
+    grid, sim, coils, m0, U = _forward_setup(cfg)
     traj = simulate(m0, U, coils, sim)
     point = LinearizationPoint(traj, U, coils)
     rng = np.random.default_rng(cfg.seed)
@@ -312,7 +332,7 @@ def temporal_self_convergence(cfg: RunConfig, n_levels: int = 4):
     Returns (dts, errors, order): error_k compares the final frame at dt_k
     against dt_k / 2.
     """
-    grid, sim0, coils, m0, U0, _, _ = _setup(cfg)
+    grid, sim0, coils, m0, U0 = _forward_setup(cfg)
     dts = [sim0.dt / 2**k for k in range(n_levels + 1)]
     finals = []
     for dt in dts:
@@ -322,7 +342,10 @@ def temporal_self_convergence(cfg: RunConfig, n_levels: int = 4):
         intens = np.repeat(U0.intensities, stride, axis=0)[:steps + 1]
         intens[-1] = U0.intensities[-1]
         U = ControlPath(intens, -np.inf, np.inf, dt)
-        finals.append(simulate(m0, U, coils, sim).values[-1])
+        # each frame replaces the one before, so only the final one is held
+        last = {}
+        simulate(m0, U, coils, sim, consume=lambda j, m: last.update(m=m))
+        finals.append(last["m"])
     w = grid.cell_volume
     errors = [float(np.sqrt(w * np.sum((finals[k] - finals[k + 1]) ** 2)))
               for k in range(n_levels)]
@@ -371,7 +394,7 @@ def cmd_convergence(cfg: RunConfig, out_dir, quiet):
 
 
 def cmd_oracle(cfg: RunConfig, out_dir, quiet):
-    grid, sim, coils, m0, U, _, _ = _setup(cfg)
+    grid, sim, coils, m0, U = _forward_setup(cfg)
     traj = simulate(m0, U, coils, sim)
     oracle = simulate_galerkin(m0, U, coils, sim, cfg["checks.oracle_modes"])
     disc = np.sqrt(frame_norms(grid, (a - b for a, b in zip(traj.frames, oracle.frames))))

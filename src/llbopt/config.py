@@ -60,8 +60,8 @@ class Key:
     ``_parse_bool`` or ``_numbers`` (a whitespace-separated list).
     ``default`` is its value when unset, :data:`REQUIRED`, or None for a
     key that stays unset.  At most one check on the value alone: ``kinds``
-    (the allowed values), ``length`` (a list's length) or ``check``, a
-    (predicate, message) pair.
+    (the allowed values), ``length`` (a list of that many finite numbers)
+    or ``check``, a (predicate, message) pair.
     """
 
     parse: Callable[[str], object]
@@ -302,9 +302,9 @@ class RunConfig:
                                         "targets.momega_path").values
         return TrackingTargets(m_d, m_omega)
 
-    def build_optimize(self, grid: Grid) -> OptimizeConfig:
+    def build_optimize(self, m0: VectorField) -> OptimizeConfig:
         return OptimizeConfig(
-            m0=self.build_initial(grid),
+            m0=m0,
             sim=self.build_sim(),
             tol=self.raw["solver.opt_tol"],
             max_iters=self.raw["solver.opt_max_iters"],
@@ -383,7 +383,8 @@ def _parse_value(key: str, value: str):
     try:
         return spec.parse(value), None
     except ValueError:
-        what = "a list of numbers" if spec.parse is _numbers else spec.parse.__name__
+        what = {_numbers: "a list of numbers", _parse_bool: "bool"}.get(
+            spec.parse, spec.parse.__name__)
         return None, f"{key}: cannot parse {value!r} as {what}"
 
 
@@ -398,6 +399,8 @@ def _check_keys(raw: dict):
             errors.append(f"{key}: unknown kind {v!r}")
         elif spec.length is not None and len(v) != spec.length:
             errors.append(f"{key}: need {spec.length} components")
+        elif spec.length is not None and not np.all(np.isfinite(v)):
+            errors.append(f"{key}: must be finite, got {v}")
         elif spec.check is not None and not spec.check[0](v):
             errors.append(f"{key}: {spec.check[1]}, got {v}")
     return errors

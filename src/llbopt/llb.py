@@ -25,6 +25,12 @@ time loop, :func:`march`: it owns the order of the steps (forward or in
 reverse), the blow-up rule and the frames, stored or handed to a consumer,
 and each sweep passes only its step, the explicit terms plus one
 :func:`implicit_solve`.
+
+The energy ledger of the dissipation inequality is one tally,
+:class:`EnergyTally`: ``add(j, m)`` per frame, then ``finish`` for |u|^2,
+the cumulative trapezoids and the defect.  A sweep feeds it frame by frame
+(``simulate(..., consume=tally.add)``), so ``llbopt simulate`` keeps no
+trajectory; :func:`energy_ledger` walks a stored one through it.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .grid import (
     cosine_modes,
     cross,
     frame_norms,
+    grad_sq_integral,
     laplacian_values,
 )
 
@@ -188,8 +195,9 @@ def march(grid: Grid, dt: float, first, batch: tuple, n_steps: int,
     departure frame going forward and the arrival frame going back.  Each
     frame j (``batch + grid.shape + (3,)``, ``first`` included) goes to
     ``consume(j, frame)`` once the blow-up rule has run on it, and none is
-    kept; without a consumer they are stored in the returned ``batch +
-    (K+1,) + grid.shape + (3,)`` trajectory.
+    kept or written to again, so a consumer may keep one; without a
+    consumer they are stored in the returned ``batch + (K+1,) + grid.shape
+    + (3,)`` trajectory.
 
     Blow-up, at the arrival time and with message ``blowup``: with a
     ``threshold`` (the state sweep) a member whose new frame has a peak
@@ -290,36 +298,59 @@ def blowup_times(traj: Trajectory) -> np.ndarray:
     return np.where(finite.all(axis=-1), np.inf, np.argmin(finite, axis=-1) * traj.dt)
 
 
-def energy_ledger(traj: Trajectory, U: ControlPath, coils: CoilSet) -> dict:
-    """Per-frame energy bookkeeping for the dissipation inequality.
+class EnergyTally:
+    """Per-frame energy bookkeeping for the dissipation inequality, tallied
+    frame by frame: the one ledger formula, fed by a sweep (``simulate(...,
+    consume=tally.add)``) or by :func:`energy_ledger` from a stored
+    trajectory.
 
-    Returns arrays over frames: t, ``l2_sq`` = |m|_L2^2, ``grad_sq`` =
-    |grad m|_L2^2, ``l4_quart`` = |m|_L4^4, ``u_sq`` = |u|_L2^2, and the
-    integrated defect
+    :meth:`finish` returns arrays over frames: t, ``l2_sq`` = |m|_L2^2,
+    ``grad_sq`` = |grad m|_L2^2, ``l4_quart`` = |m|_L4^4, ``u_sq`` =
+    |u|_L2^2, and the integrated defect
 
         D(t) = |m(t)|^2 + int_0^t (|grad m|^2 + |m|^2 + |m|_L4^4)
                - |m_0|^2 - int_0^t |u|^2,
 
     which is <= 0 for the exact evolution.
     """
-    grid = traj.grid
-    l2_sq, grad_sq = frame_norms(grid, traj.frames, grad=True)
-    # |m|_L4^4 is the squared L2 norm of the scalar frames |m|^2
-    l4_quart = frame_norms(grid, (np.sum(m * m, axis=-1) for m in traj.frames))
-    u_sq = frame_norms(grid, (synthesize_values(v, coils) for v in U.intensities))
 
-    dissip = grad_sq + l2_sq + l4_quart
-    cum_dissip = _cumulative_trapezoid(dissip, traj.dt)
-    cum_input = _cumulative_trapezoid(u_sq, traj.dt)
-    defect = l2_sq + cum_dissip - l2_sq[0] - cum_input
-    return {
-        "t": traj.times,
-        "l2_sq": l2_sq,
-        "grad_sq": grad_sq,
-        "l4_quart": l4_quart,
-        "u_sq": u_sq,
-        "defect": defect,
-    }
+    def __init__(self, grid: Grid, dt: float, n_steps: int):
+        self.grid, self.dt = grid, dt
+        self.l2_sq, self.grad_sq, self.l4_quart = np.empty((3, n_steps + 1))
+
+    def add(self, j: int, m: np.ndarray):
+        w = self.grid.cell_volume
+        sq = m * m
+        self.l2_sq[j] = w * float(np.sum(sq))
+        self.grad_sq[j] = grad_sq_integral(self.grid, m)
+        # |m|_L4^4 is the squared L2 norm of the scalar frame |m|^2
+        mag_sq = np.sum(sq, axis=-1)
+        self.l4_quart[j] = w * float(np.sum(mag_sq * mag_sq))
+
+    def finish(self, U: ControlPath, coils: CoilSet) -> dict:
+        """The ledger once every frame is in: |u|^2 per control sample,
+        the cumulative trapezoids and the defect."""
+        u_sq = frame_norms(self.grid, (synthesize_values(v, coils) for v in U.intensities))
+        dissip = self.grad_sq + self.l2_sq + self.l4_quart
+        cum_dissip = _cumulative_trapezoid(dissip, self.dt)
+        cum_input = _cumulative_trapezoid(u_sq, self.dt)
+        defect = self.l2_sq + cum_dissip - self.l2_sq[0] - cum_input
+        return {
+            "t": np.arange(len(self.l2_sq)) * self.dt,
+            "l2_sq": self.l2_sq,
+            "grad_sq": self.grad_sq,
+            "l4_quart": self.l4_quart,
+            "u_sq": u_sq,
+            "defect": defect,
+        }
+
+
+def energy_ledger(traj: Trajectory, U: ControlPath, coils: CoilSet) -> dict:
+    """The :class:`EnergyTally` ledger of a stored trajectory."""
+    tally = EnergyTally(traj.grid, traj.dt, traj.n_steps)
+    for j, m in enumerate(traj.frames):
+        tally.add(j, m)
+    return tally.finish(U, coils)
 
 
 def _cumulative_trapezoid(series: np.ndarray, dt: float) -> np.ndarray:

@@ -12,10 +12,10 @@ import llbopt.certify
 import llbopt.llb
 from llbopt.cli import main, smooth_directions
 from llbopt.coils import ControlPath
-from llbopt.config import (COIL_SCHEMA, REQUIRED, SCHEMA, ConfigError, parse_config,
-                           read_control_csv)
-from llbopt.grid import Grid, encode_record
-from llbopt.llb import BlowUpError, simulate
+from llbopt.config import (COIL_SCHEMA, REQUIRED, SCHEMA, ConfigError, RunConfig,
+                           parse_config, read_control_csv)
+from llbopt.grid import Grid, encode_record, read_field
+from llbopt.llb import BlowUpError, energy_ledger, simulate
 
 from conftest import peak_rise, trajectory_bytes
 
@@ -87,6 +87,33 @@ targets.md_init_expr_x = 0.18*cos(pi*x)*cos(pi*y)*cos(pi*z) + 0.08
 targets.md_init_expr_y = 0.21
 targets.md_init_expr_z = 0
 seed = 14
+"""
+
+
+# the stock problem on 16^2 cells, K = 40
+STOCK2D = """
+grid.dim = 2
+grid.cells = 16
+time.T = 0.04
+time.dt = 1e-3
+init.kind = expr
+init.expr_x = 0.35*cos(pi*x)*cos(pi*y)
+init.expr_y = 0.2
+init.expr_z = 0.1*cos(pi*y)
+coils.count = 2
+coil.1.kind = gaussian
+coil.1.center = 0.3 0.6
+coil.1.width = 0.15
+coil.1.axis = 0
+coil.2.kind = gaussian
+coil.2.center = 0.7 0.4
+coil.2.width = 0.15
+coil.2.axis = 2
+control.kind = constant
+control.value = 0.45 -0.45
+targets.md_kind = run
+targets.md_init_kind = expr
+targets.md_init_expr_x = 0.2*cos(pi*x)*cos(pi*y) + 0.1
 """
 
 
@@ -274,7 +301,7 @@ class TestSubcommands:
         path.write_text(open(stock_cfg).read() + f"checks.grad_eps = {eps}\n")
         cfg = parse_config(str(path))
         grid, sim = cfg.build_grid(), cfg.build_sim()
-        coils, opt = cfg.build_coils(grid), cfg.build_optimize(grid)
+        coils, opt = cfg.build_coils(grid), cfg.build_optimize(cfg.build_initial(grid))
         U = cfg.build_control(sim.n_steps, coils.n_coils)
         h = smooth_directions(sim.n_steps, coils.n_coils, sim.dt,
                               np.random.default_rng(cfg.seed))
@@ -292,6 +319,90 @@ class TestSubcommands:
         assert len(blown) == (1 if eps == 20.0 else 2)
         assert code == 3
         assert capsys.readouterr().err == blown[0]
+
+    @pytest.mark.parametrize("command, forwards", [
+        ("simulate", 1), ("check-taylor", 6), ("convergence", 5), ("oracle", 1)])
+    def test_forward_only_subcommands_build_no_targets(self, stock_cfg, tmp_path,
+                                                       monkeypatch, command, forwards):
+        # check-taylor: the point and one per taylor_eps; convergence: one
+        # per dt level.  None of them reads the md_kind = run target.
+        counts = count_sweeps(monkeypatch)
+        monkeypatch.setattr(RunConfig, "build_targets",
+                            lambda *args: pytest.fail("targets built"))
+        path = tmp_path / "fwd.cfg"
+        # this counts sweeps: the oracle's accuracy is not under test here
+        path.write_text(open(stock_cfg).read() + "checks.oracle_tol = 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 0
+        assert counts == {"simulate": forwards, "solve_adjoint": 0}
+
+    @pytest.mark.parametrize("command, forwards, adjoints", [
+        ("certify", 4, 3), ("check-curvature", 3, 2)])
+    def test_certify_and_check_curvature_sweep_counts(self, stock_cfg, tmp_path, monkeypatch,
+                                                      command, forwards, adjoints):
+        # the set-up target run comes first in both; certify adds the
+        # control, the finite-difference batch and the Lipschitz batch
+        counts = count_sweeps(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([command, "--config", stock_cfg, "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 0
+        assert counts == {"simulate": forwards, "solve_adjoint": adjoints}
+
+    @pytest.mark.parametrize("text", [STOCK, STOCK2D, STOCK3D], ids=["1d", "2d", "3d"])
+    def test_simulate_outputs_match_a_stored_sweep(self, tmp_path, text):
+        # the streamed ledger and snapshots equal energy_ledger and the
+        # frames of a stored sweep, bit for bit
+        path = tmp_path / "fwd.cfg"
+        path.write_text(text + "output.diagnostics_every = 7\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        cfg = parse_config(str(path))
+        grid, sim = cfg.build_grid(), cfg.build_sim()
+        coils = cfg.build_coils(grid)
+        U = cfg.build_control(sim.n_steps, coils.n_coils)
+        traj = simulate(cfg.build_initial(grid), U, coils, sim)
+        led = energy_ledger(traj, U, coils)
+        diag = np.loadtxt(out / "diagnostics.csv", delimiter=",", skiprows=1)
+        for c, name in enumerate(["t", "l2_sq", "grad_sq", "l4_quart", "u_sq", "defect"]):
+            np.testing.assert_array_equal(diag[:, c], led[name], err_msg=name)
+        K = sim.n_steps
+        snaps = sorted(f.name for f in out.iterdir() if f.name.startswith("state_"))
+        assert snaps == [f"state_{j:06d}.llbfield" for j in range(0, K + 1, 7)] + [
+            "state_final.llbfield"]
+        for j in list(range(0, K + 1, 7)) + [K]:
+            name = "state_final" if j == K else f"state_{j:06d}"
+            np.testing.assert_array_equal(read_field(out / f"{name}.llbfield", grid).values,
+                                          traj.values[j])
+
+    def test_simulate_holds_no_trajectory(self, tmp_path):
+        path = tmp_path / "stock3d.cfg"
+        path.write_text(STOCK3D)
+        cfg = parse_config(str(path))
+        one = trajectory_bytes(cfg.build_grid(), cfg.build_sim().n_steps)
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+        assert main(argv) == 0  # fills the solver caches
+        code, peak = peak_rise(main, argv)
+        assert code == 0
+        assert peak < 0.5 * one
+
+    def test_simulate_blowup_writes_no_outputs(self, tmp_path, capsys):
+        # |m| = 20 grows about 3x in the first step and blows up a few
+        # steps later, after frames that the snapshot cadence would keep
+        cfg = tmp_path / "blow.cfg"
+        cfg.write_text(
+            "grid.dim = 1\ngrid.cells = 8\ntime.T = 1.0\ntime.dt = 1e-2\n"
+            "init.kind = constant\ninit.value = 20 0 0\noutput.diagnostics_every = 1\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: state blow-up at t=0\.0[2-9]\n", err)
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json"]
 
     def test_check_taylor(self, stock_cfg, tmp_path):
         out = tmp_path / "ct"
@@ -421,12 +532,12 @@ MD_FILE = "targets.md_kind = file\ntargets.md_path = in.dat\n"
 
 
 @pytest.mark.parametrize("key, config, content, command", [
-    ("targets.md_path", MD_FILE, field_records(16, 20), "simulate"),
-    ("targets.md_path", MD_FILE, field_records(16, 26), "simulate"),
-    ("targets.md_path", MD_FILE, b"LLBFIELD v2 1 16\n" + field_records(16, 21), "simulate"),
+    ("targets.md_path", MD_FILE, field_records(16, 20), "optimize"),
+    ("targets.md_path", MD_FILE, field_records(16, 26), "optimize"),
+    ("targets.md_path", MD_FILE, b"LLBFIELD v2 1 16\n" + field_records(16, 21), "optimize"),
     ("init.path", "init.kind = file\ninit.path = in.dat\n", field_records(8, 1), "simulate"),
     ("targets.momega_path", "targets.momega_kind = file\ntargets.momega_path = in.dat\n",
-     field_records(8, 1), "simulate"),
+     field_records(8, 1), "optimize"),
     ("coil.1.path", "coils.count = 1\ncoil.1.kind = file\ncoil.1.path = in.dat\n",
      b"not a snapshot", "simulate"),
     ("control.path", "control.kind = csv\ncontrol.path = in.dat\n", b"t\n0\n0.01\n",
@@ -455,9 +566,39 @@ def test_unreadable_input_file_exits_2_naming_the_key(tmp_path, capsys, key, con
     assert err.count("\n") == 1
 
 
+def test_bad_bool_names_the_type(tmp_path, capsys):
+    cfg = tmp_path / "bool.cfg"
+    cfg.write_text(INPUT_BASE + "init.check_ic = maybe\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid configuration: line 7: init.check_ic: cannot parse 'maybe' as bool\n")
+
+
 TWO_COILS = ("coils.count = 2\ncoil.1.kind = uniform\n"
              "coil.2.kind = uniform\ncoil.2.axis = 1\n")
 EXPR_INIT = "init.kind = expr\n"
+
+
+def test_simulate_reads_no_target_input(tmp_path):
+    # target files the other subcommands reject (a short trajectory, a
+    # field on another grid) leave simulate's outputs as they are
+    targets = "targets.momega_kind = file\ntargets.momega_path = om.dat\n"
+    runs = {}
+    for name, md, om in (("good", field_records(16, 21), field_records(16, 1)),
+                         ("bad", field_records(16, 20), field_records(8, 1))):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "in.dat").write_bytes(md)
+        (d / "om.dat").write_bytes(om)
+        (d / "in.cfg").write_text(INPUT_BASE + MD_FILE + targets + EXPR_INIT
+                                  + "init.expr_x = 0.3*cos(pi*x)\n"
+                                  + "output.diagnostics_every = 5\n")
+        assert main(["simulate", "--config", str(d / "in.cfg"), "--out", str(d / "o"),
+                     "--quiet"]) == 0
+        runs[name] = {f.name: f.read_bytes() for f in (d / "o").iterdir()
+                      if f.name != "manifest.json"}
+    assert len(runs["good"]) == 7  # diagnostics, 5 snapshots and the final state
+    assert runs["bad"] == runs["good"]
 
 
 @pytest.mark.parametrize("key, config, command", [
@@ -466,7 +607,7 @@ EXPR_INIT = "init.kind = expr\n"
     ("init.expr_x", EXPR_INIT + "init.expr_x = foo\n", "simulate"),
     ("init.expr_y", EXPR_INIT + "init.expr_y = x +\n", "simulate"),
     ("init.expr_z", EXPR_INIT + "init.expr_z = 1/0*x\n", "simulate"),
-    ("targets.md_expr_x", "targets.md_kind = expr\ntargets.md_expr_x = foo*t\n", "simulate"),
+    ("targets.md_expr_x", "targets.md_kind = expr\ntargets.md_expr_x = foo*t\n", "optimize"),
     ("init.expr_x", EXPR_INIT + "init.expr_x = 1/(x-x)\n", "simulate"),
     ("init.expr_x", EXPR_INIT + "init.expr_x = x[:3]\n", "simulate"),
     ("checks.oracle_modes", "checks.oracle_modes = 0\n", "oracle"),
@@ -481,12 +622,20 @@ EXPR_INIT = "init.kind = expr\n"
     ("time.dt", "time.dt = nan\n", "simulate"),
     ("time.T", "time.T = nan\n", "simulate"),
     ("grid.lengths", "grid.lengths = nan\n", "simulate"),
+    ("init.value", "init.kind = constant\ninit.value = nan 0 0\n", "simulate"),
+    ("targets.md_value", "targets.md_kind = constant\ntargets.md_value = nan 0 0\n",
+     "optimize"),
+    ("targets.md_init_value", "targets.md_kind = run\ntargets.md_init_kind = constant\n"
+     "targets.md_init_value = 0 -inf 0\n", "optimize"),
+    ("targets.momega_value", "targets.momega_kind = constant\n"
+     "targets.momega_value = 0 inf 0\n", "optimize"),
 ], ids=["bounds-broadcast-simulate", "bounds-broadcast-optimize", "expr-name",
         "expr-syntax", "expr-zero-division", "md-expr-name", "expr-not-finite",
         "expr-wrong-shape", "oracle-modes-0", "oracle-modes-over-nodes",
         "temporal-range-one-value", "spatial-range-reversed", "taylor-one-eps",
         "taylor-negative-eps", "taylor-repeated-eps", "halvings-negative",
-        "fooc-samples-negative", "dt-nan", "T-nan", "lengths-nan"])
+        "fooc-samples-negative", "dt-nan", "T-nan", "lengths-nan", "init-value-nan",
+        "md-value-nan", "md-init-value-inf", "momega-value-inf"])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, key, config, command):
     # 16 cells, so 17 oracle modes over-resolve the grid
     cfg = tmp_path / "bad.cfg"
