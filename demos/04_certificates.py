@@ -55,7 +55,7 @@ for d, s in enumerate(curvature(U, coils, targets, np.stack(hs), cfg, eps_fd=1e-
           f"rel err = {s.rel_err:.2e}")
 
 # --- sampled second-order scan over the critical cone ------------------------
-min_rayleigh, samples, residual = second_order_scan(
+min_rayleigh, samples = second_order_scan(
     U, coils, targets, n_dirs=6, cfg=cfg, rng=np.random.default_rng(4))
 print(f"cone scan: min Q(h)/|h|^2 = {min_rayleigh:.6f} over {len(samples)} "
       f"directions (positive => second-order condition holds on the sample)")
@@ -76,10 +76,9 @@ print(f"smallness monitor     max |lap m|^2 = {report.smallness_max:.4f} "
       f"-> {report.smallness_status}")
 print(f"constants             {report.constants_used}")
 
-# flooring the zero-rule tolerance by the stationarity residual keeps
-# residual-scale noise in Upsilon from pinning every direction
-floor = max(1e-6 * np.abs(report.upsilon).max(), 10.0 * report.pf_residual)
-masks = critical_cone_mask(U, report.upsilon, tol_upsilon=floor)
+# the cone the scan sampled: the default zero rule is floored by the
+# stationarity residual, so residual-scale noise in Upsilon pins nothing
+masks = critical_cone_mask(U, report.upsilon)
 print(f"cone masks            free: {int(masks.free.sum())}, "
       f"zero: {int(masks.zero.sum())}, sign-constrained: "
       f"{int(masks.nonneg.sum() + masks.nonpos.sum())} of {masks.free.size}")

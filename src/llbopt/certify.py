@@ -38,10 +38,11 @@ from .optimize import (
     OptimizeConfig,
     ReducedState,
     TrackingTargets,
+    natural_residual,
     reduced_state,
     streamed_cost,
 )
-from .tangent import LinearizationPoint, solve_tangent, trajectory_h1_distance
+from .tangent import LinearizationPoint, solve_tangent
 
 PASS, FAIL, INDETERMINATE = "PASS", "FAIL", "INDETERMINATE"
 
@@ -52,16 +53,17 @@ max(1, BUDGET // (trajectories held per member * that)) members.  A member
 holds two trajectories in the tangent and costate-derivative stage (z and
 phi') and four per Lipschitz pair (two states, two costates); the adjoint
 sources are formed per step.  The finite-difference forwards hold frames
-only, so they run as one batch.  On a 1D grid of 16 cells with K = 80 a
-trajectory is 31 KB, so a scan is one batch per stage; on a 3D 32^3 grid
-with K = 250 it is 197 MB, so that scan runs one member at a time."""
+only, so they always run as one sweep.  On a 1D grid of 16 cells with
+K = 80 a trajectory is 31 KB, so a scan is one batch per stage; on a 3D
+32^3 grid with K = 250 it is 197 MB, so that scan runs one member at a
+time."""
 
 
 def _batches(n: int, grid: Grid, n_steps: int, held: int) -> list:
     """Slices splitting ``n`` members, each holding ``held`` trajectories at
-    once, into batches within :data:`BUDGET`; one batch when ``held`` is 0."""
+    once, into batches within :data:`BUDGET`."""
     trajectory_bytes = 8 * 3 * (n_steps + 1) * grid.node_count
-    width = max(1, BUDGET // (held * trajectory_bytes) if held else n)
+    width = max(1, BUDGET // (held * trajectory_bytes))
     return [slice(i, i + width) for i in range(0, n, width)]
 
 
@@ -108,12 +110,7 @@ class CurvatureSample:
 class CertificateReport:
     pf_residual: float
     fooc_min_sample: float
-    active_lower: np.ndarray
-    active_upper: np.ndarray
     upsilon: np.ndarray
-    curvature_samples: list
-    min_rayleigh: Optional[float]
-    go_lhs_factors: tuple  # (||m||_{L2 H1}, ||phi||_{L2 L2})
     go_lhs: Optional[float]
     go_status: str
     go_status_strict: str
@@ -147,12 +144,6 @@ def fooc_sample_min(U: ControlPath, upsilon: np.ndarray, n_samples: int,
     return float(worst)
 
 
-def _bound_span(U: ControlPath) -> float:
-    gap = U.upper - U.lower
-    finite = gap[np.isfinite(gap)]
-    return float(np.max(np.abs(finite))) if finite.size else 0.0
-
-
 def critical_cone_mask(U: ControlPath, upsilon: np.ndarray,
                        tol_active: Optional[float] = None,
                        tol_upsilon: Optional[float] = None) -> ConeMasks:
@@ -161,13 +152,17 @@ def critical_cone_mask(U: ControlPath, upsilon: np.ndarray,
     Sign-constrained where a bound is active, forced to zero where the
     first-order quantity is decisively nonzero (the zero rule dominates the
     sign rules), free elsewhere.  Where the two bounds coincide the
-    direction is pinned to zero as well.
+    direction is pinned to zero as well.  By default |Upsilon| counts as
+    decisively nonzero above max(1e-6 max|Upsilon|, 10 r), r the natural
+    residual at U: below the measured stationarity residual it is numerical
+    noise, so a converged interior optimum keeps a free cone.
     """
     if tol_active is None:
-        tol_active = 1e-8 * (1.0 + _bound_span(U))
+        gap = np.abs(U.upper - U.lower)
+        tol_active = 1e-8 * (1.0 + float(np.max(gap[np.isfinite(gap)], initial=0.0)))
     if tol_upsilon is None:
         ups_scale = float(np.max(np.abs(upsilon))) if upsilon.size else 0.0
-        tol_upsilon = 1e-6 * ups_scale
+        tol_upsilon = max(1e-6 * ups_scale, 10.0 * natural_residual(U, upsilon))
     if tol_active < 0 or tol_upsilon < 0:
         raise ValueError("cone tolerances must be nonnegative")
     at_lower = np.abs(U.intensities - U.lower) <= tol_active
@@ -204,7 +199,7 @@ def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
     list of B samples.  A stack's tangents and costate derivatives each run
     as one batched sweep, split only to keep a batch within
     :data:`BUDGET`; its 2B finite-difference forwards keep no trajectory
-    and run as one.  A blow-up at U +/- eps*h
+    and run as one sweep.  A blow-up at U +/- eps*h
     invalidates that direction's Q_fd only.
     """
     h = np.asarray(h, dtype=float)
@@ -232,11 +227,8 @@ def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
 
     # the 2B forwards at U + eps*h (first B) and U - eps*h (last B)
     shifted = np.concatenate([U.intensities + eps_fd * hs, U.intensities - eps_fd * hs])
-    totals = []
-    for sl in _batches(2 * B, grid, K, held=0):
-        costs, _ = streamed_cost(ControlPath(shifted[sl], -np.inf, np.inf, U.dt),
-                                 coils, targets, cfg)
-        totals += [c.total for c in costs]
+    costs, _ = streamed_cost(ControlPath(shifted, -np.inf, np.inf, U.dt), coils, targets, cfg)
+    totals = [c.total for c in costs]
     samples = []
     for b in range(B):
         q_adj = control_norm_rms(hs[b], U.dt) ** 2 + time_integral(series[b], U.dt)
@@ -254,19 +246,20 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
                       masks: Optional[ConeMasks] = None,
                       eps_fd: float = 1e-3,
                       state: Optional[ReducedState] = None):
-    """Minimum Rayleigh value Q(h)/||h||^2 over random critical directions.
+    """``(min_rayleigh, samples)``: the minimum Rayleigh value Q(h)/||h||^2
+    over random critical directions and their :class:`CurvatureSample` list.
 
-    Directions are drawn, projected onto the cone mask and normalized, then
+    Directions are drawn, projected onto ``masks`` (by default
+    :func:`critical_cone_mask` at U and Upsilon) and normalized, then
     sampled by one :func:`curvature` call; the scan warns rather than fails
-    when no first-order residual information is available.  All directions
-    degenerating to zero means the sampled cone is numerically trivial.
-    ``state`` is the :func:`~llbopt.optimize.reduced_state` at U when the
-    caller has it.
+    away from stationarity.  All directions degenerating to zero means the
+    sampled cone is numerically trivial.  ``state`` is the
+    :func:`~llbopt.optimize.reduced_state` at U when the caller has it.
     """
     rng = rng or np.random.default_rng(0)
     if state is None:
         state = reduced_state(U, coils, targets, cfg)
-    upsilon, residual = state.grad, state.residual
+    residual = state.residual
     if residual > 1e-3:
         warnings.warn(
             f"curvature scan at a point with first-order residual {residual:.3g}; "
@@ -274,12 +267,7 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
             RuntimeWarning,
         )
     if masks is None:
-        # |Upsilon| below the measured stationarity residual is numerical
-        # noise, not a decisively nonzero multiplier; floor the zero-rule
-        # tolerance by it so a converged interior optimum keeps a free cone
-        ups_scale = float(np.max(np.abs(upsilon))) if upsilon.size else 0.0
-        masks = critical_cone_mask(
-            U, upsilon, tol_upsilon=max(1e-6 * ups_scale, 10.0 * residual))
+        masks = critical_cone_mask(U, state.grad)
     directions, ids = [], []
     for d in range(n_dirs):
         h = project_onto_cone(rng.standard_normal(U.intensities.shape), masks)
@@ -294,7 +282,7 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
     for d, sample in zip(ids, samples):
         sample.direction_id = d
     min_rayleigh = min(s.q_adj for s in samples)  # directions are unit-norm
-    return min_rayleigh, samples, residual
+    return min_rayleigh, samples
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +344,10 @@ def _estimate_lipschitz_pair(U: ControlPath, coils: CoilSet,
             raise BlowUpError("state blow-up", blown_at)
         costates = tracking_adjoint(states, paths, coils, targets.m_d, targets.m_omega)
         for m, p, denom in zip(states.values, costates.values, denoms[sl]):
-            t1, t2 = (Trajectory(grid, U.dt, v) for v in m)
-            state_best = max(state_best, trajectory_h1_distance(t1, t2) / denom)
-            nrm = _space_time_norms(grid, (a - b for a, b in zip(*p)), U.dt)
-            costate_norm = np.sqrt(nrm["linf_l2"] ** 2 + nrm["l2_h1"] ** 2)
+            dm, dp = (_space_time_norms(grid, (a - b for a, b in zip(*pair)), U.dt)
+                      for pair in (m, p))
+            state_best = max(state_best, dm["linf_h1"] / denom)
+            costate_norm = np.sqrt(dp["linf_l2"] ** 2 + dp["l2_h1"] ** 2)
             costate_best = max(costate_best, float(costate_norm) / denom)
     return float(state_best**2), float(costate_best**2)
 
@@ -369,8 +357,6 @@ def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
                                  constants: UserConstants,
                                  rng: Optional[np.random.Generator] = None,
                                  n_fooc_samples: int = 200,
-                                 curvature_samples: Optional[list] = None,
-                                 min_rayleigh: Optional[float] = None,
                                  state: Optional[ReducedState] = None) -> CertificateReport:
     """Assemble the certificate report at a candidate control.
 
@@ -445,16 +431,10 @@ def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
     else:
         smallness_status = INDETERMINATE
 
-    tol_active = 1e-8 * (1.0 + _bound_span(U))
     return CertificateReport(
         pf_residual=residual,
         fooc_min_sample=fooc_min,
-        active_lower=np.abs(U.intensities - U.lower) <= tol_active,
-        active_upper=np.abs(U.upper - U.intensities) <= tol_active,
         upsilon=upsilon,
-        curvature_samples=curvature_samples or [],
-        min_rayleigh=min_rayleigh,
-        go_lhs_factors=(m_norms["l2_h1"], phi_norms["l2_l2"]),
         go_lhs=go_lhs,
         go_status=go_status,
         go_status_strict=go_status_strict,

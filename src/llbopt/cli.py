@@ -126,7 +126,7 @@ def _setup(cfg: RunConfig):
 
 def cmd_simulate(cfg: RunConfig, out_dir, quiet):
     grid, sim, coils, m0, U = _forward_setup(cfg)
-    K, every = sim.n_steps, sim.diagnostics_every
+    K, every = sim.n_steps, cfg["output.diagnostics_every"]
     tally = EnergyTally(grid, sim.dt, K)
     snapshots = {}
 
@@ -178,39 +178,54 @@ def cmd_optimize(cfg: RunConfig, out_dir, quiet):
     return EXIT_OK
 
 
+def write_curvature(out_dir, samples):
+    write_csv(os.path.join(out_dir, "curvature.csv"),
+              ["direction", "q_adj", "q_fd", "rel_err", "fd_valid"],
+              [(s.direction_id, s.q_adj, s.q_fd, s.rel_err, s.fd_valid)
+               for s in samples])
+
+
 def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
     missing = [key for key in ("certify.c_go", "certify.c4n")
                if cfg.get(key) is None]
     if missing:
         raise ConfigError([f"{key}: required for the certify subcommand"
                            for key in missing])
-    grid, sim, coils, m0, U, targets, opt = _setup(cfg)
+    grid, sim, coils, m0, U = _forward_setup(cfg)
+    bounds = {"bounds.lower": U.lower, "bounds.upper": U.upper}
     if control_csv is not None:
         intens, lower, upper = read_input("--control", read_control_csv, control_csv,
                                           sim.n_steps, coils.n_coils)
-        U = ControlPath(intens,
-                        lower if lower is not None else U.lower,
-                        upper if upper is not None else U.upper, sim.dt)
-    rng = np.random.default_rng(cfg.seed)
-    n_dirs = cfg["certify.n_dirs"]
+        if lower is not None:
+            bounds = {"--control": (lower, upper)}
+            U = read_input("--control", ControlPath, intens, lower, upper, sim.dt)
+        else:
+            U = U.with_intensities(intens)
+    # the variational-inequality samples are drawn from the box
+    for key, bound in bounds.items():
+        if not np.all(np.isfinite(bound)):
+            raise ConfigError([f"{key}: certify needs finite box bounds"])
+    targets, opt = cfg.build_targets(grid, coils, sim), cfg.build_optimize(m0)
     state = reduced_state(U, coils, targets, opt)
+    masks = critical_cone_mask(U, state.grad, tol_active=cfg.get("certify.tol_active"),
+                               tol_upsilon=cfg.get("certify.tol_upsilon"))
     try:
-        min_rayleigh, samples, _ = second_order_scan(
-            U, coils, targets, n_dirs, opt, rng=rng, eps_fd=cfg["certify.eps_fd"],
-            state=state)
+        min_rayleigh, samples = second_order_scan(
+            U, coils, targets, cfg["certify.n_dirs"], opt,
+            rng=np.random.default_rng(cfg.seed), masks=masks,
+            eps_fd=cfg["certify.eps_fd"], state=state)
     except TrivialConeError:
         # sampled cone degenerated to {0}; the first-order report still stands
         min_rayleigh, samples = None, []
     report = global_and_uniqueness_report(
         U, coils, targets, opt, cfg.build_constants(),
         rng=np.random.default_rng(cfg.seed + 1),
-        n_fooc_samples=cfg["certify.n_fooc_samples"],
-        curvature_samples=samples, min_rayleigh=min_rayleigh, state=state)
+        n_fooc_samples=cfg["certify.n_fooc_samples"], state=state)
 
     lines = {
         "pf_residual": report.pf_residual,
         "fooc_min_sample": report.fooc_min_sample,
-        "min_rayleigh": report.min_rayleigh,
+        "min_rayleigh": min_rayleigh,
         "go_lhs": report.go_lhs,
         "go_status": report.go_status,
         "go_status_strict": report.go_status_strict,
@@ -234,19 +249,13 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
     write_csv(os.path.join(out_dir, "upsilon.csv"),
               ["t"] + [f"upsilon_{i+1}" for i in range(n)],
               [[t] + list(report.upsilon[j]) for j, t in enumerate(U.times)])
-    masks = critical_cone_mask(U, report.upsilon,
-                               tol_active=cfg.get("certify.tol_active"),
-                               tol_upsilon=cfg.get("certify.tol_upsilon"))
     labels = np.where(masks.zero, "zero",
                       np.where(masks.nonneg, "nonneg",
                                np.where(masks.nonpos, "nonpos", "free")))
     write_csv(os.path.join(out_dir, "masks.csv"),
               ["t"] + [f"mask_{i+1}" for i in range(n)],
               [[t] + list(labels[j]) for j, t in enumerate(U.times)])
-    write_csv(os.path.join(out_dir, "curvature.csv"),
-              ["direction", "q_adj", "q_fd", "rel_err", "fd_valid"],
-              [(s.direction_id, s.q_adj, s.q_fd, s.rel_err, s.fd_valid)
-               for s in samples])
+    write_curvature(out_dir, samples)
     if not quiet:
         ray = "n/a" if min_rayleigh is None else f"{min_rayleigh:.6g}"
         print(f"certify: pf_residual {report.pf_residual:.3e}, "
@@ -305,6 +314,8 @@ def cmd_check_taylor(cfg: RunConfig, out_dir, quiet):
 
 
 def cmd_check_curvature(cfg: RunConfig, out_dir, quiet):
+    if cfg["coils.count"] == 0:
+        raise ConfigError(["coils.count: check-curvature needs at least one coil"])
     grid, sim, coils, m0, U, targets, opt = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
     n_dirs = cfg["certify.n_dirs"]
@@ -313,10 +324,7 @@ def cmd_check_curvature(cfg: RunConfig, out_dir, quiet):
     samples = curvature(U, coils, targets, hs, opt, eps_fd=cfg["certify.eps_fd"])
     for d, s in enumerate(samples):
         s.direction_id = d
-    write_csv(os.path.join(out_dir, "curvature.csv"),
-              ["direction", "q_adj", "q_fd", "rel_err", "fd_valid"],
-              [(s.direction_id, s.q_adj, s.q_fd, s.rel_err, s.fd_valid)
-               for s in samples])
+    write_curvature(out_dir, samples)
     tol = cfg["checks.curvature_tol"]
     worst = max((s.rel_err for s in samples if s.fd_valid), default=float("nan"))
     if not quiet:

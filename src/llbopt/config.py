@@ -185,8 +185,6 @@ class RunConfig:
     def build_sim(self) -> SimConfig:
         return SimConfig(
             T=self.raw["time.T"], dt=self.raw["time.dt"],
-            diagnostics_every=self.raw["output.diagnostics_every"],
-            grid=self.build_grid(),
             blowup_threshold=self.raw["solver.blowup_threshold"],
             warn_dt_factor=self.raw["solver.warn_dt_factor"],
         )

@@ -85,8 +85,6 @@ class SimConfig:
     T: float
     dt: float
     source: Optional[Callable[[float], np.ndarray]] = None
-    diagnostics_every: int = 0
-    grid: Optional[Grid] = None
     blowup_threshold: float = 1e6
     warn_dt_factor: float = 0.5
 
@@ -250,8 +248,6 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
     the frames go to it as they are made and None is returned (:func:`march`).
     """
     grid = m0.grid
-    if cfg.grid is not None and cfg.grid != grid:
-        raise ValueError("config grid does not match initial-data grid")
     if coils.n_coils and coils.grid != grid:
         raise ValueError("coil/grid incompatibility")
     K = cfg.n_steps

@@ -149,17 +149,9 @@ def natural_residual(U: ControlPath, grad: np.ndarray, step: float = 1.0) -> flo
 def forward_cost(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
                  cfg: OptimizeConfig) -> tuple[CostBreakdown, Trajectory]:
     """The reduced cost J(U) and the state it was measured on: one forward
-    sweep, the cost summed frame by frame as the sweep stores them."""
-    tally = CostTally(targets, cfg.m0.grid, cfg.sim.dt, cfg.sim.n_steps)
-    traj = Trajectory(cfg.m0.grid, cfg.sim.dt,
-                      np.empty((cfg.sim.n_steps + 1,) + cfg.m0.values.shape))
-
-    def keep(j: int, m: np.ndarray):
-        traj.values[j] = m
-        tally.add(j, m)
-
-    simulate(cfg.m0, U, coils, cfg.sim, consume=keep)
-    return tally.costs(U), traj
+    sweep that stores the trajectory, then :func:`evaluate_cost` on it."""
+    traj = simulate(cfg.m0, U, coils, cfg.sim)
+    return evaluate_cost(traj, U, targets), traj
 
 
 def streamed_cost(U: ControlPath, coils: CoilSet, targets: TrackingTargets,

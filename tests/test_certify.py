@@ -222,9 +222,9 @@ class TestSecondOrderScan:
         grid, sim, coils, m0, U0, _, cfg = tracking_problem(n=16, dt=5e-3, T=0.25)
         traj = simulate(m0, U0, coils, sim)
         targets = TrackingTargets.from_trajectory(traj)
-        mr, samples, res = second_order_scan(U0, coils, targets, 5, cfg,
-                                             rng=np.random.default_rng(1))
-        assert res == 0.0
+        mr, samples = second_order_scan(U0, coils, targets, 5, cfg,
+                                        rng=np.random.default_rng(1))
+        assert reduced_state(U0, coils, targets, cfg).residual == 0.0
         assert mr >= 1.0 - 0.02
 
     def test_trivial_cone_detected(self):
@@ -240,8 +240,8 @@ class TestSecondOrderScan:
 
     def test_scan_at_converged_control_positive(self, converged):
         U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        mr, samples, res = second_order_scan(U, coils, targets, 4, cfg,
-                                             rng=np.random.default_rng(3))
+        mr, samples = second_order_scan(U, coils, targets, 4, cfg,
+                                        rng=np.random.default_rng(3))
         assert len(samples) == 4
         assert mr > 0
 
@@ -263,7 +263,7 @@ class TestSecondOrderScan:
         monkeypatch.setattr(llbopt.certify, "streamed_cost",
                             counted("forward", llbopt.certify.streamed_cost))
         # room for four trajectories: tangent batches of 2 (z and phi' each);
-        # the 8 finite-difference forwards keep no trajectory, so one batch
+        # the 8 finite-difference forwards keep no trajectory, so one sweep
         monkeypatch.setattr(llbopt.certify, "BUDGET", 4 * U0.intensities.shape[0]
                             * grid.node_count * 3 * 8)
         chunked = second_order_scan(U, coils, targets, 4, cfg,
@@ -273,12 +273,6 @@ class TestSecondOrderScan:
         for a, b in zip(chunked, one_batch):
             assert a.q_adj == pytest.approx(b.q_adj, rel=1e-12)
             assert a.q_fd == pytest.approx(b.q_fd, rel=1e-6)
-
-
-def test_members_holding_no_trajectory_run_as_one_batch():
-    grid = Grid((8,), (1.0,))
-    assert llbopt.certify._batches(7, grid, 10, held=0) == [slice(0, 7)]
-    assert llbopt.certify._batches(0, grid, 10, held=0) == []
 
 
 class TestLipschitzPairs:

@@ -247,6 +247,39 @@ class TestSubcommands:
         assert (cert / "masks.csv").exists()
         assert (cert / "curvature.csv").exists()
 
+    def test_masks_csv_is_the_sampled_cone(self, stock_cfg, tmp_path, monkeypatch):
+        out = tmp_path / "opt"
+        assert main(["optimize", "--config", stock_cfg, "--out", str(out), "--quiet"]) == 0
+        projected = []
+        real = llbopt.certify.project_onto_cone
+        monkeypatch.setattr(llbopt.certify, "project_onto_cone",
+                            lambda h, masks: projected.append(masks) or real(h, masks))
+        cert = tmp_path / "cert"
+        assert main(["certify", "--config", stock_cfg, "--out", str(cert),
+                     "--control", str(out / "control.csv"), "--quiet"]) == 0
+        masks = projected[0]
+        assert all(m is masks for m in projected)
+        labels = np.loadtxt(cert / "masks.csv", delimiter=",", skiprows=1, dtype=str)[:, 1:]
+        expected = np.select([masks.zero, masks.nonneg, masks.nonpos],
+                             ["zero", "nonneg", "nonpos"], "free")
+        assert np.array_equal(labels, expected)
+        assert np.all(labels == "free")  # a converged interior optimum
+
+    def test_tol_upsilon_reaches_the_scan(self, stock_cfg, tmp_path):
+        # a zero-rule tolerance of 0 pins every coordinate where Upsilon is
+        # nonzero, so the scan samples the trivial cone
+        path = tmp_path / "pinned.cfg"
+        path.write_text(open(stock_cfg).read() + "certify.tol_upsilon = 0\n")
+        out = tmp_path / "cert"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["certify", "--config", str(path), "--out", str(out),
+                         "--quiet"]) == 0
+        assert "min_rayleigh=unset\n" in (out / "report.txt").read_text()
+        assert (out / "curvature.csv").read_text() == "direction,q_adj,q_fd,rel_err,fd_valid\n"
+        masks = np.loadtxt(out / "masks.csv", delimiter=",", skiprows=1, dtype=str)[:, 1:]
+        assert np.all(masks == "zero")
+
     def test_optimize_sweep_counts(self, stock_cfg, tmp_path, monkeypatch):
         # forwards: the set-up target run, the start and one per line-search
         # trial; adjoints: the start and one per accepted step.  The accepted
@@ -545,9 +578,13 @@ MD_FILE = "targets.md_kind = file\ntargets.md_path = in.dat\n"
     ("--control", "", b"t\n0\n0.01\n", "certify"),
     ("--control", "", b"t\n", "certify"),
     ("--control", "", None, "certify"),
+    ("--control", "coils.count = 1\ncoil.1.kind = uniform\nbounds.lower = -1\n"
+     "bounds.upper = 1\n", b"t,U_1,a_1,b_1\n" + b"0,0,-inf,1\n" * 21, "certify"),
+    ("--control", "coils.count = 1\ncoil.1.kind = uniform\nbounds.lower = -1\n"
+     "bounds.upper = 1\n", b"t,U_1,a_1,b_1\n" + b"0,0,1,-1\n" * 21, "certify"),
 ], ids=["md-K-frames", "md-K+5-frames", "md-bad-header", "init-wrong-grid",
         "momega-wrong-grid", "coil-bad-header", "control-short", "flag-short",
-        "flag-no-rows", "flag-missing"])
+        "flag-no-rows", "flag-missing", "flag-infinite-bound", "flag-empty-box"])
 def test_unreadable_input_file_exits_2_naming_the_key(tmp_path, capsys, key, config,
                                                       content, command):
     data = tmp_path / "in.dat"
@@ -629,13 +666,16 @@ def test_simulate_reads_no_target_input(tmp_path):
      "targets.md_init_value = 0 -inf 0\n", "optimize"),
     ("targets.momega_value", "targets.momega_kind = constant\n"
      "targets.momega_value = 0 inf 0\n", "optimize"),
+    ("bounds.lower", "coils.count = 1\ncoil.1.kind = uniform\n", "certify"),
+    ("coils.count", "", "check-curvature"),
 ], ids=["bounds-broadcast-simulate", "bounds-broadcast-optimize", "expr-name",
         "expr-syntax", "expr-zero-division", "md-expr-name", "expr-not-finite",
         "expr-wrong-shape", "oracle-modes-0", "oracle-modes-over-nodes",
         "temporal-range-one-value", "spatial-range-reversed", "taylor-one-eps",
         "taylor-negative-eps", "taylor-repeated-eps", "halvings-negative",
         "fooc-samples-negative", "dt-nan", "T-nan", "lengths-nan", "init-value-nan",
-        "md-value-nan", "md-init-value-inf", "momega-value-inf"])
+        "md-value-nan", "md-init-value-inf", "momega-value-inf",
+        "certify-infinite-bounds", "check-curvature-no-coils"])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, key, config, command):
     # 16 cells, so 17 oracle modes over-resolve the grid
     cfg = tmp_path / "bad.cfg"
