@@ -9,7 +9,6 @@ duality identity that underlies the first-order optimality condition.
 import numpy as np
 
 from llbopt import (
-    AdjointProblem,
     ControlPath,
     Grid,
     LinearizationPoint,
@@ -75,7 +74,7 @@ gfun = np.zeros((K + 1,) + grid.shape + (3,))
 gfun[..., 0] = np.cos(np.pi * x)
 phi_T = np.zeros(grid.shape + (3,))
 phi_T[..., 2] = np.cos(np.pi * x)
-phi = solve_adjoint(AdjointProblem(traj, U, coils, gfun, VectorField(grid, phi_T)))
+phi = solve_adjoint(point, lambda j: gfun[j], VectorField(grid, phi_T))
 w = grid.cell_volume
 gz = np.array([w * np.sum(gfun[j] * z.values[j]) for j in range(K + 1)])
 lhs = w * np.sum(phi_T * z.values[-1]) - time_integral(gz, sim.dt)

@@ -64,9 +64,9 @@ print(f"cone scan: min Q(h)/|h|^2 = {min_rayleigh:.6f} over {len(samples)} "
 report = global_and_uniqueness_report(
     U, coils, targets, cfg,
     UserConstants(go_constant=0.05, c4n=1.2, smallness=0.01),
-    rng=np.random.default_rng(5))
+    rng=np.random.default_rng(5), state=state)
 print()
-print(f"pf residual           {report.pf_residual:.3e}")
+print(f"pf residual           {state.residual:.3e}")
 print(f"FOOC sampled min      {report.fooc_min_sample:+.3e}")
 print(f"global condition      lhs = {report.go_lhs:.4f} vs 1/2 "
       f"-> {report.go_status} (strict: {report.go_status_strict})")
@@ -78,7 +78,7 @@ print(f"constants             {report.constants_used}")
 
 # the cone the scan sampled: the default zero rule is floored by the
 # stationarity residual, so residual-scale noise in Upsilon pins nothing
-masks = critical_cone_mask(U, report.upsilon)
+masks = critical_cone_mask(U, state.grad)
 print(f"cone masks            free: {int(masks.free.sum())}, "
       f"zero: {int(masks.zero.sum())}, sign-constrained: "
       f"{int(masks.nonneg.sum() + masks.nonpos.sum())} of {masks.free.size}")

@@ -8,13 +8,13 @@ from .coils import CoilSet, ControlPath, gaussian_coil, project_box, uniform_coi
 from .llb import (BlowUpError, OracleError, SimConfig, blowup_times, energy_ledger, simulate,
                   simulate_galerkin)
 from .tangent import LinearizationPoint, solve_tangent, taylor_remainder_order
-from .adjoint import AdjointProblem, solve_adjoint, solve_costate_derivative, tracking_adjoint
+from .adjoint import solve_adjoint, solve_costate_derivative, tracking_adjoint
 
 __all__ = [
     "Grid", "Trajectory", "VectorField", "cosine_modes", "time_integral",
     "CoilSet", "ControlPath", "gaussian_coil", "project_box", "uniform_coil",
     "BlowUpError", "OracleError", "SimConfig", "blowup_times", "energy_ledger",
     "simulate", "simulate_galerkin", "LinearizationPoint",
-    "solve_tangent", "taylor_remainder_order", "AdjointProblem", "solve_adjoint",
+    "solve_tangent", "taylor_remainder_order", "solve_adjoint",
     "solve_costate_derivative", "tracking_adjoint",
 ]

@@ -10,13 +10,16 @@ divergence-form pairing with the tangent solver exact in space; the
 remaining gradient mismatch is purely the O(dt) time-discretization gap,
 quantified by the duality test.
 
-A step forms its source frame when it reaches it (the tracking source and
-the costate-derivative source), never a trajectory-sized source array.
+Every backward sweep is :func:`solve_adjoint` around the same
+:class:`~llbopt.tangent.LinearizationPoint` (base trajectory, control and
+coils, checked once for K and dt) that the tangent sweep linearizes
+around.  Its right-hand side is a per-step ``source(j)``: a step forms its
+source frame when it reaches it (the tracking source and the
+costate-derivative source), never a trajectory-sized source array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,65 +27,37 @@ import numpy as np
 from .coils import CoilSet, ControlPath, synthesize_values
 from .grid import Trajectory, VectorField, cross, laplacian_values
 from .llb import implicit_solve, march
+from .tangent import LinearizationPoint
 
 
-@dataclass
-class AdjointProblem:
-    """Backward problem data around a base trajectory/control pair."""
-
-    base_traj: Trajectory
-    base_control: ControlPath
-    coils: CoilSet
-    # frames (...,) + (K+1,) + grid.shape + (3,), or j -> frame j at step j
-    rhs: np.ndarray | Callable[[int], np.ndarray]
-    terminal: VectorField
-
-    def __post_init__(self):
-        if not callable(self.rhs):
-            self.rhs = np.asarray(self.rhs, dtype=float)
-            frame_axes = self.base_traj.grid.dim + 2  # time, space, component
-            if self.rhs.shape[-frame_axes:] != self.base_traj.values.shape[-frame_axes:]:
-                raise ValueError(
-                    f"rhs frames have shape {self.rhs.shape}, expected "
-                    f"{self.base_traj.values.shape}"
-                )
-        if self.terminal.grid != self.base_traj.grid:
-            raise ValueError("terminal field grid does not match base trajectory")
-        if not np.all(np.isfinite(self.terminal.values)):
-            raise ValueError("terminal field must be finite")
-        if self.base_traj.n_steps != self.base_control.n_steps:
-            raise ValueError("base trajectory and control disagree on time nodes")
-
-
-def solve_adjoint(p: AdjointProblem) -> Trajectory:
-    """Backward IMEX sweep from t=T down to t=0.
+def solve_adjoint(point: LinearizationPoint, source: Callable[[int], np.ndarray],
+                  terminal: VectorField) -> Trajectory:
+    """Backward IMEX sweep from t=T down to t=0 around ``point``.
 
     The step computing phi(t_j) from phi(t_{j+1}) takes the explicit terms
     from the known costate and samples the coefficients m, zeta(U) and the
-    right-hand side g at the arrival frame t_j.
+    right-hand side g = ``source(j)`` at the arrival frame t_j; phi(T) is
+    ``terminal``.
 
-    Any of the base trajectory, the base control, ``rhs`` and the terminal
-    data may carry leading batch axes (shapes ``batch + (K+1,) + grid.shape
-    + (3,)``, ``batch + (K+1, N)``, ``batch + (K+1,) + grid.shape + (3,)``
-    and ``batch + grid.shape + (3,)``); unbatched ones broadcast against
-    the rest; a callable ``rhs``'s frames broadcast against the others.
-    The members are swept together, one implicit solve per step, and the
-    result has the broadcast batch shape in front of the time axis.
-    A member that turns non-finite raises
+    The base trajectory, the base control and the terminal data may carry
+    leading batch axes (shapes ``batch + (K+1,) + grid.shape + (3,)``,
+    ``batch + (K+1, N)`` and ``batch + grid.shape + (3,)``); the batch of
+    the sweep is theirs, broadcast, and each ``source(j)`` frame must fit
+    it, since it is subtracted in place.  The members are swept together,
+    one implicit solve per step, and the result has that batch shape in
+    front of the time axis.  A member that turns non-finite raises
     :class:`~llbopt.llb.BlowUpError` for the whole sweep, with the time
     reached.
     """
-    grid = p.base_traj.grid
-    dt = p.base_traj.dt
-    K = p.base_traj.n_steps
+    grid, dt = point.grid, point.dt
+    if terminal.grid != grid:
+        raise ValueError("terminal field grid does not match base trajectory")
     cell = grid.dim + 1  # spatial and component axes
-    batch = np.broadcast_shapes(p.base_traj.values.shape[:-cell - 1],
-                                p.base_control.intensities.shape[:-2],
-                                () if callable(p.rhs) else p.rhs.shape[:-cell - 1],
-                                p.terminal.values.shape[:-cell])
-    base = p.base_traj.frames
-    controls = np.moveaxis(p.base_control.intensities, -2, 0)
-    source = p.rhs if callable(p.rhs) else np.moveaxis(p.rhs, -cell - 1, 0).__getitem__
+    batch = np.broadcast_shapes(point.base_traj.values.shape[:-cell - 1],
+                                point.base_control.intensities.shape[:-2],
+                                terminal.values.shape[:-cell])
+    base = point.base_traj.frames
+    controls = np.moveaxis(point.base_control.intensities, -2, 0)
 
     def advance(j: int, phi: np.ndarray) -> np.ndarray:
         m = base[j]
@@ -91,7 +66,7 @@ def solve_adjoint(p: AdjointProblem) -> Trajectory:
         # order: the expression's roundings, one frame-sized sum held at a time
         rhs = laplacian_values(grid, cross(phi, m))
         rhs += cross(laplacian_values(grid, m), phi)
-        rhs -= cross(phi, synthesize_values(controls[j], p.coils))
+        rhs -= cross(phi, synthesize_values(controls[j], point.coils))
         rhs -= (1.0 + np.sum(m * m, axis=-1, keepdims=True)) * phi
         rhs -= 2.0 * np.sum(m * phi, axis=-1, keepdims=True) * m
         rhs -= source(j)
@@ -99,21 +74,21 @@ def solve_adjoint(p: AdjointProblem) -> Trajectory:
         rhs += phi
         return implicit_solve(grid, dt, rhs)
 
-    return march(grid, dt, p.terminal.values, batch, K, advance,
+    return march(grid, dt, terminal.values, batch, point.n_steps, advance,
                  "costate became non-finite", reverse=True)
 
 
 def tracking_adjoint(base_traj: Trajectory, base_control: ControlPath,
                      coils: CoilSet, m_d: np.ndarray, m_omega: np.ndarray) -> Trajectory:
     """Costate for the tracking cost: g = -(m - m_d), phi(T) = m(T) - m_omega."""
+    point = LinearizationPoint(base_traj, base_control, coils)
     base = base_traj.frames
-    terminal = VectorField(base_traj.grid, base[-1] - m_omega)
-    problem = AdjointProblem(base_traj, base_control, coils,
-                             lambda j: -(base[j] - m_d[j]), terminal)
-    return solve_adjoint(problem)
+    return solve_adjoint(point, lambda j: -(base[j] - m_d[j]),
+                         VectorField(base_traj.grid, base[-1] - m_omega))
 
 
-def solve_costate_derivative(point, z: Trajectory, phi: Trajectory, dU) -> Trajectory:
+def solve_costate_derivative(point: LinearizationPoint, z: Trajectory, phi: Trajectory,
+                             dU) -> Trajectory:
     """Directional derivative of the costate with respect to the control.
 
     Runs the adjoint machinery with the right-hand side assembled from the
@@ -146,6 +121,4 @@ def solve_costate_derivative(point, z: Trajectory, phi: Trajectory, dU) -> Traje
                 + 2.0 * m_dot_z * pj + 2.0 * z_dot_p * m + 2.0 * m_dot_p * zj
                 - zj)
 
-    problem = AdjointProblem(point.base_traj, point.base_control, point.coils,
-                             source, VectorField(grid, z.frames[-1].copy()))
-    return solve_adjoint(problem)
+    return solve_adjoint(point, source, VectorField(grid, z.frames[-1].copy()))

@@ -108,9 +108,7 @@ class CurvatureSample:
 
 @dataclass
 class CertificateReport:
-    pf_residual: float
     fooc_min_sample: float
-    upsilon: np.ndarray
     go_lhs: Optional[float]
     go_status: str
     go_status_strict: str
@@ -377,8 +375,8 @@ def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
     rng = rng or np.random.default_rng(0)
     if state is None:
         state = reduced_state(U, coils, targets, cfg)
-    residual, upsilon, traj, phi = state.residual, state.grad, state.traj, state.phi
-    fooc_min = fooc_sample_min(U, upsilon, n_fooc_samples, rng)
+    traj, phi = state.traj, state.phi
+    fooc_min = fooc_sample_min(U, state.grad, n_fooc_samples, rng)
 
     m_norms = trajectory_norms(traj)
     phi_norms = trajectory_norms(phi)
@@ -432,9 +430,7 @@ def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
         smallness_status = INDETERMINATE
 
     return CertificateReport(
-        pf_residual=residual,
         fooc_min_sample=fooc_min,
-        upsilon=upsilon,
         go_lhs=go_lhs,
         go_status=go_status,
         go_status_strict=go_status_strict,

@@ -141,11 +141,9 @@ class ControlPath:
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 
-    def is_feasible(self, tol: float = 0.0) -> bool:
-        return bool(
-            np.all(self.intensities >= self.lower - tol)
-            and np.all(self.intensities <= self.upper + tol)
-        )
+    def is_feasible(self) -> bool:
+        return bool(np.all(self.intensities >= self.lower)
+                    and np.all(self.intensities <= self.upper))
 
     def with_intensities(self, intensities: np.ndarray) -> "ControlPath":
         return ControlPath(np.asarray(intensities, dtype=float), self.lower, self.upper, self.dt)

@@ -20,6 +20,10 @@ inputs on every call), the Laplacian slices its axes in place rather than
 moving them, and |m|^2 is formed once per forward step, shared by the
 resolution check and the reaction term.
 
+The right-hand side is the controlled model and has no forcing hook: a
+manufactured solution that keeps one direction needs a forcing parallel to
+m, where m x u = 0, so that forcing is a control and runs through coils.
+
 The forward sweep here, the tangent sweep and the costate sweep share one
 time loop, :func:`march`: it owns the order of the steps (forward or in
 reverse), the blow-up rule and the frames, stored or handed to a consumer,
@@ -75,16 +79,10 @@ class OracleError(RuntimeError):
 
 @dataclass
 class SimConfig:
-    """Time-stepping configuration shared by the forward/tangent/adjoint sweeps.
-
-    ``source``, when set, is a manufactured forcing added to the right-hand
-    side for convergence studies: a callable t -> values array on the grid.
-    It is not part of the physical model and runs that use it should say so.
-    """
+    """Time-stepping configuration shared by the forward/tangent/adjoint sweeps."""
 
     T: float
     dt: float
-    source: Optional[Callable[[float], np.ndarray]] = None
     blowup_threshold: float = 1e6
     warn_dt_factor: float = 0.5
 
@@ -169,16 +167,13 @@ def _reaction(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
 
 
 def step_values(grid: Grid, m: np.ndarray, u: np.ndarray, dt: float,
-                mag_sq: np.ndarray, source: Optional[np.ndarray] = None) -> np.ndarray:
+                mag_sq: np.ndarray) -> np.ndarray:
     """One IMEX Euler update of state values ``m`` under control values
     ``u``.  ``mag_sq`` is |m|^2 per node, ``np.sum(m * m, axis=-1,
     keepdims=True)``: :func:`simulate` forms it once per step, for its
     resolution check and for the reaction term."""
     lap_m = laplacian_values(grid, m)
-    rhs = m + dt * _reaction(m, lap_m, u, mag_sq)
-    if source is not None:
-        rhs = rhs + dt * source
-    return implicit_solve(grid, dt, rhs)
+    return implicit_solve(grid, dt, m + dt * _reaction(m, lap_m, u, mag_sq))
 
 
 def march(grid: Grid, dt: float, first, batch: tuple, n_steps: int,
@@ -253,10 +248,6 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
     K = cfg.n_steps
     if U.n_steps != K:
         raise ValueError(f"control has {U.n_steps} steps, config expects {K}")
-    if cfg.source is not None:
-        warnings.warn(
-            "manufactured forcing is active: this run verifies the scheme, "
-            "not the physical model", RuntimeWarning)
 
     batch = np.broadcast_shapes(m0.values.shape[:-grid.dim - 1], U.intensities.shape[:-2])
     intensities = np.moveaxis(U.intensities, -2, 0)
@@ -275,8 +266,7 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
             )
             warned = True
         u = synthesize_values(intensities[j], coils)
-        src = cfg.source(j * cfg.dt) if cfg.source is not None else None
-        return step_values(grid, m, u, cfg.dt, mag_sq, source=src)
+        return step_values(grid, m, u, cfg.dt, mag_sq)
 
     return march(grid, cfg.dt, m0.values, batch, K, advance, "state blow-up",
                  threshold=cfg.blowup_threshold, consume=consume)
@@ -360,8 +350,7 @@ def _cumulative_trapezoid(series: np.ndarray, dt: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def simulate_galerkin(m0: VectorField, U: ControlPath, coils: CoilSet,
-                      cfg: SimConfig, n_modes: int,
-                      rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
+                      cfg: SimConfig, n_modes: int) -> Trajectory:
     """Integrate the mode-truncated system with a high-accuracy ODE method.
 
     The state is expanded in the first ``n_modes`` discrete cosine modes
@@ -404,13 +393,11 @@ def simulate_galerkin(m0: VectorField, U: ControlPath, coils: CoilSet,
         lap_m = laplacian_values(grid, m)
         u = control_at(t)
         f = lap_m + _reaction(m, lap_m, u, np.sum(m * m, axis=-1, keepdims=True))
-        if cfg.source is not None:
-            f = f + cfg.source(t)
         return project(f).ravel()
 
     a0 = project(m0.values).ravel()
     sol = solve_ivp(rhs, (0.0, cfg.T), a0, method="DOP853",
-                    t_eval=times, rtol=rtol, atol=atol)
+                    t_eval=times, rtol=1e-10, atol=1e-12)
     if not sol.success:
         raise OracleError(f"Galerkin oracle integration failed: {sol.message}")
     frames = np.empty((K + 1,) + grid.shape + (3,))

@@ -140,9 +140,9 @@ def coil_pairing(traj: Trajectory, phi: Trajectory, coils: CoilSet) -> np.ndarra
     return out
 
 
-def natural_residual(U: ControlPath, grad: np.ndarray, step: float = 1.0) -> float:
-    """Scale-free fixed-point residual ||U - P_box(U - step*grad)|| / sqrt(T)."""
-    trial = project_box(U.intensities - step * grad, U.lower, U.upper)
+def natural_residual(U: ControlPath, grad: np.ndarray) -> float:
+    """Scale-free fixed-point residual ||U - P_box(U - grad)|| / sqrt(T)."""
+    trial = project_box(U.intensities - grad, U.lower, U.upper)
     return control_norm_rms(U.intensities - trial, U.dt) / np.sqrt(U.final_time)
 
 

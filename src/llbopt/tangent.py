@@ -45,11 +45,9 @@ class LinearizationPoint:
         return self.base_traj.n_steps
 
     def direction_values(self, dU) -> np.ndarray:
-        """Intensities of a control increment (a :class:`ControlPath` or an
-        array of shape ``batch + (K+1, N)``), checked against this point's
-        time nodes and coils."""
-        vals = dU.intensities if isinstance(dU, ControlPath) else np.asarray(dU, dtype=float)
-        vals = np.atleast_2d(vals)
+        """A control increment, an array of shape ``batch + (K+1, N)``,
+        checked against this point's time nodes and coils."""
+        vals = np.asarray(dU, dtype=float)
         if vals.shape[-2:] != (self.n_steps + 1, self.coils.n_coils):
             raise ValueError(
                 f"control increment has shape {vals.shape}, expected "
@@ -140,7 +138,7 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def taylor_remainder_order(point: LinearizationPoint, dU, epsilons,
-                           cfg: SimConfig | None = None) -> TaylorResult:
+                           cfg: SimConfig) -> TaylorResult:
     """Observed order of the Taylor remainder of the control-to-state map.
 
     For each epsilon the nonlinear system is solved at base + eps*dU and the
@@ -150,8 +148,6 @@ def taylor_remainder_order(point: LinearizationPoint, dU, epsilons,
     Both are formed per frame of the perturbed sweep, which keeps none.
     """
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
-    if cfg is None:
-        cfg = SimConfig(T=point.n_steps * point.dt, dt=point.dt)
     z = solve_tangent(point, dU)
     dvals = point.direction_values(dU)
     m0 = point.base_traj.frame(0)

@@ -52,6 +52,12 @@ def two_gaussian_coils(grid):
                                 gaussian_coil(grid, c2, 0.15, 1)])
 
 
+def frame_source(grid, values):
+    """The per-step costate source ``j -> frame j`` of frames stacked on the
+    time axis of ``values`` (``batch + (K+1,) + grid.shape + (3,)``)."""
+    return np.moveaxis(values, -grid.dim - 2, 0).__getitem__
+
+
 def smooth_time_profiles(n_steps, dt, coeffs):
     """Deterministic smooth control samples, one column per coefficient row."""
     t = np.arange(n_steps + 1) * dt

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from llbopt.adjoint import AdjointProblem, solve_adjoint
+from llbopt.adjoint import solve_adjoint
 from llbopt.coils import CoilSet, ControlPath, control_inner_rms, synthesize_values, uniform_coil
 from llbopt.grid import Grid, VectorField, cross, laplacian_values, time_integral
 from llbopt.llb import SimConfig, energy_ledger, simulate, simulate_galerkin
@@ -168,7 +168,7 @@ def _duality_gap(dt, T=0.25):
     g[..., 1] = 0.5
     phi_T = np.zeros(grid.shape + (3,))
     phi_T[..., 2] = np.cos(np.pi * x)
-    phi = solve_adjoint(AdjointProblem(traj, U, coils, g, VectorField(grid, phi_T)))
+    phi = solve_adjoint(point, lambda j: g[j], VectorField(grid, phi_T))
     w = grid.cell_volume
     gz = np.array([w * np.sum(g[j] * z.values[j]) for j in range(K + 1)])
     lhs = w * np.sum(phi_T * z.values[-1]) - time_integral(gz, dt)

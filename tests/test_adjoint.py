@@ -2,34 +2,29 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from llbopt.adjoint import (
-    AdjointProblem,
-    solve_adjoint,
-    solve_costate_derivative,
-    tracking_adjoint,
-)
+from llbopt.adjoint import solve_adjoint, solve_costate_derivative, tracking_adjoint
 from llbopt.coils import CoilSet, ControlPath, uniform_coil, synthesize_values
 from llbopt.grid import Grid, Trajectory, VectorField, cross, laplacian_values, time_integral
 from llbopt.llb import BlowUpError, SimConfig, implicit_solve, simulate
 from llbopt.tangent import LinearizationPoint, solve_tangent
 
-from conftest import cosine_initial, two_gaussian_coils
+from conftest import cosine_initial, frame_source, two_gaussian_coils
 
 
-def solve_adjoint_full_source(p, rhs):
+def solve_adjoint_full_source(p, rhs, terminal):
     """The backward sweep in its earlier form: the whole source array
     ``rhs`` built up front and the coupling summed as one expression; the
     same operations in the same order as :func:`solve_adjoint`."""
-    grid, dt, K = p.base_traj.grid, p.base_traj.dt, p.base_traj.n_steps
+    grid, dt, K = p.grid, p.dt, p.n_steps
     cell = grid.dim + 1
     batch = np.broadcast_shapes(p.base_traj.values.shape[:-cell - 1],
                                 p.base_control.intensities.shape[:-2],
-                                rhs.shape[:-cell - 1], p.terminal.values.shape[:-cell])
+                                rhs.shape[:-cell - 1], terminal.values.shape[:-cell])
     out = np.empty(batch + (K + 1,) + grid.shape + (3,))
     frames = np.moveaxis(out, -cell - 1, 0)
     sources = np.moveaxis(rhs, -cell - 1, 0)
     controls = np.moveaxis(p.base_control.intensities, -2, 0)
-    frames[K] = phi = p.terminal.values
+    frames[K] = phi = terminal.values
     for j in range(K - 1, -1, -1):
         m = p.base_traj.frames[j]
         lap_m = laplacian_values(grid, m)
@@ -85,11 +80,12 @@ class TestStreamedSources:
     def test_tracking_adjoint_matches_full_source_bit_for_bit(self, batch):
         grid, traj, U, coils, m_d, m_omega = two_dimensional_base(batch)
         phi = tracking_adjoint(traj, U, coils, m_d, m_omega)
-        problem = AdjointProblem(traj, U, coils, -(traj.values - m_d),
-                                 VectorField(grid, traj.frames[-1] - m_omega))
-        assert np.array_equal(phi.values, solve_adjoint(problem).values)
+        point = LinearizationPoint(traj, U, coils)
+        rhs = -(traj.values - m_d)
+        terminal = VectorField(grid, traj.frames[-1] - m_omega)
         assert np.array_equal(phi.values,
-                              solve_adjoint_full_source(problem, problem.rhs))
+                              solve_adjoint(point, frame_source(grid, rhs), terminal).values)
+        assert np.array_equal(phi.values, solve_adjoint_full_source(point, rhs, terminal))
 
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_costate_derivative_matches_full_source_bit_for_bit(self, batch):
@@ -99,11 +95,12 @@ class TestStreamedSources:
         dU = np.random.default_rng(6).standard_normal(batch + U.intensities.shape)
         z = solve_tangent(point, dU)
         phi_prime = solve_costate_derivative(point, z, phi, dU)
-        problem = AdjointProblem(traj, U, coils, costate_derivative_source(point, z, phi, dU),
-                                 VectorField(grid, z.frames[-1].copy()))
-        assert np.array_equal(phi_prime.values, solve_adjoint(problem).values)
+        rhs = costate_derivative_source(point, z, phi, dU)
+        terminal = VectorField(grid, z.frames[-1].copy())
         assert np.array_equal(phi_prime.values,
-                              solve_adjoint_full_source(problem, problem.rhs))
+                              solve_adjoint(point, frame_source(grid, rhs), terminal).values)
+        assert np.array_equal(phi_prime.values,
+                              solve_adjoint_full_source(point, rhs, terminal))
 
 
 def zero_base(grid, K, dt, coils):
@@ -120,9 +117,8 @@ class TestSolveAdjoint:
         cfg = SimConfig(T=K * dt, dt=dt)
         U = ControlPath.constant([0.3, -0.2], K, dt)
         traj = simulate(cosine_initial(grid), U, coils, cfg)
-        prob = AdjointProblem(traj, U, coils,
-                              np.zeros_like(traj.values), VectorField.zero(grid))
-        phi = solve_adjoint(prob)
+        point = LinearizationPoint(traj, U, coils)
+        phi = solve_adjoint(point, lambda j: 0.0, VectorField.zero(grid))
         assert np.all(phi.values == 0)
 
     def test_constant_coefficient_closed_form(self):
@@ -151,10 +147,10 @@ class TestSolveAdjoint:
         g2 = rng.standard_normal(traj.values.shape)
         p1 = rng.standard_normal(grid.shape + (3,))
         p2 = rng.standard_normal(grid.shape + (3,))
-        phi_sum = solve_adjoint(AdjointProblem(traj, U, coils, g1 + g2,
-                                               VectorField(grid, p1 + p2)))
-        phi_1 = solve_adjoint(AdjointProblem(traj, U, coils, g1, VectorField(grid, p1)))
-        phi_2 = solve_adjoint(AdjointProblem(traj, U, coils, g2, VectorField(grid, p2)))
+        point = LinearizationPoint(traj, U, coils)
+        phi_sum = solve_adjoint(point, lambda j: g1[j] + g2[j], VectorField(grid, p1 + p2))
+        phi_1 = solve_adjoint(point, lambda j: g1[j], VectorField(grid, p1))
+        phi_2 = solve_adjoint(point, lambda j: g2[j], VectorField(grid, p2))
         scale = max(np.abs(phi_sum.values).max(), 1.0)
         assert_allclose(phi_sum.values, phi_1.values + phi_2.values,
                         atol=1e-11 * scale)
@@ -166,11 +162,10 @@ class TestSolveAdjoint:
         coils = CoilSet.from_fields([uniform_coil(grid, 0)])
         traj = Trajectory(grid, dt, np.full((K + 1,) + grid.shape + (3,), 1e200))
         U = ControlPath.zeros(K, 1, dt)
-        prob = AdjointProblem(traj, U, coils, np.zeros_like(traj.values),
-                              VectorField.constant(grid, (1.0, 0.0, 0.0)))
+        point = LinearizationPoint(traj, U, coils)
         with np.errstate(all="ignore"), \
                 pytest.raises(BlowUpError, match="costate became non-finite") as exc:
-            solve_adjoint(prob)
+            solve_adjoint(point, lambda j: 0.0, VectorField.constant(grid, (1.0, 0.0, 0.0)))
         assert exc.value.time == pytest.approx((K - 1) * dt)
 
     def test_batched_matches_stacked(self):
@@ -193,13 +188,24 @@ class TestSolveAdjoint:
             assert_allclose(phi.values[idx], ref.values, rtol=1e-13,
                             atol=1e-13 * np.abs(ref.values).max())
 
-    def test_rhs_shape_validation(self):
+    def test_control_on_another_time_grid_is_rejected(self):
+        # same K, twice the step: the costate would pair frames of
+        # different times
         grid = Grid((8,), (1.0,))
-        coils = CoilSet.empty(grid)
+        coils = CoilSet.from_fields([uniform_coil(grid, 0)])
         traj, U = zero_base(grid, 10, 0.01, coils)
-        with pytest.raises(ValueError, match="rhs frames"):
-            AdjointProblem(traj, U, coils, np.zeros((3,) + grid.shape + (3,)),
-                           VectorField.zero(grid))
+        coarse = ControlPath.zeros(10, 1, 0.02)
+        m_d = np.zeros_like(traj.values)
+        with pytest.raises(ValueError, match="disagree on dt"):
+            tracking_adjoint(traj, coarse, coils, m_d, m_d[-1])
+        assert np.all(tracking_adjoint(traj, U, coils, m_d, m_d[-1]).values == 0)
+
+    def test_terminal_on_another_grid_is_rejected(self):
+        grid = Grid((8,), (1.0,))
+        coils = CoilSet.from_fields([uniform_coil(grid, 0)])
+        point = LinearizationPoint(*zero_base(grid, 10, 0.01, coils), coils)
+        with pytest.raises(ValueError, match="terminal field grid"):
+            solve_adjoint(point, lambda j: 0.0, VectorField.zero(Grid((8,), (2.0,))))
 
 
 class TestDuality:
@@ -222,8 +228,7 @@ class TestDuality:
         g[..., 1] = 0.5
         phi_T = np.zeros(grid.shape + (3,))
         phi_T[..., 2] = np.cos(np.pi * x)
-        phi = solve_adjoint(AdjointProblem(traj, U, coils, g,
-                                           VectorField(grid, phi_T)))
+        phi = solve_adjoint(point, lambda j: g[j], VectorField(grid, phi_T))
         w = grid.cell_volume
         gz = np.array([w * np.sum(g[j] * z.values[j]) for j in range(K + 1)])
         lhs = w * np.sum(phi_T * z.values[-1]) - time_integral(gz, dt)

@@ -390,7 +390,7 @@ class TestGlobalUniquenessReport:
             UserConstants(go_constant=0.1, c4n=1.0, c2=1.0, c3=1.0),
             rng=np.random.default_rng(8), n_fooc_samples=25)
             for _ in range(2)]
-        assert reps[0].pf_residual == reps[1].pf_residual
+        assert reps[0].go_lhs == reps[1].go_lhs
         assert reps[0].fooc_min_sample == reps[1].fooc_min_sample
         assert reps[0].uloc_lhs == reps[1].uloc_lhs
         assert reps[0].factors == reps[1].factors

@@ -668,6 +668,8 @@ def test_simulate_reads_no_target_input(tmp_path):
      "targets.momega_value = 0 inf 0\n", "optimize"),
     ("bounds.lower", "coils.count = 1\ncoil.1.kind = uniform\n", "certify"),
     ("coils.count", "", "check-curvature"),
+    ("coils.count", "", "check-grad"),
+    ("coils.count", "", "check-taylor"),
 ], ids=["bounds-broadcast-simulate", "bounds-broadcast-optimize", "expr-name",
         "expr-syntax", "expr-zero-division", "md-expr-name", "expr-not-finite",
         "expr-wrong-shape", "oracle-modes-0", "oracle-modes-over-nodes",
@@ -675,7 +677,8 @@ def test_simulate_reads_no_target_input(tmp_path):
         "taylor-negative-eps", "taylor-repeated-eps", "halvings-negative",
         "fooc-samples-negative", "dt-nan", "T-nan", "lengths-nan", "init-value-nan",
         "md-value-nan", "md-init-value-inf", "momega-value-inf",
-        "certify-infinite-bounds", "check-curvature-no-coils"])
+        "certify-infinite-bounds", "check-curvature-no-coils", "check-grad-no-coils",
+        "check-taylor-no-coils"])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, key, config, command):
     # 16 cells, so 17 oracle modes over-resolve the grid
     cfg = tmp_path / "bad.cfg"

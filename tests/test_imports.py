@@ -4,7 +4,7 @@ No module imports an underscore-prefixed name from another: what a module
 shares with its neighbours is part of its public surface.  No module
 calls numpy's cross product: ``grid.cross`` is the one the sweeps run.  And
 no module imports a name from llbopt that it never uses, so a deleted
-function leaves no stale import behind.
+function leaves no stale import behind; nor does the package export one.
 """
 
 import ast
@@ -116,3 +116,8 @@ def test_detects_unused_package_imports(tmp_path):
                     "    return fn.__name__\n")
     assert unused_package_imports(path) == ["mod.py:1 cross", "mod.py:1 laplacian_values",
                                             "mod.py:2 step_values", "mod.py:6 CoilSet"]
+
+
+def test_package_exports_resolve():
+    # a deleted type cannot stay listed in the package's exports
+    assert [name for name in llbopt.__all__ if not hasattr(llbopt, name)] == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import llbopt.llb
-from llbopt.adjoint import AdjointProblem, solve_adjoint
+from llbopt.adjoint import solve_adjoint
 from llbopt.coils import CoilSet, ControlPath, uniform_coil
 from llbopt.grid import Grid, VectorField, cosine_modes, laplacian_values
 from llbopt.llb import (
@@ -22,7 +22,7 @@ from llbopt.llb import (
 )
 from llbopt.tangent import LinearizationPoint, solve_tangent
 
-from conftest import batch_shapes, cosine_initial, grids, two_gaussian_coils
+from conftest import batch_shapes, cosine_initial, frame_source, grids, two_gaussian_coils
 
 
 def radial_exact(t):
@@ -263,12 +263,11 @@ class TestSweepSkeleton:
                             -np.inf, np.inf, cfg.dt)
         base = simulate(m0, U, coils, cfg)
         point = LinearizationPoint(base, U, coils)
-        problem = AdjointProblem(
-            base, U, coils, rng.standard_normal(batch + base.values.shape),
-            VectorField(g, rng.standard_normal(g.shape + (3,))))
+        source = frame_source(g, rng.standard_normal(batch + base.values.shape))
+        terminal = VectorField(g, rng.standard_normal(batch + g.shape + (3,)))
         for sweep in (lambda: simulate(m0, stack, coils, cfg),
                       lambda: solve_tangent(point, stack.intensities),
-                      lambda: solve_adjoint(problem)):
+                      lambda: solve_adjoint(point, source, terminal)):
             calls = []
             with counting_solves(calls):
                 traj = sweep()
@@ -288,10 +287,10 @@ class TestSweepSkeleton:
         directions[member + (j,)] = np.inf
         rhs = rng.standard_normal(batch + point.base_traj.values.shape)
         rhs[member + (j,)] = np.inf
-        terminal = VectorField.zero(g)
+        # the costate's batch is the terminal's; the source frames fill it
         sweeps = ((lambda d: solve_tangent(point, d), directions, j + 1),
-                  (lambda r: solve_adjoint(AdjointProblem(point.base_traj, U, coils,
-                                                          r, terminal)), rhs, j))
+                  (lambda r: solve_adjoint(point, frame_source(g, r), VectorField(
+                      g, np.zeros(r.shape[:-g.dim - 2] + g.shape + (3,)))), rhs, j))
         for sweep, arg, arrival in sweeps:
             for a in (arg, arg[member]):
                 with np.errstate(all="ignore"), pytest.raises(BlowUpError) as err:
@@ -353,14 +352,19 @@ class TestEnergyLedger:
 
 class TestManufacturedSolution:
     def test_temporal_order_against_exact_solution(self):
-        # m*(x,t) = a(t) cos(pi x) e1 with the forcing built from the
-        # discrete eigenvalue, so m* solves the semi-discrete system exactly
-        # and the measured error is purely temporal
+        # m*(x,t) = a(t) cos(pi x) e1 with the discrete eigenvalue lam solves
+        # the semi-discrete system exactly under the forcing
+        # (a' - lam a + a) c + a^3 c^3 along e1, so the measured error is
+        # purely temporal.  That forcing is a control: m x u = 0 along e1,
+        # so two coils c e1 and c^3 e1 carry it with intensities
+        # a' - lam a + a and a^3.
         grid = Grid((32,), (1.0,))
         h = grid.spacing[0]
         lam = 2.0 * (np.cos(np.pi * h) - 1.0) / h**2
         x = grid.axis_coords(0)
         c = np.cos(np.pi * x)
+        coils = CoilSet.from_fields([VectorField(grid, np.stack([p, 0 * p, 0 * p], axis=-1))
+                                     for p in (c, c**3)])
 
         def a(t):
             return 0.3 + 0.2 * np.exp(-t)
@@ -368,23 +372,16 @@ class TestManufacturedSolution:
         def a_dot(t):
             return -0.2 * np.exp(-t)
 
-        def source(t):
-            prof = (a_dot(t) * c - lam * a(t) * c
-                    + (1.0 + (a(t) * c) ** 2) * a(t) * c)
-            vals = np.zeros(grid.shape + (3,))
-            vals[..., 0] = prof
-            return vals
-
         m0 = np.zeros(grid.shape + (3,))
         m0[..., 0] = a(0.0) * c
         T = 0.5
         errs, dts = [], [1e-2 / 2**k for k in range(4)]
         for dt in dts:
-            cfg = SimConfig(T=T, dt=dt, source=source)
-            with pytest.warns(RuntimeWarning, match="manufactured forcing"):
-                traj = simulate(VectorField(grid, m0),
-                                ControlPath.zeros(cfg.n_steps, 0, dt),
-                                CoilSet.empty(grid), cfg)
+            cfg = SimConfig(T=T, dt=dt)
+            t = np.arange(cfg.n_steps + 1) * dt
+            U = ControlPath(np.stack([a_dot(t) - lam * a(t) + a(t), a(t) ** 3], axis=1),
+                            -np.inf, np.inf, dt)
+            traj = simulate(VectorField(grid, m0), U, coils, cfg)
             exact = a(T) * c
             errs.append(float(np.abs(traj.values[-1][..., 0] - exact).max()))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
