@@ -37,10 +37,10 @@ cfg = OptimizeConfig(m0=m0, sim=sim, tol=1e-6)
 
 state, _ = projected_gradient_descent(
     ControlPath.zeros(K, 2, sim.dt, lower=-5.0, upper=5.0), coils, targets, cfg)
-U = state.U
 
 # --- curvature along a few directions, adjoint assembly vs FD oracle --------
-# a stack of directions is one batched tangent, costate-derivative and
+# every certificate below is evaluated at the optimizer's state; a stack of
+# directions is one batched tangent, costate-derivative and
 # finite-difference sweep each
 print("curvature samples at U*")
 rng = np.random.default_rng(3)
@@ -50,21 +50,24 @@ for d in range(3):
     c = rng.standard_normal((2, 3))
     hs.append(np.stack([c[i, 0] + c[i, 1] * np.sin(2 * np.pi * t / sim.T)
                         + c[i, 2] * np.cos(np.pi * t / sim.T) for i in range(2)], axis=1))
-for d, s in enumerate(curvature(U, coils, targets, np.stack(hs), cfg, eps_fd=1e-3)):
-    print(f"  dir {d}: Q_adj = {s.q_adj:+.6f}, Q_fd = {s.q_fd:+.6f}, "
+for s in curvature(state, np.stack(hs), coils, targets, cfg, eps_fd=1e-3):
+    print(f"  dir {s.direction_id}: Q_adj = {s.q_adj:+.6f}, Q_fd = {s.q_fd:+.6f}, "
           f"rel err = {s.rel_err:.2e}")
 
 # --- sampled second-order scan over the critical cone ------------------------
+# the default zero rule is floored by the stationarity residual, so
+# residual-scale noise in Upsilon pins nothing
+masks = critical_cone_mask(state.U, state.grad)
 min_rayleigh, samples = second_order_scan(
-    U, coils, targets, n_dirs=6, cfg=cfg, rng=np.random.default_rng(4))
+    state, masks, 6, coils, targets, cfg, np.random.default_rng(4), eps_fd=1e-3)
 print(f"cone scan: min Q(h)/|h|^2 = {min_rayleigh:.6f} over {len(samples)} "
       f"directions (positive => second-order condition holds on the sample)")
 
 # --- full report with user constants -----------------------------------------
 report = global_and_uniqueness_report(
-    U, coils, targets, cfg,
+    state, coils, targets, cfg,
     UserConstants(go_constant=0.05, c4n=1.2, smallness=0.01),
-    rng=np.random.default_rng(5), state=state)
+    np.random.default_rng(5), n_fooc_samples=200)
 print()
 print(f"pf residual           {state.residual:.3e}")
 print(f"FOOC sampled min      {report.fooc_min_sample:+.3e}")
@@ -75,10 +78,6 @@ print(f"uniqueness bound      lhs = {report.uloc_lhs:.4f} vs 1/T = "
 print(f"smallness monitor     max |lap m|^2 = {report.smallness_max:.4f} "
       f"-> {report.smallness_status}")
 print(f"constants             {report.constants_used}")
-
-# the cone the scan sampled: the default zero rule is floored by the
-# stationarity residual, so residual-scale noise in Upsilon pins nothing
-masks = critical_cone_mask(U, state.grad)
 print(f"cone masks            free: {int(masks.free.sum())}, "
       f"zero: {int(masks.zero.sum())}, sign-constrained: "
       f"{int(masks.nonneg.sum() + masks.nonpos.sum())} of {masks.free.size}")

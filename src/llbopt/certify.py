@@ -3,11 +3,12 @@ control: first-order variational-inequality samples, critical-cone masks,
 second-order curvature samples and scan, and the global-optimality /
 uniqueness comparisons.
 
-The clamp residual, the first-order quantity Upsilon and the state and
-costate behind them are the optimizer's :class:`~llbopt.optimize.ReducedState`
-at the control.  :func:`curvature`, :func:`second_order_scan` and
-:func:`global_and_uniqueness_report` take it as ``state=`` when the caller
-holds it and evaluate it otherwise.
+Every certificate is a statement at one point: the optimizer's
+:class:`~llbopt.optimize.ReducedState`, which holds the control, the state,
+the costate, the first-order quantity Upsilon, the clamp residual and the
+cost.  :func:`curvature`, :func:`second_order_scan` and
+:func:`global_and_uniqueness_report` take that state and read all of these
+from it.
 
 The analysis constants (the global-condition constant, the smallness
 constant, the Lipschitz constants and the H1->L4 embedding constant) are
@@ -39,7 +40,6 @@ from .optimize import (
     ReducedState,
     TrackingTargets,
     natural_residual,
-    reduced_state,
     streamed_cost,
 )
 from .tangent import LinearizationPoint, solve_tangent
@@ -185,29 +185,26 @@ def project_onto_cone(h: np.ndarray, masks: ConeMasks) -> np.ndarray:
 # second order
 # ---------------------------------------------------------------------------
 
-def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
-              h: np.ndarray, cfg: OptimizeConfig, eps_fd: float = 1e-3,
-              state: Optional[ReducedState] = None):
-    """Second derivative of the reduced cost along h, two ways.
+def curvature(state: ReducedState, hs: np.ndarray, coils: CoilSet,
+              targets: TrackingTargets, cfg: OptimizeConfig, eps_fd: float) -> list:
+    """Second derivative of the reduced cost at ``state`` along each
+    direction of the stack ``hs`` (shape (B, K+1, N)), two ways: a list of B
+    :class:`CurvatureSample`, numbered 0..B-1.
 
     Q_adj assembles the curvature form from the tangent state z and the
     costate derivative phi'; Q_fd is the second central difference of the
-    reduced cost.  ``h`` is one direction of shape (K+1, N), giving one
-    :class:`CurvatureSample`, or a stack of shape (B, K+1, N), giving a
-    list of B samples.  A stack's tangents and costate derivatives each run
-    as one batched sweep, split only to keep a batch within
-    :data:`BUDGET`; its 2B finite-difference forwards keep no trajectory
-    and run as one sweep.  A blow-up at U +/- eps*h
-    invalidates that direction's Q_fd only.
+    reduced cost around ``state.cost``.  The tangents and costate
+    derivatives each run as one batched sweep, split only to keep a batch
+    within :data:`BUDGET`; the 2B finite-difference forwards keep no
+    trajectory and run as one sweep.  A blow-up at U +/- eps*h invalidates
+    that direction's Q_fd only.
     """
-    h = np.asarray(h, dtype=float)
-    single = h.ndim < 3
-    hs = np.atleast_2d(h)[None] if single else h
+    hs = np.asarray(hs, dtype=float)
+    if hs.ndim != 3:
+        raise ValueError(f"curvature directions have shape {hs.shape}, expected (B, K+1, N)")
     if not np.all(np.any(hs, axis=(-2, -1))):
         raise ValueError("curvature direction must be nonzero")
-    if state is None:
-        state = reduced_state(U, coils, targets, cfg)
-    traj, phi = state.traj, state.phi
+    U, traj, phi = state.U, state.traj, state.phi
     grid, K, B = traj.grid, U.n_steps, hs.shape[0]
     point = LinearizationPoint(traj, U, coils)
     cells = tuple(range(-grid.dim - 1, 0))
@@ -234,38 +231,30 @@ def curvature(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
         fd_valid = bool(np.isfinite(cp) and np.isfinite(cm))
         q_fd = float((cp - 2.0 * state.cost.total + cm) / eps_fd**2)
         rel = abs(q_adj - q_fd) / max(abs(q_fd), 1e-300) if fd_valid else float("nan")
-        samples.append(CurvatureSample(-1, q_adj, q_fd, rel, fd_valid))
-    return samples[0] if single else samples
+        samples.append(CurvatureSample(b, q_adj, q_fd, rel, fd_valid))
+    return samples
 
 
-def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
-                      n_dirs: int, cfg: OptimizeConfig,
-                      rng: Optional[np.random.Generator] = None,
-                      masks: Optional[ConeMasks] = None,
-                      eps_fd: float = 1e-3,
-                      state: Optional[ReducedState] = None):
+def second_order_scan(state: ReducedState, masks: ConeMasks, n_dirs: int,
+                      coils: CoilSet, targets: TrackingTargets, cfg: OptimizeConfig,
+                      rng: np.random.Generator, eps_fd: float):
     """``(min_rayleigh, samples)``: the minimum Rayleigh value Q(h)/||h||^2
-    over random critical directions and their :class:`CurvatureSample` list.
+    over random critical directions at ``state`` and their
+    :class:`CurvatureSample` list.
 
-    Directions are drawn, projected onto ``masks`` (by default
-    :func:`critical_cone_mask` at U and Upsilon) and normalized, then
-    sampled by one :func:`curvature` call; the scan warns rather than fails
-    away from stationarity.  All directions degenerating to zero means the
-    sampled cone is numerically trivial.  ``state`` is the
-    :func:`~llbopt.optimize.reduced_state` at U when the caller has it.
+    Directions are drawn, projected onto ``masks`` (the cone the caller
+    built, :func:`critical_cone_mask`) and normalized, then sampled by one
+    :func:`curvature` call; a sample keeps the index of its draw.  The scan
+    warns rather than fails away from stationarity.  All directions
+    degenerating to zero means the sampled cone is numerically trivial.
     """
-    rng = rng or np.random.default_rng(0)
-    if state is None:
-        state = reduced_state(U, coils, targets, cfg)
-    residual = state.residual
+    U, residual = state.U, state.residual
     if residual > 1e-3:
         warnings.warn(
             f"curvature scan at a point with first-order residual {residual:.3g}; "
             "the critical cone is only meaningful near stationarity",
             RuntimeWarning,
         )
-    if masks is None:
-        masks = critical_cone_mask(U, state.grad)
     directions, ids = [], []
     for d in range(n_dirs):
         h = project_onto_cone(rng.standard_normal(U.intensities.shape), masks)
@@ -275,8 +264,7 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
             ids.append(d)
     if not directions:
         raise TrivialConeError("cone numerically trivial: all sampled directions vanish")
-    samples = curvature(U, coils, targets, np.stack(directions), cfg, eps_fd=eps_fd,
-                        state=state)
+    samples = curvature(state, np.stack(directions), coils, targets, cfg, eps_fd)
     for d, sample in zip(ids, samples):
         sample.direction_id = d
     min_rayleigh = min(s.q_adj for s in samples)  # directions are unit-norm
@@ -287,14 +275,10 @@ def second_order_scan(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
 # global condition and uniqueness bound
 # ---------------------------------------------------------------------------
 
-def trajectory_norms(traj: Trajectory) -> dict:
-    """The space-time norms entering the global/uniqueness comparisons."""
-    return _space_time_norms(traj.grid, traj.frames, traj.dt)
-
-
-def _space_time_norms(grid: Grid, frames, dt: float) -> dict:
-    """:func:`trajectory_norms` of a sequence of frames, walked one frame at
-    a time (:func:`~llbopt.grid.frame_norms`)."""
+def space_time_norms(grid: Grid, frames, dt: float) -> dict:
+    """The space-time norms entering the global/uniqueness comparisons, of
+    a sequence of frames walked one frame at a time
+    (:func:`~llbopt.grid.frame_norms`)."""
     l2_sq, grad_sq = frame_norms(grid, frames, grad=True)
     h1_sq = l2_sq + grad_sq
     return {
@@ -342,7 +326,7 @@ def _estimate_lipschitz_pair(U: ControlPath, coils: CoilSet,
             raise BlowUpError("state blow-up", blown_at)
         costates = tracking_adjoint(states, paths, coils, targets.m_d, targets.m_omega)
         for m, p, denom in zip(states.values, costates.values, denoms[sl]):
-            dm, dp = (_space_time_norms(grid, (a - b for a, b in zip(*pair)), U.dt)
+            dm, dp = (space_time_norms(grid, (a - b for a, b in zip(*pair)), U.dt)
                       for pair in (m, p))
             state_best = max(state_best, dm["linf_h1"] / denom)
             costate_norm = np.sqrt(dp["linf_l2"] ** 2 + dp["l2_h1"] ** 2)
@@ -350,21 +334,18 @@ def _estimate_lipschitz_pair(U: ControlPath, coils: CoilSet,
     return float(state_best**2), float(costate_best**2)
 
 
-def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
+def global_and_uniqueness_report(state: ReducedState, coils: CoilSet,
                                  targets: TrackingTargets, cfg: OptimizeConfig,
-                                 constants: UserConstants,
-                                 rng: Optional[np.random.Generator] = None,
-                                 n_fooc_samples: int = 200,
-                                 state: Optional[ReducedState] = None) -> CertificateReport:
-    """Assemble the certificate report at a candidate control.
+                                 constants: UserConstants, rng: np.random.Generator,
+                                 n_fooc_samples: int) -> CertificateReport:
+    """Assemble the certificate report at ``state``.
 
-    All measurable factors are computed from the forward and adjoint solves;
-    the two comparisons are assembled with the supplied constants.  Missing
+    All measurable factors are computed from its state and costate; the two
+    comparisons are assembled with the supplied constants.  Missing
     Lipschitz constants fall back to empirical estimators and downgrade the
     uniqueness verdict to INDETERMINATE; the global-condition constant and
     the embedding constant have no estimator and are required for their
-    respective comparisons.  ``state`` is the
-    :func:`~llbopt.optimize.reduced_state` at U when the caller has it.
+    respective comparisons.
     """
     if constants.go_constant is None or constants.c4n is None:
         missing = [name for name, v in (("go_constant", constants.go_constant),
@@ -372,16 +353,13 @@ def global_and_uniqueness_report(U: ControlPath, coils: CoilSet,
         raise ValueError(
             "missing required constants with no estimator fallback: "
             + ", ".join(missing))
-    rng = rng or np.random.default_rng(0)
-    if state is None:
-        state = reduced_state(U, coils, targets, cfg)
-    traj, phi = state.traj, state.phi
+    U, traj, phi = state.U, state.traj, state.phi
     fooc_min = fooc_sample_min(U, state.grad, n_fooc_samples, rng)
 
-    m_norms = trajectory_norms(traj)
-    phi_norms = trajectory_norms(phi)
-    T = U.final_time
     grid = traj.grid
+    m_norms = space_time_norms(grid, traj.frames, traj.dt)
+    phi_norms = space_time_norms(grid, phi.frames, phi.dt)
+    T = U.final_time
     b_h1_sq = float(np.max(coils.h1_norms) ** 2) if coils.n_coils else 0.0
     c_ab = (control_norm_rms(U.lower, U.dt) ** 2
             + control_norm_rms(U.upper, U.dt) ** 2)

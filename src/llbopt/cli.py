@@ -210,16 +210,14 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
                                tol_upsilon=cfg.get("certify.tol_upsilon"))
     try:
         min_rayleigh, samples = second_order_scan(
-            U, coils, targets, cfg["certify.n_dirs"], opt,
-            rng=np.random.default_rng(cfg.seed), masks=masks,
-            eps_fd=cfg["certify.eps_fd"], state=state)
+            state, masks, cfg["certify.n_dirs"], coils, targets, opt,
+            np.random.default_rng(cfg.seed), cfg["certify.eps_fd"])
     except TrivialConeError:
         # sampled cone degenerated to {0}; the first-order report still stands
         min_rayleigh, samples = None, []
     report = global_and_uniqueness_report(
-        U, coils, targets, opt, cfg.build_constants(),
-        rng=np.random.default_rng(cfg.seed + 1),
-        n_fooc_samples=cfg["certify.n_fooc_samples"], state=state)
+        state, coils, targets, opt, cfg.build_constants(),
+        np.random.default_rng(cfg.seed + 1), cfg["certify.n_fooc_samples"])
 
     lines = {
         "pf_residual": state.residual,
@@ -318,9 +316,8 @@ def cmd_check_curvature(cfg: RunConfig, out_dir, quiet):
     n_dirs = cfg["certify.n_dirs"]
     hs = np.stack([smooth_directions(sim.n_steps, coils.n_coils, sim.dt, rng)
                    for _ in range(n_dirs)])
-    samples = curvature(U, coils, targets, hs, opt, eps_fd=cfg["certify.eps_fd"])
-    for d, s in enumerate(samples):
-        s.direction_id = d
+    state = reduced_state(U, coils, targets, opt)
+    samples = curvature(state, hs, coils, targets, opt, cfg["certify.eps_fd"])
     write_curvature(out_dir, samples)
     tol = cfg["checks.curvature_tol"]
     worst = max((s.rel_err for s in samples if s.fd_valid), default=float("nan"))

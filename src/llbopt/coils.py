@@ -8,7 +8,7 @@ the geometry used by the cost functional and all gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,30 +17,21 @@ from .grid import Grid, VectorField, h1_norm, time_integral
 
 @dataclass
 class CoilSet:
-    """N fixed coil geometry fields on a common grid, with cached H1 norms."""
+    """N fixed coil geometry fields on a common grid, with their H1 norms."""
 
     grid: Grid
     geometries: np.ndarray  # (N,) + grid.shape + (3,)
-    h1_norms: np.ndarray    # (N,)
+    h1_norms: np.ndarray = field(init=False)  # (N,)
 
     def __post_init__(self):
         self.geometries = np.asarray(self.geometries, dtype=float)
-        self.h1_norms = np.asarray(self.h1_norms, dtype=float)
         expected_tail = self.grid.shape + (3,)
         if self.geometries.ndim != len(expected_tail) + 1 or self.geometries.shape[1:] != expected_tail:
             raise ValueError(
                 f"coil geometries have shape {self.geometries.shape}, "
                 f"expected (N,) + {expected_tail}"
             )
-        if self.h1_norms.shape != (self.n_coils,):
-            raise ValueError("h1_norms must have one entry per coil")
-        for k in range(self.n_coils):
-            actual = h1_norm(self.grid, self.geometries[k])
-            if abs(actual - self.h1_norms[k]) > 1e-12 * max(actual, 1.0):
-                raise ValueError(
-                    f"cached H1 norm of coil {k} ({self.h1_norms[k]!r}) is "
-                    f"inconsistent with its geometry ({actual!r})"
-                )
+        self.h1_norms = np.array([h1_norm(self.grid, g) for g in self.geometries])
 
     @classmethod
     def from_fields(cls, fields: list[VectorField]) -> "CoilSet":
@@ -50,13 +41,11 @@ class CoilSet:
         for k, f in enumerate(fields):
             if f.grid != grid:
                 raise ValueError(f"coil/grid incompatibility: coil {k} lives on a different grid")
-        geom = np.stack([f.values for f in fields])
-        h1 = np.array([h1_norm(grid, f.values) for f in fields])
-        return cls(grid, geom, h1)
+        return cls(grid, np.stack([f.values for f in fields]))
 
     @classmethod
     def empty(cls, grid: Grid) -> "CoilSet":
-        return cls(grid, np.zeros((0,) + grid.shape + (3,)), np.zeros(0))
+        return cls(grid, np.zeros((0,) + grid.shape + (3,)))
 
     @property
     def n_coils(self) -> int:

@@ -60,8 +60,10 @@ class Key:
     ``_parse_bool`` or ``_numbers`` (a whitespace-separated list).
     ``default`` is its value when unset, :data:`REQUIRED`, or None for a
     key that stays unset.  At most one check on the value alone: ``kinds``
-    (the allowed values), ``length`` (a list of that many finite numbers)
-    or ``check``, a (predicate, message) pair.
+    (the allowed values), ``length`` (a list of that many numbers) or
+    ``check``, a (predicate, message) pair.  Every float, alone or in a
+    list, must be finite; only ``bounds.lower`` and ``bounds.upper`` also
+    take +-inf.
     """
 
     parse: Callable[[str], object]
@@ -76,6 +78,7 @@ _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _ORDER_RANGE = (lambda v: len(v) == 2 and v[0] <= v[1], "need two values lo <= hi")
 _FIELD_KINDS = ("zero", "constant", "expr")
+_INFINITE_OK = ("bounds.lower", "bounds.upper")  # an infinite bound leaves a side open
 
 # Rows in the order their checks report: control before the initial state
 # and the targets.
@@ -397,10 +400,23 @@ def _check_keys(raw: dict):
             errors.append(f"{key}: unknown kind {v!r}")
         elif spec.length is not None and len(v) != spec.length:
             errors.append(f"{key}: need {spec.length} components")
-        elif spec.length is not None and not np.all(np.isfinite(v)):
-            errors.append(f"{key}: must be finite, got {v}")
         elif spec.check is not None and not spec.check[0](v):
             errors.append(f"{key}: {spec.check[1]}, got {v}")
+    return errors
+
+
+def _non_finite(raw: dict):
+    """The float keys, scalar or list, holding NaN, or +-inf outside the
+    bounds (:class:`Key`)."""
+    errors = []
+    for key, v in raw.items():
+        spec = COIL_SCHEMA[key.split(".")[2]] if key.startswith("coil.") else SCHEMA[key]
+        if spec.parse not in (float, _numbers):
+            continue
+        if key in _INFINITE_OK and np.any(np.isnan(v)):
+            errors.append(f"{key}: must not be NaN, got {v}")
+        elif key not in _INFINITE_OK and not np.all(np.isfinite(v)):
+            errors.append(f"{key}: must be finite, got {v}")
     return errors
 
 
@@ -409,6 +425,10 @@ def _validate(raw: dict, base_dir: str):
                if spec.default is REQUIRED and key not in raw]
     if missing:
         return [f"missing required key {key!r}" for key in missing]
+    # the checks below compute with the numbers, so a NaN or inf stops here
+    non_finite = _non_finite(raw)
+    if non_finite:
+        return non_finite
 
     dim = raw["grid.dim"]
     if dim not in (1, 2, 3):
@@ -428,7 +448,7 @@ def _validate(raw: dict, base_dir: str):
         errors.append(f"grid.lengths: need {dim} positive reals, got {lengths}")
 
     T, dt = raw["time.T"], raw["time.dt"]
-    if not dt > 0:  # NaN included
+    if not dt > 0:
         errors.append(f"time.dt: must be positive, got {dt}")
     elif not T > 0:
         errors.append(f"time.T: must be positive, got {T}")

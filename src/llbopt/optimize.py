@@ -261,7 +261,8 @@ def projected_gradient_descent(U0: ControlPath, coils: CoilSet,
         if not accepted:
             raise StalledDescentError(
                 f"stalled descent: no sufficient decrease after "
-                f"{cfg.max_halvings} halvings at iteration {it}"
+                f"{cfg.max_halvings} halvings at iteration {it}, natural "
+                f"residual {residual:.3e} above tolerance {cfg.tol:g}"
             )
         state = reduced_state(trial, coils, targets, cfg,
                               forward=(trial_cost, trial_traj))

@@ -110,17 +110,6 @@ def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
 # verification utilities
 # ---------------------------------------------------------------------------
 
-def _max_h1(grid, frames) -> float:
-    """max over ``frames`` of the H1 norm."""
-    l2_sq, grad_sq = frame_norms(grid, frames, grad=True)
-    return float(np.sqrt(np.max(l2_sq + grad_sq)))
-
-
-def trajectory_h1_distance(a: Trajectory, b: Trajectory) -> float:
-    """max over frames of the H1 norm of the difference."""
-    return _max_h1(a.grid, (x - y for x, y in zip(a.frames, b.frames)))
-
-
 @dataclass
 class TaylorResult:
     epsilons: np.ndarray

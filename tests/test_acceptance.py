@@ -228,17 +228,18 @@ def test_criterion_09_projected_gradient_optimization(stock_problem, stock_conve
 def test_criterion_10_curvature_consistency(stock_problem, stock_converged):
     grid, sim, coils, m0, U0, targets, cfg = stock_problem
     U, _, _ = stock_converged
+    state = reduced_state(U, coils, targets, cfg)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(5):
         coeffs = [tuple(row) for row in rng.standard_normal((2, 3))]
         h = smooth_time_profiles(sim.n_steps, sim.dt, coeffs)
-        s = curvature(U, coils, targets, h, cfg, eps_fd=1e-3)
+        s, = curvature(state, h[None], coils, targets, cfg, eps_fd=1e-3)
         assert s.fd_valid
         worst = max(worst, s.rel_err)
     h = smooth_time_profiles(sim.n_steps, sim.dt, [(0.7, 0.2, 0.0), (-0.5, 0.0, 0.3)])
-    q1 = curvature(U, coils, targets, h, cfg).q_adj
-    q2 = curvature(U, coils, targets, 2.0 * h, cfg).q_adj
+    q1 = curvature(state, h[None], coils, targets, cfg, eps_fd=1e-3)[0].q_adj
+    q2 = curvature(state, 2.0 * h[None], coils, targets, cfg, eps_fd=1e-3)[0].q_adj
     scaling_err = abs(q2 - 4.0 * q1) / abs(4.0 * q1)
     report(10, worst <= 1e-2 and scaling_err <= 1e-10,
            "second-derivative adjoint assembly vs second differences",

@@ -4,7 +4,7 @@ import pytest
 import llbopt.certify
 from llbopt.adjoint import tracking_adjoint
 from llbopt.coils import CoilSet, ControlPath, control_norm_rms, uniform_coil
-from llbopt.grid import Grid, Trajectory, VectorField
+from llbopt.grid import Grid, VectorField
 from llbopt.llb import BlowUpError, SimConfig, simulate
 from llbopt.optimize import (
     OptimizeConfig,
@@ -12,7 +12,7 @@ from llbopt.optimize import (
     projected_gradient_descent,
     reduced_state,
 )
-from llbopt.tangent import LinearizationPoint, solve_tangent, trajectory_h1_distance
+from llbopt.tangent import LinearizationPoint, solve_tangent
 from llbopt.certify import (
     UserConstants,
     critical_cone_mask,
@@ -22,7 +22,7 @@ from llbopt.certify import (
     project_onto_cone,
     second_order_scan,
     smallness_monitor,
-    trajectory_norms,
+    space_time_norms,
 )
 
 from conftest import smooth_time_profiles, tracking_problem
@@ -31,18 +31,22 @@ from conftest import smooth_time_profiles, tracking_problem
 @pytest.fixture(scope="module")
 def converged(stock_problem):
     grid, sim, coils, m0, U0, targets, cfg = stock_problem
-    state, history = projected_gradient_descent(U0, coils, targets, cfg)
-    U = state.U
-    return U, history, stock_problem
+    state, _ = projected_gradient_descent(U0, coils, targets, cfg)
+    return state, stock_problem
+
+
+def scan_at(state, problem, n_dirs, rng):
+    """:func:`second_order_scan` at ``state`` over its default cone."""
+    grid, sim, coils, m0, U0, targets, cfg = problem
+    masks = critical_cone_mask(state.U, state.grad)
+    return second_order_scan(state, masks, n_dirs, coils, targets, cfg, rng, 1e-3)
 
 
 class TestFirstOrderResidual:
     def test_residual_at_converged_control(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        rs = reduced_state(U, coils, targets, cfg)
-        res, upsilon = rs.residual, rs.grad
-        assert res <= cfg.tol
-        assert upsilon.shape == U.intensities.shape
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        assert state.residual <= cfg.tol
+        assert state.grad.shape == state.U.intensities.shape
 
     def test_zero_residual_regime(self):
         # matched targets, zero interior control: Upsilon = 0 exactly
@@ -55,7 +59,8 @@ class TestFirstOrderResidual:
         assert np.all(upsilon == 0.0)
 
     def test_perturbation_raises_residual_linearly(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        U = state.U
         delta = 1e-3
         bumped = U.intensities.copy()
         j, i = bumped.shape[0] // 2, 0
@@ -124,71 +129,66 @@ class TestConeMasks:
 
 class TestCurvature:
     def test_quadratic_scaling_exact(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
         h = smooth_time_profiles(sim.n_steps, sim.dt,
                                  [(0.7, 0.2, 0.0), (-0.5, 0.0, 0.3)])
-        s1 = curvature(U, coils, targets, h, cfg)
-        s2 = curvature(U, coils, targets, 2.0 * h, cfg)
+        s1, s2 = curvature(state, np.stack([h, 2.0 * h]), coils, targets, cfg, 1e-3)
         assert s2.q_adj == pytest.approx(4.0 * s1.q_adj, rel=1e-10)
 
     def test_sign_invariance(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
         h = smooth_time_profiles(sim.n_steps, sim.dt,
                                  [(0.4, -0.3, 0.0), (0.2, 0.0, 0.6)])
-        s1 = curvature(U, coils, targets, h, cfg)
-        s2 = curvature(U, coils, targets, -h, cfg)
+        s1, s2 = curvature(state, np.stack([h, -h]), coils, targets, cfg, 1e-3)
         assert s2.q_adj == pytest.approx(s1.q_adj, rel=1e-10)
 
     def test_adjoint_matches_second_difference(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
         rng = np.random.default_rng(3)
-        for _ in range(3):
-            c = rng.standard_normal((2, 3))
-            h = smooth_time_profiles(sim.n_steps, sim.dt, [tuple(r) for r in c])
-            s = curvature(U, coils, targets, h, cfg, eps_fd=1e-3)
+        hs = np.stack([smooth_time_profiles(sim.n_steps, sim.dt,
+                                            [tuple(r) for r in rng.standard_normal((2, 3))])
+                       for _ in range(3)])
+        for s in curvature(state, hs, coils, targets, cfg, 1e-3):
             assert s.fd_valid
             assert s.rel_err <= 1e-2
 
     def test_bilinearity_identity(self, converged):
         # Q(h1+h2) + Q(h1-h2) = 2 Q(h1) + 2 Q(h2)
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
         h1 = smooth_time_profiles(sim.n_steps, sim.dt,
                                   [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
         h2 = smooth_time_profiles(sim.n_steps, sim.dt,
                                   [(-0.2, 0.0, 0.3), (0.6, 0.2, 0.0)])
-        q = {}
-        for name, h in (("p", h1 + h2), ("m", h1 - h2), ("1", h1), ("2", h2)):
-            q[name] = curvature(U, coils, targets, h, cfg).q_adj
-        lhs = q["p"] + q["m"]
-        rhs = 2 * q["1"] + 2 * q["2"]
-        assert lhs == pytest.approx(rhs, rel=1e-8)
+        qp, qm, q1, q2 = (s.q_adj for s in curvature(
+            state, np.stack([h1 + h2, h1 - h2, h1, h2]), coils, targets, cfg, 1e-3))
+        assert qp + qm == pytest.approx(2 * q1 + 2 * q2, rel=1e-8)
 
     def test_stack_matches_single_directions(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
         rng = np.random.default_rng(11)
         hs = np.stack([smooth_time_profiles(sim.n_steps, sim.dt,
                                             [tuple(r) for r in rng.standard_normal((2, 3))])
                        for _ in range(3)])
-        samples = curvature(U, coils, targets, hs, cfg)
-        assert len(samples) == 3
+        samples = curvature(state, hs, coils, targets, cfg, 1e-3)
+        assert [s.direction_id for s in samples] == [0, 1, 2]
         for h, s in zip(hs, samples):
-            ref = curvature(U, coils, targets, h, cfg)
+            ref, = curvature(state, h[None], coils, targets, cfg, 1e-3)
             assert s.fd_valid and ref.fd_valid
             assert s.q_adj == pytest.approx(ref.q_adj, rel=1e-12)
             assert s.q_fd == pytest.approx(ref.q_fd, rel=1e-6)
 
     def test_exploding_direction_invalidates_only_its_fd(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
         h = smooth_time_profiles(sim.n_steps, sim.dt, [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
         hs = np.stack([h, 1e9 * h, -h])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.warns(RuntimeWarning, match="marginally resolved"):
-            samples = curvature(U, coils, targets, hs, cfg)
+            samples = curvature(state, hs, coils, targets, cfg, 1e-3)
         assert [s.fd_valid for s in samples] == [True, False, True]
         assert np.isnan(samples[1].q_fd) and np.isnan(samples[1].rel_err)
         assert np.isfinite(samples[1].q_adj)
         for b in (0, 2):
-            ref = curvature(U, coils, targets, hs[b], cfg)
+            ref, = curvature(state, hs[[b]], coils, targets, cfg, 1e-3)
             assert samples[b].q_fd == pytest.approx(ref.q_fd, rel=1e-6)
             assert samples[b].rel_err <= 1e-2
 
@@ -205,51 +205,77 @@ class TestCurvature:
         targets = TrackingTargets(np.zeros((K + 1,) + grid.shape + (3,)),
                                   np.zeros(grid.shape + (3,)))
         cfg = OptimizeConfig(m0=m0, sim=sim)
-        h = np.ones((K + 1, 1))
-        s = curvature(U, coils, targets, h, cfg)
+        state = reduced_state(U, coils, targets, cfg)
+        s, = curvature(state, np.ones((1, K + 1, 1)), coils, targets, cfg, 1e-3)
         expected = 2 * T - 0.5 + 0.5 * np.exp(-2 * T)
         assert s.q_adj == pytest.approx(expected, rel=1e-2)
 
     def test_zero_direction_rejected(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
         with pytest.raises(ValueError, match="nonzero"):
-            curvature(U, coils, targets, np.zeros_like(U.intensities), cfg)
+            curvature(state, np.zeros((1,) + state.U.intensities.shape),
+                      coils, targets, cfg, 1e-3)
+
+    def test_unstacked_direction_rejected(self, converged):
+        # one input shape: a single direction is a stack of one
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        with pytest.raises(ValueError, match=r"expected \(B, K\+1, N\)"):
+            curvature(state, np.ones(state.U.intensities.shape), coils, targets, cfg, 1e-3)
 
 
 class TestSecondOrderScan:
     def test_decoupled_regime_min_near_one(self):
         # matched targets: costate vanishes and Q(h) >= ||h||^2
-        grid, sim, coils, m0, U0, _, cfg = tracking_problem(n=16, dt=5e-3, T=0.25)
+        problem = tracking_problem(n=16, dt=5e-3, T=0.25)
+        grid, sim, coils, m0, U0, _, cfg = problem
         traj = simulate(m0, U0, coils, sim)
         targets = TrackingTargets.from_trajectory(traj)
-        mr, samples = second_order_scan(U0, coils, targets, 5, cfg,
-                                        rng=np.random.default_rng(1))
-        assert reduced_state(U0, coils, targets, cfg).residual == 0.0
+        problem = problem[:5] + (targets, cfg)
+        state = reduced_state(U0, coils, targets, cfg)
+        mr, samples = scan_at(state, problem, 5, np.random.default_rng(1))
+        assert state.residual == 0.0
         assert mr >= 1.0 - 0.02
 
     def test_trivial_cone_detected(self):
-        grid, sim, coils, m0, U0, _, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
+        problem = tracking_problem(n=16, dt=1e-2, T=0.2)
+        grid, sim, coils, m0, U0, _, cfg = problem
         traj = simulate(m0, U0, coils, sim)
         targets = TrackingTargets.from_trajectory(traj)
+        problem = problem[:5] + (targets, cfg)
         # a point box (a = b) pins every direction coordinate to zero
         pinned = ControlPath(np.full_like(U0.intensities, 0.7),
                              0.7, 0.7, U0.dt)
+        state = reduced_state(pinned, coils, targets, cfg)
         with pytest.raises(ValueError, match="cone numerically trivial"):
-            second_order_scan(pinned, coils, targets, 4, cfg,
-                              rng=np.random.default_rng(2))
+            scan_at(state, problem, 4, np.random.default_rng(2))
 
     def test_scan_at_converged_control_positive(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        mr, samples = second_order_scan(U, coils, targets, 4, cfg,
-                                        rng=np.random.default_rng(3))
+        state, problem = converged
+        mr, samples = scan_at(state, problem, 4, np.random.default_rng(3))
         assert len(samples) == 4
         assert mr > 0
 
+    def test_samples_the_cone_it_is_given(self, converged, monkeypatch):
+        # the scan projects onto the caller's masks, not a cone of its own
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        free = critical_cone_mask(state.U, state.grad)
+        only_first = critical_cone_mask(state.U, state.grad)
+        only_first.zero[:, 1:] = True
+        only_first.free[:, 1:] = False
+        seen = []
+        real = llbopt.certify.curvature
+        monkeypatch.setattr(llbopt.certify, "curvature",
+                            lambda state, hs, *args: seen.append(hs) or real(state, hs, *args))
+        for masks in (free, only_first):
+            second_order_scan(state, masks, 3, coils, targets, cfg,
+                              np.random.default_rng(3), 1e-3)
+        assert np.all(seen[0][:, :, 1] != 0)
+        assert np.all(seen[1][:, :, 1] == 0) and np.all(seen[1][:, :, 0] != 0)
 
     def test_batches_within_budget_match_one_batch(self, converged, monkeypatch):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        one_batch = second_order_scan(U, coils, targets, 4, cfg,
-                                      rng=np.random.default_rng(3))[1]
+        state, problem = converged
+        grid, sim, coils, m0, U0, targets, cfg = problem
+        one_batch = scan_at(state, problem, 4, np.random.default_rng(3))[1]
         calls = {"tangent": 0, "forward": 0}
 
         def counted(name, fn):
@@ -266,8 +292,7 @@ class TestSecondOrderScan:
         # the 8 finite-difference forwards keep no trajectory, so one sweep
         monkeypatch.setattr(llbopt.certify, "BUDGET", 4 * U0.intensities.shape[0]
                             * grid.node_count * 3 * 8)
-        chunked = second_order_scan(U, coils, targets, 4, cfg,
-                                    rng=np.random.default_rng(3))[1]
+        chunked = scan_at(state, problem, 4, np.random.default_rng(3))[1]
         assert calls == {"tangent": 2, "forward": 1}
         assert [s.direction_id for s in chunked] == [s.direction_id for s in one_batch]
         for a, b in zip(chunked, one_batch):
@@ -277,7 +302,8 @@ class TestSecondOrderScan:
 
 class TestLipschitzPairs:
     def test_batched_pairs_match_pairwise_sweeps(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        U = state.U
         c2, c3 = llbopt.certify._estimate_lipschitz_pair(
             U, coils, targets, cfg, np.random.default_rng(12))
         # reference: the pairs one sweep at a time
@@ -288,22 +314,23 @@ class TestLipschitzPairs:
                                   -np.inf, np.inf, U.dt) for _ in range(2))
             denom = control_norm_rms(U1.intensities - U2.intensities, U.dt)
             t1, t2 = (simulate(m0, V, coils, sim) for V in (U1, U2))
-            state_best = max(state_best, trajectory_h1_distance(t1, t2) / denom)
+            dm = space_time_norms(grid, t1.values - t2.values, U.dt)
+            state_best = max(state_best, dm["linf_h1"] / denom)
             p1, p2 = (tracking_adjoint(t, V, coils, targets.m_d, targets.m_omega)
                       for t, V in ((t1, U1), (t2, U2)))
-            nrm = trajectory_norms(Trajectory(grid, U.dt, p1.values - p2.values))
+            nrm = space_time_norms(grid, p1.values - p2.values, U.dt)
             costate_best = max(costate_best,
                                np.sqrt(nrm["linf_l2"] ** 2 + nrm["l2_h1"] ** 2) / denom)
         assert c2 == pytest.approx(state_best**2, rel=1e-12)
         assert c3 == pytest.approx(costate_best**2, rel=1e-12)
 
     def test_member_blowup_raises(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.warns(RuntimeWarning, match="marginally resolved"), \
                 pytest.raises(BlowUpError, match="state blow-up"):
             llbopt.certify._estimate_lipschitz_pair(
-                U, coils, targets, cfg, np.random.default_rng(13), spread=1e7)
+                state.U, coils, targets, cfg, np.random.default_rng(13), spread=1e7)
 
 
     def test_stable_under_resampling(self):
@@ -324,8 +351,8 @@ class TestLipschitzPairs:
             U0.intensities.shape)
         point = LinearizationPoint(simulate(m0, U0, coils, sim), U0, coils)
         z = solve_tangent(point, direction)
-        zero = Trajectory(grid, sim.dt, np.zeros_like(z.values))
-        expected = trajectory_h1_distance(z, zero) / control_norm_rms(direction, sim.dt)
+        expected = (space_time_norms(grid, z.frames, sim.dt)["linf_h1"]
+                    / control_norm_rms(direction, sim.dt))
         errs = []
         for spread in (1e-1, 1e-2):
             c2, _ = llbopt.certify._estimate_lipschitz_pair(
@@ -336,72 +363,75 @@ class TestLipschitzPairs:
         assert errs[-1] <= 1e-2
 
 
+def report_at(state, problem, constants, seed, n_fooc_samples=200):
+    """:func:`global_and_uniqueness_report` at ``state``."""
+    grid, sim, coils, m0, U0, targets, cfg = problem
+    return global_and_uniqueness_report(state, coils, targets, cfg, constants,
+                                        np.random.default_rng(seed), n_fooc_samples)
+
+
+def initial_state(problem):
+    """The reduced state at a problem's initial control."""
+    grid, sim, coils, m0, U0, targets, cfg = problem
+    return reduced_state(U0, coils, targets, cfg)
+
+
 class TestGlobalUniquenessReport:
     def test_zero_residual_go_pass_any_constant(self):
-        grid, sim, coils, m0, U0, _, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
+        problem = tracking_problem(n=16, dt=1e-2, T=0.2)
+        grid, sim, coils, m0, U0, _, cfg = problem
         traj = simulate(m0, U0, coils, sim)
-        targets = TrackingTargets.from_trajectory(traj)
-        rep = global_and_uniqueness_report(
-            U0, coils, targets, cfg,
-            UserConstants(go_constant=1e9, c4n=1.0, c2=1.0, c3=1.0),
-            rng=np.random.default_rng(4))
+        problem = problem[:5] + (TrackingTargets.from_trajectory(traj), cfg)
+        rep = report_at(initial_state(problem), problem,
+                        UserConstants(go_constant=1e9, c4n=1.0, c2=1.0, c3=1.0), 4)
         assert rep.go_lhs == 0.0
         assert rep.go_status == "PASS"
         assert rep.go_status_strict == "PASS"
 
     def test_cab_value(self):
         # a = -1, b = 1, two coils, T = 1: ||a||^2 + ||b||^2 = 4
-        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(
-            n=16, dt=0.05, T=1.0, lower=-1.0, upper=1.0)
-        rep = global_and_uniqueness_report(
-            U0, coils, targets, cfg,
-            UserConstants(go_constant=0.1, c4n=1.0, c2=1.0, c3=1.0),
-            rng=np.random.default_rng(5), n_fooc_samples=10)
+        problem = tracking_problem(n=16, dt=0.05, T=1.0, lower=-1.0, upper=1.0)
+        rep = report_at(initial_state(problem), problem,
+                        UserConstants(go_constant=0.1, c4n=1.0, c2=1.0, c3=1.0), 5,
+                        n_fooc_samples=10)
         assert rep.factors["c_ab"] == pytest.approx(4.0, rel=1e-12)
 
     def test_uloc_flips_with_horizon(self):
         # fixed constants: shrinking T turns the comparison around
-        def report_at(T):
-            grid, sim, coils, m0, U0, targets, cfg = tracking_problem(
-                n=16, dt=T / 20, T=T, lower=-1.0, upper=1.0)
-            return global_and_uniqueness_report(
-                U0, coils, targets, cfg,
-                UserConstants(go_constant=0.1, c4n=0.5, c2=1.0, c3=1.0),
-                rng=np.random.default_rng(6), n_fooc_samples=10)
+        def report_for(T):
+            problem = tracking_problem(n=16, dt=T / 20, T=T, lower=-1.0, upper=1.0)
+            return report_at(initial_state(problem), problem,
+                             UserConstants(go_constant=0.1, c4n=0.5, c2=1.0, c3=1.0), 6,
+                             n_fooc_samples=10)
 
-        long_run = report_at(4.0)
-        short_run = report_at(0.1)
+        long_run = report_for(4.0)
+        short_run = report_for(0.1)
         assert long_run.uloc_status == "FAIL"
         assert short_run.uloc_status == "PASS"
 
     def test_estimated_constants_indeterminate(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        rep = global_and_uniqueness_report(
-            U, coils, targets, cfg, UserConstants(go_constant=0.1, c4n=1.0),
-            rng=np.random.default_rng(7), n_fooc_samples=20)
+        state, problem = converged
+        rep = report_at(state, problem, UserConstants(go_constant=0.1, c4n=1.0), 7,
+                        n_fooc_samples=20)
         assert rep.uloc_status == "INDETERMINATE"
         assert rep.constants_used["C2_source"] == "estimated"
         assert rep.constants_used["C2"] > 0
 
     def test_report_reproducible(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        reps = [global_and_uniqueness_report(
-            U, coils, targets, cfg,
-            UserConstants(go_constant=0.1, c4n=1.0, c2=1.0, c3=1.0),
-            rng=np.random.default_rng(8), n_fooc_samples=25)
-            for _ in range(2)]
+        state, problem = converged
+        reps = [report_at(state, problem,
+                          UserConstants(go_constant=0.1, c4n=1.0, c2=1.0, c3=1.0), 8,
+                          n_fooc_samples=25)
+                for _ in range(2)]
         assert reps[0].go_lhs == reps[1].go_lhs
         assert reps[0].fooc_min_sample == reps[1].fooc_min_sample
         assert reps[0].uloc_lhs == reps[1].uloc_lhs
         assert reps[0].factors == reps[1].factors
 
     def test_missing_required_constants_error(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, problem = converged
         with pytest.raises(ValueError, match="no estimator fallback"):
-            global_and_uniqueness_report(U, coils, targets, cfg,
-                                         UserConstants(c2=1.0, c3=1.0),
-                                         rng=np.random.default_rng(0),
-                                         n_fooc_samples=5)
+            report_at(state, problem, UserConstants(c2=1.0, c3=1.0), 0, n_fooc_samples=5)
 
     def test_smallness_monitor_decay(self):
         grid = Grid((8, 8, 8), (1.0, 1.0, 1.0))
@@ -444,9 +474,8 @@ class TestActiveConstraints:
 
 class TestFOOCSampling:
     def test_nonnegative_at_fixed_point(self, converged):
-        U, history, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        upsilon = reduced_state(U, coils, targets, cfg).grad
-        val = fooc_sample_min(U, upsilon, 200, np.random.default_rng(9))
+        state, _ = converged
+        val = fooc_sample_min(state.U, state.grad, 200, np.random.default_rng(9))
         assert val >= -1e-6
 
     def test_needs_finite_bounds(self):

@@ -508,14 +508,29 @@ class TestSubcommands:
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 3
 
+    def test_exit_3_on_stalled_descent(self, tmp_path, capsys):
+        # cut to T = 0.05, the stock problem's line search stalls with the
+        # residual stuck above solver.opt_tol; the one line says where
+        cfg = tmp_path / "stall.cfg"
+        cfg.write_text(STOCK.replace("time.T = 0.25", "time.T = 0.05"))
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        stalled = re.fullmatch(r"error: stalled descent: no sufficient decrease after 40 "
+                               r"halvings at iteration \d+, natural residual (\S+) above "
+                               r"tolerance 1e-06\n", err)
+        assert stalled and float(stalled.group(1)) > 1e-6
+
     def test_exit_3_on_tangent_blowup_in_certify(self, stock_cfg, tmp_path,
                                                  monkeypatch, capsys):
         # an infinite direction drives the real tangent sweep non-finite;
-        # certify must report a blow-up, not a degenerate cone
+        # certify must report a blow-up, not a degenerate cone.  The stock
+        # config's control is not stationary, so the scan warns first.
         real = llbopt.certify.solve_tangent
         monkeypatch.setattr(llbopt.certify, "solve_tangent",
                             lambda point, h: real(point, np.full_like(h, np.inf)))
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), \
+                pytest.warns(RuntimeWarning, match="first-order residual 0.641"):
             code = main(["certify", "--config", stock_cfg,
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 3
@@ -670,6 +685,19 @@ def test_simulate_reads_no_target_input(tmp_path):
     ("coils.count", "", "check-curvature"),
     ("coils.count", "", "check-grad"),
     ("coils.count", "", "check-taylor"),
+    ("checks.grad_tol", "checks.grad_tol = nan\n", "check-grad"),
+    ("checks.curvature_tol", "checks.curvature_tol = nan\n", "check-curvature"),
+    ("checks.oracle_tol", "checks.oracle_tol = nan\n", "oracle"),
+    ("time.T", "time.T = inf\n", "simulate"),
+    ("coil.1.amplitude", "coils.count = 1\ncoil.1.kind = uniform\ncoil.1.amplitude = inf\n",
+     "simulate"),
+    ("coil.1.width", "coils.count = 1\ncoil.1.kind = gaussian\ncoil.1.center = 0.5\n"
+     "coil.1.width = nan\n", "simulate"),
+    ("grid.lengths", "grid.lengths = inf\n", "simulate"),
+    ("bounds.lower", "bounds.lower = nan\n", "optimize"),
+    ("solver.blowup_threshold", "solver.blowup_threshold = nan\n", "simulate"),
+    ("checks.taylor_eps", "checks.taylor_eps = inf 0.1\n", "check-taylor"),
+    ("certify.c_go", "certify.c_go = inf\n", "certify"),
 ], ids=["bounds-broadcast-simulate", "bounds-broadcast-optimize", "expr-name",
         "expr-syntax", "expr-zero-division", "md-expr-name", "expr-not-finite",
         "expr-wrong-shape", "oracle-modes-0", "oracle-modes-over-nodes",
@@ -678,7 +706,9 @@ def test_simulate_reads_no_target_input(tmp_path):
         "fooc-samples-negative", "dt-nan", "T-nan", "lengths-nan", "init-value-nan",
         "md-value-nan", "md-init-value-inf", "momega-value-inf",
         "certify-infinite-bounds", "check-curvature-no-coils", "check-grad-no-coils",
-        "check-taylor-no-coils"])
+        "check-taylor-no-coils", "grad-tol-nan", "curvature-tol-nan", "oracle-tol-nan",
+        "T-inf", "coil-amplitude-inf", "coil-width-nan", "lengths-inf", "lower-nan",
+        "blowup-threshold-nan", "taylor-eps-inf", "c-go-inf"])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, key, config, command):
     # 16 cells, so 17 oracle modes over-resolve the grid
     cfg = tmp_path / "bad.cfg"

@@ -138,7 +138,9 @@ class TestControlPath:
         coils = CoilSet.from_fields([b])
         assert coils.h1_norms[0] == pytest.approx(h1_norm(unit_square, b.values), rel=1e-12)
 
-    def test_inconsistent_h1_cache_rejected(self, unit_square):
+    def test_h1_norms_computed_from_geometries(self, unit_square):
         b = gaussian_coil(unit_square, [0.4, 0.6], 0.25, 0)
-        with pytest.raises(ValueError, match="inconsistent"):
-            CoilSet(unit_square, b.values[None], np.array([123.0]))
+        coils = CoilSet(unit_square, np.stack([b.values, 2.0 * b.values]))
+        expected = h1_norm(unit_square, b.values) * np.array([1.0, 2.0])
+        assert_allclose(coils.h1_norms, expected, rtol=1e-12)
+        assert CoilSet.empty(unit_square).h1_norms.shape == (0,)

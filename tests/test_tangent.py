@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from llbopt.certify import space_time_norms
 from llbopt.coils import CoilSet, ControlPath, uniform_coil
 from llbopt.grid import Grid, Trajectory
 from llbopt.llb import BlowUpError, SimConfig, simulate
@@ -9,7 +10,6 @@ from llbopt.tangent import (
     LinearizationPoint,
     solve_tangent,
     taylor_remainder_order,
-    trajectory_h1_distance,
 )
 
 from conftest import cosine_initial, smooth_time_profiles, two_gaussian_coils
@@ -122,9 +122,8 @@ class TestTaylor:
                 point.base_control.intensities + eps * dU), point.coils, cfg)
             tm = simulate(m0, point.base_control.with_intensities(
                 point.base_control.intensities - eps * dU), point.coils, cfg)
-            diff = Trajectory(point.grid, point.dt,
-                              (tp.values - tm.values) / (2 * eps))
-            errs.append(trajectory_h1_distance(diff, z))
+            diff = (tp.values - tm.values) / (2 * eps) - z.values
+            errs.append(space_time_norms(point.grid, diff, point.dt)["linf_h1"])
         slope = np.polyfit(np.log(epsilons), np.log(errs), 1)[0]
         assert slope >= 1.9
 
@@ -138,8 +137,7 @@ class TestTaylor:
             dU = rng.standard_normal((point.n_steps + 1, 2))
             dU /= control_norm_rms(dU, point.dt)
             z = solve_tangent(point, dU)
-            zero = Trajectory(point.grid, point.dt, np.zeros_like(z.values))
-            ratios.append(trajectory_h1_distance(z, zero))
+            ratios.append(space_time_norms(point.grid, z.frames, point.dt)["linf_h1"])
         ratios = np.asarray(ratios)
         assert np.all(np.isfinite(ratios))
         assert ratios.max() / ratios.min() < 50
