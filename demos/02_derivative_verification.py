@@ -21,7 +21,7 @@ from llbopt import (
 )
 from llbopt.coils import control_inner_rms, synthesize_values
 from llbopt.grid import time_integral
-from llbopt.optimize import OptimizeConfig, TrackingTargets, reduced_state, streamed_cost
+from llbopt.optimize import ReducedProblem, TrackingTargets, reduced_state, streamed_cost
 
 grid = Grid((64,), (1.0,))
 sim = SimConfig(T=0.25, dt=1e-3)
@@ -40,20 +40,19 @@ coils = CoilSet.from_fields([gaussian_coil(grid, [0.3], 0.15, 0),
 # reachable-adjacent target: uncontrolled run from different initial data
 target_traj = simulate(VectorField(grid, 0.55 * vals + 0.12),
                        ControlPath.zeros(K, 2, sim.dt), coils, sim)
-targets = TrackingTargets.from_trajectory(target_traj)
+problem = ReducedProblem(m0, sim, coils, TrackingTargets.from_trajectory(target_traj))
 
 U = ControlPath.constant([0.5, -0.4], K, sim.dt)
-cfg = OptimizeConfig(m0=m0, sim=sim)
 
 # --- gradient vs central differences ----------------------------------------
 t = np.arange(K + 1) * sim.dt
 h = np.stack([0.6 + 0.4 * np.sin(2 * np.pi * t / sim.T),
               -0.5 + 0.3 * np.cos(np.pi * t / sim.T)], axis=1)
-g = reduced_state(U, coils, targets, cfg).grad
+g = reduced_state(U, problem).grad
 eps = 1e-4
 # both shifted forwards in one batched sweep that keeps only the costs
 shifted = np.stack([U.intensities + eps * h, U.intensities - eps * h])
-(cp, cm), _ = streamed_cost(U.with_intensities(shifted), coils, targets, cfg)
+(cp, cm), _ = streamed_cost(U.with_intensities(shifted), problem)
 fd = (cp.total - cm.total) / (2 * eps)
 ad = control_inner_rms(g, h, sim.dt)
 print("adjoint gradient vs finite differences")

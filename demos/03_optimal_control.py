@@ -14,6 +14,7 @@ from llbopt import CoilSet, gaussian_coil
 from llbopt.certify import fooc_sample_min
 from llbopt.optimize import (
     OptimizeConfig,
+    ReducedProblem,
     TrackingTargets,
     projected_gradient_descent,
     reduced_state,
@@ -33,12 +34,12 @@ coils = CoilSet.from_fields([gaussian_coil(grid, [0.3], 0.15, 0),
 
 target_traj = simulate(VectorField(grid, 0.55 * vals + 0.12),
                        ControlPath.zeros(K, 2, sim.dt), coils, sim)
-targets = TrackingTargets.from_trajectory(target_traj)
+problem = ReducedProblem(m0, sim, coils, TrackingTargets.from_trajectory(target_traj))
 
 U0 = ControlPath.zeros(K, 2, sim.dt, lower=-5.0, upper=5.0)
-cfg = OptimizeConfig(m0=m0, sim=sim, tol=1e-6, max_iters=500)
+cfg = OptimizeConfig(tol=1e-6, max_iters=500)
 
-state, history = projected_gradient_descent(U0, coils, targets, cfg)
+state, history = projected_gradient_descent(U0, problem, cfg)
 U = state.U
 
 print("iter   cost          tracking      terminal      control       residual")
@@ -46,7 +47,7 @@ for rec in history:
     print(f"{rec.iteration:4d}   {rec.cost:.6e}  {rec.tracking:.6e}  "
           f"{rec.terminal:.6e}  {rec.control:.6e}  {rec.residual:.3e}")
 
-rs = reduced_state(U, coils, targets, cfg)
+rs = reduced_state(U, problem)
 res, upsilon = rs.residual, rs.grad
 fooc = fooc_sample_min(U, upsilon, 200, np.random.default_rng(0))
 print()

@@ -18,7 +18,12 @@ from llbopt.certify import (
     global_and_uniqueness_report,
     second_order_scan,
 )
-from llbopt.optimize import OptimizeConfig, TrackingTargets, projected_gradient_descent
+from llbopt.optimize import (
+    OptimizeConfig,
+    ReducedProblem,
+    TrackingTargets,
+    projected_gradient_descent,
+)
 
 grid = Grid((32,), (1.0,))
 sim = SimConfig(T=0.5, dt=5e-3)
@@ -32,14 +37,14 @@ coils = CoilSet.from_fields([gaussian_coil(grid, [0.3], 0.15, 0),
                              gaussian_coil(grid, [0.7], 0.15, 1)])
 target_traj = simulate(VectorField(grid, 0.55 * vals + 0.12),
                        ControlPath.zeros(K, 2, sim.dt), coils, sim)
-targets = TrackingTargets.from_trajectory(target_traj)
-cfg = OptimizeConfig(m0=m0, sim=sim, tol=1e-6)
+problem = ReducedProblem(m0, sim, coils, TrackingTargets.from_trajectory(target_traj))
 
 state, _ = projected_gradient_descent(
-    ControlPath.zeros(K, 2, sim.dt, lower=-5.0, upper=5.0), coils, targets, cfg)
+    ControlPath.zeros(K, 2, sim.dt, lower=-5.0, upper=5.0), problem, OptimizeConfig(tol=1e-6))
 
 # --- curvature along a few directions, adjoint assembly vs FD oracle --------
-# every certificate below is evaluated at the optimizer's state; a stack of
+# every certificate below is evaluated at the optimizer's state, which
+# carries the problem it solves; a stack of
 # directions is one batched tangent, costate-derivative and
 # finite-difference sweep each
 print("curvature samples at U*")
@@ -50,7 +55,7 @@ for d in range(3):
     c = rng.standard_normal((2, 3))
     hs.append(np.stack([c[i, 0] + c[i, 1] * np.sin(2 * np.pi * t / sim.T)
                         + c[i, 2] * np.cos(np.pi * t / sim.T) for i in range(2)], axis=1))
-for s in curvature(state, np.stack(hs), coils, targets, cfg, eps_fd=1e-3):
+for s in curvature(state, np.stack(hs), eps_fd=1e-3):
     print(f"  dir {s.direction_id}: Q_adj = {s.q_adj:+.6f}, Q_fd = {s.q_fd:+.6f}, "
           f"rel err = {s.rel_err:.2e}")
 
@@ -59,14 +64,13 @@ for s in curvature(state, np.stack(hs), coils, targets, cfg, eps_fd=1e-3):
 # residual-scale noise in Upsilon pins nothing
 masks = critical_cone_mask(state.U, state.grad)
 min_rayleigh, samples = second_order_scan(
-    state, masks, 6, coils, targets, cfg, np.random.default_rng(4), eps_fd=1e-3)
+    state, masks, 6, np.random.default_rng(4), eps_fd=1e-3)
 print(f"cone scan: min Q(h)/|h|^2 = {min_rayleigh:.6f} over {len(samples)} "
       f"directions (positive => second-order condition holds on the sample)")
 
 # --- full report with user constants -----------------------------------------
 report = global_and_uniqueness_report(
-    state, coils, targets, cfg,
-    UserConstants(go_constant=0.05, c4n=1.2, smallness=0.01),
+    state, UserConstants(go_constant=0.05, c4n=1.2, smallness=0.01),
     np.random.default_rng(5), n_fooc_samples=200)
 print()
 print(f"pf residual           {state.residual:.3e}")

@@ -3,12 +3,14 @@ control: first-order variational-inequality samples, critical-cone masks,
 second-order curvature samples and scan, and the global-optimality /
 uniqueness comparisons.
 
-Every certificate is a statement at one point: the optimizer's
-:class:`~llbopt.optimize.ReducedState`, which holds the control, the state,
-the costate, the first-order quantity Upsilon, the clamp residual and the
-cost.  :func:`curvature`, :func:`second_order_scan` and
-:func:`global_and_uniqueness_report` take that state and read all of these
-from it.
+Every certificate is a statement at one point of one problem: the
+optimizer's :class:`~llbopt.optimize.ReducedState`, which holds the
+:class:`~llbopt.optimize.ReducedProblem` it was computed on (initial state,
+time grid, coils, targets), the control, the state, the costate, the
+first-order quantity Upsilon, the clamp residual and the cost.
+:func:`curvature`, :func:`second_order_scan` and
+:func:`global_and_uniqueness_report` take only that state and read all of
+these from it, so a certificate cannot mix a state with another problem.
 
 The analysis constants (the global-condition constant, the smallness
 constant, the Lipschitz constants and the H1->L4 embedding constant) are
@@ -27,7 +29,6 @@ import numpy as np
 
 from .adjoint import solve_costate_derivative, tracking_adjoint
 from .coils import (
-    CoilSet,
     ControlPath,
     control_inner_rms,
     control_norm_rms,
@@ -35,13 +36,7 @@ from .coils import (
 )
 from .grid import Grid, Trajectory, cross, frame_norms, laplacian_values, time_integral
 from .llb import BlowUpError, blowup_times, simulate
-from .optimize import (
-    OptimizeConfig,
-    ReducedState,
-    TrackingTargets,
-    natural_residual,
-    streamed_cost,
-)
+from .optimize import ReducedProblem, ReducedState, natural_residual, streamed_cost
 from .tangent import LinearizationPoint, solve_tangent
 
 PASS, FAIL, INDETERMINATE = "PASS", "FAIL", "INDETERMINATE"
@@ -185,8 +180,7 @@ def project_onto_cone(h: np.ndarray, masks: ConeMasks) -> np.ndarray:
 # second order
 # ---------------------------------------------------------------------------
 
-def curvature(state: ReducedState, hs: np.ndarray, coils: CoilSet,
-              targets: TrackingTargets, cfg: OptimizeConfig, eps_fd: float) -> list:
+def curvature(state: ReducedState, hs: np.ndarray, eps_fd: float) -> list:
     """Second derivative of the reduced cost at ``state`` along each
     direction of the stack ``hs`` (shape (B, K+1, N)), two ways: a list of B
     :class:`CurvatureSample`, numbered 0..B-1.
@@ -204,7 +198,7 @@ def curvature(state: ReducedState, hs: np.ndarray, coils: CoilSet,
         raise ValueError(f"curvature directions have shape {hs.shape}, expected (B, K+1, N)")
     if not np.all(np.any(hs, axis=(-2, -1))):
         raise ValueError("curvature direction must be nonzero")
-    U, traj, phi = state.U, state.traj, state.phi
+    U, traj, phi, coils = state.U, state.traj, state.phi, state.problem.coils
     grid, K, B = traj.grid, U.n_steps, hs.shape[0]
     point = LinearizationPoint(traj, U, coils)
     cells = tuple(range(-grid.dim - 1, 0))
@@ -222,7 +216,7 @@ def curvature(state: ReducedState, hs: np.ndarray, coils: CoilSet,
 
     # the 2B forwards at U + eps*h (first B) and U - eps*h (last B)
     shifted = np.concatenate([U.intensities + eps_fd * hs, U.intensities - eps_fd * hs])
-    costs, _ = streamed_cost(ControlPath(shifted, -np.inf, np.inf, U.dt), coils, targets, cfg)
+    costs, _ = streamed_cost(ControlPath(shifted, -np.inf, np.inf, U.dt), state.problem)
     totals = [c.total for c in costs]
     samples = []
     for b in range(B):
@@ -236,7 +230,6 @@ def curvature(state: ReducedState, hs: np.ndarray, coils: CoilSet,
 
 
 def second_order_scan(state: ReducedState, masks: ConeMasks, n_dirs: int,
-                      coils: CoilSet, targets: TrackingTargets, cfg: OptimizeConfig,
                       rng: np.random.Generator, eps_fd: float):
     """``(min_rayleigh, samples)``: the minimum Rayleigh value Q(h)/||h||^2
     over random critical directions at ``state`` and their
@@ -264,7 +257,7 @@ def second_order_scan(state: ReducedState, masks: ConeMasks, n_dirs: int,
             ids.append(d)
     if not directions:
         raise TrivialConeError("cone numerically trivial: all sampled directions vanish")
-    samples = curvature(state, np.stack(directions), coils, targets, cfg, eps_fd)
+    samples = curvature(state, np.stack(directions), eps_fd)
     for d, sample in zip(ids, samples):
         sample.direction_id = d
     min_rayleigh = min(s.q_adj for s in samples)  # directions are unit-norm
@@ -296,8 +289,7 @@ def smallness_monitor(traj: Trajectory) -> np.ndarray:
     return frame_norms(grid, (laplacian_values(grid, m) for m in traj.frames))
 
 
-def _estimate_lipschitz_pair(U: ControlPath, coils: CoilSet,
-                             targets: TrackingTargets, cfg: OptimizeConfig,
+def _estimate_lipschitz_pair(U: ControlPath, problem: ReducedProblem,
                              rng: np.random.Generator, n_pairs: int = 3,
                              spread: float = 0.2):
     """Empirical (lower-bound) squared Lipschitz ratios for state and costate.
@@ -317,10 +309,10 @@ def _estimate_lipschitz_pair(U: ControlPath, coils: CoilSet,
             denoms.append(denom)
     state_best = 0.0
     costate_best = 0.0
-    grid = cfg.m0.grid
+    grid, coils, targets = problem.m0.grid, problem.coils, problem.targets
     for sl in _batches(len(pairs), grid, U.n_steps, held=4):
         paths = ControlPath(np.array(pairs[sl]), -np.inf, np.inf, U.dt)
-        states = simulate(cfg.m0, paths, coils, cfg.sim)
+        states = simulate(problem.m0, paths, coils, problem.sim)
         blown_at = float(np.min(blowup_times(states)))
         if np.isfinite(blown_at):
             raise BlowUpError("state blow-up", blown_at)
@@ -334,9 +326,8 @@ def _estimate_lipschitz_pair(U: ControlPath, coils: CoilSet,
     return float(state_best**2), float(costate_best**2)
 
 
-def global_and_uniqueness_report(state: ReducedState, coils: CoilSet,
-                                 targets: TrackingTargets, cfg: OptimizeConfig,
-                                 constants: UserConstants, rng: np.random.Generator,
+def global_and_uniqueness_report(state: ReducedState, constants: UserConstants,
+                                 rng: np.random.Generator,
                                  n_fooc_samples: int) -> CertificateReport:
     """Assemble the certificate report at ``state``.
 
@@ -353,7 +344,7 @@ def global_and_uniqueness_report(state: ReducedState, coils: CoilSet,
         raise ValueError(
             "missing required constants with no estimator fallback: "
             + ", ".join(missing))
-    U, traj, phi = state.U, state.traj, state.phi
+    U, traj, phi, coils = state.U, state.traj, state.phi, state.problem.coils
     fooc_min = fooc_sample_min(U, state.grad, n_fooc_samples, rng)
 
     grid = traj.grid
@@ -368,7 +359,7 @@ def global_and_uniqueness_report(state: ReducedState, coils: CoilSet,
     estimated = False
     c2, c3 = constants.c2, constants.c3
     if c2 is None or c3 is None:
-        c2_est, c3_est = _estimate_lipschitz_pair(U, coils, targets, cfg, rng)
+        c2_est, c3_est = _estimate_lipschitz_pair(U, state.problem, rng)
         if c2 is None:
             c2 = c2_est
             constants_used["C2_source"] = "estimated"

@@ -31,7 +31,7 @@ from .certify import (
     second_order_scan,
 )
 from .coils import ControlPath, control_inner_rms
-from .config import ConfigError, RunConfig, parse_config, read_control_csv, read_input
+from .config import SCHEMA, ConfigError, RunConfig, parse_config, read_control_csv, read_input
 from .grid import Grid, VectorField, frame_norms, laplacian_values, write_field
 from .llb import (
     BlowUpError,
@@ -41,7 +41,7 @@ from .llb import (
     simulate,
     simulate_galerkin,
 )
-from .optimize import projected_gradient_descent, reduced_state, streamed_cost
+from .optimize import ReducedProblem, projected_gradient_descent, reduced_state, streamed_cost
 from .tangent import LinearizationPoint, taylor_remainder_order
 
 EXIT_OK = 0
@@ -111,12 +111,10 @@ def _forward_setup(cfg: RunConfig):
 
 
 def _setup(cfg: RunConfig):
-    """The forward set-up plus the tracking targets (a forward sweep when
-    ``targets.md_kind = run``) and the optimizer's settings, for the
-    subcommands that evaluate the cost."""
+    """``(problem, U)`` for the subcommands that evaluate the cost; the
+    targets take a forward sweep when ``targets.md_kind = run``."""
     grid, sim, coils, m0, U = _forward_setup(cfg)
-    targets = cfg.build_targets(grid, coils, sim)
-    return grid, sim, coils, m0, U, targets, cfg.build_optimize(m0)
+    return ReducedProblem(m0, sim, coils, cfg.build_targets(grid, coils, sim)), U
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +153,14 @@ def cmd_simulate(cfg: RunConfig, out_dir, quiet):
 
 
 def cmd_optimize(cfg: RunConfig, out_dir, quiet):
-    grid, sim, coils, m0, U0, targets, opt = _setup(cfg)
-    state, history = projected_gradient_descent(U0, coils, targets, opt)
+    problem, U0 = _setup(cfg)
+    state, history = projected_gradient_descent(U0, problem, cfg.build_optimize())
     U = state.U
     write_csv(os.path.join(out_dir, "history.csv"),
               ["iter", "cost", "tracking", "terminal", "control", "residual", "step"],
               [(h.iteration, h.cost, h.tracking, h.terminal, h.control,
                 h.residual, h.step) for h in history])
-    n = coils.n_coils
+    n = U.n_coils
     header = (["t"] + [f"U_{i+1}" for i in range(n)]
               + [f"a_{i+1}" for i in range(n)] + [f"b_{i+1}" for i in range(n)])
     rows = [[t] + list(U.intensities[j]) + list(U.lower[j]) + list(U.upper[j])
@@ -204,20 +202,19 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
     for key, bound in bounds.items():
         if not np.all(np.isfinite(bound)):
             raise ConfigError([f"{key}: certify needs finite box bounds"])
-    targets, opt = cfg.build_targets(grid, coils, sim), cfg.build_optimize(m0)
-    state = reduced_state(U, coils, targets, opt)
+    state = reduced_state(U, ReducedProblem(m0, sim, coils, cfg.build_targets(grid, coils, sim)))
     masks = critical_cone_mask(U, state.grad, tol_active=cfg.get("certify.tol_active"),
                                tol_upsilon=cfg.get("certify.tol_upsilon"))
     try:
         min_rayleigh, samples = second_order_scan(
-            state, masks, cfg["certify.n_dirs"], coils, targets, opt,
-            np.random.default_rng(cfg.seed), cfg["certify.eps_fd"])
+            state, masks, cfg["certify.n_dirs"], np.random.default_rng(cfg.seed),
+            cfg["certify.eps_fd"])
     except TrivialConeError:
         # sampled cone degenerated to {0}; the first-order report still stands
         min_rayleigh, samples = None, []
     report = global_and_uniqueness_report(
-        state, coils, targets, opt, cfg.build_constants(),
-        np.random.default_rng(cfg.seed + 1), cfg["certify.n_fooc_samples"])
+        state, cfg.build_constants(), np.random.default_rng(cfg.seed + 1),
+        cfg["certify.n_fooc_samples"])
 
     lines = {
         "pf_residual": state.residual,
@@ -262,21 +259,20 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
 
 
 def cmd_check_grad(cfg: RunConfig, out_dir, quiet):
-    grid, sim, coils, m0, U, targets, opt = _setup(cfg)
+    problem, U = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
-    h = smooth_directions(sim.n_steps, coils.n_coils, sim.dt, rng)
+    h = smooth_directions(U.n_steps, U.n_coils, U.dt, rng)
     # the state's trajectories are dropped with it here, and the +/-eps
     # forwards run as one batched sweep that keeps no trajectory
-    grad = reduced_state(U, coils, targets, opt).grad
+    grad = reduced_state(U, problem).grad
     eps = cfg["checks.grad_eps"]
     shifted = np.stack([U.intensities + eps * h, U.intensities - eps * h])
-    (cp, cm), blown_at = streamed_cost(ControlPath(shifted, -np.inf, np.inf, sim.dt),
-                                       coils, targets, opt)
+    (cp, cm), blown_at = streamed_cost(ControlPath(shifted, -np.inf, np.inf, U.dt), problem)
     for t in blown_at:  # +eps first, the order they ran in one at a time
         if np.isfinite(t):
             raise BlowUpError("state blow-up", t)
     fd = (cp.total - cm.total) / (2 * eps)
-    ad = control_inner_rms(grad, h, sim.dt)
+    ad = control_inner_rms(grad, h, U.dt)
     rel = abs(fd - ad) / max(abs(fd), 1e-300)
     write_csv(os.path.join(out_dir, "checkgrad.csv"),
               ["eps", "fd_slope", "adjoint_slope", "rel_err"],
@@ -311,13 +307,11 @@ def cmd_check_taylor(cfg: RunConfig, out_dir, quiet):
 
 
 def cmd_check_curvature(cfg: RunConfig, out_dir, quiet):
-    grid, sim, coils, m0, U, targets, opt = _setup(cfg)
+    problem, U = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
     n_dirs = cfg["certify.n_dirs"]
-    hs = np.stack([smooth_directions(sim.n_steps, coils.n_coils, sim.dt, rng)
-                   for _ in range(n_dirs)])
-    state = reduced_state(U, coils, targets, opt)
-    samples = curvature(state, hs, coils, targets, opt, cfg["certify.eps_fd"])
+    hs = np.stack([smooth_directions(U.n_steps, U.n_coils, U.dt, rng) for _ in range(n_dirs)])
+    samples = curvature(reduced_state(U, problem), hs, cfg["certify.eps_fd"])
     write_curvature(out_dir, samples)
     tol = cfg["checks.curvature_tol"]
     worst = max((s.rel_err for s in samples if s.fd_valid), default=float("nan"))
@@ -447,6 +441,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
+            valid, rule = SCHEMA["seed"].check  # the config key's own rule
+            if not valid(args.seed):
+                raise ConfigError([f"--seed: {rule}, got {args.seed}"])
             cfg.raw["seed"] = args.seed
         os.makedirs(args.out, exist_ok=True)
         write_manifest(args.out, args.command, args.config, cfg.seed)

@@ -107,7 +107,7 @@ SCHEMA = {
     "targets.momega_kind": Key(str, "final_md", kinds=_FIELD_KINDS + ("final_md", "file")),
     "targets.momega_value": Key(_numbers, length=3),
     "targets.momega_path": Key(str),
-    "solver.blowup_threshold": Key(float, 1e6),
+    "solver.blowup_threshold": Key(float, 1e6, check=_POSITIVE),
     "solver.warn_dt_factor": Key(float, 0.5),
     "solver.opt_tol": Key(float, 1e-6, check=_POSITIVE),
     "solver.opt_max_iters": Key(int, 500, check=_NONNEGATIVE),
@@ -117,8 +117,8 @@ SCHEMA = {
     "certify.n_dirs": Key(int, 8, check=_AT_LEAST_ONE),
     "certify.eps_fd": Key(float, 1e-3, check=_POSITIVE),
     "certify.n_fooc_samples": Key(int, 200, check=_NONNEGATIVE),
-    "certify.tol_active": Key(float),
-    "certify.tol_upsilon": Key(float),
+    "certify.tol_active": Key(float, check=_NONNEGATIVE),
+    "certify.tol_upsilon": Key(float, check=_NONNEGATIVE),
     "certify.c_go": Key(float),
     "certify.c4n": Key(float),
     "certify.c2": Key(float),
@@ -136,7 +136,7 @@ SCHEMA = {
     "checks.oracle_tol": Key(float, 1e-3),
     "checks.oracle_modes": Key(int, 8, check=_AT_LEAST_ONE),
     "output.diagnostics_every": Key(int, 0, check=_NONNEGATIVE),
-    "seed": Key(int, 0),
+    "seed": Key(int, 0, check=_NONNEGATIVE),
 }
 # the x, y and z components of the four expression fields
 SCHEMA.update({f"{prefix}expr_{c}": Key(str, "0") for prefix in
@@ -303,10 +303,8 @@ class RunConfig:
                                         "targets.momega_path").values
         return TrackingTargets(m_d, m_omega)
 
-    def build_optimize(self, m0: VectorField) -> OptimizeConfig:
+    def build_optimize(self) -> OptimizeConfig:
         return OptimizeConfig(
-            m0=m0,
-            sim=self.build_sim(),
             tol=self.raw["solver.opt_tol"],
             max_iters=self.raw["solver.opt_max_iters"],
             armijo_c1=self.raw["solver.armijo_c1"],

@@ -1,11 +1,12 @@
 """Tracking cost, the reduced-problem evaluator, and projected-gradient
 descent over the box-constrained coil intensities.
 
-:func:`forward_cost` is one forward sweep; :func:`reduced_state` adds one
-adjoint sweep and gives the gradient and natural residual.  The optimizer,
-the certificates and the CLI all evaluate the reduced problem through
-these two, and hand a :class:`ReducedState` on instead of recomputing it:
-the optimizer reuses the accepted line-search trial's forward sweep and
+A :class:`ReducedProblem` is the control problem.  :func:`forward_cost` is
+one forward sweep of it; :func:`reduced_state` adds one adjoint sweep and
+gives the gradient and natural residual.  The optimizer, the certificates
+and the CLI all evaluate the reduced problem through these two, and hand a
+:class:`ReducedState`, which carries its problem, on instead of recomputing
+it: the optimizer reuses the accepted line-search trial's forward sweep and
 returns the final state with its trajectory.  One :class:`CostTally` sums
 every cost frame by frame; :func:`streamed_cost` is the forward that keeps
 no trajectory, for finite differences that need only the number.
@@ -72,12 +73,26 @@ class CostBreakdown:
         return self.tracking + self.terminal + self.control
 
 
-@dataclass
-class OptimizeConfig:
-    """Problem data and solver knobs for the reduced-cost optimization."""
+@dataclass(frozen=True, eq=False)
+class ReducedProblem:
+    """The control problem: initial magnetization, time grid, coils and
+    desired state, checked once, when built, to fit ``m0``'s grid and K."""
 
     m0: VectorField
     sim: SimConfig
+    coils: CoilSet
+    targets: TrackingTargets
+
+    def __post_init__(self):
+        if self.coils.grid != self.m0.grid:
+            raise ValueError("coil/grid incompatibility: coils and m0 live on different grids")
+        self.targets.check_compatible(self.m0.grid, self.sim.n_steps)
+
+
+@dataclass
+class OptimizeConfig:
+    """The settings of projected-gradient descent."""
+
     tol: float = 1e-6
     max_iters: int = 500
     armijo_c1: float = 1e-4
@@ -146,33 +161,32 @@ def natural_residual(U: ControlPath, grad: np.ndarray) -> float:
     return control_norm_rms(U.intensities - trial, U.dt) / np.sqrt(U.final_time)
 
 
-def forward_cost(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
-                 cfg: OptimizeConfig) -> tuple[CostBreakdown, Trajectory]:
+def forward_cost(U: ControlPath, problem: ReducedProblem) -> tuple[CostBreakdown, Trajectory]:
     """The reduced cost J(U) and the state it was measured on: one forward
     sweep that stores the trajectory, then :func:`evaluate_cost` on it."""
-    traj = simulate(cfg.m0, U, coils, cfg.sim)
-    return evaluate_cost(traj, U, targets), traj
+    traj = simulate(problem.m0, U, problem.coils, problem.sim)
+    return evaluate_cost(traj, U, problem.targets), traj
 
 
-def streamed_cost(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
-                  cfg: OptimizeConfig):
+def streamed_cost(U: ControlPath, problem: ReducedProblem):
     """``(cost, blown_at)``: J(U) from one forward sweep that keeps no
     trajectory.  ``U`` may be a stack of controls (``batch + (K+1, N)``),
     swept together; the cost is then a list, NaN for a member that blew up
     at ``blown_at`` (``inf`` where it stayed bounded, as
     :func:`~llbopt.llb.blowup_times` reads it).  Unbatched, a blow-up raises.
     """
-    tally = CostTally(targets, cfg.m0.grid, cfg.sim.dt, cfg.sim.n_steps)
-    simulate(cfg.m0, U, coils, cfg.sim, consume=tally.add)
+    tally = CostTally(problem.targets, problem.m0.grid, problem.sim.dt, problem.sim.n_steps)
+    simulate(problem.m0, U, problem.coils, problem.sim, consume=tally.add)
     nan = np.isnan(np.stack(tally.per_frame, axis=-1))
-    blown_at = np.where(nan.any(axis=-1), np.argmax(nan, axis=-1) * cfg.sim.dt, np.inf)
+    blown_at = np.where(nan.any(axis=-1), np.argmax(nan, axis=-1) * tally.dt, np.inf)
     return tally.costs(U), blown_at
 
 
 @dataclass
 class ReducedState:
-    """The reduced problem at one control: cost, state, costate, gradient
-    and natural residual from one forward and one adjoint sweep.
+    """The reduced problem at one control: the problem, the control, and
+    the cost, state, costate, gradient and natural residual from one
+    forward and one adjoint sweep of it.
 
     ``grad`` is the first-order quantity Upsilon_i(t) = U_i(t) +
     int (phi x m + phi) . B_i dx, the gradient of J in the summed
@@ -181,6 +195,7 @@ class ReducedState:
     coils.
     """
 
+    problem: ReducedProblem
     U: ControlPath
     cost: CostBreakdown
     traj: Trajectory
@@ -189,18 +204,18 @@ class ReducedState:
     residual: float
 
 
-def reduced_state(U: ControlPath, coils: CoilSet, targets: TrackingTargets,
-                  cfg: OptimizeConfig,
+def reduced_state(U: ControlPath, problem: ReducedProblem,
                   forward: tuple[CostBreakdown, Trajectory] | None = None) -> ReducedState:
     """The :class:`ReducedState` at U.
 
     ``forward`` is the ``(cost, traj)`` of :func:`forward_cost` at U when
     the caller already holds it; then only the adjoint sweep runs.
     """
-    cost, traj = forward_cost(U, coils, targets, cfg) if forward is None else forward
+    cost, traj = forward_cost(U, problem) if forward is None else forward
+    coils, targets = problem.coils, problem.targets
     phi = tracking_adjoint(traj, U, coils, targets.m_d, targets.m_omega)
     grad = U.intensities + coil_pairing(traj, phi, coils)
-    return ReducedState(U, cost, traj, phi, grad, natural_residual(U, grad))
+    return ReducedState(problem, U, cost, traj, phi, grad, natural_residual(U, grad))
 
 
 @dataclass
@@ -214,8 +229,8 @@ class IterationRecord:
     step: float
 
 
-def projected_gradient_descent(U0: ControlPath, coils: CoilSet,
-                               targets: TrackingTargets, cfg: OptimizeConfig):
+def projected_gradient_descent(U0: ControlPath, problem: ReducedProblem,
+                               cfg: OptimizeConfig):
     """Projected gradient with Armijo backtracking.
 
     Iterates U <- P_box(U - s * grad) with s halved from ``step0`` until the
@@ -233,7 +248,7 @@ def projected_gradient_descent(U0: ControlPath, coils: CoilSet,
     """
     U = U0 if U0.is_feasible() else U0.projected()
     history: list[IterationRecord] = []
-    state = reduced_state(U, coils, targets, cfg)
+    state = reduced_state(U, problem)
 
     for it in range(cfg.max_iters + 1):
         U, cost, grad, residual = state.U, state.cost, state.grad, state.residual
@@ -253,7 +268,7 @@ def projected_gradient_descent(U0: ControlPath, coils: CoilSet,
             delta = trial_int - U.intensities
             predicted = control_inner_rms(grad, delta, U.dt)
             trial = U.with_intensities(trial_int)
-            trial_cost, trial_traj = forward_cost(trial, coils, targets, cfg)
+            trial_cost, trial_traj = forward_cost(trial, problem)
             if trial_cost.total <= cost.total + cfg.armijo_c1 * predicted:
                 accepted = True
                 break
@@ -264,8 +279,7 @@ def projected_gradient_descent(U0: ControlPath, coils: CoilSet,
                 f"{cfg.max_halvings} halvings at iteration {it}, natural "
                 f"residual {residual:.3e} above tolerance {cfg.tol:g}"
             )
-        state = reduced_state(trial, coils, targets, cfg,
-                              forward=(trial_cost, trial_traj))
+        state = reduced_state(trial, problem, forward=(trial_cost, trial_traj))
         history[-1].step = s  # step that produced the next iterate
 
     return state, history

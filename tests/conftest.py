@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from llbopt import (
     gaussian_coil,
     simulate,
 )
-from llbopt.optimize import OptimizeConfig, TrackingTargets
+from llbopt.optimize import OptimizeConfig, ReducedProblem, TrackingTargets
 
 
 def unit_grid_1d(n=32, length=1.0):
@@ -69,8 +70,9 @@ def smooth_time_profiles(n_steps, dt, coeffs):
 
 def tracking_problem(n=32, dt=5e-3, T=0.5, amp=0.4, lower=-5.0, upper=5.0,
                      tol=1e-6, dim=1):
-    """The stock tracking problem: reachable-adjacent target from an
-    uncontrolled run, two Gaussian coils, box bounds."""
+    """``(problem, U0, cfg)``: the stock tracking problem (reachable-adjacent
+    target from an uncontrolled run, two Gaussian coils), the zero control in
+    its box bounds, and the descent settings."""
     if dim == 1:
         grid = Grid((n,), (1.0,))
     else:
@@ -84,8 +86,14 @@ def tracking_problem(n=32, dt=5e-3, T=0.5, amp=0.4, lower=-5.0, upper=5.0,
                            coils, sim)
     targets = TrackingTargets.from_trajectory(target_traj)
     U0 = ControlPath.zeros(K, coils.n_coils, dt, lower=lower, upper=upper)
-    cfg = OptimizeConfig(m0=m0, sim=sim, tol=tol)
-    return grid, sim, coils, m0, U0, targets, cfg
+    return ReducedProblem(m0, sim, coils, targets), U0, OptimizeConfig(tol=tol)
+
+
+def matched(problem, U):
+    """``problem`` with the state it reaches under ``U`` as its targets, so
+    the tracking terms and the costate vanish at ``U``."""
+    traj = simulate(problem.m0, U, problem.coils, problem.sim)
+    return dataclasses.replace(problem, targets=TrackingTargets.from_trajectory(traj))
 
 
 @pytest.fixture(scope="session")

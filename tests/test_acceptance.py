@@ -10,12 +10,7 @@ from llbopt.adjoint import solve_adjoint
 from llbopt.coils import CoilSet, ControlPath, control_inner_rms, synthesize_values, uniform_coil
 from llbopt.grid import Grid, VectorField, cross, laplacian_values, time_integral
 from llbopt.llb import SimConfig, energy_ledger, simulate, simulate_galerkin
-from llbopt.optimize import (
-    TrackingTargets,
-    forward_cost,
-    projected_gradient_descent,
-    reduced_state,
-)
+from llbopt.optimize import forward_cost, projected_gradient_descent, reduced_state
 from llbopt.certify import curvature, fooc_sample_min, smallness_monitor
 from llbopt.tangent import LinearizationPoint, solve_tangent, taylor_remainder_order
 
@@ -29,9 +24,9 @@ def report(num, ok, desc, detail):
 
 @pytest.fixture(scope="module")
 def stock_converged(stock_problem):
-    grid, sim, coils, m0, U0, targets, cfg = stock_problem
+    p, U0, cfg = stock_problem
     tic = time.perf_counter()
-    state, history = projected_gradient_descent(U0, coils, targets, cfg)
+    state, history = projected_gradient_descent(U0, p, cfg)
     U = state.U
     return U, history, time.perf_counter() - tic
 
@@ -123,19 +118,16 @@ def test_criterion_05_energy_inequality():
 
 
 def _gradient_rel_err(dim, n, dt):
-    grid, sim, coils, m0, U0, targets, cfg = tracking_problem(
-        n=n, dt=dt, T=0.25, dim=dim)
+    p, U0, cfg = tracking_problem(n=n, dt=dt, T=0.25, dim=dim)
     U = U0.with_intensities(U0.intensities + np.array([0.5, -0.4]))
-    g = reduced_state(U, coils, targets, cfg).grad
-    h = smooth_time_profiles(sim.n_steps, sim.dt,
+    g = reduced_state(U, p).grad
+    h = smooth_time_profiles(U.n_steps, U.dt,
                              [(0.6, 0.4, -0.2), (-0.5, 0.1, 0.3)])
     eps = 1e-4
-    cp, _ = forward_cost(U.with_intensities(U.intensities + eps * h),
-                         coils, targets, cfg)
-    cm, _ = forward_cost(U.with_intensities(U.intensities - eps * h),
-                         coils, targets, cfg)
+    cp, _ = forward_cost(U.with_intensities(U.intensities + eps * h), p)
+    cm, _ = forward_cost(U.with_intensities(U.intensities - eps * h), p)
     fd = (cp.total - cm.total) / (2 * eps)
-    return abs(fd - control_inner_rms(g, h, sim.dt)) / abs(fd)
+    return abs(fd - control_inner_rms(g, h, U.dt)) / abs(fd)
 
 
 def test_criterion_06_adjoint_gradient_check():
@@ -209,13 +201,13 @@ def test_criterion_08_frechet_taylor_test():
 
 
 def test_criterion_09_projected_gradient_optimization(stock_problem, stock_converged):
-    grid, sim, coils, m0, U0, targets, cfg = stock_problem
+    p, U0, cfg = stock_problem
     U, history, elapsed = stock_converged
     costs = [h.cost for h in history]
     strict = all(b < a for a, b in zip(costs, costs[1:]))
     residual = history[-1].residual
     iters = history[-1].iteration
-    upsilon = reduced_state(U, coils, targets, cfg).grad
+    upsilon = reduced_state(U, p).grad
     fooc = fooc_sample_min(U, upsilon, 200, np.random.default_rng(2024))
     ok = (residual <= 1e-6 and iters <= 500 and strict
           and fooc >= -1e-6 and elapsed < 300)
@@ -226,20 +218,20 @@ def test_criterion_09_projected_gradient_optimization(stock_problem, stock_conve
 
 
 def test_criterion_10_curvature_consistency(stock_problem, stock_converged):
-    grid, sim, coils, m0, U0, targets, cfg = stock_problem
+    p, U0, cfg = stock_problem
     U, _, _ = stock_converged
-    state = reduced_state(U, coils, targets, cfg)
+    state = reduced_state(U, p)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(5):
         coeffs = [tuple(row) for row in rng.standard_normal((2, 3))]
-        h = smooth_time_profiles(sim.n_steps, sim.dt, coeffs)
-        s, = curvature(state, h[None], coils, targets, cfg, eps_fd=1e-3)
+        h = smooth_time_profiles(U.n_steps, U.dt, coeffs)
+        s, = curvature(state, h[None], eps_fd=1e-3)
         assert s.fd_valid
         worst = max(worst, s.rel_err)
-    h = smooth_time_profiles(sim.n_steps, sim.dt, [(0.7, 0.2, 0.0), (-0.5, 0.0, 0.3)])
-    q1 = curvature(state, h[None], coils, targets, cfg, eps_fd=1e-3)[0].q_adj
-    q2 = curvature(state, 2.0 * h[None], coils, targets, cfg, eps_fd=1e-3)[0].q_adj
+    h = smooth_time_profiles(U.n_steps, U.dt, [(0.7, 0.2, 0.0), (-0.5, 0.0, 0.3)])
+    q1 = curvature(state, h[None], eps_fd=1e-3)[0].q_adj
+    q2 = curvature(state, 2.0 * h[None], eps_fd=1e-3)[0].q_adj
     scaling_err = abs(q2 - 4.0 * q1) / abs(4.0 * q1)
     report(10, worst <= 1e-2 and scaling_err <= 1e-10,
            "second-derivative adjoint assembly vs second differences",

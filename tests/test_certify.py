@@ -7,7 +7,7 @@ from llbopt.coils import CoilSet, ControlPath, control_norm_rms, uniform_coil
 from llbopt.grid import Grid, VectorField
 from llbopt.llb import BlowUpError, SimConfig, simulate
 from llbopt.optimize import (
-    OptimizeConfig,
+    ReducedProblem,
     TrackingTargets,
     projected_gradient_descent,
     reduced_state,
@@ -25,48 +25,44 @@ from llbopt.certify import (
     space_time_norms,
 )
 
-from conftest import smooth_time_profiles, tracking_problem
+from conftest import matched, smooth_time_profiles, tracking_problem
 
 
 @pytest.fixture(scope="module")
 def converged(stock_problem):
-    grid, sim, coils, m0, U0, targets, cfg = stock_problem
-    state, _ = projected_gradient_descent(U0, coils, targets, cfg)
+    p, U0, cfg = stock_problem
+    state, _ = projected_gradient_descent(U0, p, cfg)
     return state, stock_problem
 
 
-def scan_at(state, problem, n_dirs, rng):
+def scan_at(state, n_dirs, rng):
     """:func:`second_order_scan` at ``state`` over its default cone."""
-    grid, sim, coils, m0, U0, targets, cfg = problem
     masks = critical_cone_mask(state.U, state.grad)
-    return second_order_scan(state, masks, n_dirs, coils, targets, cfg, rng, 1e-3)
+    return second_order_scan(state, masks, n_dirs, rng, 1e-3)
 
 
 class TestFirstOrderResidual:
     def test_residual_at_converged_control(self, converged):
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (p, U0, cfg) = converged
         assert state.residual <= cfg.tol
         assert state.grad.shape == state.U.intensities.shape
 
     def test_zero_residual_regime(self):
         # matched targets, zero interior control: Upsilon = 0 exactly
-        grid, sim, coils, m0, U0, _, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
-        traj = simulate(m0, U0, coils, sim)
-        targets = TrackingTargets.from_trajectory(traj)
-        rs = reduced_state(U0, coils, targets, cfg)
+        p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
+        rs = reduced_state(U0, matched(p, U0))
         res, upsilon = rs.residual, rs.grad
         assert res == 0.0
         assert np.all(upsilon == 0.0)
 
     def test_perturbation_raises_residual_linearly(self, converged):
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (p, U0, cfg) = converged
         U = state.U
         delta = 1e-3
         bumped = U.intensities.copy()
         j, i = bumped.shape[0] // 2, 0
         bumped[j, i] += delta
-        res = reduced_state(U.with_intensities(bumped),
-                            coils, targets, cfg).residual
+        res = reduced_state(U.with_intensities(bumped), p).residual
         # natural residual of an interior coordinate responds ~ identically
         from llbopt.grid import time_integral
         spike = np.zeros_like(bumped)
@@ -129,66 +125,66 @@ class TestConeMasks:
 
 class TestCurvature:
     def test_quadratic_scaling_exact(self, converged):
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        h = smooth_time_profiles(sim.n_steps, sim.dt,
+        state, (p, U0, cfg) = converged
+        h = smooth_time_profiles(U0.n_steps, U0.dt,
                                  [(0.7, 0.2, 0.0), (-0.5, 0.0, 0.3)])
-        s1, s2 = curvature(state, np.stack([h, 2.0 * h]), coils, targets, cfg, 1e-3)
+        s1, s2 = curvature(state, np.stack([h, 2.0 * h]), 1e-3)
         assert s2.q_adj == pytest.approx(4.0 * s1.q_adj, rel=1e-10)
 
     def test_sign_invariance(self, converged):
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        h = smooth_time_profiles(sim.n_steps, sim.dt,
+        state, (p, U0, cfg) = converged
+        h = smooth_time_profiles(U0.n_steps, U0.dt,
                                  [(0.4, -0.3, 0.0), (0.2, 0.0, 0.6)])
-        s1, s2 = curvature(state, np.stack([h, -h]), coils, targets, cfg, 1e-3)
+        s1, s2 = curvature(state, np.stack([h, -h]), 1e-3)
         assert s2.q_adj == pytest.approx(s1.q_adj, rel=1e-10)
 
     def test_adjoint_matches_second_difference(self, converged):
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (p, U0, cfg) = converged
         rng = np.random.default_rng(3)
-        hs = np.stack([smooth_time_profiles(sim.n_steps, sim.dt,
+        hs = np.stack([smooth_time_profiles(U0.n_steps, U0.dt,
                                             [tuple(r) for r in rng.standard_normal((2, 3))])
                        for _ in range(3)])
-        for s in curvature(state, hs, coils, targets, cfg, 1e-3):
+        for s in curvature(state, hs, 1e-3):
             assert s.fd_valid
             assert s.rel_err <= 1e-2
 
     def test_bilinearity_identity(self, converged):
         # Q(h1+h2) + Q(h1-h2) = 2 Q(h1) + 2 Q(h2)
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        h1 = smooth_time_profiles(sim.n_steps, sim.dt,
+        state, (p, U0, cfg) = converged
+        h1 = smooth_time_profiles(U0.n_steps, U0.dt,
                                   [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
-        h2 = smooth_time_profiles(sim.n_steps, sim.dt,
+        h2 = smooth_time_profiles(U0.n_steps, U0.dt,
                                   [(-0.2, 0.0, 0.3), (0.6, 0.2, 0.0)])
         qp, qm, q1, q2 = (s.q_adj for s in curvature(
-            state, np.stack([h1 + h2, h1 - h2, h1, h2]), coils, targets, cfg, 1e-3))
+            state, np.stack([h1 + h2, h1 - h2, h1, h2]), 1e-3))
         assert qp + qm == pytest.approx(2 * q1 + 2 * q2, rel=1e-8)
 
     def test_stack_matches_single_directions(self, converged):
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (p, U0, cfg) = converged
         rng = np.random.default_rng(11)
-        hs = np.stack([smooth_time_profiles(sim.n_steps, sim.dt,
+        hs = np.stack([smooth_time_profiles(U0.n_steps, U0.dt,
                                             [tuple(r) for r in rng.standard_normal((2, 3))])
                        for _ in range(3)])
-        samples = curvature(state, hs, coils, targets, cfg, 1e-3)
+        samples = curvature(state, hs, 1e-3)
         assert [s.direction_id for s in samples] == [0, 1, 2]
         for h, s in zip(hs, samples):
-            ref, = curvature(state, h[None], coils, targets, cfg, 1e-3)
+            ref, = curvature(state, h[None], 1e-3)
             assert s.fd_valid and ref.fd_valid
             assert s.q_adj == pytest.approx(ref.q_adj, rel=1e-12)
             assert s.q_fd == pytest.approx(ref.q_fd, rel=1e-6)
 
     def test_exploding_direction_invalidates_only_its_fd(self, converged):
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        h = smooth_time_profiles(sim.n_steps, sim.dt, [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
+        state, (p, U0, cfg) = converged
+        h = smooth_time_profiles(U0.n_steps, U0.dt, [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
         hs = np.stack([h, 1e9 * h, -h])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.warns(RuntimeWarning, match="marginally resolved"):
-            samples = curvature(state, hs, coils, targets, cfg, 1e-3)
+            samples = curvature(state, hs, 1e-3)
         assert [s.fd_valid for s in samples] == [True, False, True]
         assert np.isnan(samples[1].q_fd) and np.isnan(samples[1].rel_err)
         assert np.isfinite(samples[1].q_adj)
         for b in (0, 2):
-            ref, = curvature(state, hs[[b]], coils, targets, cfg, 1e-3)
+            ref, = curvature(state, hs[[b]], 1e-3)
             assert samples[b].q_fd == pytest.approx(ref.q_fd, rel=1e-6)
             assert samples[b].rel_err <= 1e-2
 
@@ -204,60 +200,50 @@ class TestCurvature:
         U = ControlPath.zeros(K, 1, dt)
         targets = TrackingTargets(np.zeros((K + 1,) + grid.shape + (3,)),
                                   np.zeros(grid.shape + (3,)))
-        cfg = OptimizeConfig(m0=m0, sim=sim)
-        state = reduced_state(U, coils, targets, cfg)
-        s, = curvature(state, np.ones((1, K + 1, 1)), coils, targets, cfg, 1e-3)
+        state = reduced_state(U, ReducedProblem(m0, sim, coils, targets))
+        s, = curvature(state, np.ones((1, K + 1, 1)), 1e-3)
         expected = 2 * T - 0.5 + 0.5 * np.exp(-2 * T)
         assert s.q_adj == pytest.approx(expected, rel=1e-2)
 
     def test_zero_direction_rejected(self, converged):
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (p, U0, cfg) = converged
         with pytest.raises(ValueError, match="nonzero"):
-            curvature(state, np.zeros((1,) + state.U.intensities.shape),
-                      coils, targets, cfg, 1e-3)
+            curvature(state, np.zeros((1,) + state.U.intensities.shape), 1e-3)
 
     def test_unstacked_direction_rejected(self, converged):
         # one input shape: a single direction is a stack of one
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (p, U0, cfg) = converged
         with pytest.raises(ValueError, match=r"expected \(B, K\+1, N\)"):
-            curvature(state, np.ones(state.U.intensities.shape), coils, targets, cfg, 1e-3)
+            curvature(state, np.ones(state.U.intensities.shape), 1e-3)
 
 
 class TestSecondOrderScan:
     def test_decoupled_regime_min_near_one(self):
         # matched targets: costate vanishes and Q(h) >= ||h||^2
-        problem = tracking_problem(n=16, dt=5e-3, T=0.25)
-        grid, sim, coils, m0, U0, _, cfg = problem
-        traj = simulate(m0, U0, coils, sim)
-        targets = TrackingTargets.from_trajectory(traj)
-        problem = problem[:5] + (targets, cfg)
-        state = reduced_state(U0, coils, targets, cfg)
-        mr, samples = scan_at(state, problem, 5, np.random.default_rng(1))
+        p, U0, cfg = tracking_problem(n=16, dt=5e-3, T=0.25)
+        state = reduced_state(U0, matched(p, U0))
+        mr, samples = scan_at(state, 5, np.random.default_rng(1))
         assert state.residual == 0.0
         assert mr >= 1.0 - 0.02
 
     def test_trivial_cone_detected(self):
-        problem = tracking_problem(n=16, dt=1e-2, T=0.2)
-        grid, sim, coils, m0, U0, _, cfg = problem
-        traj = simulate(m0, U0, coils, sim)
-        targets = TrackingTargets.from_trajectory(traj)
-        problem = problem[:5] + (targets, cfg)
+        p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
         # a point box (a = b) pins every direction coordinate to zero
         pinned = ControlPath(np.full_like(U0.intensities, 0.7),
                              0.7, 0.7, U0.dt)
-        state = reduced_state(pinned, coils, targets, cfg)
+        state = reduced_state(pinned, matched(p, U0))
         with pytest.raises(ValueError, match="cone numerically trivial"):
-            scan_at(state, problem, 4, np.random.default_rng(2))
+            scan_at(state, 4, np.random.default_rng(2))
 
     def test_scan_at_converged_control_positive(self, converged):
-        state, problem = converged
-        mr, samples = scan_at(state, problem, 4, np.random.default_rng(3))
+        state, _ = converged
+        mr, samples = scan_at(state, 4, np.random.default_rng(3))
         assert len(samples) == 4
         assert mr > 0
 
     def test_samples_the_cone_it_is_given(self, converged, monkeypatch):
         # the scan projects onto the caller's masks, not a cone of its own
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, _ = converged
         free = critical_cone_mask(state.U, state.grad)
         only_first = critical_cone_mask(state.U, state.grad)
         only_first.zero[:, 1:] = True
@@ -267,15 +253,13 @@ class TestSecondOrderScan:
         monkeypatch.setattr(llbopt.certify, "curvature",
                             lambda state, hs, *args: seen.append(hs) or real(state, hs, *args))
         for masks in (free, only_first):
-            second_order_scan(state, masks, 3, coils, targets, cfg,
-                              np.random.default_rng(3), 1e-3)
+            second_order_scan(state, masks, 3, np.random.default_rng(3), 1e-3)
         assert np.all(seen[0][:, :, 1] != 0)
         assert np.all(seen[1][:, :, 1] == 0) and np.all(seen[1][:, :, 0] != 0)
 
     def test_batches_within_budget_match_one_batch(self, converged, monkeypatch):
-        state, problem = converged
-        grid, sim, coils, m0, U0, targets, cfg = problem
-        one_batch = scan_at(state, problem, 4, np.random.default_rng(3))[1]
+        state, (p, U0, cfg) = converged
+        one_batch = scan_at(state, 4, np.random.default_rng(3))[1]
         calls = {"tangent": 0, "forward": 0}
 
         def counted(name, fn):
@@ -291,8 +275,8 @@ class TestSecondOrderScan:
         # room for four trajectories: tangent batches of 2 (z and phi' each);
         # the 8 finite-difference forwards keep no trajectory, so one sweep
         monkeypatch.setattr(llbopt.certify, "BUDGET", 4 * U0.intensities.shape[0]
-                            * grid.node_count * 3 * 8)
-        chunked = scan_at(state, problem, 4, np.random.default_rng(3))[1]
+                            * p.m0.grid.node_count * 3 * 8)
+        chunked = scan_at(state, 4, np.random.default_rng(3))[1]
         assert calls == {"tangent": 2, "forward": 1}
         assert [s.direction_id for s in chunked] == [s.direction_id for s in one_batch]
         for a, b in zip(chunked, one_batch):
@@ -302,10 +286,9 @@ class TestSecondOrderScan:
 
 class TestLipschitzPairs:
     def test_batched_pairs_match_pairwise_sweeps(self, converged):
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
-        U = state.U
-        c2, c3 = llbopt.certify._estimate_lipschitz_pair(
-            U, coils, targets, cfg, np.random.default_rng(12))
+        state, (p, U0, cfg) = converged
+        U, grid, coils, targets = state.U, p.m0.grid, p.coils, p.targets
+        c2, c3 = llbopt.certify._estimate_lipschitz_pair(U, p, np.random.default_rng(12))
         # reference: the pairs one sweep at a time
         rng = np.random.default_rng(12)
         state_best = costate_best = 0.0
@@ -313,7 +296,7 @@ class TestLipschitzPairs:
             U1, U2 = (ControlPath(U.intensities + 0.2 * rng.standard_normal(U.intensities.shape),
                                   -np.inf, np.inf, U.dt) for _ in range(2))
             denom = control_norm_rms(U1.intensities - U2.intensities, U.dt)
-            t1, t2 = (simulate(m0, V, coils, sim) for V in (U1, U2))
+            t1, t2 = (simulate(p.m0, V, coils, p.sim) for V in (U1, U2))
             dm = space_time_norms(grid, t1.values - t2.values, U.dt)
             state_best = max(state_best, dm["linf_h1"] / denom)
             p1, p2 = (tracking_adjoint(t, V, coils, targets.m_d, targets.m_omega)
@@ -325,19 +308,19 @@ class TestLipschitzPairs:
         assert c3 == pytest.approx(costate_best**2, rel=1e-12)
 
     def test_member_blowup_raises(self, converged):
-        state, (grid, sim, coils, m0, U0, targets, cfg) = converged
+        state, (p, U0, cfg) = converged
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.warns(RuntimeWarning, match="marginally resolved"), \
                 pytest.raises(BlowUpError, match="state blow-up"):
             llbopt.certify._estimate_lipschitz_pair(
-                state.U, coils, targets, cfg, np.random.default_rng(13), spread=1e7)
+                state.U, p, np.random.default_rng(13), spread=1e7)
 
 
     def test_stable_under_resampling(self):
-        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=24, dt=5e-3, T=0.2)
+        p, U0, cfg = tracking_problem(n=24, dt=5e-3, T=0.2)
         rng = np.random.default_rng(3)
         small, large = (np.sqrt(llbopt.certify._estimate_lipschitz_pair(
-            U0, coils, targets, cfg, rng, n_pairs=n, spread=0.3)[0]) for n in (4, 8))
+            U0, p, rng, n_pairs=n, spread=0.3)[0]) for n in (4, 8))
         assert small > 0
         # doubling the sample count moves the max ratio by a bounded factor
         assert abs(large - small) <= 0.25 * max(large, small)
@@ -345,44 +328,40 @@ class TestLipschitzPairs:
     def test_difference_quotient_approaches_derivative(self):
         # one pair U + s*d1, U + s*d2: as s -> 0 the state ratio tends to
         # the tangent's ||z(d1 - d2)|| / ||d1 - d2||
-        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=24, dt=5e-3, T=0.2)
+        p, U0, cfg = tracking_problem(n=24, dt=5e-3, T=0.2)
+        grid, sim = p.m0.grid, p.sim
         rng = np.random.default_rng(4)
         direction = rng.standard_normal(U0.intensities.shape) - rng.standard_normal(
             U0.intensities.shape)
-        point = LinearizationPoint(simulate(m0, U0, coils, sim), U0, coils)
+        point = LinearizationPoint(simulate(p.m0, U0, p.coils, sim), U0, p.coils)
         z = solve_tangent(point, direction)
         expected = (space_time_norms(grid, z.frames, sim.dt)["linf_h1"]
                     / control_norm_rms(direction, sim.dt))
         errs = []
         for spread in (1e-1, 1e-2):
             c2, _ = llbopt.certify._estimate_lipschitz_pair(
-                U0, coils, targets, cfg, np.random.default_rng(4), n_pairs=1,
-                spread=spread)
+                U0, p, np.random.default_rng(4), n_pairs=1, spread=spread)
             errs.append(abs(np.sqrt(c2) - expected) / expected)
         assert errs[-1] < errs[0]
         assert errs[-1] <= 1e-2
 
 
-def report_at(state, problem, constants, seed, n_fooc_samples=200):
+def report_at(state, constants, seed, n_fooc_samples=200):
     """:func:`global_and_uniqueness_report` at ``state``."""
-    grid, sim, coils, m0, U0, targets, cfg = problem
-    return global_and_uniqueness_report(state, coils, targets, cfg, constants,
-                                        np.random.default_rng(seed), n_fooc_samples)
+    return global_and_uniqueness_report(state, constants, np.random.default_rng(seed),
+                                        n_fooc_samples)
 
 
 def initial_state(problem):
-    """The reduced state at a problem's initial control."""
-    grid, sim, coils, m0, U0, targets, cfg = problem
-    return reduced_state(U0, coils, targets, cfg)
+    """The reduced state at a :func:`tracking_problem`'s initial control."""
+    p, U0, cfg = problem
+    return reduced_state(U0, p)
 
 
 class TestGlobalUniquenessReport:
     def test_zero_residual_go_pass_any_constant(self):
-        problem = tracking_problem(n=16, dt=1e-2, T=0.2)
-        grid, sim, coils, m0, U0, _, cfg = problem
-        traj = simulate(m0, U0, coils, sim)
-        problem = problem[:5] + (TrackingTargets.from_trajectory(traj), cfg)
-        rep = report_at(initial_state(problem), problem,
+        p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
+        rep = report_at(reduced_state(U0, matched(p, U0)),
                         UserConstants(go_constant=1e9, c4n=1.0, c2=1.0, c3=1.0), 4)
         assert rep.go_lhs == 0.0
         assert rep.go_status == "PASS"
@@ -391,7 +370,7 @@ class TestGlobalUniquenessReport:
     def test_cab_value(self):
         # a = -1, b = 1, two coils, T = 1: ||a||^2 + ||b||^2 = 4
         problem = tracking_problem(n=16, dt=0.05, T=1.0, lower=-1.0, upper=1.0)
-        rep = report_at(initial_state(problem), problem,
+        rep = report_at(initial_state(problem),
                         UserConstants(go_constant=0.1, c4n=1.0, c2=1.0, c3=1.0), 5,
                         n_fooc_samples=10)
         assert rep.factors["c_ab"] == pytest.approx(4.0, rel=1e-12)
@@ -400,7 +379,7 @@ class TestGlobalUniquenessReport:
         # fixed constants: shrinking T turns the comparison around
         def report_for(T):
             problem = tracking_problem(n=16, dt=T / 20, T=T, lower=-1.0, upper=1.0)
-            return report_at(initial_state(problem), problem,
+            return report_at(initial_state(problem),
                              UserConstants(go_constant=0.1, c4n=0.5, c2=1.0, c3=1.0), 6,
                              n_fooc_samples=10)
 
@@ -410,16 +389,16 @@ class TestGlobalUniquenessReport:
         assert short_run.uloc_status == "PASS"
 
     def test_estimated_constants_indeterminate(self, converged):
-        state, problem = converged
-        rep = report_at(state, problem, UserConstants(go_constant=0.1, c4n=1.0), 7,
+        state, _ = converged
+        rep = report_at(state, UserConstants(go_constant=0.1, c4n=1.0), 7,
                         n_fooc_samples=20)
         assert rep.uloc_status == "INDETERMINATE"
         assert rep.constants_used["C2_source"] == "estimated"
         assert rep.constants_used["C2"] > 0
 
     def test_report_reproducible(self, converged):
-        state, problem = converged
-        reps = [report_at(state, problem,
+        state, _ = converged
+        reps = [report_at(state,
                           UserConstants(go_constant=0.1, c4n=1.0, c2=1.0, c3=1.0), 8,
                           n_fooc_samples=25)
                 for _ in range(2)]
@@ -429,9 +408,9 @@ class TestGlobalUniquenessReport:
         assert reps[0].factors == reps[1].factors
 
     def test_missing_required_constants_error(self, converged):
-        state, problem = converged
+        state, _ = converged
         with pytest.raises(ValueError, match="no estimator fallback"):
-            report_at(state, problem, UserConstants(c2=1.0, c3=1.0), 0, n_fooc_samples=5)
+            report_at(state, UserConstants(c2=1.0, c3=1.0), 0, n_fooc_samples=5)
 
     def test_smallness_monitor_decay(self):
         grid = Grid((8, 8, 8), (1.0, 1.0, 1.0))
@@ -451,11 +430,10 @@ class TestActiveConstraints:
     def test_binding_bounds_satisfy_sign_conditions(self):
         # bounds tight enough that most of the optimum sits on the upper
         # bound: there Upsilon must be <= 0 and the cone pins the direction
-        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(
-            n=32, dt=5e-3, T=0.5, lower=-0.004, upper=0.004)
-        state, history = projected_gradient_descent(U0, coils, targets, cfg)
+        p, U0, cfg = tracking_problem(n=32, dt=5e-3, T=0.5, lower=-0.004, upper=0.004)
+        state, history = projected_gradient_descent(U0, p, cfg)
         U = state.U
-        rs = reduced_state(U, coils, targets, cfg)
+        rs = reduced_state(U, p)
         res, ups = rs.residual, rs.grad
         assert res <= cfg.tol
         at_upper = np.abs(U.upper - U.intensities) <= 1e-12

@@ -9,6 +9,7 @@ import pytest
 
 import llbopt.adjoint
 import llbopt.certify
+import llbopt.cli
 import llbopt.llb
 from llbopt.cli import main, smooth_directions
 from llbopt.coils import ControlPath
@@ -16,6 +17,7 @@ from llbopt.config import (COIL_SCHEMA, REQUIRED, SCHEMA, ConfigError, RunConfig
                            parse_config, read_control_csv)
 from llbopt.grid import Grid, encode_record, read_field
 from llbopt.llb import BlowUpError, energy_ledger, simulate
+from llbopt.optimize import ReducedProblem
 
 from conftest import peak_rise, trajectory_bytes
 
@@ -334,7 +336,7 @@ class TestSubcommands:
         path.write_text(open(stock_cfg).read() + f"checks.grad_eps = {eps}\n")
         cfg = parse_config(str(path))
         grid, sim = cfg.build_grid(), cfg.build_sim()
-        coils, opt = cfg.build_coils(grid), cfg.build_optimize(cfg.build_initial(grid))
+        coils, m0 = cfg.build_coils(grid), cfg.build_initial(grid)
         U = cfg.build_control(sim.n_steps, coils.n_coils)
         h = smooth_directions(sim.n_steps, coils.n_coils, sim.dt,
                               np.random.default_rng(cfg.seed))
@@ -344,7 +346,7 @@ class TestSubcommands:
             for sign in (1.0, -1.0):
                 shifted = ControlPath(U.intensities + sign * eps * h, -np.inf, np.inf, sim.dt)
                 try:
-                    simulate(opt.m0, shifted, coils, sim)
+                    simulate(m0, shifted, coils, sim)
                 except BlowUpError as exc:
                     blown.append(f"error: {exc}\n")
             code = main(["check-grad", "--config", str(path),
@@ -383,6 +385,22 @@ class TestSubcommands:
             assert main([command, "--config", stock_cfg, "--out", str(tmp_path / "o"),
                          "--quiet"]) == 0
         assert counts == {"simulate": forwards, "solve_adjoint": adjoints}
+
+    def test_setup_builds_the_problem_with_one_target_run(self, stock_cfg, monkeypatch):
+        # cli._setup(parse_config(path)) is the whole set-up of the subcommands
+        # that evaluate the cost, and the benchmark's set-up probe runs it by
+        # that name: one build_targets call, whose md_kind = run target is
+        # the one forward sweep
+        counts = count_sweeps(monkeypatch)
+        built = []
+        real = RunConfig.build_targets
+        monkeypatch.setattr(RunConfig, "build_targets",
+                            lambda self, *args: built.append(args) or real(self, *args))
+        problem, U = llbopt.cli._setup(parse_config(stock_cfg))
+        assert len(built) == 1
+        assert counts == {"simulate": 1, "solve_adjoint": 0}
+        assert isinstance(problem, ReducedProblem)
+        assert len(problem.targets.m_d) == U.n_steps + 1 == problem.sim.n_steps + 1
 
     @pytest.mark.parametrize("text", [STOCK, STOCK2D, STOCK3D], ids=["1d", "2d", "3d"])
     def test_simulate_outputs_match_a_stored_sweep(self, tmp_path, text):
@@ -626,6 +644,10 @@ def test_bad_bool_names_the_type(tmp_path, capsys):
         "error: invalid configuration: line 7: init.check_ic: cannot parse 'maybe' as bool\n")
 
 
+# one coil in a finite box: without the key under test, every subcommand
+# runs past its set-up
+ONE_COIL_BOX = ("coils.count = 1\ncoil.1.kind = uniform\n"
+                "bounds.lower = -1\nbounds.upper = 1\n")
 TWO_COILS = ("coils.count = 2\ncoil.1.kind = uniform\n"
              "coil.2.kind = uniform\ncoil.2.axis = 1\n")
 EXPR_INIT = "init.kind = expr\n"
@@ -698,6 +720,11 @@ def test_simulate_reads_no_target_input(tmp_path):
     ("solver.blowup_threshold", "solver.blowup_threshold = nan\n", "simulate"),
     ("checks.taylor_eps", "checks.taylor_eps = inf 0.1\n", "check-taylor"),
     ("certify.c_go", "certify.c_go = inf\n", "certify"),
+    ("seed", ONE_COIL_BOX + "seed = -3\n", "check-grad"),
+    ("--seed", ONE_COIL_BOX, "certify"),
+    ("certify.tol_active", ONE_COIL_BOX + "certify.tol_active = -1\n", "certify"),
+    ("certify.tol_upsilon", ONE_COIL_BOX + "certify.tol_upsilon = -1\n", "certify"),
+    ("solver.blowup_threshold", "solver.blowup_threshold = -1\n", "simulate"),
 ], ids=["bounds-broadcast-simulate", "bounds-broadcast-optimize", "expr-name",
         "expr-syntax", "expr-zero-division", "md-expr-name", "expr-not-finite",
         "expr-wrong-shape", "oracle-modes-0", "oracle-modes-over-nodes",
@@ -708,17 +735,21 @@ def test_simulate_reads_no_target_input(tmp_path):
         "certify-infinite-bounds", "check-curvature-no-coils", "check-grad-no-coils",
         "check-taylor-no-coils", "grad-tol-nan", "curvature-tol-nan", "oracle-tol-nan",
         "T-inf", "coil-amplitude-inf", "coil-width-nan", "lengths-inf", "lower-nan",
-        "blowup-threshold-nan", "taylor-eps-inf", "c-go-inf"])
+        "blowup-threshold-nan", "taylor-eps-inf", "c-go-inf", "seed-negative",
+        "flag-seed-negative", "tol-active-negative", "tol-upsilon-negative",
+        "blowup-threshold-negative"])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, key, config, command):
     # 16 cells, so 17 oracle modes over-resolve the grid
     cfg = tmp_path / "bad.cfg"
     given = {line.split("=")[0].strip() for line in config.splitlines()}
     cfg.write_text("".join(line + "\n" for line in INPUT_BASE.splitlines()
                            if line.split("=")[0].strip() not in given) + config)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]
+    if key == "--seed":
+        argv += ["--seed", "-1"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would add lines to stderr
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "--quiet"]) == 2
+        assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid configuration: {key}: ")
     assert err.count("\n") == 1

@@ -10,6 +10,7 @@ from llbopt.optimize import (
     CostBreakdown,
     CostTally,
     OptimizeConfig,
+    ReducedProblem,
     TrackingTargets,
     evaluate_cost,
     natural_residual,
@@ -23,6 +24,7 @@ from conftest import (
     batch_shapes,
     cosine_initial,
     grids,
+    matched,
     peak_rise,
     smooth_time_profiles,
     tracking_problem,
@@ -42,6 +44,27 @@ def evaluate_cost_full(traj, U, targets):
     terminal = 0.5 * w * float(np.sum(dT * dT))
     control = 0.5 * control_norm_rms(U.intensities, U.dt) ** 2
     return CostBreakdown(tracking, terminal, control)
+
+
+class TestReducedProblem:
+    def test_coils_on_another_grid_rejected(self):
+        p, _, _ = tracking_problem(n=16, dt=1e-2, T=0.2)
+        with pytest.raises(ValueError, match="coil/grid incompatibility"):
+            ReducedProblem(p.m0, p.sim, two_gaussian_coils(Grid((8,), (1.0,))), p.targets)
+
+    @pytest.mark.parametrize("cells, n_steps", [(16, 21), (16, 19), (8, 20)],
+                             ids=["K+1", "K-1", "other-grid"])
+    def test_targets_off_the_problem_rejected(self, cells, n_steps):
+        p, _, _ = tracking_problem(n=16, dt=1e-2, T=0.2)
+        targets = TrackingTargets.constant(Grid((cells,), (1.0,)), (0.1, 0, 0), n_steps)
+        with pytest.raises(ValueError, match="target/grid incompatibility"):
+            ReducedProblem(p.m0, p.sim, p.coils, targets)
+
+    def test_state_carries_its_problem(self):
+        p, U0, _ = tracking_problem(n=16, dt=1e-2, T=0.2)
+        assert reduced_state(U0, p).problem is p
+        with pytest.raises(AttributeError):
+            p.targets = matched(p, U0).targets
 
 
 class TestCostTally:
@@ -70,44 +93,44 @@ class TestCostTally:
 
 class TestStreamedCost:
     def test_equals_evaluate_cost_on_the_stored_trajectory(self):
-        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
+        p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
         U = U0.with_intensities(U0.intensities + np.array([0.5, -0.4]))
-        stored = evaluate_cost(simulate(m0, U, coils, sim), U, targets)
-        cost, blown_at = streamed_cost(U, coils, targets, cfg)
+        stored = evaluate_cost(simulate(p.m0, U, p.coils, p.sim), U, p.targets)
+        cost, blown_at = streamed_cost(U, p)
         assert cost == stored and np.isinf(blown_at)
-        assert forward_cost(U, coils, targets, cfg)[0] == stored
+        assert forward_cost(U, p)[0] == stored
         stack = np.stack([U.intensities, U.intensities + 0.3, -U.intensities])
         paths = ControlPath(stack, -np.inf, np.inf, U.dt)
-        costs, blown_at = streamed_cost(paths, coils, targets, cfg)
-        members = simulate(m0, paths, coils, sim).values
+        costs, blown_at = streamed_cost(paths, p)
+        members = simulate(p.m0, paths, p.coils, p.sim).values
         for cost, values, intensities in zip(costs, members, stack):
             member = ControlPath(intensities, -np.inf, np.inf, U.dt)
-            assert cost == evaluate_cost(Trajectory(grid, U.dt, values), member, targets)
+            assert cost == evaluate_cost(Trajectory(p.m0.grid, U.dt, values), member,
+                                         p.targets)
         assert np.all(np.isinf(blown_at))
 
     def test_blown_member_costs_nan_at_its_own_time(self):
-        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
+        p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
         stack = np.stack([U0.intensities + 0.5, U0.intensities + 1e9])
         paths = ControlPath(stack, -np.inf, np.inf, U0.dt)
         with np.errstate(all="ignore"):
-            (ok, blown), blown_at = streamed_cost(paths, coils, targets, cfg)
-            expected = blowup_times(simulate(m0, paths, coils, sim))
+            (ok, blown), blown_at = streamed_cost(paths, p)
+            expected = blowup_times(simulate(p.m0, paths, p.coils, p.sim))
         assert np.isfinite(ok.total) and np.isnan(blown.total)
         assert np.array_equal(blown_at, expected) and np.isfinite(blown_at[1])
 
     def test_cost_only_forward_keeps_no_trajectory(self):
         # 12^3 cells and K = 50: one trajectory is 2.1 MB
-        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(
-            n=12, dt=1e-3, T=0.05, dim=3)
-        one = trajectory_bytes(grid, sim.n_steps)
+        p, U0, cfg = tracking_problem(n=12, dt=1e-3, T=0.05, dim=3)
+        one = trajectory_bytes(p.m0.grid, p.sim.n_steps)
         assert one >= 2e6
         U = U0.with_intensities(U0.intensities + np.array([0.5, -0.4]))
         pair = ControlPath(np.stack([U.intensities, -U.intensities]), -np.inf, np.inf, U.dt)
         for paths in (U, pair):
-            _, rise = peak_rise(streamed_cost, paths, coils, targets, cfg)
+            _, rise = peak_rise(streamed_cost, paths, p)
             assert rise < 0.5 * one
         # the forward that keeps its state adds that one trajectory only
-        _, rise = peak_rise(forward_cost, U, coils, targets, cfg)
+        _, rise = peak_rise(forward_cost, U, p)
         assert rise < 1.5 * one
 
 
@@ -150,9 +173,9 @@ class TestEvaluateCost:
         assert c.control == pytest.approx(2.0, rel=1e-12)
 
     def test_breakdown_sums(self):
-        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
+        p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
         U = U0.with_intensities(U0.intensities + 0.5)
-        cost, traj = forward_cost(U, coils, targets, cfg)
+        cost, traj = forward_cost(U, p)
         assert cost.total == pytest.approx(
             cost.tracking + cost.terminal + cost.control, rel=1e-12)
         assert cost.tracking >= 0 and cost.terminal >= 0 and cost.control >= 0
@@ -170,26 +193,22 @@ class TestEvaluateCost:
 class TestReducedGradient:
     def test_zero_residual_gradient_is_u(self):
         # matched targets make the adjoint vanish; gradient reduces to U
-        grid, sim, coils, m0, U0, _, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
+        p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
         U = U0.with_intensities(U0.intensities + 0.7)
-        traj = simulate(m0, U, coils, sim)
-        targets = TrackingTargets.from_trajectory(traj)
-        g = reduced_state(U, coils, targets, cfg).grad
+        g = reduced_state(U, matched(p, U)).grad
         assert_allclose(g, U.intensities, atol=1e-12)
 
     def test_matches_central_difference(self):
-        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(n=64, dt=1e-3, T=0.25)
+        p, U0, cfg = tracking_problem(n=64, dt=1e-3, T=0.25)
         U = U0.with_intensities(U0.intensities + np.array([0.5, -0.4]))
-        g = reduced_state(U, coils, targets, cfg).grad
-        h = smooth_time_profiles(sim.n_steps, sim.dt,
+        g = reduced_state(U, p).grad
+        h = smooth_time_profiles(U.n_steps, U.dt,
                                  [(0.6, 0.4, -0.2), (-0.5, 0.1, 0.3)])
         eps = 1e-4
-        cp, _ = forward_cost(U.with_intensities(U.intensities + eps * h),
-                             coils, targets, cfg)
-        cm, _ = forward_cost(U.with_intensities(U.intensities - eps * h),
-                             coils, targets, cfg)
+        cp, _ = forward_cost(U.with_intensities(U.intensities + eps * h), p)
+        cm, _ = forward_cost(U.with_intensities(U.intensities - eps * h), p)
         fd = (cp.total - cm.total) / (2 * eps)
-        ad = control_inner_rms(g, h, sim.dt)
+        ad = control_inner_rms(g, h, U.dt)
         assert abs(fd - ad) / abs(fd) <= 1e-3
 
     def test_no_coils_degenerate(self):
@@ -201,8 +220,7 @@ class TestReducedGradient:
         m0 = cosine_initial(grid)
         traj = simulate(m0, U, coils, sim)
         targets = TrackingTargets.constant(grid, (0.1, 0, 0), 10)
-        cfg = OptimizeConfig(m0=m0, sim=sim)
-        g = reduced_state(U, coils, targets, cfg).grad
+        g = reduced_state(U, ReducedProblem(m0, sim, coils, targets)).grad
         assert g.shape == (11, 0)
         cost = evaluate_cost(traj, U, targets)
         assert cost.control == 0.0 and cost.tracking > 0
@@ -210,8 +228,8 @@ class TestReducedGradient:
 
 class TestProjectedGradientDescent:
     def test_converges_on_stock_problem(self, stock_problem):
-        grid, sim, coils, m0, U0, targets, cfg = stock_problem
-        state, history = projected_gradient_descent(U0, coils, targets, cfg)
+        p, U0, cfg = stock_problem
+        state, history = projected_gradient_descent(U0, p, cfg)
         U = state.U
         assert history[-1].residual <= cfg.tol
         assert history[-1].iteration <= cfg.max_iters
@@ -220,10 +238,10 @@ class TestProjectedGradientDescent:
         assert U.is_feasible()
 
     def test_immediate_return_at_fixed_point(self, stock_problem):
-        grid, sim, coils, m0, U0, targets, cfg = stock_problem
-        state, history = projected_gradient_descent(U0, coils, targets, cfg)
+        p, U0, cfg = stock_problem
+        state, history = projected_gradient_descent(U0, p, cfg)
         U = state.U
-        state2, history2 = projected_gradient_descent(U, coils, targets, cfg)
+        state2, history2 = projected_gradient_descent(U, p, cfg)
         U2 = state2.U
         assert len(history2) == 1
         assert history2[0].iteration == 0
@@ -231,31 +249,28 @@ class TestProjectedGradientDescent:
 
     def test_decoupled_quadratic_clamps_to_zero(self):
         # matched targets: gradient = U, minimizer = clamp(0) = 0
-        grid, sim, coils, m0, U0, _, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
-        traj = simulate(m0, U0.with_intensities(np.zeros_like(U0.intensities)),
-                        coils, sim)
-        targets = TrackingTargets.from_trajectory(traj)
+        p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
+        p = matched(p, U0.with_intensities(np.zeros_like(U0.intensities)))
         start = U0.with_intensities(U0.intensities + 1.5)
-        state, history = projected_gradient_descent(start, coils, targets, cfg)
+        state, history = projected_gradient_descent(start, p, cfg)
         U = state.U
         assert np.abs(U.intensities).max() <= 1e-6
 
     def test_infeasible_start_projected(self, stock_problem):
-        grid, sim, coils, m0, U0, targets, cfg = stock_problem
+        p, U0, cfg = stock_problem
         bad = ControlPath(U0.intensities + 100.0, U0.lower, U0.upper, U0.dt)
         state, history = projected_gradient_descent(
-            bad, coils, targets,
-            OptimizeConfig(m0=m0, sim=sim, tol=1e-4, max_iters=50))
+            bad, p, OptimizeConfig(tol=1e-4, max_iters=50))
         U = state.U
         assert U.is_feasible()
         assert history[-1].residual <= 1e-4
 
     def test_fixed_point_is_projection_formula(self, stock_problem):
         # at U*, U* = P_box(-pairing) within the stopping tolerance
-        grid, sim, coils, m0, U0, targets, cfg = stock_problem
-        state, _ = projected_gradient_descent(U0, coils, targets, cfg)
+        p, U0, cfg = stock_problem
+        state, _ = projected_gradient_descent(U0, p, cfg)
         U = state.U
-        g = reduced_state(U, coils, targets, cfg).grad
+        g = reduced_state(U, p).grad
         from llbopt.coils import project_box
         pairing = g - U.intensities
         clamp = project_box(-pairing, U.lower, U.upper)
@@ -266,12 +281,12 @@ class TestProjectedGradientDescent:
     def test_returned_state_is_the_final_control_bit_for_bit(self, stock_problem):
         # the state comes from the accepted trial's forward sweep, not a
         # fresh one, and must be exactly what a fresh evaluation gives
-        grid, sim, coils, m0, U0, targets, cfg = stock_problem
-        state, history = projected_gradient_descent(U0, coils, targets, cfg)
+        p, U0, cfg = stock_problem
+        state, history = projected_gradient_descent(U0, p, cfg)
         assert len(history) > 1
         assert np.array_equal(state.traj.values,
-                              simulate(m0, state.U, coils, sim).values)
-        fresh = reduced_state(state.U, coils, targets, cfg)
+                              simulate(p.m0, state.U, p.coils, p.sim).values)
+        fresh = reduced_state(state.U, p)
         assert np.array_equal(state.grad, fresh.grad)
         assert state.residual == fresh.residual == history[-1].residual
 
@@ -283,9 +298,8 @@ class TestProjectedGradientDescent:
         assert natural_residual(U, g2) > 0.0
 
     def test_converges_in_2d(self):
-        grid, sim, coils, m0, U0, targets, cfg = tracking_problem(
-            n=16, dt=1e-2, T=0.3, dim=2)
-        state, history = projected_gradient_descent(U0, coils, targets, cfg)
+        p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.3, dim=2)
+        state, history = projected_gradient_descent(U0, p, cfg)
         U = state.U
         assert history[-1].residual <= cfg.tol
         assert U.is_feasible()
