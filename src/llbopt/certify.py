@@ -223,7 +223,8 @@ def curvature(state: ReducedState, hs: np.ndarray, eps_fd: float) -> list:
         q_adj = control_norm_rms(hs[b], U.dt) ** 2 + time_integral(series[b], U.dt)
         cp, cm = totals[b], totals[B + b]  # NaN where the member blew up
         fd_valid = bool(np.isfinite(cp) and np.isfinite(cm))
-        q_fd = float((cp - 2.0 * state.cost.total + cm) / eps_fd**2)
+        # eps_fd * eps_fd overflows to inf where eps_fd**2 would raise
+        q_fd = float((cp - 2.0 * state.cost.total + cm) / (eps_fd * eps_fd))
         rel = abs(q_adj - q_fd) / max(abs(q_fd), 1e-300) if fd_valid else float("nan")
         samples.append(CurvatureSample(b, q_adj, q_fd, rel, fd_valid))
     return samples

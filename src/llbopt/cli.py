@@ -391,8 +391,12 @@ def cmd_convergence(cfg: RunConfig, out_dir, quiet):
 
 def cmd_oracle(cfg: RunConfig, out_dir, quiet):
     grid, sim, coils, m0, U = _forward_setup(cfg)
+    modes = cfg["checks.oracle_modes"]
+    if modes > grid.node_count:
+        raise ConfigError([f"checks.oracle_modes: must be at most the grid's "
+                           f"{grid.node_count} nodes, got {modes}"])
     traj = simulate(m0, U, coils, sim)
-    oracle = simulate_galerkin(m0, U, coils, sim, cfg["checks.oracle_modes"])
+    oracle = simulate_galerkin(m0, U, coils, sim, modes)
     disc = np.sqrt(frame_norms(grid, (a - b for a, b in zip(traj.frames, oracle.frames))))
     write_csv(os.path.join(out_dir, "oracle.csv"), ["t", "l2_discrepancy"],
               zip(traj.times, disc))

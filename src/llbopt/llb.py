@@ -84,7 +84,6 @@ class SimConfig:
     T: float
     dt: float
     blowup_threshold: float = 1e6
-    warn_dt_factor: float = 0.5
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -258,7 +257,8 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
         mag_sq = np.sum(m * m, axis=-1, keepdims=True)
         # fmax skips the NaN-filled members of a batch
         mag_max = float(np.fmax.reduce(mag_sq, axis=None)) if m.size else 0.0
-        if not warned and cfg.dt * (1.0 + mag_max) > cfg.warn_dt_factor:
+        # the explicit reaction term is resolved while dt*(1+|m|^2) <= 1/2
+        if not warned and cfg.dt * (1.0 + mag_max) > 0.5:
             warnings.warn(
                 f"explicit reaction is marginally resolved: dt*(1+|m|^2) = "
                 f"{cfg.dt * (1.0 + mag_max):.3g} at t={j * cfg.dt:.6g}",

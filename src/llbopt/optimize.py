@@ -95,8 +95,6 @@ class OptimizeConfig:
 
     tol: float = 1e-6
     max_iters: int = 500
-    armijo_c1: float = 1e-4
-    step0: float = 1.0
     max_halvings: int = 40
 
 
@@ -233,9 +231,10 @@ def projected_gradient_descent(U0: ControlPath, problem: ReducedProblem,
                                cfg: OptimizeConfig):
     """Projected gradient with Armijo backtracking.
 
-    Iterates U <- P_box(U - s * grad) with s halved from ``step0`` until the
-    sufficient-decrease test passes; stops when the natural residual at the
-    reference step drops below ``tol`` or the iteration budget runs out.
+    Iterates U <- P_box(U - s * grad) with s halved from 1 until the
+    sufficient-decrease test (Armijo constant 1e-4) passes; stops when the
+    natural residual at unit step drops below ``tol`` or the iteration
+    budget runs out.
     Each line-search trial costs one forward sweep and each accepted step
     one adjoint sweep: the accepted trial's forward sweep is reused.
 
@@ -261,7 +260,7 @@ def projected_gradient_descent(U0: ControlPath, problem: ReducedProblem,
             break
         del state  # free its trajectories before the line search
 
-        s = cfg.step0
+        s = 1.0  # the unit step at which the natural residual is measured
         accepted = False
         for _ in range(cfg.max_halvings + 1):
             trial_int = project_box(U.intensities - s * grad, U.lower, U.upper)
@@ -269,7 +268,7 @@ def projected_gradient_descent(U0: ControlPath, problem: ReducedProblem,
             predicted = control_inner_rms(grad, delta, U.dt)
             trial = U.with_intensities(trial_int)
             trial_cost, trial_traj = forward_cost(trial, problem)
-            if trial_cost.total <= cost.total + cfg.armijo_c1 * predicted:
+            if trial_cost.total <= cost.total + 1e-4 * predicted:
                 accepted = True
                 break
             s *= 0.5

@@ -188,6 +188,15 @@ class TestCurvature:
             assert samples[b].q_fd == pytest.approx(ref.q_fd, rel=1e-6)
             assert samples[b].rel_err <= 1e-2
 
+    def test_step_with_an_overflowing_square_invalidates_every_fd(self, converged):
+        state, (p, U0, cfg) = converged
+        h = smooth_time_profiles(U0.n_steps, U0.dt, [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, = curvature(state, h[None], 1e300)
+        ref, = curvature(state, h[None], 1e-3)
+        assert not s.fd_valid and np.isnan(s.q_fd) and np.isnan(s.rel_err)
+        assert s.q_adj == ref.q_adj
+
     def test_closed_form_constant_problem(self):
         # zero base, zero costate, one constant unit coil, h = 1:
         # Q = 2T - 1/2 + e^{-2T}/2

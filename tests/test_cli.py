@@ -162,6 +162,15 @@ class TestParseConfig:
         assert "time.dt" in text
         assert "mystery.key" in text
         assert "coil.1.center" in text
+        # a negative dt is reported once, not also as not dividing T
+        path.write_text(
+            "grid.dim = 1\ngrid.cells = 8\ntime.T = 1.0\ntime.dt = -1\n"
+            "mystery.key = 1\ncoils.count = 1\ncoil.1.kind = uniform\ncoil.1.axis = 3\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.errors == ["line 5: unknown key 'mystery.key'",
+                                    "time.dt: must be positive, got -1.0",
+                                    "coil.1.axis: must be 0, 1 or 2, got 3"]
 
     def test_coil_file_wrong_grid_named(self, tmp_path):
         from llbopt.grid import Grid, VectorField, write_field
@@ -293,7 +302,7 @@ class TestSubcommands:
         steps = np.loadtxt(out / "history.csv", delimiter=",", skiprows=1,
                            ndmin=2)[:-1, 6]
         assert steps.size > 0
-        trials = int(sum(round(np.log2(1.0 / s)) + 1 for s in steps))  # step0 = 1
+        trials = int(sum(round(np.log2(1.0 / s)) + 1 for s in steps))  # from step 1
         assert counts == {"simulate": 2 + trials, "solve_adjoint": steps.size + 1}
 
     def test_check_grad(self, stock_cfg, tmp_path):
@@ -508,6 +517,25 @@ class TestSubcommands:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key", ["solver.warn_dt_factor", "solver.armijo_c1",
+                                     "solver.step0"])
+    def test_fixed_solver_constants_are_unknown_keys(self, tmp_path, capsys, key):
+        cfg = tmp_path / "fixed.cfg"
+        cfg.write_text(f"grid.dim = 1\ngrid.cells = 8\ntime.T = 0.1\ntime.dt = 0.01\n"
+                       f"{key} = 0.5\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid configuration: line 5: unknown key {key!r}\n")
+
+    def test_oracle_modes_bind_only_the_oracle(self, tmp_path):
+        # the default 8 oracle modes exceed 4 nodes; only oracle refuses
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("grid.dim = 1\ngrid.cells = 4\ntime.T = 0.1\ntime.dt = 0.01\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                     "--quiet"]) == 0
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+
     def test_certify_requires_constants(self, tmp_path, capsys):
         cfg = tmp_path / "noconst.cfg"
         cfg.write_text("grid.dim = 1\ngrid.cells = 8\ntime.T = 0.1\n"
@@ -584,10 +612,10 @@ class TestSubcommands:
                      "--out", str(tmp_path / "o"), "--quiet"]) == 4
 
 
-def field_records(cells, count):
+def field_records(cells, count, value=0.1):
     """``count`` LLBFIELD records of a constant field on ``cells`` cells."""
     grid = Grid((cells,), (1.0,))
-    return b"".join(encode_record(grid, np.full(grid.shape + (3,), 0.1))
+    return b"".join(encode_record(grid, np.full(grid.shape + (3,), value))
                     for _ in range(count))
 
 
@@ -595,6 +623,7 @@ def field_records(cells, count):
 INPUT_BASE = ("grid.dim = 1\ngrid.cells = 16\ntime.T = 0.2\ntime.dt = 0.01\n"
               "certify.c_go = 0.05\ncertify.c4n = 1.2\n")
 MD_FILE = "targets.md_kind = file\ntargets.md_path = in.dat\n"
+UNIFORM_COIL = "coils.count = 1\ncoil.1.kind = uniform\n"
 
 
 @pytest.mark.parametrize("key, config, content, command", [
@@ -615,9 +644,17 @@ MD_FILE = "targets.md_kind = file\ntargets.md_path = in.dat\n"
      "bounds.upper = 1\n", b"t,U_1,a_1,b_1\n" + b"0,0,-inf,1\n" * 21, "certify"),
     ("--control", "coils.count = 1\ncoil.1.kind = uniform\nbounds.lower = -1\n"
      "bounds.upper = 1\n", b"t,U_1,a_1,b_1\n" + b"0,0,1,-1\n" * 21, "certify"),
+    ("targets.md_path", MD_FILE, field_records(16, 1, np.nan) + field_records(16, 20),
+     "optimize"),
+    ("control.path", UNIFORM_COIL + "control.kind = csv\ncontrol.path = in.dat\n",
+     b"t,U_1\n" + b"0,nan\n" + b"0,0\n" * 20, "simulate"),
+    ("--control", UNIFORM_COIL + "bounds.lower = -1\nbounds.upper = 1\n",
+     b"t,U_1\n" + b"0,nan\n" + b"0,0\n" * 20, "certify"),
+    ("--control", UNIFORM_COIL, b"t,U_1,a_1,b_1\n" + b"0,0,nan,1\n" * 21, "certify"),
 ], ids=["md-K-frames", "md-K+5-frames", "md-bad-header", "init-wrong-grid",
         "momega-wrong-grid", "coil-bad-header", "control-short", "flag-short",
-        "flag-no-rows", "flag-missing", "flag-infinite-bound", "flag-empty-box"])
+        "flag-no-rows", "flag-missing", "flag-infinite-bound", "flag-empty-box",
+        "md-nan-frame", "control-nan-intensity", "flag-nan-intensity", "flag-nan-bound"])
 def test_unreadable_input_file_exits_2_naming_the_key(tmp_path, capsys, key, config,
                                                       content, command):
     data = tmp_path / "in.dat"
@@ -651,6 +688,12 @@ ONE_COIL_BOX = ("coils.count = 1\ncoil.1.kind = uniform\n"
 TWO_COILS = ("coils.count = 2\ncoil.1.kind = uniform\n"
              "coil.2.kind = uniform\ncoil.2.axis = 1\n")
 EXPR_INIT = "init.kind = expr\n"
+# each path key and the kind that requires it
+PATH_KEYS = {"coil.1.path": "coils.count = 1\ncoil.1.kind = file\n",
+             "control.path": "control.kind = csv\n",
+             "init.path": "init.kind = file\n",
+             "targets.md_path": "targets.md_kind = file\n",
+             "targets.momega_path": "targets.momega_kind = file\n"}
 
 
 def test_simulate_reads_no_target_input(tmp_path):
@@ -725,6 +768,22 @@ def test_simulate_reads_no_target_input(tmp_path):
     ("certify.tol_active", ONE_COIL_BOX + "certify.tol_active = -1\n", "certify"),
     ("certify.tol_upsilon", ONE_COIL_BOX + "certify.tol_upsilon = -1\n", "certify"),
     ("solver.blowup_threshold", "solver.blowup_threshold = -1\n", "simulate"),
+    ("certify.c_go", ONE_COIL_BOX + "certify.c_go = -1\n", "certify"),
+    ("certify.c4n", ONE_COIL_BOX + "certify.c4n = 0\n", "certify"),
+    ("certify.c2", ONE_COIL_BOX + "certify.c2 = -1\n", "certify"),
+    ("certify.c3", ONE_COIL_BOX + "certify.c3 = -1\n", "certify"),
+    ("certify.ctilde", ONE_COIL_BOX + "certify.ctilde = 0\n", "certify"),
+    ("certify.ctilde", ONE_COIL_BOX + "certify.ctilde = -1\n", "certify"),
+    ("grid.dim", "grid.dim = 4\n", "simulate"),
+    ("time.dt", "time.dt = -1\n", "simulate"),
+    ("time.T", "time.T = -1\n", "simulate"),
+    ("coils.count", "coils.count = -1\n", "simulate"),
+    ("coil.1.kind", "coils.count = 1\ncoil.1.kind = bogus\n", "simulate"),
+    ("coil.1.axis", "coils.count = 1\ncoil.1.kind = uniform\ncoil.1.axis = 5\n", "simulate"),
+    ("coil.1.width", "coils.count = 1\ncoil.1.kind = gaussian\ncoil.1.center = 0.5\n"
+     "coil.1.width = -1\n", "simulate"),
+    *[(key, kind, "simulate") for key, kind in PATH_KEYS.items()],
+    *[(key, kind + f"{key} = nowhere.dat\n", "simulate") for key, kind in PATH_KEYS.items()],
 ], ids=["bounds-broadcast-simulate", "bounds-broadcast-optimize", "expr-name",
         "expr-syntax", "expr-zero-division", "md-expr-name", "expr-not-finite",
         "expr-wrong-shape", "oracle-modes-0", "oracle-modes-over-nodes",
@@ -737,7 +796,11 @@ def test_simulate_reads_no_target_input(tmp_path):
         "T-inf", "coil-amplitude-inf", "coil-width-nan", "lengths-inf", "lower-nan",
         "blowup-threshold-nan", "taylor-eps-inf", "c-go-inf", "seed-negative",
         "flag-seed-negative", "tol-active-negative", "tol-upsilon-negative",
-        "blowup-threshold-negative"])
+        "blowup-threshold-negative", "c-go-negative", "c4n-zero", "c2-negative",
+        "c3-negative", "ctilde-zero", "ctilde-negative", "dim-4", "dt-negative",
+        "T-negative", "coils-count-negative", "coil-kind-bogus", "coil-axis-5",
+        "coil-width-negative"]
+    + [f"{key}-{what}" for what in ("missing", "not-found") for key in PATH_KEYS])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, key, config, command):
     # 16 cells, so 17 oracle modes over-resolve the grid
     cfg = tmp_path / "bad.cfg"
