@@ -23,6 +23,7 @@ from llbopt.optimize import (
     ReducedProblem,
     TrackingTargets,
     projected_gradient_descent,
+    reduced_state,
 )
 
 grid = Grid((32,), (1.0,))
@@ -39,14 +40,16 @@ target_traj = simulate(VectorField(grid, 0.55 * vals + 0.12),
                        ControlPath.zeros(K, 2, sim.dt), coils, sim)
 problem = ReducedProblem(m0, sim, coils, TrackingTargets.from_trajectory(target_traj))
 
-state, _ = projected_gradient_descent(
+opt, _ = projected_gradient_descent(
     ControlPath.zeros(K, 2, sim.dt, lower=-5.0, upper=5.0), problem, OptimizeConfig(tol=1e-6))
+# the certificates read the costate, which the optimizer streams: one more
+# adjoint sweep at U*, on the optimizer's forward sweep, stores it
+state = reduced_state(opt.U, problem, forward=(opt.cost, opt.traj), keep_costate=True)
 
 # --- curvature along a few directions, adjoint assembly vs FD oracle --------
-# every certificate below is evaluated at the optimizer's state, which
-# carries the problem it solves; a stack of
-# directions is one batched tangent, costate-derivative and
-# finite-difference sweep each
+# every certificate below is evaluated at that state, which carries the
+# problem it solves; a stack of directions is one batched tangent,
+# costate-derivative and finite-difference sweep each
 print("curvature samples at U*")
 rng = np.random.default_rng(3)
 t = np.arange(K + 1) * sim.dt

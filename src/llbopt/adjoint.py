@@ -15,12 +15,16 @@ Every backward sweep is :func:`solve_adjoint` around the same
 coils, checked once for K and dt) that the tangent sweep linearizes
 around.  Its right-hand side is a per-step ``source(j)``: a step forms its
 source frame when it reaches it (the tracking source and the
-costate-derivative source), never a trajectory-sized source array.
+costate-derivative source), never a trajectory-sized source array.  Its
+costate frames are stored, or, with ``consume=``, handed to a consumer as
+they are made (as :func:`~llbopt.llb.simulate` hands its states), so a
+caller that only pairs each costate frame with the state, as the reduced
+gradient does, holds no costate trajectory.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,7 +35,8 @@ from .tangent import LinearizationPoint
 
 
 def solve_adjoint(point: LinearizationPoint, source: Callable[[int], np.ndarray],
-                  terminal: VectorField) -> Trajectory:
+                  terminal: VectorField, *,
+                  consume: Optional[Callable] = None) -> Optional[Trajectory]:
     """Backward IMEX sweep from t=T down to t=0 around ``point``.
 
     The step computing phi(t_j) from phi(t_{j+1}) takes the explicit terms
@@ -47,7 +52,9 @@ def solve_adjoint(point: LinearizationPoint, source: Callable[[int], np.ndarray]
     one implicit solve per step, and the result has that batch shape in
     front of the time axis.  A member that turns non-finite raises
     :class:`~llbopt.llb.BlowUpError` for the whole sweep, with the time
-    reached.
+    reached.  With ``consume`` the frames go to ``consume(j, phi_j)`` as
+    they are made, from j = K down to 0, and None is returned
+    (:func:`~llbopt.llb.march`).
     """
     grid, dt = point.grid, point.dt
     if terminal.grid != grid:
@@ -75,16 +82,18 @@ def solve_adjoint(point: LinearizationPoint, source: Callable[[int], np.ndarray]
         return implicit_solve(grid, dt, rhs)
 
     return march(grid, dt, terminal.values, batch, point.n_steps, advance,
-                 "costate became non-finite", reverse=True)
+                 "costate became non-finite", reverse=True, consume=consume)
 
 
 def tracking_adjoint(base_traj: Trajectory, base_control: ControlPath,
-                     coils: CoilSet, m_d: np.ndarray, m_omega: np.ndarray) -> Trajectory:
-    """Costate for the tracking cost: g = -(m - m_d), phi(T) = m(T) - m_omega."""
+                     coils: CoilSet, m_d: np.ndarray, m_omega: np.ndarray, *,
+                     consume: Optional[Callable] = None) -> Optional[Trajectory]:
+    """Costate for the tracking cost: g = -(m - m_d), phi(T) = m(T) - m_omega;
+    stored, or streamed to ``consume`` as :func:`solve_adjoint` does."""
     point = LinearizationPoint(base_traj, base_control, coils)
     base = base_traj.frames
     return solve_adjoint(point, lambda j: -(base[j] - m_d[j]),
-                         VectorField(base_traj.grid, base[-1] - m_omega))
+                         VectorField(base_traj.grid, base[-1] - m_omega), consume=consume)
 
 
 def solve_costate_derivative(point: LinearizationPoint, z: Trajectory, phi: Trajectory,

@@ -3,14 +3,17 @@ control: first-order variational-inequality samples, critical-cone masks,
 second-order curvature samples and scan, and the global-optimality /
 uniqueness comparisons.
 
-Every certificate is a statement at one point of one problem: the
-optimizer's :class:`~llbopt.optimize.ReducedState`, which holds the
+Every certificate is a statement at one point of one problem: a
+:class:`~llbopt.optimize.ReducedState`, which holds the
 :class:`~llbopt.optimize.ReducedProblem` it was computed on (initial state,
 time grid, coils, targets), the control, the state, the costate, the
 first-order quantity Upsilon, the clamp residual and the cost.
 :func:`curvature`, :func:`second_order_scan` and
 :func:`global_and_uniqueness_report` take only that state and read all of
 these from it, so a certificate cannot mix a state with another problem.
+They read the costate trajectory, which a reduced state stores only when
+built with ``reduced_state(..., keep_costate=True)``; the optimizer's
+states do not keep it.
 
 The analysis constants (the global-condition constant, the smallness
 constant, the Lipschitz constants and the H1->L4 embedding constant) are
@@ -64,6 +67,13 @@ def _batches(n: int, grid: Grid, n_steps: int, held: int) -> list:
 
 class TrivialConeError(ValueError):
     """Every sampled critical direction projected to zero."""
+
+
+def _costate(state: ReducedState) -> Trajectory:
+    if state.phi is None:
+        raise ValueError("the certificates read the costate: build the state with "
+                         "reduced_state(..., keep_costate=True)")
+    return state.phi
 
 
 @dataclass
@@ -198,7 +208,7 @@ def curvature(state: ReducedState, hs: np.ndarray, eps_fd: float) -> list:
         raise ValueError(f"curvature directions have shape {hs.shape}, expected (B, K+1, N)")
     if not np.all(np.any(hs, axis=(-2, -1))):
         raise ValueError("curvature direction must be nonzero")
-    U, traj, phi, coils = state.U, state.traj, state.phi, state.problem.coils
+    U, traj, phi, coils = state.U, state.traj, _costate(state), state.problem.coils
     grid, K, B = traj.grid, U.n_steps, hs.shape[0]
     point = LinearizationPoint(traj, U, coils)
     cells = tuple(range(-grid.dim - 1, 0))
@@ -345,7 +355,7 @@ def global_and_uniqueness_report(state: ReducedState, constants: UserConstants,
         raise ValueError(
             "missing required constants with no estimator fallback: "
             + ", ".join(missing))
-    U, traj, phi, coils = state.U, state.traj, state.phi, state.problem.coils
+    U, traj, phi, coils = state.U, state.traj, _costate(state), state.problem.coils
     fooc_min = fooc_sample_min(U, state.grad, n_fooc_samples, rng)
 
     grid = traj.grid

@@ -202,7 +202,8 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
     for key, bound in bounds.items():
         if not np.all(np.isfinite(bound)):
             raise ConfigError([f"{key}: certify needs finite box bounds"])
-    state = reduced_state(U, ReducedProblem(m0, sim, coils, cfg.build_targets(grid, coils, sim)))
+    state = reduced_state(U, ReducedProblem(m0, sim, coils, cfg.build_targets(grid, coils, sim)),
+                          keep_costate=True)
     masks = critical_cone_mask(U, state.grad, tol_active=cfg.get("certify.tol_active"),
                                tol_upsilon=cfg.get("certify.tol_upsilon"))
     try:
@@ -262,7 +263,8 @@ def cmd_check_grad(cfg: RunConfig, out_dir, quiet):
     problem, U = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
     h = smooth_directions(U.n_steps, U.n_coils, U.dt, rng)
-    # the state's trajectories are dropped with it here, and the +/-eps
+    # the state streams its costate and is dropped with its trajectory here,
+    # so the run holds two trajectories at most, and the +/-eps
     # forwards run as one batched sweep that keeps no trajectory
     grad = reduced_state(U, problem).grad
     eps = cfg["checks.grad_eps"]
@@ -311,7 +313,7 @@ def cmd_check_curvature(cfg: RunConfig, out_dir, quiet):
     rng = np.random.default_rng(cfg.seed)
     n_dirs = cfg["certify.n_dirs"]
     hs = np.stack([smooth_directions(U.n_steps, U.n_coils, U.dt, rng) for _ in range(n_dirs)])
-    samples = curvature(reduced_state(U, problem), hs, cfg["certify.eps_fd"])
+    samples = curvature(reduced_state(U, problem, keep_costate=True), hs, cfg["certify.eps_fd"])
     write_curvature(out_dir, samples)
     tol = cfg["checks.curvature_tol"]
     worst = max((s.rel_err for s in samples if s.fd_valid), default=float("nan"))

@@ -11,6 +11,15 @@ returns the final state with its trajectory.  One :class:`CostTally` sums
 every cost frame by frame; :func:`streamed_cost` is the forward that keeps
 no trajectory, for finite differences that need only the number.
 
+The adjoint sweep streams: :func:`coil_pairing` pairs each costate frame
+with its state frame as the sweep makes it, so a gradient holds two
+trajectories (the targets and the state), not a third for the costate.
+Only the certificates read the costate itself; they ask for it with
+``reduced_state(..., keep_costate=True)``.  The optimizer drops each
+rejected line-search trial's trajectory before the next trial's forward
+sweep, and the previous iterate's before the line search, so it holds two
+as well.
+
 The stationary points of the projected iteration are exactly the fixed
 points of the clamp formula U_i = P_[a,b](-pairing_i), so the optimizer's
 stopping metric and the first-order certificate measure the same residual.
@@ -19,6 +28,8 @@ stopping metric and the first-order certificate measure the same residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from .adjoint import tracking_adjoint
@@ -138,19 +149,14 @@ def evaluate_cost(traj: Trajectory, U: ControlPath, targets: TrackingTargets) ->
     return tally.costs(U)
 
 
-def coil_pairing(traj: Trajectory, phi: Trajectory, coils: CoilSet) -> np.ndarray:
-    """Per-frame integrals int (phi x m + phi) . B_i dx, shape (K+1, N)."""
-    K = traj.n_steps
+def coil_pairing(m: np.ndarray, phi: np.ndarray, coils: CoilSet) -> np.ndarray:
+    """The integrals int (phi x m + phi) . B_i dx of one state frame ``m``
+    and the costate frame ``phi`` at the same time, shape (N,)."""
     N = coils.n_coils
-    out = np.empty((K + 1, N))
     if N == 0:
-        return out
-    w = traj.grid.cell_volume
-    geom_flat = coils.geometries.reshape(N, -1)
-    for j in range(K + 1):
-        f = cross(phi.values[j], traj.values[j]) + phi.values[j]
-        out[j] = w * (geom_flat @ f.ravel())
-    return out
+        return np.empty(0)
+    f = cross(phi, m) + phi
+    return coils.grid.cell_volume * (coils.geometries.reshape(N, -1) @ f.ravel())
 
 
 def natural_residual(U: ControlPath, grad: np.ndarray) -> float:
@@ -183,36 +189,50 @@ def streamed_cost(U: ControlPath, problem: ReducedProblem):
 @dataclass
 class ReducedState:
     """The reduced problem at one control: the problem, the control, and
-    the cost, state, costate, gradient and natural residual from one
-    forward and one adjoint sweep of it.
+    the cost, state, gradient and natural residual from one forward and one
+    adjoint sweep of it.
 
     ``grad`` is the first-order quantity Upsilon_i(t) = U_i(t) +
     int (phi x m + phi) . B_i dx, the gradient of J in the summed
     componentwise L2 geometry; ``residual`` is :func:`natural_residual` at
     unit step, the time-RMS of U_i - P_[a_i,b_i](-pairing_i) summed over
-    coils.
+    coils.  ``phi`` is the costate trajectory when the state was built with
+    ``keep_costate=True`` (the certificates read it), else None: the
+    gradient pairs each costate frame as the sweep makes it.
     """
 
     problem: ReducedProblem
     U: ControlPath
     cost: CostBreakdown
     traj: Trajectory
-    phi: Trajectory
+    phi: Optional[Trajectory]
     grad: np.ndarray
     residual: float
 
 
 def reduced_state(U: ControlPath, problem: ReducedProblem,
-                  forward: tuple[CostBreakdown, Trajectory] | None = None) -> ReducedState:
+                  forward: tuple[CostBreakdown, Trajectory] | None = None, *,
+                  keep_costate: bool = False) -> ReducedState:
     """The :class:`ReducedState` at U.
 
     ``forward`` is the ``(cost, traj)`` of :func:`forward_cost` at U when
-    the caller already holds it; then only the adjoint sweep runs.
+    the caller already holds it; then only the adjoint sweep runs.  The
+    adjoint sweep hands each costate frame to :func:`coil_pairing` as it
+    makes it, and stores the costate only with ``keep_costate``.
     """
     cost, traj = forward_cost(U, problem) if forward is None else forward
     coils, targets = problem.coils, problem.targets
-    phi = tracking_adjoint(traj, U, coils, targets.m_d, targets.m_omega)
-    grad = U.intensities + coil_pairing(traj, phi, coils)
+    base = traj.frames
+    pairing = np.empty(U.intensities.shape)
+    phi = Trajectory(traj.grid, traj.dt, np.empty_like(traj.values)) if keep_costate else None
+
+    def take(j: int, phi_j: np.ndarray):
+        pairing[j] = coil_pairing(base[j], phi_j, coils)
+        if phi is not None:
+            phi.values[j] = phi_j
+
+    tracking_adjoint(traj, U, coils, targets.m_d, targets.m_omega, consume=take)
+    grad = U.intensities + pairing
     return ReducedState(problem, U, cost, traj, phi, grad, natural_residual(U, grad))
 
 
@@ -236,7 +256,9 @@ def projected_gradient_descent(U0: ControlPath, problem: ReducedProblem,
     natural residual at unit step drops below ``tol`` or the iteration
     budget runs out.
     Each line-search trial costs one forward sweep and each accepted step
-    one adjoint sweep: the accepted trial's forward sweep is reused.
+    one adjoint sweep: the accepted trial's forward sweep is reused.  At
+    most one state trajectory is held at a time: a rejected trial's is
+    dropped before the next trial runs.
 
     Returns
     -------
@@ -261,24 +283,25 @@ def projected_gradient_descent(U0: ControlPath, problem: ReducedProblem,
         del state  # free its trajectories before the line search
 
         s = 1.0  # the unit step at which the natural residual is measured
-        accepted = False
+        forward = None
         for _ in range(cfg.max_halvings + 1):
             trial_int = project_box(U.intensities - s * grad, U.lower, U.upper)
             delta = trial_int - U.intensities
             predicted = control_inner_rms(grad, delta, U.dt)
             trial = U.with_intensities(trial_int)
-            trial_cost, trial_traj = forward_cost(trial, problem)
-            if trial_cost.total <= cost.total + 1e-4 * predicted:
-                accepted = True
+            forward = forward_cost(trial, problem)
+            if forward[0].total <= cost.total + 1e-4 * predicted:
                 break
+            forward = None  # free the rejected trajectory before the next trial
             s *= 0.5
-        if not accepted:
+        if forward is None:
             raise StalledDescentError(
                 f"stalled descent: no sufficient decrease after "
                 f"{cfg.max_halvings} halvings at iteration {it}, natural "
                 f"residual {residual:.3e} above tolerance {cfg.tol:g}"
             )
-        state = reduced_state(trial, problem, forward=(trial_cost, trial_traj))
+        state = reduced_state(trial, problem, forward=forward)
+        forward = None  # the state holds the trajectory; `del state` frees it
         history[-1].step = s  # step that produced the next iterate
 
     return state, history

@@ -220,7 +220,7 @@ def test_criterion_09_projected_gradient_optimization(stock_problem, stock_conve
 def test_criterion_10_curvature_consistency(stock_problem, stock_converged):
     p, U0, cfg = stock_problem
     U, _, _ = stock_converged
-    state = reduced_state(U, p)
+    state = reduced_state(U, p, keep_costate=True)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(5):

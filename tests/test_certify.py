@@ -31,7 +31,9 @@ from conftest import matched, smooth_time_profiles, tracking_problem
 @pytest.fixture(scope="module")
 def converged(stock_problem):
     p, U0, cfg = stock_problem
-    state, _ = projected_gradient_descent(U0, p, cfg)
+    opt, _ = projected_gradient_descent(U0, p, cfg)
+    # the certificates read the costate, which the optimizer's state streams
+    state = reduced_state(opt.U, p, forward=(opt.cost, opt.traj), keep_costate=True)
     return state, stock_problem
 
 
@@ -209,7 +211,7 @@ class TestCurvature:
         U = ControlPath.zeros(K, 1, dt)
         targets = TrackingTargets(np.zeros((K + 1,) + grid.shape + (3,)),
                                   np.zeros(grid.shape + (3,)))
-        state = reduced_state(U, ReducedProblem(m0, sim, coils, targets))
+        state = reduced_state(U, ReducedProblem(m0, sim, coils, targets), keep_costate=True)
         s, = curvature(state, np.ones((1, K + 1, 1)), 1e-3)
         expected = 2 * T - 0.5 + 0.5 * np.exp(-2 * T)
         assert s.q_adj == pytest.approx(expected, rel=1e-2)
@@ -218,6 +220,17 @@ class TestCurvature:
         state, (p, U0, cfg) = converged
         with pytest.raises(ValueError, match="nonzero"):
             curvature(state, np.zeros((1,) + state.U.intensities.shape), 1e-3)
+
+    def test_state_without_its_costate_rejected(self, converged):
+        state, (p, U0, cfg) = converged
+        streamed = reduced_state(state.U, p, forward=(state.cost, state.traj))
+        assert streamed.phi is None
+        hs = np.ones((1,) + state.U.intensities.shape)
+        with pytest.raises(ValueError, match="keep_costate=True"):
+            curvature(streamed, hs, 1e-3)
+        with pytest.raises(ValueError, match="keep_costate=True"):
+            global_and_uniqueness_report(streamed, UserConstants(go_constant=1.0, c4n=1.0),
+                                         np.random.default_rng(0), 4)
 
     def test_unstacked_direction_rejected(self, converged):
         # one input shape: a single direction is a stack of one
@@ -230,7 +243,7 @@ class TestSecondOrderScan:
     def test_decoupled_regime_min_near_one(self):
         # matched targets: costate vanishes and Q(h) >= ||h||^2
         p, U0, cfg = tracking_problem(n=16, dt=5e-3, T=0.25)
-        state = reduced_state(U0, matched(p, U0))
+        state = reduced_state(U0, matched(p, U0), keep_costate=True)
         mr, samples = scan_at(state, 5, np.random.default_rng(1))
         assert state.residual == 0.0
         assert mr >= 1.0 - 0.02
@@ -240,7 +253,7 @@ class TestSecondOrderScan:
         # a point box (a = b) pins every direction coordinate to zero
         pinned = ControlPath(np.full_like(U0.intensities, 0.7),
                              0.7, 0.7, U0.dt)
-        state = reduced_state(pinned, matched(p, U0))
+        state = reduced_state(pinned, matched(p, U0), keep_costate=True)
         with pytest.raises(ValueError, match="cone numerically trivial"):
             scan_at(state, 4, np.random.default_rng(2))
 
@@ -364,13 +377,13 @@ def report_at(state, constants, seed, n_fooc_samples=200):
 def initial_state(problem):
     """The reduced state at a :func:`tracking_problem`'s initial control."""
     p, U0, cfg = problem
-    return reduced_state(U0, p)
+    return reduced_state(U0, p, keep_costate=True)
 
 
 class TestGlobalUniquenessReport:
     def test_zero_residual_go_pass_any_constant(self):
         p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
-        rep = report_at(reduced_state(U0, matched(p, U0)),
+        rep = report_at(reduced_state(U0, matched(p, U0), keep_costate=True),
                         UserConstants(go_constant=1e9, c4n=1.0, c2=1.0, c3=1.0), 4)
         assert rep.go_lhs == 0.0
         assert rep.go_status == "PASS"

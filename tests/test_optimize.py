@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from llbopt.adjoint import tracking_adjoint
 from llbopt.coils import ControlPath, control_inner_rms, control_norm_rms
 from llbopt.grid import Grid, Trajectory, time_integral
 from llbopt.llb import SimConfig, blowup_times, simulate
@@ -12,6 +13,7 @@ from llbopt.optimize import (
     OptimizeConfig,
     ReducedProblem,
     TrackingTargets,
+    coil_pairing,
     evaluate_cost,
     natural_residual,
     forward_cost,
@@ -210,6 +212,22 @@ class TestReducedGradient:
         fd = (cp.total - cm.total) / (2 * eps)
         ad = control_inner_rms(g, h, U.dt)
         assert abs(fd - ad) / abs(fd) <= 1e-3
+
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 6)])
+    def test_streamed_gradient_matches_a_stored_costate_bit_for_bit(self, dim, n):
+        # the reference stores the whole costate, then pairs it frame by frame
+        p, U0, _ = tracking_problem(n=n, dt=1e-2, T=0.2, dim=dim)
+        U = U0.with_intensities(U0.intensities + np.array([0.5, -0.4]))
+        streamed = reduced_state(U, p)
+        kept = reduced_state(U, p, keep_costate=True)
+        phi = tracking_adjoint(streamed.traj, U, p.coils, p.targets.m_d, p.targets.m_omega)
+        pairing = np.array([coil_pairing(m, f, p.coils)
+                            for m, f in zip(streamed.traj.values, phi.values)])
+        assert streamed.phi is None
+        assert np.array_equal(kept.phi.values, phi.values)
+        for state in (streamed, kept):
+            assert np.array_equal(state.grad, U.intensities + pairing)
+            assert state.residual == natural_residual(U, U.intensities + pairing)
 
     def test_no_coils_degenerate(self):
         grid = Grid((8,), (1.0,))
