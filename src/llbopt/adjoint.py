@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coils import CoilSet, ControlPath, synthesize_values
-from .grid import Trajectory, VectorField, cross, laplacian_values
+from .grid import Trajectory, VectorField, cross, dot, laplacian_values
 from .llb import implicit_solve, march
 from .tangent import LinearizationPoint
 
@@ -74,8 +74,8 @@ def solve_adjoint(point: LinearizationPoint, source: Callable[[int], np.ndarray]
         rhs = laplacian_values(grid, cross(phi, m))
         rhs += cross(laplacian_values(grid, m), phi)
         rhs -= cross(phi, synthesize_values(controls[j], point.coils))
-        rhs -= (1.0 + np.sum(m * m, axis=-1, keepdims=True)) * phi
-        rhs -= 2.0 * np.sum(m * phi, axis=-1, keepdims=True) * m
+        rhs -= (1.0 + dot(m, m)) * phi
+        rhs -= 2.0 * dot(m, phi) * m
         rhs -= source(j)
         rhs *= dt
         rhs += phi
@@ -121,9 +121,9 @@ def solve_costate_derivative(point: LinearizationPoint, z: Trajectory, phi: Traj
     def source(j: int) -> np.ndarray:
         m, zj, pj = base[j], z_frames[j], phi_frames[j]
         du = synthesize_values(directions[j], point.coils)
-        m_dot_z = np.sum(m * zj, axis=-1, keepdims=True)
-        z_dot_p = np.sum(zj * pj, axis=-1, keepdims=True)
-        m_dot_p = np.sum(m * pj, axis=-1, keepdims=True)
+        m_dot_z = dot(m, zj)
+        z_dot_p = dot(zj, pj)
+        m_dot_p = dot(m, pj)
         return (-laplacian_values(grid, cross(pj, zj))
                 - cross(laplacian_values(grid, zj), pj)
                 + cross(pj, du)

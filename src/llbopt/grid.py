@@ -200,6 +200,24 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nodewise dot product over the last (component) axis, kept as an
+    axis of length 1, with broadcasting.
+
+    Bit for bit ``np.sum(a * b, axis=-1, keepdims=True)`` on float arrays:
+    numpy sums the three products left to right, from an initial +0.0 that
+    turns an all-(-0.0) sum into +0.0, which the final ``+= 0.0`` repeats
+    (it leaves every other value as it is).  Written out like
+    :func:`cross`, because numpy's reduction over a length-3 axis costs
+    several times the arithmetic.
+    """
+    out = a[..., 0:1] * b[..., 0:1]
+    out += a[..., 1:2] * b[..., 1:2]
+    out += a[..., 2:] * b[..., 2:]
+    out += 0.0
+    return out
+
+
 def gradient_values(grid: Grid, vals: np.ndarray) -> list[np.ndarray]:
     """Face differences per axis (forward difference / h along that axis).
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coils import CoilSet, ControlPath, synthesize_values
-from .grid import Trajectory, cross, frame_norms, laplacian_values
+from .grid import Trajectory, cross, dot, frame_norms, laplacian_values
 from .llb import SimConfig, implicit_solve, march, simulate
 
 
@@ -60,8 +60,8 @@ def tangent_coupling(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
                      z: np.ndarray, lap_z: np.ndarray) -> np.ndarray:
     """Derivative of the explicit forward terms with respect to the state:
     z x lap m + m x lap z + z x u - 2(m.z) m - (1+|m|^2) z."""
-    mag_sq = np.sum(m * m, axis=-1, keepdims=True)
-    m_dot_z = np.sum(m * z, axis=-1, keepdims=True)
+    mag_sq = dot(m, m)
+    m_dot_z = dot(m, z)
     return (cross(z, lap_m) + cross(m, lap_z) + cross(z, u)
             - 2.0 * m_dot_z * m - (1.0 + mag_sq) * z)
 

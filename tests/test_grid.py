@@ -12,6 +12,7 @@ from llbopt.grid import (
     VectorField,
     cosine_modes,
     cross,
+    dot,
     frame_norms,
     gradient_values,
     grad_sq_integral,
@@ -209,6 +210,35 @@ class TestCross:
         with np.errstate(over="ignore", invalid="ignore"):
             for x, y in ((a, b), (b, a)):
                 assert np.array_equal(cross(x, y), np.cross(x, y), equal_nan=True)
+
+
+class TestDot:
+    @settings(max_examples=80, deadline=None)
+    @given(grids(), batch_shapes, st.sampled_from(("batch", "frame", "vector")),
+           st.integers(0, 2**32 - 1))
+    def test_equals_numpy_sum_bit_for_bit(self, g, batch, other, seed):
+        """Against a same-shaped batch, one frame or one vector, with signed
+        values and signed zeros, compared bit for bit (so +0.0 != -0.0)."""
+        rng = np.random.default_rng(seed)
+        full = batch + g.shape + (3,)
+        narrow = {"batch": full, "frame": g.shape + (3,), "vector": (3,)}[other]
+        a, b = wide_values(rng, full), wide_values(rng, narrow)
+        for x in (a, b):
+            hit = rng.random(x.shape) < 0.4
+            x[hit] = rng.choice([0.0, -0.0], hit.sum())
+        for x, y in ((a, b), (b, a)):
+            ref = np.sum(x * y, axis=-1, keepdims=True)
+            got = dot(x, y)
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_all_negative_zero_products_sum_to_positive_zero(self):
+        # numpy's reduction starts from +0.0
+        a = np.array([[-0.0, 0.0, -0.0], [1.0, -0.0, 0.0]])
+        b = np.array([[1.0, -2.0, 3.0], [-0.0, 1.0, -1.0]])
+        ref = np.sum(a * b, axis=-1, keepdims=True)
+        assert not np.any(np.signbit(ref))
+        assert np.array_equal(dot(a, b).view(np.int64), ref.view(np.int64))
 
 
 class TestTrajectory:
