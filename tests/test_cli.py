@@ -398,6 +398,26 @@ class TestSubcommands:
                          "--quiet"]) == 0
         assert counts == {"simulate": forwards, "solve_adjoint": adjoints}
 
+    @pytest.mark.parametrize("command, code", [("certify", 0), ("check-curvature", 4)])
+    def test_huge_fd_step_invalidates_the_samples_without_an_overflow_warning(
+            self, stock_cfg, tmp_path, command, code):
+        # the shifted controls' norms overflow to inf: every Q_fd is invalid,
+        # which certify reports and check-curvature fails on, and stderr
+        # holds no numpy overflow warning
+        path = tmp_path / "huge.cfg"
+        path.write_text(open(stock_cfg).read() + "certify.eps_fd = 1e300\n")
+        out = tmp_path / "o"
+        src = os.path.dirname(os.path.dirname(llbopt.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-m", "llbopt.cli", command, "--config",
+                              str(path), "--out", str(out), "--quiet"],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == code
+        assert "overflow" not in run.stderr
+        rows = np.loadtxt(out / "curvature.csv", delimiter=",", skiprows=1, dtype=str, ndmin=2)
+        assert len(rows) > 0 and np.all(rows[:, 4] == "false")
+
     def test_setup_builds_the_problem_with_one_target_run(self, stock_cfg, monkeypatch):
         # cli._setup(parse_config(path)) is the whole set-up of the subcommands
         # that evaluate the cost, and the benchmark's set-up probe runs it by
