@@ -8,7 +8,9 @@ coupled term explicit.  It runs on the forward sweep's
 lap_h applied to the nodewise cross product, which keeps the
 divergence-form pairing with the tangent solver exact in space; the
 remaining gradient mismatch is purely the O(dt) time-discretization gap,
-quantified by the duality test.
+quantified by the duality test.  That term is folded into the step's
+implicit solve by the identity in :func:`~llbopt.llb.implicit_solve`, so a
+step forms one Laplacian (of the base frame), not two.
 
 Every backward sweep is :func:`solve_adjoint` around the same
 :class:`~llbopt.tangent.LinearizationPoint` (base trajectory, control and
@@ -68,18 +70,23 @@ def solve_adjoint(point: LinearizationPoint, source: Callable[[int], np.ndarray]
 
     def advance(j: int, phi: np.ndarray) -> np.ndarray:
         m = base[j]
-        # phi + dt * (coupling - g), the coupling lap(phi x m) + lap m x phi
-        # - phi x u - (1+|m|^2) phi - 2 (m.phi) m summed in place in that
-        # order: the expression's roundings, one frame-sized sum held at a time
-        rhs = laplacian_values(grid, cross(phi, m))
-        rhs += cross(laplacian_values(grid, m), phi)
+        # S(phi + dt * (lap c + r)) with c = phi x m and r = lap m x phi
+        # - phi x u - (1+|m|^2) phi - 2 (m.phi) m - g, taken as
+        # S(phi + dt * r + c) - c (the identity in implicit_solve), so a step
+        # forms one Laplacian; r is summed in place, one frame-sized sum
+        # held at a time
+        c = cross(phi, m)
+        rhs = cross(laplacian_values(grid, m), phi)
         rhs -= cross(phi, synthesize_values(controls[j], point.coils))
         rhs -= (1.0 + dot(m, m)) * phi
         rhs -= 2.0 * dot(m, phi) * m
         rhs -= source(j)
         rhs *= dt
         rhs += phi
-        return implicit_solve(grid, dt, rhs)
+        rhs += c
+        out = implicit_solve(grid, dt, rhs)
+        out -= c
+        return out
 
     return march(grid, dt, terminal.values, batch, point.n_steps, advance,
                  "costate became non-finite", reverse=True, consume=consume)

@@ -150,6 +150,16 @@ def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
     process.  The divisor 1 + dt*lambda_k is built once per (grid, dt) and
     cached (:func:`_denominator`), so a step's solve is the two transforms
     and one division.
+
+    The cosine basis diagonalizes exactly the Laplacian of
+    :func:`~llbopt.grid.laplacian_values`, so with S = (I - dt*lap_h)^-1,
+    S(dt*lap_h c) = S(c) - c, and for any fields phi, r and c
+
+        S(phi + dt*(lap_h c + r)) = S(phi + dt*r + c) - c,
+
+    in exact arithmetic; in floating point the two sides agree to rounding.
+    A step whose explicit terms carry dt*lap_h c folds that Laplacian into
+    its solve this way: the costate step does, with c = phi x m.
     """
     first = rhs.ndim - 1 - grid.dim
     x = rhs

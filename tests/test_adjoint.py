@@ -14,7 +14,8 @@ from conftest import cosine_initial, frame_source, two_gaussian_coils
 def solve_adjoint_full_source(p, rhs, terminal):
     """The backward sweep in its earlier form: the whole source array
     ``rhs`` built up front and the coupling summed as one expression; the
-    same operations in the same order as :func:`solve_adjoint`."""
+    same operations in the same order as :func:`solve_adjoint`, whose
+    Laplacian of c = phi x m is folded into the implicit solve."""
     grid, dt, K = p.grid, p.dt, p.n_steps
     cell = grid.dim + 1
     batch = np.broadcast_shapes(p.base_traj.values.shape[:-cell - 1],
@@ -31,12 +32,13 @@ def solve_adjoint_full_source(p, rhs, terminal):
         u = synthesize_values(controls[j], p.coils)
         mag_sq = np.sum(m * m, axis=-1, keepdims=True)
         m_dot_phi = np.sum(m * phi, axis=-1, keepdims=True)
-        step = (laplacian_values(grid, cross(phi, m)) + cross(lap_m, phi)
-                - cross(phi, u) - (1.0 + mag_sq) * phi - 2.0 * m_dot_phi * m)
+        c = cross(phi, m)
+        step = cross(lap_m, phi) - cross(phi, u) - (1.0 + mag_sq) * phi - 2.0 * m_dot_phi * m
         step -= sources[j]
         step *= dt
         step += phi
-        frames[j] = phi = implicit_solve(grid, dt, step)
+        step += c
+        frames[j] = phi = implicit_solve(grid, dt, step) - c
     return out
 
 

@@ -61,6 +61,18 @@ class TestImplicitSolve:
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
     @solve_settings
+    @given(grids(), time_steps, batch_shapes, st.integers(0, 2**32 - 1))
+    def test_folds_a_laplacian_of_the_right_hand_side(self, g, dt, batch, seed):
+        # S(phi + dt*(lap c + r)) = S(phi + dt*r + c) - c, S = (I - dt*lap)^-1;
+        # the rounding of either side is that of its largest term
+        phi, c, r = np.random.default_rng(seed).standard_normal((3,) + batch + g.shape + (3,))
+        lap_c = laplacian_values(g, c)
+        direct = implicit_solve(g, dt, phi + dt * (lap_c + r))
+        folded = implicit_solve(g, dt, phi + dt * r + c) - c
+        scale = sum(np.linalg.norm(v) for v in (phi, dt * r, c, dt * lap_c))
+        assert np.linalg.norm(folded - direct) <= 1e-14 * scale
+
+    @solve_settings
     @given(grids(), time_steps)
     def test_zero_rhs(self, g, dt):
         x = implicit_solve(g, dt, np.zeros(g.shape + (3,)))
