@@ -280,7 +280,7 @@ def projected_gradient_descent(U0: ControlPath, problem: ReducedProblem,
                                        0.0))
         if residual <= cfg.tol or it == cfg.max_iters:
             break
-        del state  # free its trajectories before the line search
+        del state  # free its trajectory before the line search
 
         s = 1.0  # the unit step at which the natural residual is measured
         forward = None
