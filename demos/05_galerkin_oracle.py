@@ -15,7 +15,6 @@ from llbopt import (
     Grid,
     SimConfig,
     VectorField,
-    cosine_modes,
     simulate,
     simulate_galerkin,
     uniform_coil,
@@ -33,7 +32,9 @@ m0 = VectorField(grid, vals)
 coils = CoilSet.from_fields([uniform_coil(grid, 1)])
 U = ControlPath.constant([0.1], cfg.n_steps, cfg.dt)
 
-_, eigenvalues = cosine_modes(grid, 8)
+# eigenvalues 1 + (2 - 2 cos(pi k / n)) / h^2 of (-lap + I) on the grid
+k = np.arange(8)
+eigenvalues = 1.0 + (2.0 - 2.0 * np.cos(np.pi * k / grid.cells[0])) / grid.spacing[0] ** 2
 print("first 8 eigenvalues of (-lap + I):",
       np.array2string(eigenvalues, precision=3))
 

@@ -134,8 +134,12 @@ def fooc_sample_min(U: ControlPath, upsilon: np.ndarray, n_samples: int,
                     rng: np.random.Generator) -> float:
     """Minimum over random feasible V of the normalized variational-inequality
     value  sum_i int Upsilon_i (V_i - U_i) dt / ||V - U||."""
-    if not (np.all(np.isfinite(U.lower)) and np.all(np.isfinite(U.upper))):
-        raise ValueError("sampling the variational inequality needs finite box bounds")
+    # an infinite bound, or finite ones whose width overflows, reads non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = U.upper - U.lower
+    if not np.all(np.isfinite(width)):
+        raise ValueError("sampling the variational inequality needs a finite box: "
+                         "finite bounds and a finite width upper - lower")
     worst = np.inf
     for _ in range(n_samples):
         V = rng.uniform(U.lower, U.upper)

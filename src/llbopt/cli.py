@@ -192,16 +192,21 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
     bounds = {"bounds.lower": U.lower, "bounds.upper": U.upper}
     if control_csv is not None:
         intens, lower, upper = read_input("--control", read_control_csv, control_csv,
-                                          sim.n_steps, coils.n_coils)
+                                          U.times, coils.n_coils)
         if lower is not None:
             bounds = {"--control": (lower, upper)}
             U = read_input("--control", ControlPath, intens, lower, upper, sim.dt)
         else:
             U = U.with_intensities(intens)
-    # the variational-inequality samples are drawn from the box
+    # the variational-inequality samples are drawn from the box: finite
+    # bounds, then (named by the last key) a width that does not overflow
     for key, bound in bounds.items():
         if not np.all(np.isfinite(bound)):
             raise ConfigError([f"{key}: certify needs finite box bounds"])
+    with np.errstate(over="ignore"):
+        width = U.upper - U.lower
+    if not np.all(np.isfinite(width)):
+        raise ConfigError([f"{key}: certify needs a finite box width upper - lower"])
     state = reduced_state(U, ReducedProblem(m0, sim, coils, cfg.build_targets(grid, coils, sim)),
                           keep_costate=True)
     masks = critical_cone_mask(U, state.grad, tol_active=cfg.get("certify.tol_active"),

@@ -173,16 +173,12 @@ def synthesize_values(intensities_at_t: np.ndarray, coils: CoilSet) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def control_norm_rms(intensities: np.ndarray, dt: float) -> float:
-    """sqrt of the summed squared per-component L2(0,T) norms; ``inf``,
-    without a warning, where the squares or their sum overflow (the
-    finite-difference controls of a huge ``certify.eps_fd`` do)."""
-    intensities = np.atleast_2d(intensities)
-    if intensities.shape[1] == 0:
-        return 0.0
+    """sqrt(control_inner_rms(x, x, dt)), the root of the summed squared
+    per-component L2(0,T) norms; ``inf``, without a warning, where the
+    squares or their sum overflow (the finite-difference controls of a huge
+    ``certify.eps_fd`` do)."""
     with np.errstate(over="ignore"):
-        total = sum(time_integral(intensities[:, i] ** 2, dt)
-                    for i in range(intensities.shape[1]))
-    return float(np.sqrt(total))
+        return float(np.sqrt(control_inner_rms(intensities, intensities, dt)))
 
 
 def control_inner_rms(a: np.ndarray, b: np.ndarray, dt: float) -> float:

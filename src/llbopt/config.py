@@ -262,7 +262,7 @@ class RunConfig:
                 np.asarray(self.raw["control.value"], dtype=float), shape).copy()
         elif kind == "csv":
             intens = read_input("control.path", read_control_csv, self.path("control.path"),
-                                n_steps, n_coils)[0]
+                                np.arange(n_steps + 1) * self.raw["time.dt"], n_coils)[0]
         else:
             intens = np.zeros(shape)
         # ControlPath broadcasts the 1 or N bound values to every sample
@@ -547,11 +547,14 @@ def _boundary_normal_difference(grid: Grid, vals: np.ndarray) -> float:
 # control CSV and trajectory-file helpers
 # ---------------------------------------------------------------------------
 
-def read_control_csv(path, n_steps: int, n_coils: int):
+def read_control_csv(path, times: np.ndarray, n_coils: int):
     """Read a control CSV: header ``t,U_1..U_N[,a_1..a_N,b_1..b_N]``.
 
-    Returns (intensities, lower, upper); the bound columns are optional and
-    come back as None when absent.
+    ``times`` are the K+1 time nodes j*dt the rows must sample: row j's
+    ``t`` is checked against them at the tolerance that ``SimConfig`` gives
+    dt dividing T, 1e-12 * max(T, 1).  Returns (intensities, lower,
+    upper); the bound columns are optional and come back as None when
+    absent.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -565,10 +568,16 @@ def read_control_csv(path, n_steps: int, n_coils: int):
             f"control CSV {path}: expected 1+{n_coils} or 1+3*{n_coils} "
             f"columns, got {data.shape[1]}"
         )
-    if data.shape[0] != n_steps + 1:
+    if data.shape[0] != len(times):
         raise ValueError(
-            f"control CSV {path}: expected {n_steps + 1} rows, got {data.shape[0]}"
+            f"control CSV {path}: expected {len(times)} rows, got {data.shape[0]}"
         )
+    # written so that a NaN fails it too
+    off = ~(np.abs(data[:, 0] - times) <= 1e-12 * max(times[-1], 1.0))
+    if np.any(off):
+        j = int(np.argmax(off))
+        raise ValueError(f"control CSV {path}: row {j} has t = {data[j, 0]:.17g}, "
+                         f"expected j*dt = {times[j]:.17g}")
     intens = data[:, 1:1 + n_coils]
     # the config's float rule: the bound columns may open a side, not hold NaN
     for what, values, infinite_ok in (("intensities", intens, False),

@@ -10,7 +10,6 @@ the cell-sum inner product.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,62 +286,6 @@ def time_integral(series, dt: float) -> float:
     if series.ndim != 1 or series.shape[0] < 2:
         raise ValueError("degenerate time grid: need at least 2 samples")
     return float(_trapezoid(series, dx=dt))
-
-
-# ---------------------------------------------------------------------------
-# cosine eigenbasis of (-lap + I)
-# ---------------------------------------------------------------------------
-
-def cosine_modes(grid: Grid, count: int):
-    """First ``count`` discrete Neumann cosine modes and their eigenvalues.
-
-    The modes are products of cos(k pi x / L) sampled at cell centers,
-    normalized to unit discrete L2 norm.  They are exact eigenvectors of the
-    mirror-ghost Laplacian; the returned eigenvalues are those of the
-    discrete operator (-lap_h + I), sorted increasingly (ties broken by the
-    per-axis mode indices, so the ordering is deterministic).
-
-    Returns
-    -------
-    modes : ndarray, shape (count,) + grid.shape
-        Scalar mode profiles.
-    eigenvalues : ndarray, shape (count,)
-    """
-    if count < 1:
-        raise ValueError("mode count must be >= 1")
-    if count > grid.node_count:
-        raise ValueError(
-            f"over-resolved basis: {count} modes requested on a grid "
-            f"with {grid.node_count} nodes"
-        )
-    ranked = []
-    for kidx in itertools.product(*(range(c) for c in grid.cells)):
-        rho = 1.0
-        for ax, k in enumerate(kidx):
-            h = grid.spacing[ax]
-            L = grid.lengths[ax]
-            rho += -2.0 * (np.cos(k * np.pi * h / L) - 1.0) / h**2
-        ranked.append((rho, kidx))
-    ranked.sort(key=lambda item: (item[0], item[1]))
-    ranked = ranked[:count]
-
-    modes = np.empty((count,) + grid.shape)
-    eigenvalues = np.empty(count)
-    for j, (rho, kidx) in enumerate(ranked):
-        profile = np.ones(grid.shape)
-        for ax, k in enumerate(kidx):
-            L = grid.lengths[ax]
-            x = grid.axis_coords(ax)
-            if k == 0:
-                axis_fn = np.full_like(x, 1.0 / np.sqrt(L))
-            else:
-                axis_fn = np.sqrt(2.0 / L) * np.cos(k * np.pi * x / L)
-            shape = [1] * grid.dim
-            shape[ax] = -1
-            profile = profile * axis_fn.reshape(shape)
-        modes[j] = profile
-        eigenvalues[j] = rho
-    return modes, eigenvalues
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ matmul with the cached DCT-II matrix of that axis rather than through
 ``scipy.fft``: importing that module pulls in ``numpy.testing``,
 ``numpy.f2py`` and ``scipy.special``, about 0.4 s of every CLI process's
 start-up on a 2-core machine.  ``scipy.integrate`` (about 0.2 s) is
-likewise imported only by the Galerkin oracle.
+likewise imported only by the Galerkin oracle, which expands the state in
+the same basis: its projection and synthesis are this transform and its
+inverse, restricted to the modes of lowest eigenvalue.
 
 A step's kernels do arithmetic only.  On small grids numpy's per-call
 argument handling costs more than the arithmetic, so the divisor
@@ -54,7 +56,6 @@ from .grid import (
     Grid,
     Trajectory,
     VectorField,
-    cosine_modes,
     cross,
     dot,
     frame_norms,
@@ -121,16 +122,38 @@ def _apply_along(mat: np.ndarray, x: np.ndarray, ax: int) -> np.ndarray:
     return np.matmul(mat, x.reshape(lead, shape[ax], -1)).reshape(shape)
 
 
+def _dct(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II of ``x`` over its spatial axes, the ``grid.dim``
+    axes just before the last (component) axis."""
+    first = x.ndim - 1 - grid.dim
+    for ax, n in enumerate(grid.cells, start=first):
+        x = _apply_along(_dct_matrix(n), x, ax)
+    return x
+
+
+def _idct(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_dct`: the transposed matrices, axis by axis."""
+    first = x.ndim - 1 - grid.dim
+    for ax, n in enumerate(grid.cells, start=first):
+        x = _apply_along(_dct_matrix(n).T, x, ax)
+    return x
+
+
+def _eigenvalues(grid: Grid) -> tuple:
+    """Per-axis eigenvalues (2 - 2 cos(pi k / n)) / h^2, k < n, of -lap_h
+    along each axis, as open-mesh arrays (``np.ix_``): the eigenvalue of
+    the cosine mode (k_x, k_y, k_z) is their sum."""
+    return np.ix_(*((2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / h**2
+                    for n, h in zip(grid.cells, grid.spacing)))
+
+
 @functools.lru_cache(maxsize=16)
 def _denominator(grid: Grid, dt: float) -> np.ndarray:
     """The diagonal 1 + dt*lambda_k of (I - dt*lap_h) in the cosine basis,
     shaped ``grid.shape + (1,)``; read-only because it is shared."""
     denom = np.ones(grid.shape)
-    for ax, (n, h) in enumerate(zip(grid.cells, grid.spacing)):
-        lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / h**2
-        shape = [1] * grid.dim
-        shape[ax] = n
-        denom = denom + dt * lam.reshape(shape)
+    for lam in _eigenvalues(grid):
+        denom = denom + dt * lam
     denom = denom.reshape(grid.shape + (1,))
     denom.flags.writeable = False
     return denom
@@ -144,9 +167,10 @@ def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
     axes in front of them are batch axes, solved independently.  The
     orthonormal DCT-II over the spatial axes diagonalizes the mirror-ghost
     Laplacian with eigenvalues -sum_ax (2 - 2 cos(pi k_ax / n_ax)) / h_ax^2
-    (the modes of :func:`cosine_modes`).  The basis change is applied per
-    axis by ``matmul`` with :func:`_dct_matrix` (and its transpose on the
-    way back), which keeps ``scipy.fft`` and its import cost out of the
+    (:func:`_eigenvalues`; the Galerkin oracle runs on the same basis).
+    The basis change, :func:`_dct` and :func:`_idct`, is applied per axis
+    by ``matmul`` with :func:`_dct_matrix` (and its transpose on the way
+    back), which keeps ``scipy.fft`` and its import cost out of the
     process.  The divisor 1 + dt*lambda_k is built once per (grid, dt) and
     cached (:func:`_denominator`), so a step's solve is the two transforms
     and one division.
@@ -161,14 +185,7 @@ def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
     A step whose explicit terms carry dt*lap_h c folds that Laplacian into
     its solve this way: the costate step does, with c = phi x m.
     """
-    first = rhs.ndim - 1 - grid.dim
-    x = rhs
-    for ax, n in enumerate(grid.cells, start=first):
-        x = _apply_along(_dct_matrix(n), x, ax)
-    x = x / _denominator(grid, dt)
-    for ax, n in enumerate(grid.cells, start=first):
-        x = _apply_along(_dct_matrix(n).T, x, ax)
-    return x
+    return _idct(grid, _dct(grid, rhs) / _denominator(grid, dt))
 
 
 def _reaction(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
@@ -260,6 +277,8 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
     K = cfg.n_steps
     if U.n_steps != K:
         raise ValueError(f"control has {U.n_steps} steps, config expects {K}")
+    if abs(U.dt - cfg.dt) > 1e-12 * max(cfg.dt, 1.0):
+        raise ValueError(f"control and config disagree on dt: {U.dt} and {cfg.dt}")
 
     batch = np.broadcast_shapes(m0.values.shape[:-grid.dim - 1], U.intensities.shape[:-2])
     intensities = np.moveaxis(U.intensities, -2, 0)
@@ -366,18 +385,26 @@ def simulate_galerkin(m0: VectorField, U: ControlPath, coils: CoilSet,
                       cfg: SimConfig, n_modes: int) -> Trajectory:
     """Integrate the mode-truncated system with a high-accuracy ODE method.
 
-    The state is expanded in the first ``n_modes`` discrete cosine modes
-    (exact eigenvectors of the grid Laplacian); the nonlinear right-hand
-    side is evaluated on the grid and projected back, and the coefficient
-    ODEs d a_k/dt = F_k(t, a) are integrated by adaptive Runge-Kutta.  This
-    is a time-integration cross-check for the IMEX sweep at matched spatial
-    discretization, not an independent spatial discretization.
+    The state is expanded in the ``n_modes`` discrete cosine modes of
+    lowest eigenvalue (exact eigenvectors of the grid Laplacian, ties taken
+    in index order); the nonlinear right-hand side is evaluated on the grid
+    and projected back, and the coefficient ODEs d a_k/dt = F_k(t, a) are
+    integrated by adaptive Runge-Kutta.  The basis is that of
+    :func:`implicit_solve`: with w the cell volume, a mode's coefficient is
+    a_k = sqrt(w) (C f)_k, C the orthonormal DCT, and a field is
+    f = C^T a / sqrt(w).  This is a time-integration cross-check for the
+    IMEX sweep at matched spatial discretization, not an independent
+    spatial discretization.
     """
     from scipy.integrate import solve_ivp  # slow import, needed only here
 
     grid = m0.grid
-    modes, _ = cosine_modes(grid, n_modes)
-    w = grid.cell_volume
+    if not 1 <= n_modes <= grid.node_count:
+        raise ValueError(f"n_modes must be in [1, {grid.node_count}] on this grid, "
+                         f"got {n_modes}")
+    # the kept modes as flat (C-order) indices of the transform's grid.shape
+    modes = np.argsort(sum(_eigenvalues(grid)), axis=None, kind="stable")[:n_modes]
+    root_w = np.sqrt(grid.cell_volume)
     K = cfg.n_steps
     times = np.arange(K + 1) * cfg.dt
     intensities = U.intensities
@@ -391,15 +418,12 @@ def simulate_galerkin(m0: VectorField, U: ControlPath, coils: CoilSet,
         return synthesize_values(Ut, coils)
 
     def synth(a_flat: np.ndarray) -> np.ndarray:
-        a = a_flat.reshape(n_modes, 3)
-        return np.tensordot(a, modes, axes=(0, 0)).transpose(
-            tuple(range(1, grid.dim + 1)) + (0,))
+        coeffs = np.zeros((grid.node_count, 3))
+        coeffs[modes] = a_flat.reshape(n_modes, 3) / root_w
+        return _idct(grid, coeffs.reshape(grid.shape + (3,)))
 
     def project(field_vals: np.ndarray) -> np.ndarray:
-        # a_k,c = <field_c, mode_k> under the cell-sum inner product
-        flat_modes = modes.reshape(n_modes, -1)
-        flat_field = field_vals.reshape(-1, 3)
-        return w * flat_modes @ flat_field
+        return root_w * _dct(grid, field_vals).reshape(-1, 3)[modes]
 
     def rhs(t: float, a_flat: np.ndarray) -> np.ndarray:
         m = synth(a_flat)

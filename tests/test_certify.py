@@ -481,3 +481,9 @@ class TestFOOCSampling:
         U = ControlPath(np.zeros((3, 1)), -np.inf, np.inf, 0.5)
         with pytest.raises(ValueError, match="finite box"):
             fooc_sample_min(U, np.zeros((3, 1)), 5, np.random.default_rng(0))
+
+    def test_needs_a_finite_box_width(self):
+        # finite bounds whose width upper - lower overflows
+        U = ControlPath(np.zeros((3, 1)), -1e308, 1e308, 0.5)
+        with pytest.raises(ValueError, match="finite box"):
+            fooc_sample_min(U, np.zeros((3, 1)), 5, np.random.default_rng(0))

@@ -243,7 +243,8 @@ class TestSubcommands:
                      "--quiet"]) == 0
         hist = np.loadtxt(out / "history.csv", delimiter=",", skiprows=1, ndmin=2)
         assert hist[-1, 6 - 1] <= 1e-6  # residual column
-        intens, lower, upper = read_control_csv(out / "control.csv", 100, 2)
+        intens, lower, upper = read_control_csv(out / "control.csv",
+                                                np.arange(101) * 2.5e-3, 2)
         assert intens.shape == (101, 2)
         assert np.all(lower == -5) and np.all(upper == 5)
 
@@ -649,6 +650,13 @@ MD_FILE = "targets.md_kind = file\ntargets.md_path = in.dat\n"
 UNIFORM_COIL = "coils.count = 1\ncoil.1.kind = uniform\n"
 
 
+def control_table(header, *rows):
+    """A control CSV on INPUT_BASE's 21 time nodes: the header, then each
+    row's values after a t column that counts 0, 0.01, ..., 0.2."""
+    lines = [header] + [f"{j * 0.01:.2f},{row}" for j, row in enumerate(rows)]
+    return ("\n".join(lines) + "\n").encode()
+
+
 @pytest.mark.parametrize("key, config, content, command", [
     ("targets.md_path", MD_FILE, field_records(16, 20), "optimize"),
     ("targets.md_path", MD_FILE, field_records(16, 26), "optimize"),
@@ -664,20 +672,29 @@ UNIFORM_COIL = "coils.count = 1\ncoil.1.kind = uniform\n"
     ("--control", "", b"t\n", "certify"),
     ("--control", "", None, "certify"),
     ("--control", "coils.count = 1\ncoil.1.kind = uniform\nbounds.lower = -1\n"
-     "bounds.upper = 1\n", b"t,U_1,a_1,b_1\n" + b"0,0,-inf,1\n" * 21, "certify"),
+     "bounds.upper = 1\n", control_table("t,U_1,a_1,b_1", *["0,-inf,1"] * 21), "certify"),
     ("--control", "coils.count = 1\ncoil.1.kind = uniform\nbounds.lower = -1\n"
-     "bounds.upper = 1\n", b"t,U_1,a_1,b_1\n" + b"0,0,1,-1\n" * 21, "certify"),
+     "bounds.upper = 1\n", control_table("t,U_1,a_1,b_1", *["0,1,-1"] * 21), "certify"),
     ("targets.md_path", MD_FILE, field_records(16, 1, np.nan) + field_records(16, 20),
      "optimize"),
     ("control.path", UNIFORM_COIL + "control.kind = csv\ncontrol.path = in.dat\n",
-     b"t,U_1\n" + b"0,nan\n" + b"0,0\n" * 20, "simulate"),
+     control_table("t,U_1", "nan", *["0"] * 20), "simulate"),
     ("--control", UNIFORM_COIL + "bounds.lower = -1\nbounds.upper = 1\n",
-     b"t,U_1\n" + b"0,nan\n" + b"0,0\n" * 20, "certify"),
-    ("--control", UNIFORM_COIL, b"t,U_1,a_1,b_1\n" + b"0,0,nan,1\n" * 21, "certify"),
+     control_table("t,U_1", "nan", *["0"] * 20), "certify"),
+    ("--control", UNIFORM_COIL, control_table("t,U_1,a_1,b_1", *["0,nan,1"] * 21), "certify"),
+    # rows 0.5 apart on a dt = 0.01 config, and a NaN time
+    ("control.path", UNIFORM_COIL + "control.kind = csv\ncontrol.path = in.dat\n",
+     b"t,U_1\n" + b"".join(b"%g,0\n" % (0.5 * j) for j in range(21)), "simulate"),
+    ("--control", UNIFORM_COIL + "bounds.lower = -1\nbounds.upper = 1\n",
+     control_table("t,U_1", *["0"] * 21).replace(b"0.00,", b"nan,"), "certify"),
+    # a finite box whose width upper - lower overflows
+    ("--control", UNIFORM_COIL, control_table("t,U_1,a_1,b_1", *["0,-1e308,1e308"] * 21),
+     "certify"),
 ], ids=["md-K-frames", "md-K+5-frames", "md-bad-header", "init-wrong-grid",
         "momega-wrong-grid", "coil-bad-header", "control-short", "flag-short",
         "flag-no-rows", "flag-missing", "flag-infinite-bound", "flag-empty-box",
-        "md-nan-frame", "control-nan-intensity", "flag-nan-intensity", "flag-nan-bound"])
+        "md-nan-frame", "control-nan-intensity", "flag-nan-intensity", "flag-nan-bound",
+        "control-t-off-grid", "flag-nan-time", "flag-overflowing-width"])
 def test_unreadable_input_file_exits_2_naming_the_key(tmp_path, capsys, key, config,
                                                       content, command):
     data = tmp_path / "in.dat"
@@ -786,6 +803,8 @@ def test_simulate_reads_no_target_input(tmp_path):
     ("solver.blowup_threshold", "solver.blowup_threshold = nan\n", "simulate"),
     ("checks.taylor_eps", "checks.taylor_eps = inf 0.1\n", "check-taylor"),
     ("certify.c_go", "certify.c_go = inf\n", "certify"),
+    ("bounds.upper", "coils.count = 1\ncoil.1.kind = uniform\nbounds.lower = -1e308\n"
+     "bounds.upper = 1e308\n", "certify"),
     ("seed", ONE_COIL_BOX + "seed = -3\n", "check-grad"),
     ("--seed", ONE_COIL_BOX, "certify"),
     ("certify.tol_active", ONE_COIL_BOX + "certify.tol_active = -1\n", "certify"),
@@ -817,7 +836,8 @@ def test_simulate_reads_no_target_input(tmp_path):
         "certify-infinite-bounds", "check-curvature-no-coils", "check-grad-no-coils",
         "check-taylor-no-coils", "grad-tol-nan", "curvature-tol-nan", "oracle-tol-nan",
         "T-inf", "coil-amplitude-inf", "coil-width-nan", "lengths-inf", "lower-nan",
-        "blowup-threshold-nan", "taylor-eps-inf", "c-go-inf", "seed-negative",
+        "blowup-threshold-nan", "taylor-eps-inf", "c-go-inf", "certify-overflowing-width",
+        "seed-negative",
         "flag-seed-negative", "tol-active-negative", "tol-upsilon-negative",
         "blowup-threshold-negative", "c-go-negative", "c4n-zero", "c2-negative",
         "c3-negative", "ctilde-zero", "ctilde-negative", "dim-4", "dt-negative",

@@ -10,7 +10,6 @@ from llbopt.grid import (
     Grid,
     Trajectory,
     VectorField,
-    cosine_modes,
     cross,
     dot,
     frame_norms,
@@ -293,36 +292,6 @@ class TestTimeIntegral:
     def test_degenerate(self):
         with pytest.raises(ValueError, match="degenerate time grid"):
             time_integral([1.0], 0.1)
-
-
-class TestCosineModes:
-    def test_first_mode_constant(self):
-        g = Grid((16,), (1.0,))
-        modes, ev = cosine_modes(g, 1)
-        assert_allclose(modes[0], modes[0].flat[0])
-        assert ev[0] == pytest.approx(1.0)
-
-    def test_second_mode_matches_laplacian(self):
-        g = Grid((32,), (2.0,))
-        modes, ev = cosine_modes(g, 2)
-        vals = np.zeros(g.shape + (3,))
-        vals[..., 0] = modes[1]
-        lap = laplacian_values(g, vals)
-        # (-lap + I) mode = rho * mode for the discrete operator
-        assert_allclose(-lap[..., 0] + modes[1], ev[1] * modes[1], atol=1e-12)
-
-    def test_orthonormal(self):
-        g = Grid((8, 6), (1.0, 1.5))
-        count = 12
-        modes, _ = cosine_modes(g, count)
-        flat = modes.reshape(count, -1)
-        gram = g.cell_volume * flat @ flat.T
-        assert_allclose(gram, np.eye(count), atol=1e-12)
-
-    def test_over_resolved(self):
-        g = Grid((4,), (1.0,))
-        with pytest.raises(ValueError, match="over-resolved"):
-            cosine_modes(g, 5)
 
 
 class TestFieldIO:

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import llbopt.llb
 from llbopt.adjoint import solve_adjoint
 from llbopt.coils import CoilSet, ControlPath, uniform_coil
-from llbopt.grid import Grid, VectorField, cosine_modes, laplacian_values
+from llbopt.grid import Grid, VectorField, laplacian_values
 from llbopt.llb import (
     BlowUpError,
     SimConfig,
@@ -30,6 +30,19 @@ def radial_exact(t):
     return np.sqrt(np.exp(-2 * t) / (2 - np.exp(-2 * t)))
 
 
+def cosine_mode(g, k):
+    """The cosine mode prod_ax cos(k_ax pi x_ax / L_ax) at the cell centers
+    of ``g``, and its eigenvalue sum_ax (2 - 2 cos(pi k_ax / n_ax)) / h_ax^2
+    of -lap_h."""
+    mode, lam = np.ones(g.shape), 0.0
+    for x, kk, L, n, h in zip(g.meshgrid(), k, g.lengths, g.cells, g.spacing):
+        mode = mode * np.cos(kk * np.pi * x / L)
+        lam += (2.0 - 2.0 * np.cos(np.pi * kk / n)) / h**2
+    return mode, lam
+
+
+# unequal cells and lengths per axis
+BASIS_GRIDS = [Grid((5,), (1.3,)), Grid((4, 3), (1.0, 2.5)), Grid((3, 4, 2), (0.7, 1.3, 2.0))]
 time_steps = st.floats(1e-5, 1.0)
 solve_settings = settings(max_examples=60, deadline=None)
 
@@ -82,14 +95,12 @@ class TestImplicitSolve:
     @solve_settings
     @given(grids(), time_steps, st.data())
     def test_cosine_mode_is_scaled(self, g, dt, data):
-        # cosine_modes returns eigenvalues rho of (-lap_h + I), so the mode
-        # is an eigenvector of (I - dt*lap_h) with eigenvalue 1 + dt*(rho - 1)
-        count = data.draw(st.integers(1, min(g.node_count, 20)))
-        modes, rho = cosine_modes(g, count)
-        rhs = modes[-1][..., None] * np.array([1.0, -2.0, 0.5])
+        # the mode is an eigenvector of (I - dt*lap_h), eigenvalue 1 + dt*lam
+        k = tuple(data.draw(st.integers(0, n - 1)) for n in g.cells)
+        mode, lam = cosine_mode(g, k)
+        rhs = mode[..., None] * np.array([1.0, -2.0, 0.5])
         x = implicit_solve(g, dt, rhs)
-        assert_allclose(x, rhs / (1.0 + dt * (rho[-1] - 1.0)),
-                        rtol=1e-12, atol=1e-12 * np.abs(rhs).max())
+        assert np.linalg.norm(x - rhs / (1.0 + dt * lam)) <= 1e-14 * np.linalg.norm(rhs)
 
 
     @solve_settings
@@ -227,6 +238,15 @@ class TestSimulate:
     def test_dt_must_divide_T(self):
         with pytest.raises(ValueError, match="does not divide"):
             SimConfig(T=1.0, dt=0.3)
+
+    def test_control_dt_must_match_the_config(self):
+        # the sweep steps by cfg.dt; a control on another step would be
+        # read at the wrong times, and its energy weighed with its own dt
+        g = Grid((8,), (1.0,))
+        cfg = SimConfig(T=0.01, dt=1e-3)
+        U = ControlPath.zeros(cfg.n_steps, 1, 5e-4)
+        with pytest.raises(ValueError, match="disagree on dt"):
+            simulate(VectorField.zero(g), U, CoilSet.from_fields([uniform_coil(g, 0)]), cfg)
 
 
 @contextlib.contextmanager
@@ -398,6 +418,60 @@ class TestManufacturedSolution:
             errs.append(float(np.abs(traj.values[-1][..., 0] - exact).max()))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 0.9 <= slope <= 1.1
+
+
+class TestCosineBasis:
+    def test_analytic_modes_are_laplacian_eigenvectors(self):
+        for g in BASIS_GRIDS:
+            for k in np.ndindex(g.cells):
+                mode, lam = cosine_mode(g, k)
+                vals = mode[..., None] * np.array([1.0, -2.0, 0.5])
+                lap = laplacian_values(g, vals)
+                if not any(k):  # the constant mode is annihilated exactly
+                    assert lam == 0.0 and np.all(lap == 0.0)
+                assert np.linalg.norm(-lap - lam * vals) <= 1e-13 * (1.0 + lam) * np.linalg.norm(vals)
+
+    def test_implicit_solve_scales_every_mode(self):
+        dt = 0.03
+        for g in BASIS_GRIDS:
+            for k in np.ndindex(g.cells):
+                mode, lam = cosine_mode(g, k)
+                rhs = mode[..., None] * np.array([1.0, -2.0, 0.5])
+                x = implicit_solve(g, dt, rhs)
+                assert np.linalg.norm(x - rhs / (1.0 + dt * lam)) <= 1e-14 * np.linalg.norm(rhs)
+
+    @staticmethod
+    def oracle_start(m0, n_modes):
+        """Frame 0 of the oracle, the synthesis of the projection of m0."""
+        g = m0.grid
+        cfg = SimConfig(T=1e-3, dt=1e-3)
+        U = ControlPath.zeros(cfg.n_steps, 0, cfg.dt)
+        return simulate_galerkin(m0, U, CoilSet.empty(g), cfg, n_modes).values[0]
+
+    def test_full_oracle_basis_round_trip_is_identity(self):
+        rng = np.random.default_rng(12)
+        for g in BASIS_GRIDS:
+            m0 = VectorField(g, rng.standard_normal(g.shape + (3,)))
+            start = self.oracle_start(m0, g.node_count)
+            assert np.linalg.norm(start - m0.values) <= 1e-14 * np.linalg.norm(m0.values)
+
+    def test_truncated_oracle_keeps_the_lowest_modes(self):
+        # ties (here (0, 1) and (1, 0) on a square) are taken in index order
+        for g in BASIS_GRIDS + [Grid((4, 4), (1.0, 1.0))]:
+            ranked = sorted(np.ndindex(g.cells), key=lambda k: (cosine_mode(g, k)[1], k))
+            n_modes = max(1, g.node_count // 3)
+            for j, k in enumerate(ranked):
+                vals = cosine_mode(g, k)[0][..., None] * np.array([1.0, -2.0, 0.5])
+                start = self.oracle_start(VectorField(g, vals), n_modes)
+                kept = vals if j < n_modes else 0.0
+                assert np.linalg.norm(start - kept) <= 1e-14 * np.linalg.norm(vals)
+
+    def test_oracle_rejects_mode_count_outside_range(self):
+        g = Grid((4,), (1.0,))
+        m0 = VectorField.zero(g)
+        for n_modes in (0, -1, 5):
+            with pytest.raises(ValueError, match=r"n_modes must be in \[1, 4\]"):
+                self.oracle_start(m0, n_modes)
 
 
 class TestGalerkinOracle:
