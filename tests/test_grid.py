@@ -294,6 +294,32 @@ class TestTimeIntegral:
             time_integral([1.0], 0.1)
 
 
+class TestCosineModes:
+    """The Neumann cosine modes are eigenvectors of the mirror-ghost
+    Laplacian, with eigenvalue 1 + (2 - 2 cos(pi k h / L)) / h^2 of
+    (-lap_h + I)."""
+
+    def test_first_mode_constant(self):
+        g = Grid((16,), (1.0,))
+        mode = np.full(g.shape, 1.0 / np.sqrt(g.lengths[0]))
+        vals = np.zeros(g.shape + (3,))
+        vals[..., 0] = mode
+        lap = laplacian_values(g, vals)
+        assert np.all(lap == 0.0)
+        assert_allclose(-lap[..., 0] + mode, 1.0 * mode)
+
+    def test_second_mode_matches_laplacian(self):
+        g = Grid((32,), (2.0,))
+        h, L = g.spacing[0], g.lengths[0]
+        mode = np.sqrt(2.0 / L) * np.cos(np.pi * g.axis_coords(0) / L)
+        rho = 1.0 - 2.0 * (np.cos(np.pi * h / L) - 1.0) / h**2
+        vals = np.zeros(g.shape + (3,))
+        vals[..., 0] = mode
+        lap = laplacian_values(g, vals)
+        # (-lap + I) mode = rho * mode for the discrete operator
+        assert_allclose(-lap[..., 0] + mode, rho * mode, atol=1e-12)
+
+
 class TestFieldIO:
     @pytest.mark.parametrize("cells", [(7,), (5, 4), (3, 4, 2)])
     def test_roundtrip(self, cells, tmp_path):
