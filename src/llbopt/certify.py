@@ -130,16 +130,23 @@ class CertificateReport:
 # first order
 # ---------------------------------------------------------------------------
 
-def fooc_sample_min(U: ControlPath, upsilon: np.ndarray, n_samples: int,
-                    rng: np.random.Generator) -> float:
-    """Minimum over random feasible V of the normalized variational-inequality
-    value  sum_i int Upsilon_i (V_i - U_i) dt / ||V - U||."""
+def check_sampling_box(U: ControlPath) -> None:
+    """Raise ValueError unless the variational-inequality samples of
+    :func:`fooc_sample_min` can be drawn from the box of ``U``: finite
+    bounds and a finite width upper - lower."""
     # an infinite bound, or finite ones whose width overflows, reads non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         width = U.upper - U.lower
     if not np.all(np.isfinite(width)):
         raise ValueError("sampling the variational inequality needs a finite box: "
                          "finite bounds and a finite width upper - lower")
+
+
+def fooc_sample_min(U: ControlPath, upsilon: np.ndarray, n_samples: int,
+                    rng: np.random.Generator) -> float:
+    """Minimum over random feasible V of the normalized variational-inequality
+    value  sum_i int Upsilon_i (V_i - U_i) dt / ||V - U||."""
+    check_sampling_box(U)
     worst = np.inf
     for _ in range(n_samples):
         V = rng.uniform(U.lower, U.upper)

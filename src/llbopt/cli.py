@@ -25,13 +25,15 @@ import scipy
 from . import __version__
 from .certify import (
     TrivialConeError,
+    check_sampling_box,
     critical_cone_mask,
     curvature,
     global_and_uniqueness_report,
     second_order_scan,
 )
 from .coils import ControlPath, control_inner_rms
-from .config import SCHEMA, ConfigError, RunConfig, parse_config, read_control_csv, read_input
+from .config import (SCHEMA, ConfigError, RunConfig, control_csv_header, parse_config,
+                     read_control_csv, read_input)
 from .grid import Grid, VectorField, frame_norms, laplacian_values, write_field
 from .llb import (
     BlowUpError,
@@ -89,15 +91,15 @@ def write_manifest(out_dir, subcommand, config_path, seed):
         fh.write("\n")
 
 
-def smooth_directions(n_steps, n_coils, dt, rng):
-    """Deterministic smooth-in-time test directions, one column per coil."""
+def smooth_directions(n_steps, dt, coeffs):
+    """Smooth-in-time control directions on K+1 time nodes, one column per
+    coil: c0 + c1 sin(2 pi t / T) + c2 cos(pi t / T), with (c0, c1, c2)
+    the coil's row of ``coeffs`` (shape (N, 3))."""
     t = np.arange(n_steps + 1) * dt
     T = max(n_steps * dt, dt)
-    cols = []
-    for _ in range(n_coils):
-        c = rng.standard_normal(3)
-        cols.append(c[0] + c[1] * np.sin(2 * np.pi * t / T) + c[2] * np.cos(np.pi * t / T))
-    return np.stack(cols, axis=1)
+    c0, c1, c2 = np.asarray(coeffs, dtype=float).T
+    return (c0 + c1 * np.sin(2 * np.pi * t / T)[:, None]
+            + c2 * np.cos(np.pi * t / T)[:, None])
 
 
 def _forward_setup(cfg: RunConfig):
@@ -160,12 +162,9 @@ def cmd_optimize(cfg: RunConfig, out_dir, quiet):
               ["iter", "cost", "tracking", "terminal", "control", "residual", "step"],
               [(h.iteration, h.cost, h.tracking, h.terminal, h.control,
                 h.residual, h.step) for h in history])
-    n = U.n_coils
-    header = (["t"] + [f"U_{i+1}" for i in range(n)]
-              + [f"a_{i+1}" for i in range(n)] + [f"b_{i+1}" for i in range(n)])
     rows = [[t] + list(U.intensities[j]) + list(U.lower[j]) + list(U.upper[j])
             for j, t in enumerate(U.times)]
-    write_csv(os.path.join(out_dir, "control.csv"), header, rows)
+    write_csv(os.path.join(out_dir, "control.csv"), control_csv_header(U.n_coils), rows)
     write_field(os.path.join(out_dir, "state_final.llbfield"),
                 state.traj.frame(state.traj.n_steps))
     final = history[-1]
@@ -189,24 +188,18 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
         raise ConfigError([f"{key}: required for the certify subcommand"
                            for key in missing])
     grid, sim, coils, m0, U = _forward_setup(cfg)
-    bounds = {"bounds.lower": U.lower, "bounds.upper": U.upper}
+    # the key that gave the box: an infinite lower bound of the config is
+    # bounds.lower, any other fault of its box bounds.upper
+    box_key = "bounds.upper" if np.all(np.isfinite(U.lower)) else "bounds.lower"
     if control_csv is not None:
         intens, lower, upper = read_input("--control", read_control_csv, control_csv,
                                           U.times, coils.n_coils)
         if lower is not None:
-            bounds = {"--control": (lower, upper)}
+            box_key = "--control"
             U = read_input("--control", ControlPath, intens, lower, upper, sim.dt)
         else:
             U = U.with_intensities(intens)
-    # the variational-inequality samples are drawn from the box: finite
-    # bounds, then (named by the last key) a width that does not overflow
-    for key, bound in bounds.items():
-        if not np.all(np.isfinite(bound)):
-            raise ConfigError([f"{key}: certify needs finite box bounds"])
-    with np.errstate(over="ignore"):
-        width = U.upper - U.lower
-    if not np.all(np.isfinite(width)):
-        raise ConfigError([f"{key}: certify needs a finite box width upper - lower"])
+    read_input(box_key, check_sampling_box, U)
     state = reduced_state(U, ReducedProblem(m0, sim, coils, cfg.build_targets(grid, coils, sim)),
                           keep_costate=True)
     masks = critical_cone_mask(U, state.grad, tol_active=cfg.get("certify.tol_active"),
@@ -267,7 +260,7 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
 def cmd_check_grad(cfg: RunConfig, out_dir, quiet):
     problem, U = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
-    h = smooth_directions(U.n_steps, U.n_coils, U.dt, rng)
+    h = smooth_directions(U.n_steps, U.dt, rng.standard_normal((U.n_coils, 3)))
     # the state streams its costate and is dropped with its trajectory here,
     # so the run holds two trajectories at most, and the +/-eps
     # forwards run as one batched sweep that keeps no trajectory
@@ -297,7 +290,7 @@ def cmd_check_taylor(cfg: RunConfig, out_dir, quiet):
     traj = simulate(m0, U, coils, sim)
     point = LinearizationPoint(traj, U, coils)
     rng = np.random.default_rng(cfg.seed)
-    dU = smooth_directions(sim.n_steps, coils.n_coils, sim.dt, rng)
+    dU = smooth_directions(sim.n_steps, sim.dt, rng.standard_normal((coils.n_coils, 3)))
     result = taylor_remainder_order(point, dU, cfg["checks.taylor_eps"], cfg=sim)
     write_csv(os.path.join(out_dir, "taylor.csv"),
               ["eps", "remainder", "first_difference"],
@@ -317,7 +310,8 @@ def cmd_check_curvature(cfg: RunConfig, out_dir, quiet):
     problem, U = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
     n_dirs = cfg["certify.n_dirs"]
-    hs = np.stack([smooth_directions(U.n_steps, U.n_coils, U.dt, rng) for _ in range(n_dirs)])
+    hs = np.stack([smooth_directions(U.n_steps, U.dt, rng.standard_normal((U.n_coils, 3)))
+                   for _ in range(n_dirs)])
     samples = curvature(reduced_state(U, problem, keep_costate=True), hs, cfg["certify.eps_fd"])
     write_curvature(out_dir, samples)
     tol = cfg["checks.curvature_tol"]
@@ -350,9 +344,7 @@ def temporal_self_convergence(cfg: RunConfig):
         last = {}
         simulate(m0, U, coils, sim, consume=lambda j, m: last.update(m=m))
         finals.append(last["m"])
-    w = grid.cell_volume
-    errors = [float(np.sqrt(w * np.sum((finals[k] - finals[k + 1]) ** 2)))
-              for k in range(n_levels)]
+    errors = np.sqrt(frame_norms(grid, (a - b for a, b in zip(finals, finals[1:]))))
     order = float(np.polyfit(np.log(dts[:n_levels]), np.log(errors), 1)[0])
     return dts[:n_levels], errors, order
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, VectorField, h1_norm, time_integral
+from .grid import Grid, VectorField, frame_norms, time_integral
 
 
 @dataclass
@@ -31,7 +31,8 @@ class CoilSet:
                 f"coil geometries have shape {self.geometries.shape}, "
                 f"expected (N,) + {expected_tail}"
             )
-        self.h1_norms = np.array([h1_norm(self.grid, g) for g in self.geometries])
+        l2_sq, grad_sq = frame_norms(self.grid, self.geometries, grad=True)
+        self.h1_norms = np.sqrt(l2_sq + grad_sq)
 
     @classmethod
     def from_fields(cls, fields: list[VectorField]) -> "CoilSet":

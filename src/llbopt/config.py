@@ -21,7 +21,7 @@ import numpy as np
 
 from .coils import CoilSet, ControlPath, gaussian_coil, uniform_coil
 from .grid import Grid, Trajectory, VectorField, decode_record, encode_record, read_field
-from .llb import SimConfig, simulate
+from .llb import SimConfig, simulate, time_tolerance
 from .optimize import OptimizeConfig, TrackingTargets
 from .certify import UserConstants
 
@@ -448,9 +448,11 @@ def _validate(cfg: RunConfig):
         errors.append(f"grid.lengths: need {dim} positive reals, got {lengths}")
 
     T, dt = raw["time.T"], raw["time.dt"]
-    if {"time.T", "time.dt"}.isdisjoint(bad) and (
-            abs(round(T / dt) * dt - T) > 1e-12 * max(T, 1.0) or round(T / dt) < 1):
-        errors.append(f"time.dt: {dt} does not divide time.T = {T}")
+    if {"time.T", "time.dt"}.isdisjoint(bad):
+        try:
+            cfg.build_sim()  # SimConfig's verdict on dt dividing T
+        except ValueError:
+            errors.append(f"time.dt: {dt} does not divide time.T = {T}")
 
     n_coils = 0 if "coils.count" in bad else raw["coils.count"]
     declared = {k for k in raw if k.startswith("coil.")}
@@ -547,33 +549,43 @@ def _boundary_normal_difference(grid: Grid, vals: np.ndarray) -> float:
 # control CSV and trajectory-file helpers
 # ---------------------------------------------------------------------------
 
+def control_csv_header(n_coils: int) -> list:
+    """The column names of a control CSV for ``n_coils`` coils, with its
+    bound columns: ``t,U_1..U_N,a_1..a_N,b_1..b_N``.  A CSV without bounds
+    has the first 1+N of them."""
+    return ["t"] + [f"{c}_{i}" for c in "Uab" for i in range(1, n_coils + 1)]
+
+
 def read_control_csv(path, times: np.ndarray, n_coils: int):
-    """Read a control CSV: header ``t,U_1..U_N[,a_1..a_N,b_1..b_N]``.
+    """Read a control CSV: header ``t,U_1..U_N[,a_1..a_N,b_1..b_N]``
+    (:func:`control_csv_header`), checked name by name.
 
     ``times`` are the K+1 time nodes j*dt the rows must sample: row j's
-    ``t`` is checked against them at the tolerance that ``SimConfig`` gives
-    dt dividing T, 1e-12 * max(T, 1).  Returns (intensities, lower,
-    upper); the bound columns are optional and come back as None when
-    absent.
+    ``t`` is checked against them at the tolerance that ``SimConfig``
+    gives dt dividing T (:func:`~llbopt.llb.time_tolerance` of T).
+    Returns (intensities, lower, upper); the bound columns are optional
+    and come back as None when absent.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
+        header = [name.strip() for name in fh.readline().split(",")]
         with warnings.catch_warnings():
             # a table without rows is reported by the row-count check below
             warnings.simplefilter("ignore", UserWarning)
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    expected_cols = (1 + n_coils, 1 + 3 * n_coils)
-    if len(header) not in expected_cols or data.shape[1] != len(header):
-        raise ValueError(
-            f"control CSV {path}: expected 1+{n_coils} or 1+3*{n_coils} "
-            f"columns, got {data.shape[1]}"
-        )
+    names = control_csv_header(n_coils)
+    short = names[:1 + n_coils]  # no bound columns
+    if header not in (short, names):
+        raise ValueError(f"control CSV {path}: expected header {','.join(short)} or "
+                         f"{','.join(names)}, got {','.join(header)}")
+    if data.shape[1] != len(header):
+        raise ValueError(f"control CSV {path}: header has {len(header)} columns, "
+                         f"rows have {data.shape[1]}")
     if data.shape[0] != len(times):
         raise ValueError(
             f"control CSV {path}: expected {len(times)} rows, got {data.shape[0]}"
         )
     # written so that a NaN fails it too
-    off = ~(np.abs(data[:, 0] - times) <= 1e-12 * max(times[-1], 1.0))
+    off = ~(np.abs(data[:, 0] - times) <= time_tolerance(times[-1]))
     if np.any(off):
         j = int(np.argmax(off))
         raise ValueError(f"control CSV {path}: row {j} has t = {data[j, 0]:.17g}, "

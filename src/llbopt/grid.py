@@ -5,6 +5,9 @@ Neumann condition is enforced by mirror ghost cells (the ghost value equals
 the adjacent interior value), which makes the discrete Laplacian annihilate
 constants exactly and keeps it self-adjoint and negative semi-definite under
 the cell-sum inner product.
+
+Every per-frame L2 and H1 norm is taken by one kernel, :func:`frame_norms`,
+whose gradient term is :func:`grad_sq_integral`.
 """
 
 from __future__ import annotations
@@ -217,33 +220,17 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def gradient_values(grid: Grid, vals: np.ndarray) -> list[np.ndarray]:
-    """Face differences per axis (forward difference / h along that axis).
-
-    Returns one array per axis, shortened by one cell along that axis.  With
-    the mirror-ghost convention the boundary faces carry zero normal
-    difference, so only interior faces appear.  These are the differences for
-    which summation by parts against ``laplacian_values`` is exact.
-    """
-    grads = []
-    for ax, h in enumerate(grid.spacing):
-        lo = [slice(None)] * vals.ndim
-        hi = [slice(None)] * vals.ndim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        grads.append((vals[tuple(hi)] - vals[tuple(lo)]) / h)
-    return grads
-
-
 def grad_sq_integral(grid: Grid, vals: np.ndarray) -> float:
-    """Cell-sum integral of |grad f|^2 over interior faces.
-
-    Equals ``-inner_values(grid, laplacian_values(grid, f), f)`` exactly
-    (discrete integration by parts with the reflecting boundary).
-    """
+    """Cell-sum integral of |grad f|^2, f = ``vals`` of shape ``grid.shape +
+    tail``, from the forward differences / h over the interior faces: the
+    mirror ghosts give the boundary faces none.  Equals ``-w * sum(lap_h f *
+    f)``, w the cell volume (summation by parts against
+    :func:`laplacian_values`)."""
     w = grid.cell_volume
     total = 0.0
-    for g in gradient_values(grid, vals):
+    for ax, h in enumerate(grid.spacing):
+        lead = (slice(None),) * ax
+        g = (vals[lead + (slice(1, None),)] - vals[lead + (slice(None, -1),)]) / h
         total += w * float(np.sum(g * g))
     return total
 
@@ -255,7 +242,8 @@ def frame_norms(grid: Grid, frames, grad: bool = False):
     (vector frames, or scalar ones such as |m|^2); it is walked one frame
     at a time, so a generator of derived frames never holds more than one.
     With ``grad`` the squared gradient norms (:func:`grad_sq_integral`) come
-    too.  Returns ``l2_sq``, or ``(l2_sq, grad_sq)`` with ``grad``.
+    too, and ``l2_sq + grad_sq`` is the squared H1 norm.  Returns ``l2_sq``,
+    or ``(l2_sq, grad_sq)`` with ``grad``.
     """
     w = grid.cell_volume
     l2_sq, grad_sq = [], []
@@ -265,16 +253,6 @@ def frame_norms(grid: Grid, frames, grad: bool = False):
             grad_sq.append(grad_sq_integral(grid, v))
     l2_sq = np.array(l2_sq)
     return (l2_sq, np.array(grad_sq)) if grad else l2_sq
-
-
-def inner_values(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    return grid.cell_volume * float(np.sum(a * b))
-
-
-def h1_norm(grid: Grid, vals: np.ndarray) -> float:
-    """Discrete H1 norm: sqrt(|f|_L2^2 + |grad f|_L2^2)."""
-    l2sq = grid.cell_volume * float(np.sum(vals * vals))
-    return float(np.sqrt(l2sq + grad_sq_integral(grid, vals)))
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz

@@ -34,6 +34,10 @@ reverse), the blow-up rule and the frames, stored or handed to a consumer,
 and each sweep passes only its step, the explicit terms plus one
 :func:`implicit_solve`.
 
+Whether a control or a trajectory sits on a run's time nodes is one check,
+:func:`check_time_grid`, at the one tolerance :func:`time_tolerance` that
+the dt-divides-T rule and the control-CSV reader use too.
+
 The energy ledger of the dissipation inequality is one tally,
 :class:`EnergyTally`: ``add(j, m)`` per frame, then ``finish`` for |u|^2,
 the cumulative trapezoids and the defect.  A sweep feeds it frame by frame
@@ -81,6 +85,23 @@ class OracleError(RuntimeError):
     """The Galerkin oracle's ODE integration failed."""
 
 
+def time_tolerance(scale: float) -> float:
+    """How far apart two times may be and still name one time node, for
+    times on the scale of ``scale`` (a step dt, a horizon T)."""
+    return 1e-12 * max(scale, 1.0)
+
+
+def check_time_grid(path, nodes, names: str) -> None:
+    """Raise ValueError, naming the pair ``names``, unless ``path`` has the
+    step count of ``nodes`` and its dt to within :func:`time_tolerance`.
+    Both have ``n_steps`` and ``dt``: a :class:`SimConfig`, a control or a
+    trajectory."""
+    if path.n_steps != nodes.n_steps:
+        raise ValueError(f"{names} disagree on steps: {path.n_steps} and {nodes.n_steps}")
+    if abs(path.dt - nodes.dt) > time_tolerance(nodes.dt):
+        raise ValueError(f"{names} disagree on dt: {path.dt} and {nodes.dt}")
+
+
 @dataclass
 class SimConfig:
     """Time-stepping configuration shared by the forward/tangent/adjoint sweeps."""
@@ -94,8 +115,9 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.T <= 0:
             raise ValueError("T must be positive")
-        steps = round(self.T / self.dt)
-        if steps < 1 or abs(steps * self.dt - self.T) > 1e-12 * max(self.T, 1.0):
+        ratio = self.T / self.dt  # inf where the step count overflows
+        if (not math.isfinite(ratio) or round(ratio) < 1
+                or abs(round(ratio) * self.dt - self.T) > time_tolerance(self.T)):
             raise ValueError(f"dt={self.dt} does not divide T={self.T}")
 
     @property
@@ -274,11 +296,7 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
     grid = m0.grid
     if coils.n_coils and coils.grid != grid:
         raise ValueError("coil/grid incompatibility")
-    K = cfg.n_steps
-    if U.n_steps != K:
-        raise ValueError(f"control has {U.n_steps} steps, config expects {K}")
-    if abs(U.dt - cfg.dt) > 1e-12 * max(cfg.dt, 1.0):
-        raise ValueError(f"control and config disagree on dt: {U.dt} and {cfg.dt}")
+    check_time_grid(U, cfg, "control and config")
 
     batch = np.broadcast_shapes(m0.values.shape[:-grid.dim - 1], U.intensities.shape[:-2])
     intensities = np.moveaxis(U.intensities, -2, 0)
@@ -300,8 +318,8 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
         u = synthesize_values(intensities[j], coils)
         return step_values(grid, m, u, cfg.dt, mag_sq)
 
-    return march(grid, cfg.dt, m0.values, batch, K, advance, "state blow-up",
-                 threshold=cfg.blowup_threshold, consume=consume)
+    return march(grid, cfg.dt, m0.values, batch, cfg.n_steps, advance,
+                 "state blow-up", threshold=cfg.blowup_threshold, consume=consume)
 
 
 def blowup_times(traj: Trajectory) -> np.ndarray:
@@ -399,6 +417,7 @@ def simulate_galerkin(m0: VectorField, U: ControlPath, coils: CoilSet,
     from scipy.integrate import solve_ivp  # slow import, needed only here
 
     grid = m0.grid
+    check_time_grid(U, cfg, "control and config")
     if not 1 <= n_modes <= grid.node_count:
         raise ValueError(f"n_modes must be in [1, {grid.node_count}] on this grid, "
                          f"got {n_modes}")

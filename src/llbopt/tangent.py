@@ -15,7 +15,7 @@ import numpy as np
 
 from .coils import CoilSet, ControlPath, synthesize_values
 from .grid import Trajectory, cross, dot, frame_norms, laplacian_values
-from .llb import SimConfig, implicit_solve, march, simulate
+from .llb import SimConfig, check_time_grid, implicit_solve, march, simulate
 
 
 @dataclass
@@ -27,10 +27,7 @@ class LinearizationPoint:
     coils: CoilSet
 
     def __post_init__(self):
-        if self.base_traj.n_steps != self.base_control.n_steps:
-            raise ValueError("base trajectory and base control disagree on time nodes")
-        if abs(self.base_traj.dt - self.base_control.dt) > 1e-12 * max(self.base_traj.dt, 1.0):
-            raise ValueError("base trajectory and base control disagree on dt")
+        check_time_grid(self.base_control, self.base_traj, "base control and base trajectory")
 
     @property
     def grid(self):

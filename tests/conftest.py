@@ -59,15 +59,6 @@ def frame_source(grid, values):
     return np.moveaxis(values, -grid.dim - 2, 0).__getitem__
 
 
-def smooth_time_profiles(n_steps, dt, coeffs):
-    """Deterministic smooth control samples, one column per coefficient row."""
-    t = np.arange(n_steps + 1) * dt
-    T = max(n_steps * dt, dt)
-    cols = [c0 + c1 * np.sin(2 * np.pi * t / T) + c2 * np.cos(np.pi * t / T)
-            for (c0, c1, c2) in coeffs]
-    return np.stack(cols, axis=1)
-
-
 def tracking_problem(n=32, dt=5e-3, T=0.5, amp=0.4, lower=-5.0, upper=5.0,
                      tol=1e-6, dim=1):
     """``(problem, U0, cfg)``: the stock tracking problem (reachable-adjacent

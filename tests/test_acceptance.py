@@ -12,9 +12,10 @@ from llbopt.grid import Grid, VectorField, cross, laplacian_values, time_integra
 from llbopt.llb import SimConfig, energy_ledger, simulate, simulate_galerkin
 from llbopt.optimize import forward_cost, projected_gradient_descent, reduced_state
 from llbopt.certify import curvature, fooc_sample_min, smallness_monitor
+from llbopt.cli import smooth_directions
 from llbopt.tangent import LinearizationPoint, solve_tangent, taylor_remainder_order
 
-from conftest import cosine_initial, smooth_time_profiles, tracking_problem, two_gaussian_coils
+from conftest import cosine_initial, tracking_problem, two_gaussian_coils
 
 
 def report(num, ok, desc, detail):
@@ -121,8 +122,8 @@ def _gradient_rel_err(dim, n, dt):
     p, U0, cfg = tracking_problem(n=n, dt=dt, T=0.25, dim=dim)
     U = U0.with_intensities(U0.intensities + np.array([0.5, -0.4]))
     g = reduced_state(U, p).grad
-    h = smooth_time_profiles(U.n_steps, U.dt,
-                             [(0.6, 0.4, -0.2), (-0.5, 0.1, 0.3)])
+    h = smooth_directions(U.n_steps, U.dt,
+                          [(0.6, 0.4, -0.2), (-0.5, 0.1, 0.3)])
     eps = 1e-4
     cp, _ = forward_cost(U.with_intensities(U.intensities + eps * h), p)
     cm, _ = forward_cost(U.with_intensities(U.intensities - eps * h), p)
@@ -189,8 +190,8 @@ def test_criterion_08_frechet_taylor_test():
     U = ControlPath.constant([0.4, -0.3], cfg.n_steps, cfg.dt)
     traj = simulate(cosine_initial(grid), U, coils, cfg)
     point = LinearizationPoint(traj, U, coils)
-    dU = smooth_time_profiles(cfg.n_steps, cfg.dt,
-                              [(0.8, 0.5, 0.0), (-0.6, 0.0, 0.4)])
+    dU = smooth_directions(cfg.n_steps, cfg.dt,
+                           [(0.8, 0.5, 0.0), (-0.6, 0.0, 0.4)])
     eps = [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
     result = taylor_remainder_order(point, dU, eps, cfg=cfg)
     ok = (result.remainder_order >= 1.9
@@ -224,12 +225,11 @@ def test_criterion_10_curvature_consistency(stock_problem, stock_converged):
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(5):
-        coeffs = [tuple(row) for row in rng.standard_normal((2, 3))]
-        h = smooth_time_profiles(U.n_steps, U.dt, coeffs)
+        h = smooth_directions(U.n_steps, U.dt, rng.standard_normal((2, 3)))
         s, = curvature(state, h[None], eps_fd=1e-3)
         assert s.fd_valid
         worst = max(worst, s.rel_err)
-    h = smooth_time_profiles(U.n_steps, U.dt, [(0.7, 0.2, 0.0), (-0.5, 0.0, 0.3)])
+    h = smooth_directions(U.n_steps, U.dt, [(0.7, 0.2, 0.0), (-0.5, 0.0, 0.3)])
     q1 = curvature(state, h[None], eps_fd=1e-3)[0].q_adj
     q2 = curvature(state, 2.0 * h[None], eps_fd=1e-3)[0].q_adj
     scaling_err = abs(q2 - 4.0 * q1) / abs(4.0 * q1)

@@ -13,6 +13,7 @@ from llbopt.optimize import (
     reduced_state,
 )
 from llbopt.tangent import LinearizationPoint, solve_tangent
+from llbopt.cli import smooth_directions
 from llbopt.certify import (
     UserConstants,
     critical_cone_mask,
@@ -25,7 +26,7 @@ from llbopt.certify import (
     space_time_norms,
 )
 
-from conftest import matched, smooth_time_profiles, tracking_problem
+from conftest import matched, tracking_problem
 
 
 @pytest.fixture(scope="module")
@@ -128,23 +129,22 @@ class TestConeMasks:
 class TestCurvature:
     def test_quadratic_scaling_exact(self, converged):
         state, (p, U0, cfg) = converged
-        h = smooth_time_profiles(U0.n_steps, U0.dt,
-                                 [(0.7, 0.2, 0.0), (-0.5, 0.0, 0.3)])
+        h = smooth_directions(U0.n_steps, U0.dt,
+                              [(0.7, 0.2, 0.0), (-0.5, 0.0, 0.3)])
         s1, s2 = curvature(state, np.stack([h, 2.0 * h]), 1e-3)
         assert s2.q_adj == pytest.approx(4.0 * s1.q_adj, rel=1e-10)
 
     def test_sign_invariance(self, converged):
         state, (p, U0, cfg) = converged
-        h = smooth_time_profiles(U0.n_steps, U0.dt,
-                                 [(0.4, -0.3, 0.0), (0.2, 0.0, 0.6)])
+        h = smooth_directions(U0.n_steps, U0.dt,
+                              [(0.4, -0.3, 0.0), (0.2, 0.0, 0.6)])
         s1, s2 = curvature(state, np.stack([h, -h]), 1e-3)
         assert s2.q_adj == pytest.approx(s1.q_adj, rel=1e-10)
 
     def test_adjoint_matches_second_difference(self, converged):
         state, (p, U0, cfg) = converged
         rng = np.random.default_rng(3)
-        hs = np.stack([smooth_time_profiles(U0.n_steps, U0.dt,
-                                            [tuple(r) for r in rng.standard_normal((2, 3))])
+        hs = np.stack([smooth_directions(U0.n_steps, U0.dt, rng.standard_normal((2, 3)))
                        for _ in range(3)])
         for s in curvature(state, hs, 1e-3):
             assert s.fd_valid
@@ -153,10 +153,10 @@ class TestCurvature:
     def test_bilinearity_identity(self, converged):
         # Q(h1+h2) + Q(h1-h2) = 2 Q(h1) + 2 Q(h2)
         state, (p, U0, cfg) = converged
-        h1 = smooth_time_profiles(U0.n_steps, U0.dt,
-                                  [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
-        h2 = smooth_time_profiles(U0.n_steps, U0.dt,
-                                  [(-0.2, 0.0, 0.3), (0.6, 0.2, 0.0)])
+        h1 = smooth_directions(U0.n_steps, U0.dt,
+                               [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
+        h2 = smooth_directions(U0.n_steps, U0.dt,
+                               [(-0.2, 0.0, 0.3), (0.6, 0.2, 0.0)])
         qp, qm, q1, q2 = (s.q_adj for s in curvature(
             state, np.stack([h1 + h2, h1 - h2, h1, h2]), 1e-3))
         assert qp + qm == pytest.approx(2 * q1 + 2 * q2, rel=1e-8)
@@ -164,8 +164,7 @@ class TestCurvature:
     def test_stack_matches_single_directions(self, converged):
         state, (p, U0, cfg) = converged
         rng = np.random.default_rng(11)
-        hs = np.stack([smooth_time_profiles(U0.n_steps, U0.dt,
-                                            [tuple(r) for r in rng.standard_normal((2, 3))])
+        hs = np.stack([smooth_directions(U0.n_steps, U0.dt, rng.standard_normal((2, 3)))
                        for _ in range(3)])
         samples = curvature(state, hs, 1e-3)
         assert [s.direction_id for s in samples] == [0, 1, 2]
@@ -177,7 +176,7 @@ class TestCurvature:
 
     def test_exploding_direction_invalidates_only_its_fd(self, converged):
         state, (p, U0, cfg) = converged
-        h = smooth_time_profiles(U0.n_steps, U0.dt, [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
+        h = smooth_directions(U0.n_steps, U0.dt, [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
         hs = np.stack([h, 1e9 * h, -h])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.warns(RuntimeWarning, match="marginally resolved"):
@@ -192,7 +191,7 @@ class TestCurvature:
 
     def test_step_with_an_overflowing_square_invalidates_every_fd(self, converged):
         state, (p, U0, cfg) = converged
-        h = smooth_time_profiles(U0.n_steps, U0.dt, [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
+        h = smooth_directions(U0.n_steps, U0.dt, [(0.5, 0.1, 0.0), (0.0, -0.4, 0.2)])
         s, = curvature(state, h[None], 1e300)
         ref, = curvature(state, h[None], 1e-3)
         assert not s.fd_valid and np.isnan(s.q_fd) and np.isnan(s.rel_err)

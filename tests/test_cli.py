@@ -351,8 +351,8 @@ class TestSubcommands:
         grid, sim = cfg.build_grid(), cfg.build_sim()
         coils, m0 = cfg.build_coils(grid), cfg.build_initial(grid)
         U = cfg.build_control(sim.n_steps, coils.n_coils)
-        h = smooth_directions(sim.n_steps, coils.n_coils, sim.dt,
-                              np.random.default_rng(cfg.seed))
+        rng = np.random.default_rng(cfg.seed)
+        h = smooth_directions(sim.n_steps, sim.dt, rng.standard_normal((coils.n_coils, 3)))
         blown = []
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -648,6 +648,8 @@ INPUT_BASE = ("grid.dim = 1\ngrid.cells = 16\ntime.T = 0.2\ntime.dt = 0.01\n"
               "certify.c_go = 0.05\ncertify.c4n = 1.2\n")
 MD_FILE = "targets.md_kind = file\ntargets.md_path = in.dat\n"
 UNIFORM_COIL = "coils.count = 1\ncoil.1.kind = uniform\n"
+THREE_COILS = ("coils.count = 3\nbounds.lower = -1\nbounds.upper = 1\n"
+               + "".join(f"coil.{k}.kind = uniform\n" for k in (1, 2, 3)))
 
 
 def control_table(header, *rows):
@@ -690,11 +692,22 @@ def control_table(header, *rows):
     # a finite box whose width upper - lower overflows
     ("--control", UNIFORM_COIL, control_table("t,U_1,a_1,b_1", *["0,-1e308,1e308"] * 21),
      "certify"),
+    # headers whose column count fits: one coil's bounded control on three
+    # coils, and a one-coil table under other names
+    ("--control", THREE_COILS, control_table("t,U_1,a_1,b_1", *["0,-1,1"] * 21), "certify"),
+    ("control.path", THREE_COILS + "control.kind = csv\ncontrol.path = in.dat\n",
+     control_table("t,U_1,a_1,b_1", *["0,-1,1"] * 21), "simulate"),
+    ("--control", UNIFORM_COIL + "bounds.lower = -1\nbounds.upper = 1\n",
+     control_table("time,V", *["0"] * 21), "certify"),
+    ("control.path", UNIFORM_COIL + "control.kind = csv\ncontrol.path = in.dat\n",
+     control_table("time,V", *["0"] * 21), "simulate"),
 ], ids=["md-K-frames", "md-K+5-frames", "md-bad-header", "init-wrong-grid",
         "momega-wrong-grid", "coil-bad-header", "control-short", "flag-short",
         "flag-no-rows", "flag-missing", "flag-infinite-bound", "flag-empty-box",
         "md-nan-frame", "control-nan-intensity", "flag-nan-intensity", "flag-nan-bound",
-        "control-t-off-grid", "flag-nan-time", "flag-overflowing-width"])
+        "control-t-off-grid", "flag-nan-time", "flag-overflowing-width",
+        "flag-one-coil-header-on-three-coils", "control-one-coil-header-on-three-coils",
+        "flag-unnamed-header", "control-unnamed-header"])
 def test_unreadable_input_file_exits_2_naming_the_key(tmp_path, capsys, key, config,
                                                       content, command):
     data = tmp_path / "in.dat"
@@ -824,6 +837,8 @@ def test_simulate_reads_no_target_input(tmp_path):
     ("coil.1.axis", "coils.count = 1\ncoil.1.kind = uniform\ncoil.1.axis = 5\n", "simulate"),
     ("coil.1.width", "coils.count = 1\ncoil.1.kind = gaussian\ncoil.1.center = 0.5\n"
      "coil.1.width = -1\n", "simulate"),
+    # T / dt overflows to inf: no step count
+    ("time.dt", "time.dt = 1e-320\n", "simulate"),
     *[(key, kind, "simulate") for key, kind in PATH_KEYS.items()],
     *[(key, kind + f"{key} = nowhere.dat\n", "simulate") for key, kind in PATH_KEYS.items()],
 ], ids=["bounds-broadcast-simulate", "bounds-broadcast-optimize", "expr-name",
@@ -842,7 +857,7 @@ def test_simulate_reads_no_target_input(tmp_path):
         "blowup-threshold-negative", "c-go-negative", "c4n-zero", "c2-negative",
         "c3-negative", "ctilde-zero", "ctilde-negative", "dim-4", "dt-negative",
         "T-negative", "coils-count-negative", "coil-kind-bogus", "coil-axis-5",
-        "coil-width-negative"]
+        "coil-width-negative", "dt-step-count-overflows"]
     + [f"{key}-{what}" for what in ("missing", "not-found") for key in PATH_KEYS])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, key, config, command):
     # 16 cells, so 17 oracle modes over-resolve the grid

@@ -12,7 +12,7 @@ from llbopt.coils import (
     synthesize_values,
     uniform_coil,
 )
-from llbopt.grid import Grid, VectorField, h1_norm
+from llbopt.grid import Grid, VectorField, frame_norms, grad_sq_integral
 
 from conftest import batch_shapes, grids
 
@@ -136,11 +136,14 @@ class TestControlPath:
     def test_h1_norm_cache_consistent(self, unit_square):
         b = gaussian_coil(unit_square, [0.4, 0.6], 0.25, 0, amplitude=2.0)
         coils = CoilSet.from_fields([b])
-        assert coils.h1_norms[0] == pytest.approx(h1_norm(unit_square, b.values), rel=1e-12)
+        l2_sq = unit_square.cell_volume * np.sum(b.values * b.values)
+        h1 = np.sqrt(l2_sq + grad_sq_integral(unit_square, b.values))
+        assert coils.h1_norms[0] == pytest.approx(h1, rel=1e-12)
 
     def test_h1_norms_computed_from_geometries(self, unit_square):
         b = gaussian_coil(unit_square, [0.4, 0.6], 0.25, 0)
         coils = CoilSet(unit_square, np.stack([b.values, 2.0 * b.values]))
-        expected = h1_norm(unit_square, b.values) * np.array([1.0, 2.0])
+        l2_sq, grad_sq = frame_norms(unit_square, [b.values], grad=True)
+        expected = np.sqrt(l2_sq + grad_sq) * np.array([1.0, 2.0])
         assert_allclose(coils.h1_norms, expected, rtol=1e-12)
         assert CoilSet.empty(unit_square).h1_norms.shape == (0,)

@@ -236,8 +236,10 @@ class TestSimulate:
         assert_allclose(traj.values[2], ref.values, rtol=1e-13, atol=0)
 
     def test_dt_must_divide_T(self):
-        with pytest.raises(ValueError, match="does not divide"):
-            SimConfig(T=1.0, dt=0.3)
+        # the last two overflow T / dt to inf, which has no step count
+        for T, dt in ((1.0, 0.3), (1.0, 1e-320), (1e300, 1e-10)):
+            with pytest.raises(ValueError, match="does not divide"):
+                SimConfig(T=T, dt=dt)
 
     def test_control_dt_must_match_the_config(self):
         # the sweep steps by cfg.dt; a control on another step would be
@@ -494,3 +496,15 @@ class TestGalerkinOracle:
         oracle = simulate_galerkin(m0, U, CoilSet.empty(g), cfg, n_modes=1)
         got = np.linalg.norm(oracle.values[-1][0])
         assert got == pytest.approx(radial_exact(0.5), rel=1e-8)
+
+    @pytest.mark.parametrize("n_steps, dt", [(5, 1e-3), (10, 5e-4)],
+                             ids=["half-the-steps", "another-dt"])
+    def test_oracle_rejects_a_control_off_the_time_grid(self, n_steps, dt):
+        # the oracle interpolates the control on cfg's nodes, so a control
+        # on other nodes would be read at the wrong times
+        g = Grid((8,), (1.0,))
+        cfg = SimConfig(T=0.01, dt=1e-3)
+        coils = CoilSet.from_fields([uniform_coil(g, 0)])
+        U = ControlPath.zeros(n_steps, 1, dt)
+        with pytest.raises(ValueError, match="control and config disagree on"):
+            simulate_galerkin(VectorField.zero(g), U, coils, cfg, n_modes=2)

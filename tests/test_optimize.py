@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from llbopt.adjoint import tracking_adjoint
+from llbopt.cli import smooth_directions
 from llbopt.coils import ControlPath, control_inner_rms, control_norm_rms
 from llbopt.grid import Grid, Trajectory, time_integral
 from llbopt.llb import SimConfig, blowup_times, simulate
@@ -28,7 +29,6 @@ from conftest import (
     grids,
     matched,
     peak_rise,
-    smooth_time_profiles,
     tracking_problem,
     trajectory_bytes,
     two_gaussian_coils,
@@ -204,8 +204,8 @@ class TestReducedGradient:
         p, U0, cfg = tracking_problem(n=64, dt=1e-3, T=0.25)
         U = U0.with_intensities(U0.intensities + np.array([0.5, -0.4]))
         g = reduced_state(U, p).grad
-        h = smooth_time_profiles(U.n_steps, U.dt,
-                                 [(0.6, 0.4, -0.2), (-0.5, 0.1, 0.3)])
+        h = smooth_directions(U.n_steps, U.dt,
+                              [(0.6, 0.4, -0.2), (-0.5, 0.1, 0.3)])
         eps = 1e-4
         cp, _ = forward_cost(U.with_intensities(U.intensities + eps * h), p)
         cm, _ = forward_cost(U.with_intensities(U.intensities - eps * h), p)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from llbopt.certify import space_time_norms
+from llbopt.cli import smooth_directions
 from llbopt.coils import CoilSet, ControlPath, uniform_coil
 from llbopt.grid import Grid, Trajectory
 from llbopt.llb import BlowUpError, SimConfig, simulate
@@ -12,7 +13,7 @@ from llbopt.tangent import (
     taylor_remainder_order,
 )
 
-from conftest import cosine_initial, smooth_time_profiles, two_gaussian_coils
+from conftest import cosine_initial, two_gaussian_coils
 
 
 def zero_point(grid, K, dt, coils):
@@ -95,8 +96,8 @@ class TestSolveTangent:
 class TestTaylor:
     def test_remainder_order(self):
         point, cfg = generic_point()
-        dU = smooth_time_profiles(point.n_steps, point.dt,
-                                  [(0.8, 0.5, 0.0), (-0.6, 0.0, 0.4)])
+        dU = smooth_directions(point.n_steps, point.dt,
+                               [(0.8, 0.5, 0.0), (-0.6, 0.0, 0.4)])
         eps = [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
         result = taylor_remainder_order(point, dU, eps, cfg=cfg)
         assert result.remainder_order >= 1.9
@@ -111,8 +112,8 @@ class TestTaylor:
     def test_central_difference_consistency(self):
         # ||(m_{+eps} - m_{-eps}) / 2eps - z|| = O(eps^2)
         point, cfg = generic_point(n=24, dt=2e-3)
-        dU = smooth_time_profiles(point.n_steps, point.dt,
-                                  [(0.5, 0.3, 0.0), (-0.4, 0.0, 0.2)])
+        dU = smooth_directions(point.n_steps, point.dt,
+                               [(0.5, 0.3, 0.0), (-0.4, 0.0, 0.2)])
         z = solve_tangent(point, dU)
         m0 = point.base_traj.frame(0)
         errs = []
