@@ -20,8 +20,9 @@ source frame when it reaches it (the tracking source and the
 costate-derivative source), never a trajectory-sized source array.  Its
 costate frames are stored, or, with ``consume=``, handed to a consumer as
 they are made (as :func:`~llbopt.llb.simulate` hands its states), so a
-caller that only pairs each costate frame with the state, as the reduced
-gradient does, holds no costate trajectory.
+caller that only pairs each frame with the coils, as the reduced gradient
+and the curvature form do, holds no costate (or costate-derivative)
+trajectory.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def tracking_adjoint(base_traj: Trajectory, base_control: ControlPath,
 
 
 def solve_costate_derivative(point: LinearizationPoint, z: Trajectory, phi: Trajectory,
-                             dU) -> Trajectory:
+                             dU, *, consume: Optional[Callable] = None
+                             ) -> Optional[Trajectory]:
     """Directional derivative of the costate with respect to the control.
 
     Runs the adjoint machinery with the right-hand side assembled from the
@@ -116,7 +118,7 @@ def solve_costate_derivative(point: LinearizationPoint, z: Trajectory, phi: Traj
     and terminal data z(T).  ``z`` and ``dU`` may be stacks of tangents and
     directions with leading batch axes (as :func:`solve_tangent` returns
     and takes them); the costate derivatives then come from one batched
-    :func:`solve_adjoint` sweep.
+    :func:`solve_adjoint` sweep, stored or streamed to ``consume``.
     """
     grid = point.grid
     K = point.n_steps
@@ -137,4 +139,5 @@ def solve_costate_derivative(point: LinearizationPoint, z: Trajectory, phi: Traj
                 + 2.0 * m_dot_z * pj + 2.0 * z_dot_p * m + 2.0 * m_dot_p * zj
                 - zj)
 
-    return solve_adjoint(point, source, VectorField(grid, z.frames[-1].copy()))
+    return solve_adjoint(point, source, VectorField(grid, z.frames[-1].copy()),
+                         consume=consume)

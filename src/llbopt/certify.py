@@ -31,12 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .adjoint import solve_costate_derivative, tracking_adjoint
-from .coils import (
-    ControlPath,
-    control_inner_rms,
-    control_norm_rms,
-    synthesize_values,
-)
+from .coils import ControlPath, coil_pairing, control_inner_rms, control_norm_rms
 from .grid import Grid, Trajectory, cross, frame_norms, laplacian_values, time_integral
 from .llb import BlowUpError, blowup_times, simulate
 from .optimize import ReducedProblem, ReducedState, natural_residual, streamed_cost
@@ -48,10 +43,10 @@ BUDGET = 64 * 2**20
 """Bytes of stored trajectories one batched stage of the certificate may
 hold.  A trajectory takes 8 * 3 * (K+1) * cells bytes, and a batch takes
 max(1, BUDGET // (trajectories held per member * that)) members.  A member
-holds two trajectories in the tangent and costate-derivative stage (z and
-phi') and four per Lipschitz pair (two states, two costates); the adjoint
-sources are formed per step.  The finite-difference forwards hold frames
-only, so they always run as one sweep.  On a 1D grid of 16 cells with
+holds one trajectory in the tangent and costate-derivative stage (z; phi'
+is paired per frame) and four per Lipschitz pair (two states, two
+costates); the adjoint sources are formed per step.  The finite-difference
+forwards hold frames only, so they always run as one sweep.  On a 1D grid of 16 cells with
 K = 80 a trajectory is 31 KB, so a scan is one batch per stage; on a 3D
 32^3 grid with K = 250 it is 197 MB, so that scan runs one member at a
 time."""
@@ -206,9 +201,10 @@ def curvature(state: ReducedState, hs: np.ndarray, eps_fd: float) -> list:
     direction of the stack ``hs`` (shape (B, K+1, N)), two ways: a list of B
     :class:`CurvatureSample`, numbered 0..B-1.
 
-    Q_adj assembles the curvature form from the tangent state z and the
-    costate derivative phi'; Q_fd is the second central difference of the
-    reduced cost around ``state.cost``.  The tangents and costate
+    Q_adj is ||h||^2 + sum_i int h_i P_i dt with P the coil pairing of
+    phi' x m + phi x z + phi' (tangent z, costate derivative phi', paired
+    per frame as the sweep makes it); Q_fd is the second central difference
+    of the reduced cost around ``state.cost``.  The tangents and costate
     derivatives each run as one batched sweep, split only to keep a batch
     within :data:`BUDGET`; the 2B finite-difference forwards keep no
     trajectory and run as one sweep.  A blow-up at U +/- eps*h invalidates
@@ -222,18 +218,17 @@ def curvature(state: ReducedState, hs: np.ndarray, eps_fd: float) -> list:
     U, traj, phi, coils = state.U, state.traj, _costate(state), state.problem.coils
     grid, K, B = traj.grid, U.n_steps, hs.shape[0]
     point = LinearizationPoint(traj, U, coils)
-    cells = tuple(range(-grid.dim - 1, 0))
-    series = np.empty((B, K + 1))
-    for sl in _batches(B, grid, K, held=2):
+    pairing = np.empty(hs.shape)
+    for sl in _batches(B, grid, K, held=1):
         z = solve_tangent(point, hs[sl])
-        phi_prime = solve_costate_derivative(point, z, phi, hs[sl])
-        z_frames, pp_frames = z.frames, phi_prime.frames
-        for j in range(K + 1):
-            zh = synthesize_values(hs[sl, j], coils)
-            integrand = (cross(pp_frames[j], traj.values[j])
-                         + cross(phi.values[j], z_frames[j])
-                         + pp_frames[j])
-            series[sl, j] = grid.cell_volume * np.sum(integrand * zh, axis=cells)
+        z_frames = z.frames
+
+        def take(j: int, pp: np.ndarray):
+            f = cross(pp, traj.values[j]) + cross(phi.values[j], z_frames[j]) + pp
+            pairing[sl, j] = coil_pairing(f, coils)
+
+        solve_costate_derivative(point, z, phi, hs[sl], consume=take)
+    series = np.sum(hs * pairing, axis=-1)
 
     # the 2B forwards at U + eps*h (first B) and U - eps*h (last B)
     shifted = np.concatenate([U.intensities + eps_fd * hs, U.intensities - eps_fd * hs])
@@ -373,7 +368,7 @@ def global_and_uniqueness_report(state: ReducedState, constants: UserConstants,
     m_norms = space_time_norms(grid, traj.frames, traj.dt)
     phi_norms = space_time_norms(grid, phi.frames, phi.dt)
     T = U.final_time
-    b_h1_sq = float(np.max(coils.h1_norms) ** 2) if coils.n_coils else 0.0
+    b_h1_sq = float(np.max(coils.h1_norms, initial=0.0) ** 2)
     c_ab = (control_norm_rms(U.lower, U.dt) ** 2
             + control_norm_rms(U.upper, U.dt) ** 2)
 

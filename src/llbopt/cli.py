@@ -44,7 +44,7 @@ from .llb import (
     simulate_galerkin,
 )
 from .optimize import ReducedProblem, projected_gradient_descent, reduced_state, streamed_cost
-from .tangent import LinearizationPoint, taylor_remainder_order
+from .tangent import LinearizationPoint, loglog_slope, taylor_remainder_order
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -345,8 +345,7 @@ def temporal_self_convergence(cfg: RunConfig):
         simulate(m0, U, coils, sim, consume=lambda j, m: last.update(m=m))
         finals.append(last["m"])
     errors = np.sqrt(frame_norms(grid, (a - b for a, b in zip(finals, finals[1:]))))
-    order = float(np.polyfit(np.log(dts[:n_levels]), np.log(errors), 1)[0])
-    return dts[:n_levels], errors, order
+    return dts[:n_levels], errors, loglog_slope(dts[:n_levels], errors)
 
 
 def spatial_laplacian_order(L: float, resolutions=(16, 32, 64, 128, 256)):
@@ -362,8 +361,7 @@ def spatial_laplacian_order(L: float, resolutions=(16, 32, 64, 128, 256)):
         lam = float(np.sum(lap * f) / np.sum(f * f))
         hs.append(g.spacing[0])
         errs.append(abs(lam - target))
-    order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    return hs, errs, order
+    return hs, errs, loglog_slope(hs, errs)
 
 
 def cmd_convergence(cfg: RunConfig, out_dir, quiet):
@@ -448,8 +446,12 @@ def main(argv=None) -> int:
             if not valid(args.seed):
                 raise ConfigError([f"--seed: {rule}, got {args.seed}"])
             cfg.raw["seed"] = args.seed
-        os.makedirs(args.out, exist_ok=True)
-        write_manifest(args.out, args.command, args.config, cfg.seed)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            write_manifest(args.out, args.command, args.config, cfg.seed)
+        except OSError as exc:
+            raise ConfigError([f"--out: cannot write the output directory "
+                               f"{args.out}: {exc.strerror or exc}"]) from None
         if args.command in _ALONG_COILS and cfg["coils.count"] == 0:
             raise ConfigError([f"coils.count: {args.command} needs at least one coil"])
         if args.command == "certify":

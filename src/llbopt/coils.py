@@ -4,6 +4,9 @@ A coil set holds the N time-independent geometry fields B_k; a control path
 holds the (K+1) x N intensity samples together with their box bounds.  The
 control norm is the root of the summed squared per-component L2(0,T) norms,
 the geometry used by the cost functional and all gradients.
+:func:`synthesize_values` (U -> sum_k U_k B_k) and :func:`coil_pairing`
+(f -> int f . B_k dx) are the one adjoint pair between intensities and
+fields; both take batch axes, and N = 0 coils needs no branch.
 """
 
 from __future__ import annotations
@@ -163,10 +166,17 @@ def synthesize_values(intensities_at_t: np.ndarray, coils: CoilSet) -> np.ndarra
             f"coil/grid incompatibility: {intensities_at_t.shape[-1]} intensities "
             f"for {coils.n_coils} coils"
         )
-    if coils.n_coils == 0:
-        return np.zeros(intensities_at_t.shape[:-1] + coils.grid.shape + (3,))
     cell = "xyzc"[-coils.grid.dim - 1:]
     return np.einsum(f"...k,k{cell}->...{cell}", intensities_at_t, coils.geometries)
+
+
+def coil_pairing(f: np.ndarray, coils: CoilSet) -> np.ndarray:
+    """int f . B_i dx of frames ``f`` (``batch + grid.shape + (3,)``), shape
+    ``batch + (N,)``: the adjoint of :func:`synthesize_values`."""
+    grid, size = coils.grid, 3 * coils.grid.node_count
+    # one matrix-vector product per frame, batched or not
+    cols = np.reshape(f, f.shape[:f.ndim - grid.dim - 1] + (size, 1))
+    return grid.cell_volume * (coils.geometries.reshape(coils.n_coils, size) @ cols)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +196,4 @@ def control_inner_rms(a: np.ndarray, b: np.ndarray, dt: float) -> float:
     """Inner product sum_i int a_i b_i dt matching control_norm_rms."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    if a.shape[1] == 0:
-        return 0.0
     return float(sum(time_integral(a[:, i] * b[:, i], dt) for i in range(a.shape[1])))

@@ -101,7 +101,7 @@ SCHEMA = {
     "init.value": Key(_numbers, length=3),
     "init.path": Key(str),
     "init.check_ic": Key(_parse_bool, False),
-    "init.neumann_tol": Key(float, 0.1),
+    "init.neumann_tol": Key(float, 0.1, check=_NONNEGATIVE),
     "targets.md_kind": Key(str, "zero", kinds=_FIELD_KINDS + ("run", "file")),
     "targets.md_value": Key(_numbers, length=3),
     "targets.md_path": Key(str),
@@ -124,16 +124,16 @@ SCHEMA = {
     "certify.c2": Key(float, check=_NONNEGATIVE),
     "certify.c3": Key(float, check=_NONNEGATIVE),
     "certify.ctilde": Key(float, check=_POSITIVE),
-    "checks.grad_tol": Key(float, 1e-3),
+    "checks.grad_tol": Key(float, 1e-3, check=_NONNEGATIVE),
     "checks.grad_eps": Key(float, 1e-4, check=_POSITIVE),
     "checks.taylor_eps": Key(_numbers, [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3],
                              check=(lambda v: len(set(v)) >= 2 and min(v) > 0,
                                     "need at least two distinct positive values")),
     "checks.taylor_min_slope": Key(float, 1.9),
-    "checks.curvature_tol": Key(float, 1e-2),
+    "checks.curvature_tol": Key(float, 1e-2, check=_NONNEGATIVE),
     "checks.temporal_order_range": Key(_numbers, [0.9, 1.1], check=_ORDER_RANGE),
     "checks.spatial_order_range": Key(_numbers, [1.9, 2.1], check=_ORDER_RANGE),
-    "checks.oracle_tol": Key(float, 1e-3),
+    "checks.oracle_tol": Key(float, 1e-3, check=_NONNEGATIVE),
     "checks.oracle_modes": Key(int, 8, check=_AT_LEAST_ONE),
     "output.diagnostics_every": Key(int, 0, check=_NONNEGATIVE),
     "seed": Key(int, 0, check=_NONNEGATIVE),

@@ -429,8 +429,6 @@ def simulate_galerkin(m0: VectorField, U: ControlPath, coils: CoilSet,
     intensities = U.intensities
 
     def control_at(t: float) -> np.ndarray:
-        if coils.n_coils == 0:
-            return np.zeros(grid.shape + (3,))
         # piecewise-linear interpolation of each coil intensity
         Ut = np.array([np.interp(t, times, intensities[:, i])
                        for i in range(coils.n_coils)])

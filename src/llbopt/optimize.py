@@ -11,8 +11,8 @@ returns the final state with its trajectory.  One :class:`CostTally` sums
 every cost frame by frame; :func:`streamed_cost` is the forward that keeps
 no trajectory, for finite differences that need only the number.
 
-The adjoint sweep streams: :func:`coil_pairing` pairs each costate frame
-with its state frame as the sweep makes it, so a gradient holds two
+The adjoint sweep streams: :func:`coil_pairing` pairs phi x m + phi with
+the coils per frame as the sweep makes it, so a gradient holds two
 trajectories (the targets and the state), not a third for the costate.
 Only the certificates read the costate itself; they ask for it with
 ``reduced_state(..., keep_costate=True)``.  The optimizer drops each
@@ -36,6 +36,7 @@ from .adjoint import tracking_adjoint
 from .coils import (
     CoilSet,
     ControlPath,
+    coil_pairing,
     control_inner_rms,
     control_norm_rms,
     project_box,
@@ -149,16 +150,6 @@ def evaluate_cost(traj: Trajectory, U: ControlPath, targets: TrackingTargets) ->
     return tally.costs(U)
 
 
-def coil_pairing(m: np.ndarray, phi: np.ndarray, coils: CoilSet) -> np.ndarray:
-    """The integrals int (phi x m + phi) . B_i dx of one state frame ``m``
-    and the costate frame ``phi`` at the same time, shape (N,)."""
-    N = coils.n_coils
-    if N == 0:
-        return np.empty(0)
-    f = cross(phi, m) + phi
-    return coils.grid.cell_volume * (coils.geometries.reshape(N, -1) @ f.ravel())
-
-
 def natural_residual(U: ControlPath, grad: np.ndarray) -> float:
     """Scale-free fixed-point residual ||U - P_box(U - grad)|| / sqrt(T)."""
     trial = project_box(U.intensities - grad, U.lower, U.upper)
@@ -227,7 +218,7 @@ def reduced_state(U: ControlPath, problem: ReducedProblem,
     phi = Trajectory(traj.grid, traj.dt, np.empty_like(traj.values)) if keep_costate else None
 
     def take(j: int, phi_j: np.ndarray):
-        pairing[j] = coil_pairing(base[j], phi_j, coils)
+        pairing[j] = coil_pairing(cross(phi_j, base[j]) + phi_j, coils)
         if phi is not None:
             phi.values[j] = phi_j
 

@@ -116,7 +116,10 @@ class TaylorResult:
     first_difference_order: float
 
 
-def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
+def loglog_slope(x, y) -> float:
+    """Observed order: the slope of the least-squares line through
+    (log x, log y) over the points with y > 0; NaN with fewer than two."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     mask = y > 0
     if mask.sum() < 2:
         return float("nan")
@@ -156,6 +159,6 @@ def taylor_remainder_order(point: LinearizationPoint, dU, epsilons,
         epsilons=epsilons,
         remainders=remainders,
         first_differences=first_diffs,
-        remainder_order=_loglog_slope(epsilons, remainders),
-        first_difference_order=_loglog_slope(epsilons, first_diffs),
+        remainder_order=loglog_slope(epsilons, remainders),
+        first_difference_order=loglog_slope(epsilons, first_diffs),
     )

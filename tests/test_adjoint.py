@@ -305,6 +305,27 @@ class TestCostateDerivative:
         scale = max(np.abs(p2.values).max(), 1.0)
         assert_allclose(p2.values, 3.0 * p1.values, atol=1e-11 * scale)
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_streamed_matches_a_stored_sweep_bit_for_bit(self, batch):
+        # the consumer gets each frame as the stored sweep returns it, K down to 0
+        grid = Grid((16,), (1.0,))
+        K, dt = 40, 5e-3
+        coils = two_gaussian_coils(grid)
+        U = ControlPath.constant([0.4, -0.2], K, dt)
+        traj = simulate(cosine_initial(grid), U, coils, SimConfig(T=K * dt, dt=dt))
+        point = LinearizationPoint(traj, U, coils)
+        phi = tracking_adjoint(traj, U, coils, np.zeros_like(traj.values),
+                               np.zeros(grid.shape + (3,)))
+        dU = np.random.default_rng(5).standard_normal(batch + (K + 1, 2))
+        z = solve_tangent(point, dU)
+        stored = solve_costate_derivative(point, z, phi, dU)
+        seen = []
+        assert solve_costate_derivative(point, z, phi, dU,
+                                        consume=lambda j, f: seen.append((j, f.copy()))) is None
+        assert [j for j, _ in seen] == list(range(K, -1, -1))
+        for j, frame in seen:
+            assert np.array_equal(frame, stored.frames[j])
+
     def test_batched_matches_stacked(self):
         grid = Grid((16,), (1.0,))
         K, dt = 40, 5e-3

@@ -292,9 +292,10 @@ class TestSecondOrderScan:
                             counted("tangent", llbopt.certify.solve_tangent))
         monkeypatch.setattr(llbopt.certify, "streamed_cost",
                             counted("forward", llbopt.certify.streamed_cost))
-        # room for four trajectories: tangent batches of 2 (z and phi' each);
-        # the 8 finite-difference forwards keep no trajectory, so one sweep
-        monkeypatch.setattr(llbopt.certify, "BUDGET", 4 * U0.intensities.shape[0]
+        # room for two trajectories: tangent batches of 2 (z each; phi' is
+        # paired per frame); the 8 finite-difference forwards keep no
+        # trajectory, so one sweep
+        monkeypatch.setattr(llbopt.certify, "BUDGET", 2 * U0.intensities.shape[0]
                             * p.m0.grid.node_count * 3 * 8)
         chunked = scan_at(state, 4, np.random.default_rng(3))[1]
         assert calls == {"tangent": 2, "forward": 1}

@@ -535,6 +535,17 @@ class TestSubcommands:
         assert main(["oracle", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 0
 
+    def test_convergence_of_a_still_state_exits_4_in_one_line(self, tmp_path, capsys):
+        # zero data keep the state at 0, so every self-convergence error is 0
+        # and the temporal order is undefined, not a log of zero
+        cfg = tmp_path / "still.cfg"
+        cfg.write_text("grid.dim = 1\ngrid.cells = 8\ntime.T = 0.01\ntime.dt = 1e-3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would add lines to stderr
+            assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 4
+        assert capsys.readouterr().err == "error: temporal order nan outside [0.9, 1.1]\n"
+
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("grid.dim = 7\n")
@@ -726,6 +737,18 @@ def test_unreadable_input_file_exits_2_naming_the_key(tmp_path, capsys, key, con
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_unusable_output_directory_exits_2_naming_out(stock_cfg, tmp_path, capsys, sub):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / sub if sub else taken
+    assert main(["simulate", "--config", stock_cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: --out: ")
+    assert err.count("\n") == 1
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_bad_bool_names_the_type(tmp_path, capsys):
     cfg = tmp_path / "bool.cfg"
     cfg.write_text(INPUT_BASE + "init.check_ic = maybe\n")
@@ -839,6 +862,10 @@ def test_simulate_reads_no_target_input(tmp_path):
      "coil.1.width = -1\n", "simulate"),
     # T / dt overflows to inf: no step count
     ("time.dt", "time.dt = 1e-320\n", "simulate"),
+    ("checks.grad_tol", "checks.grad_tol = -1\n", "check-grad"),
+    ("checks.curvature_tol", "checks.curvature_tol = -1\n", "check-curvature"),
+    ("checks.oracle_tol", "checks.oracle_tol = -1\n", "oracle"),
+    ("init.neumann_tol", "init.check_ic = true\ninit.neumann_tol = -1\n", "simulate"),
     *[(key, kind, "simulate") for key, kind in PATH_KEYS.items()],
     *[(key, kind + f"{key} = nowhere.dat\n", "simulate") for key, kind in PATH_KEYS.items()],
 ], ids=["bounds-broadcast-simulate", "bounds-broadcast-optimize", "expr-name",
@@ -857,7 +884,8 @@ def test_simulate_reads_no_target_input(tmp_path):
         "blowup-threshold-negative", "c-go-negative", "c4n-zero", "c2-negative",
         "c3-negative", "ctilde-zero", "ctilde-negative", "dim-4", "dt-negative",
         "T-negative", "coils-count-negative", "coil-kind-bogus", "coil-axis-5",
-        "coil-width-negative", "dt-step-count-overflows"]
+        "coil-width-negative", "dt-step-count-overflows", "grad-tol-negative",
+        "curvature-tol-negative", "oracle-tol-negative", "neumann-tol-negative"]
     + [f"{key}-{what}" for what in ("missing", "not-found") for key in PATH_KEYS])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, key, config, command):
     # 16 cells, so 17 oracle modes over-resolve the grid

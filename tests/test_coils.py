@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from llbopt.coils import (
     CoilSet,
     ControlPath,
+    coil_pairing,
     control_norm_rms,
     gaussian_coil,
     project_box,
@@ -74,6 +75,29 @@ class TestSynthesize:
         U = ControlPath.zeros(2, 2, 0.5)
         with pytest.raises(ValueError, match="incompatib"):
             synthesize_values(U.intensities[0], coils)
+
+
+class TestCoilPairing:
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), batch_shapes, st.sampled_from([0, 1, 3]), st.integers(0, 2**32 - 1))
+    def test_adjoint_of_synthesize(self, g, batch, n_coils, seed):
+        # sum_x w f . (sum_i U_i B_i) = sum_i U_i int f . B_i dx, member by member
+        rng = np.random.default_rng(seed)
+        coils = CoilSet(g, rng.standard_normal((n_coils,) + g.shape + (3,)))
+        U = rng.standard_normal(batch + (n_coils,))
+        f = rng.standard_normal(batch + g.shape + (3,))
+        field = synthesize_values(U, coils)
+        pairing = coil_pairing(f, coils)
+        assert pairing.shape == batch + (n_coils,)
+        cells = tuple(range(-g.dim - 1, 0))
+        lhs = g.cell_volume * np.sum(f * field, axis=cells)
+        rhs = np.sum(U * pairing, axis=-1)
+        # Cauchy-Schwarz bounds both sides
+        scale = g.cell_volume * np.sqrt(np.sum(f * f, axis=cells)
+                                        * np.sum(field * field, axis=cells))
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
+        for idx in np.ndindex(batch):
+            assert np.array_equal(pairing[idx], coil_pairing(f[idx], coils))
 
 
 class TestProjectBox:

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from llbopt.adjoint import tracking_adjoint
 from llbopt.cli import smooth_directions
 from llbopt.coils import ControlPath, control_inner_rms, control_norm_rms
-from llbopt.grid import Grid, Trajectory, time_integral
+from llbopt.grid import Grid, Trajectory, cross, time_integral
 from llbopt.llb import SimConfig, blowup_times, simulate
 from llbopt.optimize import (
     CostBreakdown,
@@ -221,7 +221,7 @@ class TestReducedGradient:
         streamed = reduced_state(U, p)
         kept = reduced_state(U, p, keep_costate=True)
         phi = tracking_adjoint(streamed.traj, U, p.coils, p.targets.m_d, p.targets.m_omega)
-        pairing = np.array([coil_pairing(m, f, p.coils)
+        pairing = np.array([coil_pairing(cross(f, m) + f, p.coils)
                             for m, f in zip(streamed.traj.values, phi.values)])
         assert streamed.phi is None
         assert np.array_equal(kept.phi.values, phi.values)
