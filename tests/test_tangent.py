@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from llbopt.certify import space_time_norms
 from llbopt.cli import smooth_directions
-from llbopt.coils import CoilSet, ControlPath, uniform_coil
-from llbopt.grid import Grid, Trajectory
-from llbopt.llb import BlowUpError, SimConfig, simulate
+from llbopt.coils import CoilSet, ControlPath, synthesize_values, uniform_coil
+from llbopt.grid import Grid, Trajectory, cross, laplacian_values
+from llbopt.llb import BlowUpError, SimConfig, implicit_solve, simulate
 from llbopt.tangent import (
     LinearizationPoint,
     solve_tangent,
@@ -32,7 +32,47 @@ def generic_point(n=32, dt=2e-3, T=0.25):
     return LinearizationPoint(traj, U, coils), cfg
 
 
+def solve_tangent_reference(point, dU):
+    """The tangent sweep written out: from z(0) = 0, each step solves
+    (I - dt lap_h) z_{j+1} = z_j + dt (z x lap m + m x lap z + z x u
+    - 2 (m.z) m - (1+|m|^2) z + du + m x du), the terms summed in the order
+    :func:`solve_tangent` sums them."""
+    grid, dt, K = point.grid, point.dt, point.n_steps
+    dvals = point.direction_values(dU)
+    out = np.zeros(dvals.shape[:-2] + (K + 1,) + grid.shape + (3,))
+    frames = np.moveaxis(out, -grid.dim - 2, 0)
+    directions = np.moveaxis(dvals, -2, 0)
+    for j in range(K):
+        m, z = point.base_traj.frames[j], frames[j]
+        u = synthesize_values(point.base_control.intensities[j], point.coils)
+        du = synthesize_values(directions[j], point.coils)
+        mag_sq = np.sum(m * m, axis=-1, keepdims=True)
+        m_dot_z = np.sum(m * z, axis=-1, keepdims=True)
+        rhs = (cross(z, laplacian_values(grid, m)) + cross(m, laplacian_values(grid, z))
+               + cross(z, u) - 2.0 * m_dot_z * m - (1.0 + mag_sq) * z + du + cross(m, du))
+        frames[j + 1] = implicit_solve(grid, dt, z + dt * rhs)
+    return out
+
+
+def two_dimensional_point():
+    """A point around a 2D base state with unequal spacings."""
+    grid = Grid((10, 6), (1.0, 0.7))
+    K, dt = 20, 5e-3
+    coils = two_gaussian_coils(grid)
+    U = ControlPath(0.4 * np.random.default_rng(5).standard_normal((K + 1, 2)),
+                    -np.inf, np.inf, dt)
+    traj = simulate(cosine_initial(grid), U, coils, SimConfig(T=K * dt, dt=dt))
+    return LinearizationPoint(traj, U, coils)
+
+
 class TestSolveTangent:
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_matches_the_written_out_step_bit_for_bit(self, batch):
+        point = two_dimensional_point()
+        dU = np.random.default_rng(6).standard_normal(batch + (point.n_steps + 1, 2))
+        assert np.array_equal(solve_tangent(point, dU).values,
+                              solve_tangent_reference(point, dU))
+
     def test_zero_increment(self):
         point, _ = generic_point(n=16, dt=5e-3)
         z = solve_tangent(point, np.zeros((point.n_steps + 1, 2)))
