@@ -2,27 +2,24 @@
 right-hand side and terminal data, and the costate-derivative system.
 
 The sweep is the continuous adjoint discretized by backward IMEX Euler:
-after time reversal the costate's own Laplacian is implicit and every
-coupled term explicit.  It runs on the forward sweep's
-:func:`~llbopt.llb.march`, in reverse.  The coupled Laplacian term is
-lap_h applied to the nodewise cross product, which keeps the
-divergence-form pairing with the tangent solver exact in space; the
-remaining gradient mismatch is purely the O(dt) time-discretization gap,
-quantified by the duality test.  That term is folded into the step's
-implicit solve by the identity in :func:`~llbopt.llb.implicit_solve`, so a
-step forms one Laplacian (of the base frame), not two.
+after time reversal the costate's own Laplacian is implicit and the coupled
+terms, d_mR^T phi of :func:`~llbopt.llb.reaction_adjoint`, explicit.  It
+runs on the forward sweep's :func:`~llbopt.llb.march`, in reverse.  Their
+Laplacian term is lap_h of a nodewise cross product, which keeps the
+pairing with the tangent solver exact in space; the remaining gradient
+mismatch is the O(dt) time-discretization gap, quantified by the duality
+test.  That term is folded into the step's implicit solve by the identity
+in :func:`~llbopt.llb.implicit_solve`, so a step forms one Laplacian.
 
-Every backward sweep is :func:`solve_adjoint` around the same
+Every backward sweep is :func:`solve_adjoint` around the
 :class:`~llbopt.tangent.LinearizationPoint` (base trajectory, control and
 coils, checked once for K and dt) that the tangent sweep linearizes
-around.  Its right-hand side is a per-step ``source(j)``: a step forms its
-source frame when it reaches it (the tracking source and the
-costate-derivative source), never a trajectory-sized source array.  Its
-costate frames are stored, or, with ``consume=``, handed to a consumer as
-they are made (as :func:`~llbopt.llb.simulate` hands its states), so a
-caller that only pairs each frame with the coils, as the reduced gradient
-and the curvature form do, holds no costate (or costate-derivative)
-trajectory.
+around.  Its right-hand side is a per-step ``source(j)``, formed when a
+step reaches it, never as a trajectory-sized array.  Its costate frames
+are stored or, with ``consume=``, handed to a consumer as they are made
+(as :func:`~llbopt.llb.simulate` hands its states), so a caller that only
+pairs each frame with the coils, as the reduced gradient and the
+curvature form do, holds no costate (or costate-derivative) trajectory.
 """
 
 from __future__ import annotations
@@ -32,8 +29,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coils import CoilSet, ControlPath, synthesize_values
-from .grid import Trajectory, VectorField, cross, dot, laplacian_values
-from .llb import implicit_solve, march
+from .grid import Trajectory, VectorField
+from .llb import (check_time_grid, implicit_solve, march, reaction_adjoint,
+                  reaction_adjoint_derivative)
 from .tangent import LinearizationPoint
 
 
@@ -71,16 +69,10 @@ def solve_adjoint(point: LinearizationPoint, source: Callable[[int], np.ndarray]
 
     def advance(j: int, phi: np.ndarray) -> np.ndarray:
         m = base[j]
-        # S(phi + dt * (lap c + r)) with c = phi x m and r = lap m x phi
-        # - phi x u - (1+|m|^2) phi - 2 (m.phi) m - g, taken as
-        # S(phi + dt * r + c) - c (the identity in implicit_solve), so a step
-        # forms one Laplacian; r is summed in place, one frame-sized sum
-        # held at a time
-        c = cross(phi, m)
-        rhs = cross(laplacian_values(grid, m), phi)
-        rhs -= cross(phi, synthesize_values(controls[j], point.coils))
-        rhs -= (1.0 + dot(m, m)) * phi
-        rhs -= 2.0 * dot(m, phi) * m
+        # S(phi + dt * (lap c + r - g)), d_mR^T phi = lap c + r, taken as
+        # S(phi + dt * (r - g) + c) - c (the identity in implicit_solve): one
+        # Laplacian a step, summed in place
+        c, rhs = reaction_adjoint(grid, m, synthesize_values(controls[j], point.coils), phi)
         rhs -= source(j)
         rhs *= dt
         rhs += phi
@@ -109,35 +101,27 @@ def solve_costate_derivative(point: LinearizationPoint, z: Trajectory, phi: Traj
                              ) -> Optional[Trajectory]:
     """Directional derivative of the costate with respect to the control.
 
-    Runs the adjoint machinery with the right-hand side assembled from the
-    tangent state z and the costate phi,
-
-        -lap(phi x z) - (lap z x phi) + phi x zeta(dU)
-        + 2 (m.z) phi + 2 (z.phi) m + 2 (m.phi) z - z,
-
-    and terminal data z(T).  ``z`` and ``dU`` may be stacks of tangents and
-    directions with leading batch axes (as :func:`solve_tangent` returns
-    and takes them); the costate derivatives then come from one batched
+    Runs the adjoint machinery from terminal data z(T) with the source
+    -(d^2R[(z, zeta(dU)), .])^T phi - z, from the tangent z and the costate
+    phi (:func:`~llbopt.llb.reaction_adjoint_derivative`; -z is the tracking
+    source's derivative), which must lie on the base trajectory's grid and
+    time nodes.  ``z`` and ``dU`` may be stacks of tangents and directions
+    with leading batch axes (as :func:`solve_tangent` returns and takes
+    them); the costate derivatives then come from one batched
     :func:`solve_adjoint` sweep, stored or streamed to ``consume``.
     """
     grid = point.grid
-    K = point.n_steps
-    if z.n_steps != K or phi.n_steps != K:
-        raise ValueError("tangent and costate trajectories must match the base time grid")
+    for traj, names in ((z, "tangent and base trajectory"), (phi, "costate and base trajectory")):
+        check_time_grid(traj, point, names)
+        if traj.grid != grid:
+            raise ValueError(f"{names} disagree on the grid")
     directions = np.moveaxis(point.direction_values(dU), -2, 0)
     base, z_frames, phi_frames = point.base_traj.frames, z.frames, phi.frames
 
     def source(j: int) -> np.ndarray:
-        m, zj, pj = base[j], z_frames[j], phi_frames[j]
         du = synthesize_values(directions[j], point.coils)
-        m_dot_z = dot(m, zj)
-        z_dot_p = dot(zj, pj)
-        m_dot_p = dot(m, pj)
-        return (-laplacian_values(grid, cross(pj, zj))
-                - cross(laplacian_values(grid, zj), pj)
-                + cross(pj, du)
-                + 2.0 * m_dot_z * pj + 2.0 * z_dot_p * m + 2.0 * m_dot_p * zj
-                - zj)
+        return (-reaction_adjoint_derivative(grid, base[j], phi_frames[j], z_frames[j], du)
+                - z_frames[j])
 
     return solve_adjoint(point, source, VectorField(grid, z.frames[-1].copy()),
                          consume=consume)

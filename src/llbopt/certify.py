@@ -32,8 +32,8 @@ import numpy as np
 
 from .adjoint import solve_costate_derivative, tracking_adjoint
 from .coils import ControlPath, coil_pairing, control_inner_rms, control_norm_rms
-from .grid import Grid, Trajectory, cross, frame_norms, laplacian_values, time_integral
-from .llb import BlowUpError, blowup_times, simulate
+from .grid import Grid, Trajectory, frame_norms, laplacian_values, time_integral
+from .llb import BlowUpError, blowup_times, control_adjoint_derivative, simulate
 from .optimize import ReducedProblem, ReducedState, natural_residual, streamed_cost
 from .tangent import LinearizationPoint, solve_tangent
 
@@ -202,13 +202,13 @@ def curvature(state: ReducedState, hs: np.ndarray, eps_fd: float) -> list:
     :class:`CurvatureSample`, numbered 0..B-1.
 
     Q_adj is ||h||^2 + sum_i int h_i P_i dt with P the coil pairing of
-    phi' x m + phi x z + phi' (tangent z, costate derivative phi', paired
-    per frame as the sweep makes it); Q_fd is the second central difference
-    of the reduced cost around ``state.cost``.  The tangents and costate
-    derivatives each run as one batched sweep, split only to keep a batch
-    within :data:`BUDGET`; the 2B finite-difference forwards keep no
-    trajectory and run as one sweep.  A blow-up at U +/- eps*h invalidates
-    that direction's Q_fd only.
+    :func:`~llbopt.llb.control_adjoint_derivative` along the tangent z and
+    the costate derivative phi', paired per frame as the sweep makes it;
+    Q_fd is the second central difference of the reduced cost around
+    ``state.cost``.  The tangents and costate derivatives each run as one
+    batched sweep, split only to keep a batch within :data:`BUDGET`; the 2B
+    finite-difference forwards keep no trajectory and run as one sweep.  A
+    blow-up at U +/- eps*h invalidates that direction's Q_fd only.
     """
     hs = np.asarray(hs, dtype=float)
     if hs.ndim != 3:
@@ -224,7 +224,7 @@ def curvature(state: ReducedState, hs: np.ndarray, eps_fd: float) -> list:
         z_frames = z.frames
 
         def take(j: int, pp: np.ndarray):
-            f = cross(pp, traj.values[j]) + cross(phi.values[j], z_frames[j]) + pp
+            f = control_adjoint_derivative(traj.values[j], phi.values[j], z_frames[j], pp)
             pairing[sl, j] = coil_pairing(f, coils)
 
         solve_costate_derivative(point, z, phi, hs[sl], consume=take)

@@ -16,17 +16,21 @@ inverse, restricted to the modes of lowest eigenvalue.
 
 A step's kernels do arithmetic only.  On small grids numpy's per-call
 argument handling costs more than the arithmetic, so the divisor
-1 + dt*lambda_k of the solve is cached per (grid, dt), the cross products
-are :func:`~llbopt.grid.cross` (numpy's own moves axes and copies its
-inputs on every call) and the nodewise dot products
-:func:`~llbopt.grid.dot` (numpy's reduction over the length-3 component
-axis costs several times the arithmetic), the Laplacian slices its axes in
-place rather than moving them, and |m|^2 is formed once per forward step,
-shared by the resolution check and the reaction term.
+1 + dt*lambda_k of the solve is cached per (grid, dt), the nodewise cross
+and dot products are :func:`~llbopt.grid.cross` and :func:`~llbopt.grid.dot`
+(numpy's move axes and copy, or reduce over the length-3 axis at several
+times the arithmetic's cost), the Laplacian slices its axes in place, and
+|m|^2 is formed once per forward step, for the resolution check and R.
 
-The right-hand side is the controlled model and has no forcing hook: a
-manufactured solution that keeps one direction needs a forcing parallel to
-m, where m x u = 0, so that forcing is a control and runs through coils.
+The model's right-hand side R(m, u) is written once, in :func:`reaction`,
+next to each derivative taken of it: :func:`reaction_tangent` (the tangent
+step), :func:`reaction_adjoint` (the costate step),
+:func:`reaction_adjoint_derivative` (the costate-derivative source),
+:func:`control_adjoint` and :func:`control_adjoint_derivative` (the
+gradient's and the curvature's pairings).  No other module writes the
+model.  It has no forcing hook: a manufactured solution that keeps one
+direction needs a forcing parallel to m, where m x u = 0, so that forcing
+is a control and runs through coils.
 
 The forward sweep here, the tangent sweep and the costate sweep share one
 time loop, :func:`march`: it owns the order of the steps (forward or in
@@ -210,11 +214,55 @@ def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
     return _idct(grid, _dct(grid, rhs) / _denominator(grid, dt))
 
 
-def _reaction(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
-              mag_sq: np.ndarray) -> np.ndarray:
-    """Explicit right-hand side m x lap m + m x u - (1+|m|^2) m + u, with
-    ``mag_sq`` = |m|^2 per node (last axis kept)."""
+def reaction(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
+             mag_sq: np.ndarray) -> np.ndarray:
+    """The model's explicit right-hand side R(m, u) = m x lap m + m x u
+    - (1+|m|^2) m + u, with ``mag_sq`` = |m|^2 per node (last axis kept)."""
     return cross(m, lap_m) + cross(m, u) - (1.0 + mag_sq) * m + u
+
+
+def reaction_tangent(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray, z: np.ndarray,
+                     lap_z: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """dR[z, du] = z x lap m + m x lap z + z x u - 2(m.z) m - (1+|m|^2) z
+    + du + m x du, the drive summed in place."""
+    out = (cross(z, lap_m) + cross(m, lap_z) + cross(z, u)
+           - 2.0 * dot(m, z) * m - (1.0 + dot(m, m)) * z)
+    out += du
+    out += cross(m, du)
+    return out
+
+
+def reaction_adjoint(grid: Grid, m: np.ndarray, u: np.ndarray, phi: np.ndarray):
+    """d_mR^T phi = lap_h c + r in the cell-sum pairing, as (c, r): c = phi x m
+    apart, for a step to fold into its solve (:func:`implicit_solve`), and
+    r = lap m x phi - phi x u - (1+|m|^2) phi - 2(m.phi) m summed in place,
+    c made only once lap m and phi x u are freed, to hold few frames at once."""
+    r = cross(laplacian_values(grid, m), phi)
+    r -= cross(phi, u)
+    c = cross(phi, m)
+    r -= (1.0 + dot(m, m)) * phi
+    r -= 2.0 * dot(m, phi) * m
+    return c, r
+
+
+def reaction_adjoint_derivative(grid: Grid, m: np.ndarray, phi: np.ndarray,
+                                z: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """(d^2R[(z, du), .])^T phi, the derivative of d_mR^T phi along (z, du):
+    lap_h(phi x z) + lap z x phi - phi x du - 2(m.z) phi - 2(z.phi) m - 2(m.phi) z."""
+    return (laplacian_values(grid, cross(phi, z)) + cross(laplacian_values(grid, z), phi)
+            - cross(phi, du) - 2.0 * dot(m, z) * phi - 2.0 * dot(z, phi) * m
+            - 2.0 * dot(m, phi) * z)
+
+
+def control_adjoint(m: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """d_uR^T phi = phi x m + phi."""
+    return cross(phi, m) + phi
+
+
+def control_adjoint_derivative(m: np.ndarray, phi: np.ndarray, z: np.ndarray,
+                               dphi: np.ndarray) -> np.ndarray:
+    """The derivative of :func:`control_adjoint` along (z, dphi)."""
+    return cross(dphi, m) + cross(phi, z) + dphi
 
 
 def step_values(grid: Grid, m: np.ndarray, u: np.ndarray, dt: float,
@@ -224,7 +272,7 @@ def step_values(grid: Grid, m: np.ndarray, u: np.ndarray, dt: float,
     forms it once per step, for its resolution check and for the reaction
     term."""
     lap_m = laplacian_values(grid, m)
-    return implicit_solve(grid, dt, m + dt * _reaction(m, lap_m, u, mag_sq))
+    return implicit_solve(grid, dt, m + dt * reaction(m, lap_m, u, mag_sq))
 
 
 def march(grid: Grid, dt: float, first, batch: tuple, n_steps: int,
@@ -446,7 +494,7 @@ def simulate_galerkin(m0: VectorField, U: ControlPath, coils: CoilSet,
         m = synth(a_flat)
         lap_m = laplacian_values(grid, m)
         u = control_at(t)
-        f = lap_m + _reaction(m, lap_m, u, dot(m, m))
+        f = lap_m + reaction(m, lap_m, u, dot(m, m))
         return project(f).ravel()
 
     a0 = project(m0.values).ravel()

@@ -41,8 +41,8 @@ from .coils import (
     control_norm_rms,
     project_box,
 )
-from .grid import Trajectory, VectorField, cross, time_integral
-from .llb import SimConfig, StalledDescentError, simulate
+from .grid import Trajectory, VectorField, time_integral
+from .llb import SimConfig, StalledDescentError, control_adjoint, simulate
 
 
 @dataclass
@@ -218,7 +218,7 @@ def reduced_state(U: ControlPath, problem: ReducedProblem,
     phi = Trajectory(traj.grid, traj.dt, np.empty_like(traj.values)) if keep_costate else None
 
     def take(j: int, phi_j: np.ndarray):
-        pairing[j] = coil_pairing(cross(phi_j, base[j]) + phi_j, coils)
+        pairing[j] = coil_pairing(control_adjoint(base[j], phi_j), coils)
         if phi is not None:
             phi.values[j] = phi_j
 

@@ -4,7 +4,8 @@ Taylor verification built on it.
 The tangent sweep is the exact derivative of the discrete forward map: it
 runs on the forward sweep's :func:`~llbopt.llb.march` with the same IMEX
 structure, the same frozen base-trajectory frames for the coupling
-coefficients, and the same implicit Laplacian.
+coefficients, and the same implicit Laplacian; its explicit terms are
+dR[z, dU] (:func:`~llbopt.llb.reaction_tangent`).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coils import CoilSet, ControlPath, synthesize_values
-from .grid import Trajectory, cross, dot, frame_norms, laplacian_values
-from .llb import SimConfig, check_time_grid, implicit_solve, march, simulate
+from .grid import Trajectory, frame_norms, laplacian_values
+from .llb import SimConfig, check_time_grid, implicit_solve, march, reaction_tangent, simulate
 
 
 @dataclass
@@ -53,16 +54,6 @@ class LinearizationPoint:
         return vals
 
 
-def tangent_coupling(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
-                     z: np.ndarray, lap_z: np.ndarray) -> np.ndarray:
-    """Derivative of the explicit forward terms with respect to the state:
-    z x lap m + m x lap z + z x u - 2(m.z) m - (1+|m|^2) z."""
-    mag_sq = dot(m, m)
-    m_dot_z = dot(m, z)
-    return (cross(z, lap_m) + cross(m, lap_z) + cross(z, u)
-            - 2.0 * m_dot_z * m - (1.0 + mag_sq) * z)
-
-
 def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
     """Forward sweep of the linearized system around the base trajectory.
 
@@ -90,11 +81,8 @@ def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
         lap_z = laplacian_values(grid, z)
         u = synthesize_values(controls[j], point.coils)
         du = synthesize_values(directions[j], point.coils)
-        # built in place to save frame-sized temporaries; the same operations
-        # as z + dt * (coupling + du + m x du)
-        rhs = tangent_coupling(m, lap_m, u, z, lap_z)
-        rhs += du
-        rhs += cross(m, du)
+        # z + dt * dR[z, du], built in place to save frame-sized temporaries
+        rhs = reaction_tangent(m, lap_m, u, z, lap_z, du)
         rhs *= dt
         rhs += z
         return implicit_solve(grid, dt, rhs)

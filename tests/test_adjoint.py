@@ -286,6 +286,31 @@ class TestCostateDerivative:
         expected_mid = u0 * (1.0 - 0.5 * np.exp(-tm) - 0.5 * np.exp(tm - 2 * T))
         assert phi_prime.values[mid][0, 0] == pytest.approx(expected_mid, abs=1e-3)
 
+    def costate_derivative_inputs(self):
+        """A point around a zero base on a 1D grid, a tangent and a costate."""
+        grid = Grid((12,), (1.0,))
+        K, dt = 10, 0.01
+        coils = CoilSet.from_fields([uniform_coil(grid, 0)])
+        point = LinearizationPoint(*zero_base(grid, K, dt, coils), coils)
+        dU = np.ones((K + 1, 1))
+        phi = Trajectory(grid, dt, np.zeros_like(point.base_traj.values))
+        return point, solve_tangent(point, dU), phi, dU
+
+    def test_tangent_on_another_dt_is_rejected(self):
+        # same K, twice the step: phi' would pair frames of different times
+        point, z, phi, dU = self.costate_derivative_inputs()
+        coarse = Trajectory(z.grid, 2 * z.dt, z.values)
+        with pytest.raises(ValueError, match="tangent and base trajectory disagree on dt"):
+            solve_costate_derivative(point, coarse, phi, dU)
+        assert np.all(np.isfinite(solve_costate_derivative(point, z, phi, dU).values))
+
+    def test_costate_on_another_grid_is_rejected(self):
+        # same shape, three times the length
+        point, z, phi, dU = self.costate_derivative_inputs()
+        stretched = Trajectory(Grid((12,), (3.0,)), phi.dt, phi.values)
+        with pytest.raises(ValueError, match="costate and base trajectory disagree on the grid"):
+            solve_costate_derivative(point, z, stretched, dU)
+
     def test_linear_in_direction(self):
         grid = Grid((16,), (1.0,))
         K, dt = 40, 5e-3

@@ -2,8 +2,10 @@
 
 No module imports an underscore-prefixed name from another: what a module
 shares with its neighbours is part of its public surface.  No module
-calls numpy's cross product: ``grid.cross`` is the one the sweeps run.  And
-no module imports a name from llbopt that it never uses, so a deleted
+calls numpy's cross product: ``grid.cross`` is the one the sweeps run.  No
+module but ``grid``, which defines them, and ``llb`` imports ``cross`` or
+``dot``: the model's right-hand side and its derivatives are written once,
+in ``llb``, and the other modules call them.  And no module imports a name from llbopt that it never uses, so a deleted
 function leaves no stale import behind; nor does the package export one.
 """
 
@@ -75,6 +77,37 @@ def test_detects_numpy_cross(tmp_path):
                     "f = numpy.cross\n"
                     "y = grid.cross(a, b)\n")
     assert numpy_cross_uses(path) == ["mod.py:2", "mod.py:3", "mod.py:4"]
+
+
+def kernel_imports(path):
+    """``file:line name`` for each ``cross`` or ``dot`` that ``path``
+    imports from llbopt, under any alias."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "llbopt":
+            continue
+        hits += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                 if alias.name in ("cross", "dot")]
+    return hits
+
+
+def test_only_grid_and_llb_import_cross_or_dot():
+    hits = [hit for path in sorted(SRC.glob("*.py")) if path.stem not in ("grid", "llb")
+            for hit in kernel_imports(path)]
+    assert hits == []
+
+
+def test_detects_cross_and_dot_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from .grid import Grid, cross\n"
+                    "from llbopt.grid import dot as inner\n"
+                    "from numpy import cross, dot\n"
+                    "def f():\n"
+                    "    from . import grid\n"
+                    "    from .grid import cross, laplacian_values\n")
+    assert kernel_imports(path) == ["mod.py:1 cross", "mod.py:2 dot", "mod.py:6 cross"]
 
 
 def unused_package_imports(path):

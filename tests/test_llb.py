@@ -9,13 +9,19 @@ from numpy.testing import assert_allclose
 import llbopt.llb
 from llbopt.adjoint import solve_adjoint
 from llbopt.coils import CoilSet, ControlPath, uniform_coil
-from llbopt.grid import Grid, VectorField, laplacian_values
+from llbopt.grid import Grid, VectorField, dot, laplacian_values
 from llbopt.llb import (
     BlowUpError,
     SimConfig,
     blowup_times,
+    control_adjoint,
+    control_adjoint_derivative,
     energy_ledger,
     implicit_solve,
+    reaction,
+    reaction_adjoint,
+    reaction_adjoint_derivative,
+    reaction_tangent,
     simulate,
     simulate_galerkin,
     step_values,
@@ -112,6 +118,102 @@ class TestImplicitSolve:
         for idx in np.ndindex(batch):
             ref = implicit_solve(g, dt, rhs[idx])
             assert np.linalg.norm(x[idx] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def pairing(g, a, b):
+    """Per batch member, the cell-sum pairing sum_x w <a, b> of fields with
+    one leading batch axis."""
+    return g.cell_volume * np.sum(a * b, axis=tuple(range(1, a.ndim)))
+
+
+def pairing_scale(g, *pairs):
+    """The Cauchy-Schwarz bound w sum ||a|| ||b|| over ``pairs``: the size
+    the rounding of a sum of pairings is measured against."""
+    return g.cell_volume * sum(np.linalg.norm(a) * np.linalg.norm(b) for a, b in pairs)
+
+
+# the central differences below are taken at this step; each identity is
+# exact at any step, so only rounding is left
+FD_STEP = 0.1
+reaction_settings = settings(max_examples=40, deadline=None)
+
+
+class TestReactionDerivatives:
+    """The derivatives of llb.reaction against the reaction and each other,
+    on 1-3D grids with unequal spacings and a batch axis of 2."""
+
+    @staticmethod
+    def fields(g, seed):
+        """m, z, u, du, phi and a sixth field, standard normal."""
+        return np.random.default_rng(seed).standard_normal((6, 2) + g.shape + (3,))
+
+    @reaction_settings
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_tangent_is_the_central_difference_of_the_reaction(self, g, seed):
+        # R is cubic in m: R(m+ez, u+e du) - R(m-ez, u-e du)
+        # = 2e dR[z, du] - 2e^3 |z|^2 z
+        m, z, u, du, _, _ = self.fields(g, seed)
+        e = FD_STEP
+        plus, minus = (reaction(mm, laplacian_values(g, mm), uu, dot(mm, mm))
+                       for mm, uu in ((m + e * z, u + e * du), (m - e * z, u - e * du)))
+        tangent = 2 * e * reaction_tangent(m, laplacian_values(g, m), u,
+                                           z, laplacian_values(g, z), du)
+        cubic = 2 * e**3 * dot(z, z) * z
+        scale = sum(np.linalg.norm(v) for v in (plus, minus, tangent, cubic))
+        assert np.linalg.norm(plus - minus - (tangent - cubic)) <= 1e-14 * scale
+
+    @reaction_settings
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_state_adjoint_is_the_transpose_of_the_tangent(self, g, seed):
+        # sum w <d_mR z, phi> = sum w <z, lap_h c + r>
+        m, z, u, _, phi, _ = self.fields(g, seed)
+        lap_m = laplacian_values(g, m)
+        d_m = reaction_tangent(m, lap_m, u, z, laplacian_values(g, z), np.zeros_like(z))
+        c, r = reaction_adjoint(g, m, u, phi)
+        adj = laplacian_values(g, c) + r
+        gap = pairing(g, d_m, phi) - pairing(g, z, adj)
+        assert np.max(np.abs(gap)) <= 1e-14 * pairing_scale(g, (d_m, phi), (z, adj))
+
+    @reaction_settings
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_control_adjoint_is_the_transpose_of_the_tangent(self, g, seed):
+        # sum w <d_uR du, phi> = sum w <du, phi x m + phi>
+        m, _, u, du, phi, _ = self.fields(g, seed)
+        zero = np.zeros_like(m)
+        d_u = reaction_tangent(m, laplacian_values(g, m), u, zero, zero, du)
+        adj = control_adjoint(m, phi)
+        gap = pairing(g, d_u, phi) - pairing(g, du, adj)
+        assert np.max(np.abs(gap)) <= 1e-14 * pairing_scale(g, (d_u, phi), (du, adj))
+
+    @reaction_settings
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_second_order_source_is_the_derivative_of_the_tangent(self, g, seed):
+        # dR[w, 0] is quadratic in m and linear in u, so its central
+        # difference along (z, du) is d^2R[(z, du), (w, 0)] exactly; paired
+        # with phi it is sum w <w, (d^2R[(z, du), .])^T phi>
+        m, z, u, du, phi, w = self.fields(g, seed)
+        e = FD_STEP
+        lap_w = laplacian_values(g, w)
+        plus, minus = (reaction_tangent(mm, laplacian_values(g, mm), uu, w, lap_w,
+                                        np.zeros_like(w))
+                       for mm, uu in ((m + e * z, u + e * du), (m - e * z, u - e * du)))
+        central = (plus - minus) / (2 * e)
+        adj = reaction_adjoint_derivative(g, m, phi, z, du)
+        gap = pairing(g, central, phi) - pairing(g, w, adj)
+        scale = pairing_scale(g, (plus / (2 * e), phi), (minus / (2 * e), phi), (w, adj))
+        assert np.max(np.abs(gap)) <= 1e-14 * scale
+
+    @reaction_settings
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_control_adjoint_derivative_is_its_central_difference(self, g, seed):
+        # phi x m + phi is bilinear in (m, phi): the central difference is exact
+        m, z, _, _, phi, dphi = self.fields(g, seed)
+        e = FD_STEP
+        plus = control_adjoint(m + e * z, phi + e * dphi)
+        minus = control_adjoint(m - e * z, phi - e * dphi)
+        derivative = control_adjoint_derivative(m, phi, z, dphi)
+        scale = sum(np.linalg.norm(v) for v in (plus / (2 * e), minus / (2 * e), derivative))
+        assert np.linalg.norm((plus - minus) / (2 * e) - derivative) <= 1e-14 * scale
 
 
 def one_step(m, u, dt):
