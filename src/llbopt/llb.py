@@ -233,10 +233,10 @@ def reaction_tangent(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray, z: np.ndar
 
 
 def reaction_adjoint(grid: Grid, m: np.ndarray, u: np.ndarray, phi: np.ndarray):
-    """d_mR^T phi = lap_h c + r in the cell-sum pairing, as (c, r): c = phi x m
-    apart, for a step to fold into its solve (:func:`implicit_solve`), and
-    r = lap m x phi - phi x u - (1+|m|^2) phi - 2(m.phi) m summed in place,
-    c made only once lap m and phi x u are freed, to hold few frames at once."""
+    """d_mR^T phi = lap_h c + r in the cell-sum pairing, as (c, r), so that a
+    step can fold lap_h c into its solve (:func:`implicit_solve`): c = phi x m
+    and r = lap m x phi - phi x u - (1+|m|^2) phi - 2(m.phi) m.  To keep few
+    frames alive, r is summed in place and c made once lap m is freed."""
     r = cross(laplacian_values(grid, m), phi)
     r -= cross(phi, u)
     c = cross(phi, m)
