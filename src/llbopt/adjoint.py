@@ -107,7 +107,8 @@ def solve_costate_derivative(point: LinearizationPoint, z: Trajectory, phi: Traj
     source's derivative), which must lie on the base trajectory's grid and
     time nodes.  ``z`` and ``dU`` may be stacks of tangents and directions
     with leading batch axes (as :func:`solve_tangent` returns and takes
-    them); the costate derivatives then come from one batched
+    them), one tangent per direction: their batch shapes must be equal.
+    The costate derivatives then come from one batched
     :func:`solve_adjoint` sweep, stored or streamed to ``consume``.
     """
     grid = point.grid
@@ -115,7 +116,11 @@ def solve_costate_derivative(point: LinearizationPoint, z: Trajectory, phi: Traj
         check_time_grid(traj, point, names)
         if traj.grid != grid:
             raise ValueError(f"{names} disagree on the grid")
-    directions = np.moveaxis(point.direction_values(dU), -2, 0)
+    dvals = point.direction_values(dU)
+    z_batch, d_batch = z.values.shape[:-grid.dim - 2], dvals.shape[:-2]
+    if z_batch != d_batch:
+        raise ValueError(f"tangent and direction disagree on batch: {z_batch} and {d_batch}")
+    directions = np.moveaxis(dvals, -2, 0)
     base, z_frames, phi_frames = point.base_traj.frames, z.frames, phi.frames
 
     def source(j: int) -> np.ndarray:

@@ -36,7 +36,12 @@ The forward sweep here, the tangent sweep and the costate sweep share one
 time loop, :func:`march`: it owns the order of the steps (forward or in
 reverse), the blow-up rule and the frames, stored or handed to a consumer,
 and each sweep passes only its step, the explicit terms plus one
-:func:`implicit_solve`.
+:func:`implicit_solve`.  A solve fixes the Laplacian of its solution,
+lap_h x = (x - rhs)/dt, so the forward and tangent steps carry their
+right-hand side, one frame per member, and the next step reads the
+Laplacian of its departure frame off it, in place
+(:func:`departure_laplacian`); only a sweep's first step runs the stencil
+on the frame it steps from.
 
 Whether a control or a trajectory sits on a run's time nodes is one check,
 :func:`check_time_grid`, at the one tolerance :func:`time_tolerance` that
@@ -210,8 +215,40 @@ def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
     in exact arithmetic; in floating point the two sides agree to rounding.
     A step whose explicit terms carry dt*lap_h c folds that Laplacian into
     its solve this way: the costate step does, with c = phi x m.
+
+    The solve also fixes the Laplacian of its solution: x = S(rhs) has
+
+        lap_h x = (x - rhs) / dt
+
+    in exact arithmetic.  In floating point the solve's rounding of x stays
+    within about 2*sum_ax n_ax * eps*max|rhs| (its two transforms sum n_ax
+    terms per axis), which the right side sees through 1/dt and the stencil
+    on the left through sum_ax 4/h_ax^2: the two agree to within 2*sum_ax
+    n_ax * eps*max|rhs|*(1/dt + sum_ax 4/h_ax^2), the bound the tests hold.  A step multiplies its
+    Laplacian by dt, so reading it off this way costs a step rounding of
+    the size of its others.  A sweep whose next step needs lap_h of this
+    step's solution reads it off (:func:`departure_laplacian`): the forward
+    and tangent steps do.
     """
     return _idct(grid, _dct(grid, rhs) / _denominator(grid, dt))
+
+
+def departure_laplacian(grid: Grid, dt: float, x: np.ndarray,
+                        rhs: Optional[np.ndarray]) -> np.ndarray:
+    """lap_h x of a sweep's departure frame x.
+
+    With ``rhs`` the right-hand side of the solve that made x, x =
+    S(``rhs``), it is (x - rhs)/dt (the identity in :func:`implicit_solve`),
+    formed in place in ``rhs``, which is returned: the carried right-hand
+    side becomes the Laplacian, and no frame is allocated.  A NaN member of
+    x stays NaN.  Without one (``rhs`` None, the first step of a sweep) it
+    is the stencil, :func:`~llbopt.grid.laplacian_values`.
+    """
+    if rhs is None:
+        return laplacian_values(grid, x)
+    np.subtract(x, rhs, out=rhs)
+    rhs /= dt
+    return rhs
 
 
 def reaction(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
@@ -265,14 +302,18 @@ def control_adjoint_derivative(m: np.ndarray, phi: np.ndarray, z: np.ndarray,
     return cross(dphi, m) + cross(phi, z) + dphi
 
 
-def step_values(grid: Grid, m: np.ndarray, u: np.ndarray, dt: float,
-                mag_sq: np.ndarray) -> np.ndarray:
+def step_values(grid: Grid, m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
+                dt: float, mag_sq: np.ndarray) -> tuple:
     """One IMEX Euler update of state values ``m`` under control values
-    ``u``.  ``mag_sq`` is |m|^2 per node, ``dot(m, m)``: :func:`simulate`
-    forms it once per step, for its resolution check and for the reaction
-    term."""
-    lap_m = laplacian_values(grid, m)
-    return implicit_solve(grid, dt, m + dt * reaction(m, lap_m, u, mag_sq))
+    ``u``: the next frame and the right-hand side m + dt*R(m, u) it solved
+    for, from which the next step reads the next frame's Laplacian
+    (:func:`departure_laplacian`).  ``lap_m`` is lap_h m and ``mag_sq`` is
+    |m|^2 per node, ``dot(m, m)``: :func:`simulate` forms it once per step,
+    for its resolution check and for the reaction term."""
+    rhs = reaction(m, lap_m, u, mag_sq)
+    rhs *= dt
+    rhs += m
+    return implicit_solve(grid, dt, rhs), rhs
 
 
 def march(grid: Grid, dt: float, first, batch: tuple, n_steps: int,
@@ -349,9 +390,10 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
     batch = np.broadcast_shapes(m0.values.shape[:-grid.dim - 1], U.intensities.shape[:-2])
     intensities = np.moveaxis(U.intensities, -2, 0)
     warned = False
+    rhs = None  # the right-hand side of the last solve, one frame per member
 
     def advance(j: int, m: np.ndarray) -> np.ndarray:
-        nonlocal warned
+        nonlocal warned, rhs
         mag_sq = dot(m, m)
         # fmax skips the NaN-filled members of a batch
         mag_max = float(np.fmax.reduce(mag_sq, axis=None)) if m.size else 0.0
@@ -364,7 +406,9 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
             )
             warned = True
         u = synthesize_values(intensities[j], coils)
-        return step_values(grid, m, u, cfg.dt, mag_sq)
+        lap_m = departure_laplacian(grid, cfg.dt, m, rhs)
+        new, rhs = step_values(grid, m, lap_m, u, cfg.dt, mag_sq)
+        return new
 
     return march(grid, cfg.dt, m0.values, batch, cfg.n_steps, advance,
                  "state blow-up", threshold=cfg.blowup_threshold, consume=consume)

@@ -5,7 +5,10 @@ The tangent sweep is the exact derivative of the discrete forward map: it
 runs on the forward sweep's :func:`~llbopt.llb.march` with the same IMEX
 structure, the same frozen base-trajectory frames for the coupling
 coefficients, and the same implicit Laplacian; its explicit terms are
-dR[z, dU] (:func:`~llbopt.llb.reaction_tangent`).
+dR[z, dU] (:func:`~llbopt.llb.reaction_tangent`).  As the forward step
+does, it reads lap_h z off the previous solve
+(:func:`~llbopt.llb.departure_laplacian`); lap_h of the base frame is the
+stencil's.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import numpy as np
 
 from .coils import CoilSet, ControlPath, synthesize_values
 from .grid import Trajectory, frame_norms, laplacian_values
-from .llb import SimConfig, check_time_grid, implicit_solve, march, reaction_tangent, simulate
+from .llb import (SimConfig, check_time_grid, departure_laplacian, implicit_solve, march,
+                  reaction_tangent, simulate)
 
 
 @dataclass
@@ -74,11 +78,13 @@ def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
     base = point.base_traj.values
     controls = point.base_control.intensities
     directions = np.moveaxis(dvals, -2, 0)
+    rhs = None  # the right-hand side of the last solve, one frame per member
 
     def advance(j: int, z: np.ndarray) -> np.ndarray:
+        nonlocal rhs
         m = base[j]
         lap_m = laplacian_values(grid, m)
-        lap_z = laplacian_values(grid, z)
+        lap_z = departure_laplacian(grid, dt, z, rhs)
         u = synthesize_values(controls[j], point.coils)
         du = synthesize_values(directions[j], point.coils)
         # z + dt * dR[z, du], built in place to save frame-sized temporaries

@@ -112,3 +112,15 @@ def peak_rise(fn, *args, **kwargs):
 def trajectory_bytes(grid, n_steps):
     """Bytes of one stored (K+1)-frame trajectory on ``grid``."""
     return 8 * 3 * (n_steps + 1) * grid.node_count
+
+
+def stencil_form_bound(g, K, dt, frames):
+    """How far a K-step sweep that reads lap_h off its solves may drift from
+    its stencil form: each step's read-off Laplacian carries the solve's
+    rounding over dt (the bound of
+    ``test_llb.py::TestImplicitSolve::test_the_solution_laplacian_is_read_off_the_solve``),
+    which the step multiplies by dt, so a step adds rounding of about
+    eps * max|frame| * (1 + dt * sum_ax 4/h^2), at most 2 * sum_ax n_ax
+    times over, and K steps add K of those."""
+    stiffness = 1.0 + dt * sum(4.0 / h**2 for h in g.spacing)
+    return 2 * sum(g.cells) * K * np.finfo(float).eps * np.abs(frames).max() * stiffness

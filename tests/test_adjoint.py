@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -303,6 +305,15 @@ class TestCostateDerivative:
         with pytest.raises(ValueError, match="tangent and base trajectory disagree on dt"):
             solve_costate_derivative(point, coarse, phi, dU)
         assert np.all(np.isfinite(solve_costate_derivative(point, z, phi, dU).values))
+
+    @pytest.mark.parametrize("z_batch, d_batch", [((3,), ()), ((), (3,))])
+    def test_tangent_and_direction_batches_must_match(self, z_batch, d_batch):
+        # 3 tangents with 1 direction, and 1 tangent with 3 directions
+        point, z, phi, dU = self.costate_derivative_inputs()
+        stacked = Trajectory(z.grid, z.dt, np.broadcast_to(z.values, z_batch + z.values.shape))
+        message = f"tangent and direction disagree on batch: {z_batch} and {d_batch}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_costate_derivative(point, stacked, phi, np.broadcast_to(dU, d_batch + dU.shape))
 
     def test_costate_on_another_grid_is_rejected(self):
         # same shape, three times the length

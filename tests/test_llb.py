@@ -8,14 +8,15 @@ from numpy.testing import assert_allclose
 
 import llbopt.llb
 from llbopt.adjoint import solve_adjoint
-from llbopt.coils import CoilSet, ControlPath, uniform_coil
-from llbopt.grid import Grid, VectorField, dot, laplacian_values
+from llbopt.coils import CoilSet, ControlPath, synthesize_values, uniform_coil
+from llbopt.grid import Grid, VectorField, cross, dot, laplacian_values
 from llbopt.llb import (
     BlowUpError,
     SimConfig,
     blowup_times,
     control_adjoint,
     control_adjoint_derivative,
+    departure_laplacian,
     energy_ledger,
     implicit_solve,
     reaction,
@@ -28,7 +29,8 @@ from llbopt.llb import (
 )
 from llbopt.tangent import LinearizationPoint, solve_tangent
 
-from conftest import batch_shapes, cosine_initial, frame_source, grids, two_gaussian_coils
+from conftest import (batch_shapes, cosine_initial, frame_source, grids, peak_rise,
+                      stencil_form_bound, trajectory_bytes, two_gaussian_coils)
 
 
 def radial_exact(t):
@@ -90,6 +92,35 @@ class TestImplicitSolve:
         folded = implicit_solve(g, dt, phi + dt * r + c) - c
         scale = sum(np.linalg.norm(v) for v in (phi, dt * r, c, dt * lap_c))
         assert np.linalg.norm(folded - direct) <= 1e-14 * scale
+
+    @solve_settings
+    @given(grids(), time_steps, batch_shapes, st.integers(0, 2**32 - 1))
+    def test_the_solution_laplacian_is_read_off_the_solve(self, g, dt, batch, seed):
+        # x = S(rhs) has lap x = (x - rhs)/dt; the solve's rounding, at most
+        # 2 * sum_ax n_ax * eps * max|rhs| (a forward and an inverse transform
+        # sum n_ax terms per axis), shows through 1/dt on the right and the
+        # stencil's sum_ax 4/h^2 on the left
+        rhs = np.random.default_rng(seed).standard_normal(batch + g.shape + (3,))
+        x = implicit_solve(g, dt, rhs)
+        scale = np.abs(rhs).max() * (1.0 / dt + sum(4.0 / h**2 for h in g.spacing))
+        bound = 2 * sum(g.cells) * np.finfo(float).eps * scale
+        assert np.abs(laplacian_values(g, x) - (x - rhs) / dt).max() <= bound
+
+    @solve_settings
+    @given(grids(), time_steps, batch_shapes, st.integers(0, 2**32 - 1))
+    def test_departure_laplacian_is_formed_in_the_carried_rhs(self, g, dt, batch, seed):
+        rng = np.random.default_rng(seed)
+        x, rhs = rng.standard_normal((2,) + batch + g.shape + (3,))
+        if batch:  # a NaN-filled member stays NaN
+            x[(0,) * len(batch)] = np.nan
+        expected = (x - rhs) / dt
+        lap = departure_laplacian(g, dt, x, rhs)
+        assert lap is rhs
+        assert np.array_equal(lap, expected, equal_nan=True)
+        assert np.isnan(lap).any() == bool(batch)
+        # the first step of a sweep has no solve behind it: the stencil
+        assert np.array_equal(departure_laplacian(g, dt, x, None), laplacian_values(g, x),
+                              equal_nan=True)
 
     @solve_settings
     @given(grids(), time_steps)
@@ -218,8 +249,9 @@ class TestReactionDerivatives:
 
 def one_step(m, u, dt):
     """One forward step of ``m`` under ``u`` through :func:`step_values`."""
+    g = Grid(m.shape[:-1], (1.0,) * (m.ndim - 1))
     mag_sq = np.sum(m * m, axis=-1, keepdims=True)
-    return step_values(Grid(m.shape[:-1], (1.0,) * (m.ndim - 1)), m, u, dt, mag_sq)
+    return step_values(g, m, laplacian_values(g, m), u, dt, mag_sq)[0]
 
 
 class TestStep:
@@ -452,6 +484,61 @@ class TestSweepSkeleton:
         for j, m in got:
             assert np.array_equal(m, stored.frames[j], equal_nan=True)
         assert np.isnan(got[-1][1]).any() == bool(batch)
+
+
+def simulate_reference(m0, U, coils, cfg, stencil):
+    """The forward sweep written out: m_{j+1} = S(rhs_j), rhs_j = m_j + dt
+    (m x lap m + m x u - (1+|m|^2) m + u), the terms summed in the order
+    :func:`simulate` sums them, with lap m the stencil at every step
+    (``stencil``) or at step 0 only and (m_j - rhs_{j-1}) / dt, read off
+    the previous solve, after it."""
+    g, dt, K = m0.grid, cfg.dt, cfg.n_steps
+    batch = U.intensities.shape[:-2]
+    out = np.empty(batch + (K + 1,) + g.shape + (3,))
+    frames = np.moveaxis(out, -g.dim - 2, 0)
+    frames[0] = m0.values
+    intensities = np.moveaxis(U.intensities, -2, 0)
+    rhs = None
+    for j in range(K):
+        m = frames[j]
+        lap = laplacian_values(g, m) if stencil or j == 0 else (m - rhs) / dt
+        u = synthesize_values(intensities[j], coils)
+        mag_sq = np.sum(m * m, axis=-1, keepdims=True)
+        rhs = m + dt * (cross(m, lap) + cross(m, u) - (1.0 + mag_sq) * m + u)
+        frames[j + 1] = implicit_solve(g, dt, rhs)
+    return out
+
+
+class TestReadOffLaplacian:
+    """The forward step reads lap_h m off the previous solve."""
+
+    @sweep_settings
+    @given(grids(), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_simulate_matches_the_written_out_sweep(self, g, B, K, seed):
+        # bit for bit the read-off form; within rounding of the stencil form
+        rng, cfg, coils, _, m0 = random_sweep_inputs(g, K, seed)
+        U = ControlPath(0.1 * rng.standard_normal((B, K + 1, 1)), -np.inf, np.inf, cfg.dt)
+        traj = simulate(m0, U, coils, cfg)
+        assert np.array_equal(traj.values, simulate_reference(m0, U, coils, cfg, stencil=False))
+        ref = simulate_reference(m0, U, coils, cfg, stencil=True)
+        assert np.abs(traj.values - ref).max() <= stencil_form_bound(g, K, cfg.dt, ref)
+
+    def test_streamed_sweep_carries_no_extra_frame(self):
+        # 12^3 cells, K = 50, a consumer that keeps nothing.  The stencil-form
+        # sweep peaks at 7.40-7.43 frames, in step 0's stencil (numpy's fixed
+        # 192 KiB ufunc buffer is 4.7 of them); a carried right-hand side
+        # turned into the Laplacian in a fresh frame, not in place, peaks
+        # at 8.4 frames
+        g = Grid((12, 12, 12), (1.0, 1.0, 1.0))
+        cfg = SimConfig(T=0.05, dt=1e-3)
+        coils = two_gaussian_coils(g)
+        U = ControlPath.constant([0.4, -0.3], cfg.n_steps, cfg.dt)
+        m0 = cosine_initial(g)
+        # a first sweep fills the solver caches, which would otherwise count
+        simulate(m0, U, coils, cfg, consume=lambda j, m: None)
+        kept, peak = peak_rise(simulate, m0, U, coils, cfg, consume=lambda j, m: None)
+        assert kept is None
+        assert peak < 7.6 * trajectory_bytes(g, 0)
 
 
 class TestEnergyLedger:

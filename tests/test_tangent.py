@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from llbopt.certify import space_time_norms
 from llbopt.cli import smooth_directions
 from llbopt.coils import CoilSet, ControlPath, synthesize_values, uniform_coil
-from llbopt.grid import Grid, Trajectory, cross, laplacian_values
+from llbopt.grid import Grid, Trajectory, VectorField, cross, laplacian_values
 from llbopt.llb import BlowUpError, SimConfig, implicit_solve, simulate
 from llbopt.tangent import (
     LinearizationPoint,
@@ -13,7 +14,7 @@ from llbopt.tangent import (
     taylor_remainder_order,
 )
 
-from conftest import cosine_initial, two_gaussian_coils
+from conftest import cosine_initial, grids, stencil_form_bound, two_gaussian_coils
 
 
 def zero_point(grid, K, dt, coils):
@@ -32,25 +33,29 @@ def generic_point(n=32, dt=2e-3, T=0.25):
     return LinearizationPoint(traj, U, coils), cfg
 
 
-def solve_tangent_reference(point, dU):
+def solve_tangent_reference(point, dU, stencil=False):
     """The tangent sweep written out: from z(0) = 0, each step solves
-    (I - dt lap_h) z_{j+1} = z_j + dt (z x lap m + m x lap z + z x u
+    (I - dt lap_h) z_{j+1} = rhs_j = z_j + dt (z x lap m + m x lap z + z x u
     - 2 (m.z) m - (1+|m|^2) z + du + m x du), the terms summed in the order
-    :func:`solve_tangent` sums them."""
+    :func:`solve_tangent` sums them, with lap z the stencil at every step
+    (``stencil``) or at step 0 only and (z_j - rhs_{j-1}) / dt, read off the
+    previous solve, after it."""
     grid, dt, K = point.grid, point.dt, point.n_steps
     dvals = point.direction_values(dU)
     out = np.zeros(dvals.shape[:-2] + (K + 1,) + grid.shape + (3,))
     frames = np.moveaxis(out, -grid.dim - 2, 0)
     directions = np.moveaxis(dvals, -2, 0)
+    rhs = None
     for j in range(K):
         m, z = point.base_traj.frames[j], frames[j]
+        lap_z = laplacian_values(grid, z) if stencil or j == 0 else (z - rhs) / dt
         u = synthesize_values(point.base_control.intensities[j], point.coils)
         du = synthesize_values(directions[j], point.coils)
         mag_sq = np.sum(m * m, axis=-1, keepdims=True)
         m_dot_z = np.sum(m * z, axis=-1, keepdims=True)
-        rhs = (cross(z, laplacian_values(grid, m)) + cross(m, laplacian_values(grid, z))
-               + cross(z, u) - 2.0 * m_dot_z * m - (1.0 + mag_sq) * z + du + cross(m, du))
-        frames[j + 1] = implicit_solve(grid, dt, z + dt * rhs)
+        rhs = z + dt * (cross(z, laplacian_values(grid, m)) + cross(m, lap_z) + cross(z, u)
+                        - 2.0 * m_dot_z * m - (1.0 + mag_sq) * z + du + cross(m, du))
+        frames[j + 1] = implicit_solve(grid, dt, rhs)
     return out
 
 
@@ -72,6 +77,21 @@ class TestSolveTangent:
         dU = np.random.default_rng(6).standard_normal(batch + (point.n_steps + 1, 2))
         assert np.array_equal(solve_tangent(point, dU).values,
                               solve_tangent_reference(point, dU))
+
+    @settings(max_examples=25, deadline=None)
+    @given(grids(), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_within_rounding_of_the_stencil_form(self, g, B, K, seed):
+        rng = np.random.default_rng(seed)
+        dt = 1e-2
+        coils = CoilSet.from_fields([VectorField(g, 0.5 + rng.random(g.shape + (3,)))])
+        U = ControlPath(0.1 * rng.standard_normal((K + 1, 1)), -np.inf, np.inf, dt)
+        m0 = VectorField(g, 0.1 * rng.standard_normal(g.shape + (3,)))
+        point = LinearizationPoint(simulate(m0, U, coils, SimConfig(T=K * dt, dt=dt)), U, coils)
+        dU = rng.standard_normal((B, K + 1, 1))
+        z = solve_tangent(point, dU).values
+        assert np.array_equal(z, solve_tangent_reference(point, dU))
+        ref = solve_tangent_reference(point, dU, stencil=True)
+        assert np.abs(z - ref).max() <= stencil_form_bound(g, K, dt, ref)
 
     def test_zero_increment(self):
         point, _ = generic_point(n=16, dt=5e-3)
