@@ -202,22 +202,28 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Nodewise dot product over the last (component) axis, kept as an
-    axis of length 1, with broadcasting.
+# sums the three components of a row and spreads the sum over all three
+_SPREAD = np.ones((3, 3))
+_SPREAD.flags.writeable = False
 
-    Bit for bit ``np.sum(a * b, axis=-1, keepdims=True)`` on float arrays:
-    numpy sums the three products left to right, from an initial +0.0 that
-    turns an all-(-0.0) sum into +0.0, which the final ``+= 0.0`` repeats
-    (it leaves every other value as it is).  Written out like
-    :func:`cross`, because numpy's reduction over a length-3 axis costs
-    several times the arithmetic.
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nodewise dot product over the last (component) axis, spread over the
+    three components, with broadcasting: every component of a node holds
+    its a.b, so that scaling a frame by it runs elementwise, not along the
+    length-3 axis.
+
+    Bit for bit ``np.broadcast_to(np.sum(a * b, axis=-1, keepdims=True),
+    shape)`` on float arrays: one product p = a*b, then ``p.reshape(-1, 3)
+    @ ones((3, 3))``, a matrix product that sums each row's three products
+    left to right from a +0.0 start, as numpy's sum does (so an
+    all-(-0.0) row sums to +0.0), each addition rounded once, and the
+    multiplications by 1 exact.  Written this way, like :func:`cross`,
+    because numpy's reduction over a length-3 axis costs several times the
+    arithmetic.
     """
-    out = a[..., 0:1] * b[..., 0:1]
-    out += a[..., 1:2] * b[..., 1:2]
-    out += a[..., 2:] * b[..., 2:]
-    out += 0.0
-    return out
+    p = a * b
+    return (p.reshape(-1, 3) @ _SPREAD).reshape(p.shape)
 
 
 def grad_sq_integral(grid: Grid, vals: np.ndarray) -> float:

@@ -21,6 +21,13 @@ and dot products are :func:`~llbopt.grid.cross` and :func:`~llbopt.grid.dot`
 (numpy's move axes and copy, or reduce over the length-3 axis at several
 times the arithmetic's cost), the Laplacian slices its axes in place, and
 |m|^2 is formed once per forward step, for the resolution check and R.
+No inner loop runs along the length-3 component axis: the solve's
+transforms multiply the axis-last view of a frame (:func:`_apply_along`),
+its divisor is cached at the frame shape, and ``dot`` spreads each nodewise
+sum over the three components, so every |m|^2, m.z and m.phi scaling is
+elementwise.  The cross product is linear in each factor, so two products
+that share one are one product of the summed others: a forward step makes
+one, m x (lap m + u), a tangent and a costate step two.
 
 The model's right-hand side R(m, u) is written once, in :func:`reaction`,
 next to each derivative taken of it: :func:`reaction_tangent` (the tangent
@@ -146,11 +153,30 @@ def _dct_matrix(n: int) -> np.ndarray:
     return C
 
 
-def _apply_along(mat: np.ndarray, x: np.ndarray, ax: int) -> np.ndarray:
-    """mat @ x along axis ``ax``, as one matmul on a copy-free reshape."""
+@functools.lru_cache(maxsize=None)
+def _dct_matrix_t(n: int) -> np.ndarray:
+    """The transpose of :func:`_dct_matrix`, C-contiguous and read-only: the
+    right factor of the forward transform in :func:`_apply_along`."""
+    Ct = np.ascontiguousarray(_dct_matrix(n).T)
+    Ct.flags.writeable = False
+    return Ct
+
+
+def _apply_along(right: np.ndarray, x: np.ndarray, ax: int) -> np.ndarray:
+    """mat @ x along axis ``ax``, given ``right`` = mat^T C-contiguous.
+
+    The product is taken on the axis-last view of ``x``
+    (``x.reshape(lead, n, -1).swapaxes(1, 2)``) times ``right``, written
+    through the same view of a contiguous result: numpy hands each stacked
+    product to BLAS as one matrix product, and no inner loop runs along the
+    trailing axes (the length-3 component axis, for the last spatial axis).
+    """
     shape = x.shape
-    lead = math.prod(shape[:ax])
-    return np.matmul(mat, x.reshape(lead, shape[ax], -1)).reshape(shape)
+    lead, n = math.prod(shape[:ax]), shape[ax]
+    out = np.empty(shape)
+    np.matmul(x.reshape(lead, n, -1).swapaxes(1, 2), right,
+              out=out.reshape(lead, n, -1).swapaxes(1, 2))
+    return out
 
 
 def _dct(grid: Grid, x: np.ndarray) -> np.ndarray:
@@ -158,7 +184,7 @@ def _dct(grid: Grid, x: np.ndarray) -> np.ndarray:
     axes just before the last (component) axis."""
     first = x.ndim - 1 - grid.dim
     for ax, n in enumerate(grid.cells, start=first):
-        x = _apply_along(_dct_matrix(n), x, ax)
+        x = _apply_along(_dct_matrix_t(n), x, ax)
     return x
 
 
@@ -166,7 +192,7 @@ def _idct(grid: Grid, x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_dct`: the transposed matrices, axis by axis."""
     first = x.ndim - 1 - grid.dim
     for ax, n in enumerate(grid.cells, start=first):
-        x = _apply_along(_dct_matrix(n).T, x, ax)
+        x = _apply_along(_dct_matrix(n), x, ax)
     return x
 
 
@@ -181,11 +207,13 @@ def _eigenvalues(grid: Grid) -> tuple:
 @functools.lru_cache(maxsize=16)
 def _denominator(grid: Grid, dt: float) -> np.ndarray:
     """The diagonal 1 + dt*lambda_k of (I - dt*lap_h) in the cosine basis,
-    shaped ``grid.shape + (1,)``; read-only because it is shared."""
+    at the frame shape ``grid.shape + (3,)``, so that the division runs
+    elementwise rather than along the length-3 component axis; read-only
+    because it is shared."""
     denom = np.ones(grid.shape)
     for lam in _eigenvalues(grid):
         denom = denom + dt * lam
-    denom = denom.reshape(grid.shape + (1,))
+    denom = np.repeat(denom[..., None], 3, axis=-1)
     denom.flags.writeable = False
     return denom
 
@@ -202,9 +230,11 @@ def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
     The basis change, :func:`_dct` and :func:`_idct`, is applied per axis
     by ``matmul`` with :func:`_dct_matrix` (and its transpose on the way
     back), which keeps ``scipy.fft`` and its import cost out of the
-    process.  The divisor 1 + dt*lambda_k is built once per (grid, dt) and
-    cached (:func:`_denominator`), so a step's solve is the two transforms
-    and one division.
+    process; each product runs on the axis-last view of the frame
+    (:func:`_apply_along`), so no inner loop runs along the length-3
+    component axis.  The divisor 1 + dt*lambda_k is built once per
+    (grid, dt) at the frame shape and cached (:func:`_denominator`), so a
+    step's solve is the two transforms and one elementwise division.
 
     The cosine basis diagonalizes exactly the Laplacian of
     :func:`~llbopt.grid.laplacian_values`, so with S = (I - dt*lap_h)^-1,
@@ -253,42 +283,53 @@ def departure_laplacian(grid: Grid, dt: float, x: np.ndarray,
 
 def reaction(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray,
              mag_sq: np.ndarray) -> np.ndarray:
-    """The model's explicit right-hand side R(m, u) = m x lap m + m x u
-    - (1+|m|^2) m + u, with ``mag_sq`` = |m|^2 per node (last axis kept)."""
-    return cross(m, lap_m) + cross(m, u) - (1.0 + mag_sq) * m + u
+    """The model's explicit right-hand side R(m, u) = m x (lap m + u)
+    - (1+|m|^2) m + u, with ``mag_sq`` = |m|^2 per node, spread over the
+    components as :func:`~llbopt.grid.dot` returns it (a kept axis of
+    length 1 broadcasts to the same values).  The two products m x lap m and
+    m x u share their factor m, so they are one cross product of the sum."""
+    out = cross(m, lap_m + u)
+    out -= (1.0 + mag_sq) * m
+    out += u
+    return out
 
 
 def reaction_tangent(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray, z: np.ndarray,
                      lap_z: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """dR[z, du] = z x lap m + m x lap z + z x u - 2(m.z) m - (1+|m|^2) z
-    + du + m x du, the drive summed in place."""
-    out = (cross(z, lap_m) + cross(m, lap_z) + cross(z, u)
-           - 2.0 * dot(m, z) * m - (1.0 + dot(m, m)) * z)
+    """dR[z, du] = z x (lap m + u) + m x (lap z + du) - 2(m.z) m
+    - (1+|m|^2) z + du: two cross products, one per factor, summed in place."""
+    out = cross(z, lap_m + u)
+    out += cross(m, lap_z + du)
+    out -= 2.0 * dot(m, z) * m
+    out -= (1.0 + dot(m, m)) * z
     out += du
-    out += cross(m, du)
     return out
 
 
 def reaction_adjoint(grid: Grid, m: np.ndarray, u: np.ndarray, phi: np.ndarray):
     """d_mR^T phi = lap_h c + r in the cell-sum pairing, as (c, r), so that a
     step can fold lap_h c into its solve (:func:`implicit_solve`): c = phi x m
-    and r = lap m x phi - phi x u - (1+|m|^2) phi - 2(m.phi) m.  To keep few
-    frames alive, r is summed in place and c made once lap m is freed."""
-    r = cross(laplacian_values(grid, m), phi)
-    r -= cross(phi, u)
-    c = cross(phi, m)
+    and r = (lap m + u) x phi - (1+|m|^2) phi - 2(m.phi) m.  lap m + u is
+    formed in the stencil's fresh buffer, so u's batch axes must fit m's,
+    and r is summed in place."""
+    drive = laplacian_values(grid, m)
+    drive += u
+    r = cross(drive, phi)
+    del drive
     r -= (1.0 + dot(m, m)) * phi
     r -= 2.0 * dot(m, phi) * m
-    return c, r
+    return cross(phi, m), r
 
 
 def reaction_adjoint_derivative(grid: Grid, m: np.ndarray, phi: np.ndarray,
                                 z: np.ndarray, du: np.ndarray) -> np.ndarray:
     """(d^2R[(z, du), .])^T phi, the derivative of d_mR^T phi along (z, du):
-    lap_h(phi x z) + lap z x phi - phi x du - 2(m.z) phi - 2(z.phi) m - 2(m.phi) z."""
-    return (laplacian_values(grid, cross(phi, z)) + cross(laplacian_values(grid, z), phi)
-            - cross(phi, du) - 2.0 * dot(m, z) * phi - 2.0 * dot(z, phi) * m
-            - 2.0 * dot(m, phi) * z)
+    lap_h(phi x z) + (lap z + du) x phi - 2(m.z) phi - 2(z.phi) m - 2(m.phi) z,
+    with lap z + du formed in the stencil's fresh buffer."""
+    drive = laplacian_values(grid, z)
+    drive += du
+    return (laplacian_values(grid, cross(phi, z)) + cross(drive, phi)
+            - 2.0 * dot(m, z) * phi - 2.0 * dot(z, phi) * m - 2.0 * dot(m, phi) * z)
 
 
 def control_adjoint(m: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -394,6 +435,9 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
 
     def advance(j: int, m: np.ndarray) -> np.ndarray:
         nonlocal warned, rhs
+        # the Laplacian first: at step 0 the stencil's buffers then peak
+        # without |m|^2 alive beside them
+        lap_m = departure_laplacian(grid, cfg.dt, m, rhs)
         mag_sq = dot(m, m)
         # fmax skips the NaN-filled members of a batch
         mag_max = float(np.fmax.reduce(mag_sq, axis=None)) if m.size else 0.0
@@ -406,7 +450,6 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
             )
             warned = True
         u = synthesize_values(intensities[j], coils)
-        lap_m = departure_laplacian(grid, cfg.dt, m, rhs)
         new, rhs = step_values(grid, m, lap_m, u, cfg.dt, mag_sq)
         return new
 
@@ -448,11 +491,11 @@ class EnergyTally:
 
     def add(self, j: int, m: np.ndarray):
         w = self.grid.cell_volume
-        sq = m * m
-        self.l2_sq[j] = w * float(np.sum(sq))
+        self.l2_sq[j] = w * float(np.sum(m * m))
         self.grad_sq[j] = grad_sq_integral(self.grid, m)
-        # |m|_L4^4 is the squared L2 norm of the scalar frame |m|^2
-        mag_sq = np.sum(sq, axis=-1)
+        # |m|_L4^4 is the squared L2 norm of the scalar frame |m|^2, the
+        # first of the three copies dot spreads over the components
+        mag_sq = dot(m, m)[..., 0]
         self.l4_quart[j] = w * float(np.sum(mag_sq * mag_sq))
 
     def finish(self, U: ControlPath, coils: CoilSet) -> dict:

@@ -212,6 +212,13 @@ class TestCross:
                 assert np.array_equal(cross(x, y), np.cross(x, y), equal_nan=True)
 
 
+def spread_sum(a, b):
+    """numpy's nodewise dot, spread over the three components as
+    :func:`dot` returns it."""
+    p = a * b
+    return np.broadcast_to(np.sum(p, axis=-1, keepdims=True), p.shape)
+
+
 class TestDot:
     @settings(max_examples=80, deadline=None)
     @given(grids(), batch_shapes, st.sampled_from(("batch", "frame", "vector")),
@@ -227,16 +234,16 @@ class TestDot:
             hit = rng.random(x.shape) < 0.4
             x[hit] = rng.choice([0.0, -0.0], hit.sum())
         for x, y in ((a, b), (b, a)):
-            ref = np.sum(x * y, axis=-1, keepdims=True)
+            ref = spread_sum(x, y)
             got = dot(x, y)
-            assert got.shape == ref.shape
+            assert got.shape == ref.shape == full
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_all_negative_zero_products_sum_to_positive_zero(self):
         # numpy's reduction starts from +0.0
         a = np.array([[-0.0, 0.0, -0.0], [1.0, -0.0, 0.0]])
         b = np.array([[1.0, -2.0, 3.0], [-0.0, 1.0, -1.0]])
-        ref = np.sum(a * b, axis=-1, keepdims=True)
+        ref = spread_sum(a, b)
         assert not np.any(np.signbit(ref))
         assert np.array_equal(dot(a, b).view(np.int64), ref.view(np.int64))
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import llbopt.llb
-from llbopt.adjoint import solve_adjoint
+from llbopt.adjoint import solve_adjoint, tracking_adjoint
 from llbopt.coils import CoilSet, ControlPath, synthesize_values, uniform_coil
 from llbopt.grid import Grid, VectorField, cross, dot, laplacian_values
 from llbopt.llb import (
@@ -245,6 +245,84 @@ class TestReactionDerivatives:
         derivative = control_adjoint_derivative(m, phi, z, dphi)
         scale = sum(np.linalg.norm(v) for v in (plus / (2 * e), minus / (2 * e), derivative))
         assert np.linalg.norm((plus - minus) / (2 * e) - derivative) <= 1e-14 * scale
+
+
+def abs_cross(a, b):
+    """|a1||b2| + |a2||b1| and its cyclic shifts: the size of each term of
+    the cross product a x b, which bounds the rounding of any evaluation."""
+    a, b = np.abs(a), np.abs(b)
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    return a[..., nxt] * b[..., prv] + a[..., prv] * b[..., nxt]
+
+
+# each one-product form and its two-product form round every term about
+# six times between them: they agree to this many eps of the summed sizes
+# of their terms, node by node and component by component
+FORM_EPS = 8 * np.finfo(float).eps
+
+
+def within_form_bound(new, old, *sizes):
+    return np.all(np.abs(new - old) <= FORM_EPS * sum(sizes))
+
+
+class TestOneProductForms:
+    """Each reaction form makes one cross product of the sum of two factors
+    that share a side; the two-product forms it replaced, written out here,
+    agree with it to rounding, on 1-3D grids with unequal spacings and a
+    batch axis of 2."""
+
+    @reaction_settings
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_reaction(self, g, seed):
+        m, _, u, _, _, _ = TestReactionDerivatives.fields(g, seed)
+        lap_m, mag_sq = laplacian_values(g, m), dot(m, m)
+        damping = (1.0 + mag_sq) * m
+        old = cross(m, lap_m) + cross(m, u) - damping + u
+        new = reaction(m, lap_m, u, mag_sq)
+        assert within_form_bound(new, old, abs_cross(m, np.abs(lap_m) + np.abs(u)),
+                                 np.abs(damping), np.abs(u))
+
+    @reaction_settings
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_reaction_tangent(self, g, seed):
+        m, z, u, du, _, _ = TestReactionDerivatives.fields(g, seed)
+        lap_m, lap_z = laplacian_values(g, m), laplacian_values(g, z)
+        coupling = 2.0 * dot(m, z) * m
+        damping = (1.0 + dot(m, m)) * z
+        old = (cross(z, lap_m) + cross(m, lap_z) + cross(z, u)
+               - coupling - damping + du + cross(m, du))
+        new = reaction_tangent(m, lap_m, u, z, lap_z, du)
+        assert within_form_bound(new, old, abs_cross(z, np.abs(lap_m) + np.abs(u)),
+                                 abs_cross(m, np.abs(lap_z) + np.abs(du)),
+                                 np.abs(coupling), np.abs(damping), np.abs(du))
+
+    @reaction_settings
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_reaction_adjoint(self, g, seed):
+        m, _, u, _, phi, _ = TestReactionDerivatives.fields(g, seed)
+        lap_m = laplacian_values(g, m)
+        damping = (1.0 + dot(m, m)) * phi
+        coupling = 2.0 * dot(m, phi) * m
+        old = cross(lap_m, phi) - cross(phi, u) - damping - coupling
+        c, r = reaction_adjoint(g, m, u, phi)
+        assert np.array_equal(c, cross(phi, m))
+        assert within_form_bound(r, old, abs_cross(np.abs(lap_m) + np.abs(u), phi),
+                                 np.abs(damping), np.abs(coupling))
+
+    @reaction_settings
+    @given(grids(), st.integers(0, 2**32 - 1))
+    def test_reaction_adjoint_derivative(self, g, seed):
+        m, z, _, du, phi, _ = TestReactionDerivatives.fields(g, seed)
+        lap_z = laplacian_values(g, z)
+        folded = laplacian_values(g, cross(phi, z))
+        couplings = (2.0 * dot(m, z) * phi, 2.0 * dot(z, phi) * m, 2.0 * dot(m, phi) * z)
+        old = folded + cross(lap_z, phi) - cross(phi, du)
+        for term in couplings:
+            old = old - term
+        new = reaction_adjoint_derivative(g, m, phi, z, du)
+        assert within_form_bound(new, old, np.abs(folded),
+                                 abs_cross(np.abs(lap_z) + np.abs(du), phi),
+                                 *(np.abs(term) for term in couplings))
 
 
 def one_step(m, u, dt):
@@ -486,9 +564,38 @@ class TestSweepSkeleton:
         assert np.isnan(got[-1][1]).any() == bool(batch)
 
 
+class TestKernelCalls:
+    """Cross products and implicit solves per step of each sweep.  A pair of
+    products that share a factor is one product of the summed other
+    factors, so a step makes as few as its reaction form needs."""
+
+    @pytest.mark.parametrize("sweep, products", [("forward", 1), ("tangent", 2), ("costate", 2)])
+    def test_per_step(self, monkeypatch, sweep, products):
+        g, K = Grid((5, 4), (1.0, 0.7)), 4
+        rng, cfg, coils, U, m0 = random_sweep_inputs(g, K, 7)
+        base = simulate(m0, U, coils, cfg)
+        point = LinearizationPoint(base, U, coils)
+        stack = ControlPath(0.1 * rng.standard_normal((2, K + 1, 1)), -np.inf, np.inf, cfg.dt)
+        m_d = rng.standard_normal(base.values.shape)
+        run = {"forward": lambda: simulate(m0, stack, coils, cfg),
+               "tangent": lambda: solve_tangent(point, stack.intensities),
+               "costate": lambda: tracking_adjoint(base, U, coils, m_d, m_d[-1])}[sweep]
+        crosses, solves = [], []
+        original = llbopt.llb.cross
+
+        def counted(a, b):
+            crosses.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(llbopt.llb, "cross", counted)
+        with counting_solves(solves):
+            run()
+        assert (len(crosses), len(solves)) == (products * K, K)
+
+
 def simulate_reference(m0, U, coils, cfg, stencil):
     """The forward sweep written out: m_{j+1} = S(rhs_j), rhs_j = m_j + dt
-    (m x lap m + m x u - (1+|m|^2) m + u), the terms summed in the order
+    (m x (lap m + u) - (1+|m|^2) m + u), the terms summed in the order
     :func:`simulate` sums them, with lap m the stencil at every step
     (``stencil``) or at step 0 only and (m_j - rhs_{j-1}) / dt, read off
     the previous solve, after it."""
@@ -504,7 +611,7 @@ def simulate_reference(m0, U, coils, cfg, stencil):
         lap = laplacian_values(g, m) if stencil or j == 0 else (m - rhs) / dt
         u = synthesize_values(intensities[j], coils)
         mag_sq = np.sum(m * m, axis=-1, keepdims=True)
-        rhs = m + dt * (cross(m, lap) + cross(m, u) - (1.0 + mag_sq) * m + u)
+        rhs = m + dt * (cross(m, lap + u) - (1.0 + mag_sq) * m + u)
         frames[j + 1] = implicit_solve(g, dt, rhs)
     return out
 
@@ -525,10 +632,13 @@ class TestReadOffLaplacian:
 
     def test_streamed_sweep_carries_no_extra_frame(self):
         # 12^3 cells, K = 50, a consumer that keeps nothing.  The stencil-form
-        # sweep peaks at 7.40-7.43 frames, in step 0's stencil (numpy's fixed
+        # sweep peaked at 7.40-7.43 frames, in step 0's stencil (numpy's fixed
         # 192 KiB ufunc buffer is 4.7 of them); a carried right-hand side
         # turned into the Laplacian in a fresh frame, not in place, peaks
-        # at 8.4 frames
+        # at 8.4 frames.  With one cross product a step, |m|^2 spread over
+        # the components and the Laplacian taken before it, the sweep peaks
+        # at 7.07 frames, in the implicit solve; holding the forward
+        # transform's result through the inverse one peaks at 8.1
         g = Grid((12, 12, 12), (1.0, 1.0, 1.0))
         cfg = SimConfig(T=0.05, dt=1e-3)
         coils = two_gaussian_coils(g)

@@ -35,8 +35,8 @@ def generic_point(n=32, dt=2e-3, T=0.25):
 
 def solve_tangent_reference(point, dU, stencil=False):
     """The tangent sweep written out: from z(0) = 0, each step solves
-    (I - dt lap_h) z_{j+1} = rhs_j = z_j + dt (z x lap m + m x lap z + z x u
-    - 2 (m.z) m - (1+|m|^2) z + du + m x du), the terms summed in the order
+    (I - dt lap_h) z_{j+1} = rhs_j = z_j + dt (z x (lap m + u) + m x (lap z + du)
+    - 2 (m.z) m - (1+|m|^2) z + du), the terms summed in the order
     :func:`solve_tangent` sums them, with lap z the stencil at every step
     (``stencil``) or at step 0 only and (z_j - rhs_{j-1}) / dt, read off the
     previous solve, after it."""
@@ -53,8 +53,8 @@ def solve_tangent_reference(point, dU, stencil=False):
         du = synthesize_values(directions[j], point.coils)
         mag_sq = np.sum(m * m, axis=-1, keepdims=True)
         m_dot_z = np.sum(m * z, axis=-1, keepdims=True)
-        rhs = z + dt * (cross(z, laplacian_values(grid, m)) + cross(m, lap_z) + cross(z, u)
-                        - 2.0 * m_dot_z * m - (1.0 + mag_sq) * z + du + cross(m, du))
+        rhs = z + dt * (cross(z, laplacian_values(grid, m) + u) + cross(m, lap_z + du)
+                        - 2.0 * m_dot_z * m - (1.0 + mag_sq) * z + du)
         frames[j + 1] = implicit_solve(grid, dt, rhs)
     return out
 
