@@ -309,13 +309,8 @@ def reaction_tangent(m: np.ndarray, lap_m: np.ndarray, u: np.ndarray, z: np.ndar
 def reaction_adjoint(grid: Grid, m: np.ndarray, u: np.ndarray, phi: np.ndarray):
     """d_mR^T phi = lap_h c + r in the cell-sum pairing, as (c, r), so that a
     step can fold lap_h c into its solve (:func:`implicit_solve`): c = phi x m
-    and r = (lap m + u) x phi - (1+|m|^2) phi - 2(m.phi) m.  lap m + u is
-    formed in the stencil's fresh buffer, so u's batch axes must fit m's,
-    and r is summed in place."""
-    drive = laplacian_values(grid, m)
-    drive += u
-    r = cross(drive, phi)
-    del drive
+    and r = (lap m + u) x phi - (1+|m|^2) phi - 2(m.phi) m, summed in place."""
+    r = cross(laplacian_values(grid, m) + u, phi)
     r -= (1.0 + dot(m, m)) * phi
     r -= 2.0 * dot(m, phi) * m
     return cross(phi, m), r
@@ -324,11 +319,8 @@ def reaction_adjoint(grid: Grid, m: np.ndarray, u: np.ndarray, phi: np.ndarray):
 def reaction_adjoint_derivative(grid: Grid, m: np.ndarray, phi: np.ndarray,
                                 z: np.ndarray, du: np.ndarray) -> np.ndarray:
     """(d^2R[(z, du), .])^T phi, the derivative of d_mR^T phi along (z, du):
-    lap_h(phi x z) + (lap z + du) x phi - 2(m.z) phi - 2(z.phi) m - 2(m.phi) z,
-    with lap z + du formed in the stencil's fresh buffer."""
-    drive = laplacian_values(grid, z)
-    drive += du
-    return (laplacian_values(grid, cross(phi, z)) + cross(drive, phi)
+    lap_h(phi x z) + (lap z + du) x phi - 2(m.z) phi - 2(z.phi) m - 2(m.phi) z."""
+    return (laplacian_values(grid, cross(phi, z)) + cross(laplacian_values(grid, z) + du, phi)
             - 2.0 * dot(m, z) * phi - 2.0 * dot(z, phi) * m - 2.0 * dot(m, phi) * z)
 
 

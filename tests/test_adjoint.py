@@ -111,8 +111,7 @@ class TestStreamedMemory:
     def test_streamed_tracking_adjoint_peak(self):
         # 12^3 cells, K = 50, the stored base trajectory and targets made
         # beforehand and a consumer that keeps nothing: the sweep peaked at
-        # 7.88 frames with two cross products a step in the reaction term,
-        # and reads 7.86 with one and lap m + u formed in the stencil's buffer
+        # 7.88 frames with three cross products a step, and reads 7.86 with two
         g = Grid((12, 12, 12), (1.0, 1.0, 1.0))
         cfg = SimConfig(T=0.05, dt=1e-3)
         coils = two_gaussian_coils(g)
