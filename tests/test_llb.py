@@ -266,10 +266,10 @@ def within_form_bound(new, old, *sizes):
 
 
 class TestOneProductForms:
-    """Each reaction form makes one cross product of the sum of two factors
-    that share a side; the two-product forms it replaced, written out here,
-    agree with it to rounding, on 1-3D grids with unequal spacings and a
-    batch axis of 2."""
+    """Each reaction form takes two cross products that share a factor as
+    one product of the summed other factors.  The two-product forms,
+    written out here, agree with it to rounding, on 1-3D grids with unequal
+    spacings and a batch axis of 2."""
 
     @reaction_settings
     @given(grids(), st.integers(0, 2**32 - 1))
