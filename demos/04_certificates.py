@@ -1,10 +1,13 @@
 """Optimality certificates at a converged control.
 
 After optimizing the stock problem this evaluates, in order: the
-first-order clamp residual and critical-cone masks, second-derivative
-samples against a finite-difference oracle, the sampled cone scan, and the
-global-optimality / uniqueness comparisons with user-supplied analysis
-constants.
+first-order clamp residual, the sampled variational inequality and the
+critical cone, second-derivative samples against a finite-difference
+oracle, the sampled cone scan, and the global-optimality / uniqueness
+comparisons with user-supplied analysis constants.  The cone and the
+report come back as the ``certify`` subcommand writes them: one
+``masks.csv`` label per control sample, and a dict keyed by the
+``report.txt`` names.
 """
 
 import numpy as np
@@ -12,9 +15,9 @@ import numpy as np
 from llbopt import ControlPath, Grid, SimConfig, VectorField, simulate
 from llbopt import CoilSet, gaussian_coil
 from llbopt.certify import (
-    UserConstants,
     critical_cone_mask,
     curvature,
+    fooc_sample_min,
     global_and_uniqueness_report,
     second_order_scan,
 )
@@ -65,26 +68,29 @@ for s in curvature(state, np.stack(hs), eps_fd=1e-3):
 # --- sampled second-order scan over the critical cone ------------------------
 # the default zero rule is floored by the stationarity residual, so
 # residual-scale noise in Upsilon pins nothing
-masks = critical_cone_mask(state.U, state.grad)
+cone = critical_cone_mask(state.U, state.grad)
 min_rayleigh, samples = second_order_scan(
-    state, masks, 6, np.random.default_rng(4), eps_fd=1e-3)
+    state, cone, 6, np.random.default_rng(4), eps_fd=1e-3)
 print(f"cone scan: min Q(h)/|h|^2 = {min_rayleigh:.6f} over {len(samples)} "
       f"directions (positive => second-order condition holds on the sample)")
 
-# --- full report with user constants -----------------------------------------
-report = global_and_uniqueness_report(
-    state, UserConstants(go_constant=0.05, c4n=1.2, smallness=0.01),
-    np.random.default_rng(5), n_fooc_samples=200)
+# --- first-order samples, then the report with user constants ---------------
+# the constants are keywords named as their certify.* config keys
+rng = np.random.default_rng(5)
+fooc_min = fooc_sample_min(state.U, state.grad, 200, rng)
+report = global_and_uniqueness_report(state, rng, c_go=0.05, c4n=1.2, ctilde=0.01)
 print()
 print(f"pf residual           {state.residual:.3e}")
-print(f"FOOC sampled min      {report.fooc_min_sample:+.3e}")
-print(f"global condition      lhs = {report.go_lhs:.4f} vs 1/2 "
-      f"-> {report.go_status} (strict: {report.go_status_strict})")
-print(f"uniqueness bound      lhs = {report.uloc_lhs:.4f} vs 1/T = "
-      f"{report.uloc_rhs:.4f} -> {report.uloc_status}")
-print(f"smallness monitor     max |lap m|^2 = {report.smallness_max:.4f} "
-      f"-> {report.smallness_status}")
-print(f"constants             {report.constants_used}")
-print(f"cone masks            free: {int(masks.free.sum())}, "
-      f"zero: {int(masks.zero.sum())}, sign-constrained: "
-      f"{int(masks.nonneg.sum() + masks.nonpos.sum())} of {masks.free.size}")
+print(f"FOOC sampled min      {fooc_min:+.3e}")
+print(f"global condition      lhs = {report['go_lhs']:.4f} vs 1/2 "
+      f"-> {report['go_status']} (strict: {report['go_status_strict']})")
+print(f"uniqueness bound      lhs = {report['uloc_lhs']:.4f} vs 1/T = "
+      f"{report['uloc_rhs']:.4f} -> {report['uloc_status']}")
+print(f"smallness monitor     max |lap m|^2 = {report['smallness_max']:.4f} "
+      f"-> {report['smallness_status']}")
+print("constants             "
+      + ", ".join(f"{k[len('constant.'):]} = {v}" for k, v in report.items()
+                  if k.startswith("constant.")))
+labels, counts = np.unique(cone, return_counts=True)
+print("cone labels           " + ", ".join(f"{label}: {count}" for label, count
+                                           in zip(labels, counts)) + f" of {cone.size}")

@@ -64,15 +64,15 @@ def solve_adjoint(point: LinearizationPoint, source: Callable[[int], np.ndarray]
     batch = np.broadcast_shapes(point.base_traj.values.shape[:-cell - 1],
                                 point.base_control.intensities.shape[:-2],
                                 terminal.values.shape[:-cell])
-    base = point.base_traj.frames
-    controls = np.moveaxis(point.base_control.intensities, -2, 0)
+    base, controls = point.base_traj.frames, point.base_control.intensities
 
     def advance(j: int, phi: np.ndarray) -> np.ndarray:
         m = base[j]
         # S(phi + dt * (lap c + r - g)), d_mR^T phi = lap c + r, taken as
         # S(phi + dt * (r - g) + c) - c (the identity in implicit_solve): one
         # Laplacian a step, summed in place
-        c, rhs = reaction_adjoint(grid, m, synthesize_values(controls[j], point.coils), phi)
+        u = synthesize_values(controls[..., j, :], point.coils)
+        c, rhs = reaction_adjoint(grid, m, u, phi)
         rhs -= source(j)
         rhs *= dt
         rhs += phi
@@ -120,11 +120,10 @@ def solve_costate_derivative(point: LinearizationPoint, z: Trajectory, phi: Traj
     z_batch, d_batch = z.values.shape[:-grid.dim - 2], dvals.shape[:-2]
     if z_batch != d_batch:
         raise ValueError(f"tangent and direction disagree on batch: {z_batch} and {d_batch}")
-    directions = np.moveaxis(dvals, -2, 0)
     base, z_frames, phi_frames = point.base_traj.frames, z.frames, phi.frames
 
     def source(j: int) -> np.ndarray:
-        du = synthesize_values(directions[j], point.coils)
+        du = synthesize_values(dvals[..., j, :], point.coils)
         return (-reaction_adjoint_derivative(grid, base[j], phi_frames[j], z_frames[j], du)
                 - z_frames[j])
 

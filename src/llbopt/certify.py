@@ -1,5 +1,5 @@
 """Numerical evaluation of the optimality certificates at a candidate
-control: first-order variational-inequality samples, critical-cone masks,
+control: first-order variational-inequality samples, the critical cone,
 second-order curvature samples and scan, and the global-optimality /
 uniqueness comparisons.
 
@@ -15,11 +15,15 @@ They read the costate trajectory, which a reduced state stores only when
 built with ``reduced_state(..., keep_costate=True)``; the optimizer's
 states do not keep it.
 
-The analysis constants (the global-condition constant, the smallness
-constant, the Lipschitz constants and the H1->L4 embedding constant) are
-not constructive, so they enter as configuration inputs.  Where an
-empirical estimator replaces a user-certified constant, the report is
-marked INDETERMINATE rather than PASS/FAIL.
+What this module returns is what the ``certify`` subcommand writes: the
+cone is the array of ``masks.csv`` labels (:func:`critical_cone_mask`),
+and the report a dict keyed by its ``report.txt`` names
+(:func:`global_and_uniqueness_report`).  The analysis constants (the
+global-condition constant, the smallness constant, the Lipschitz constants
+and the H1->L4 embedding constant) are not constructive, so they enter as
+keywords named as their ``certify.*`` config keys.  Where an empirical
+estimator replaces a user-certified constant, the report is marked
+INDETERMINATE rather than PASS/FAIL.
 """
 
 from __future__ import annotations
@@ -72,53 +76,12 @@ def _costate(state: ReducedState) -> Trajectory:
 
 
 @dataclass
-class UserConstants:
-    """Generic analysis constants supplied by the user.
-
-    ``go_constant`` is the aggregate constant of the global condition;
-    ``c4n`` the H1 -> L4 embedding constant; ``c2``/``c3`` the state and
-    costate Lipschitz constants (estimated empirically when omitted);
-    ``smallness`` the constant whose inverse square root bounds the
-    smallness monitor.
-    """
-
-    go_constant: Optional[float] = None
-    c4n: Optional[float] = None
-    c2: Optional[float] = None
-    c3: Optional[float] = None
-    smallness: Optional[float] = None
-
-
-@dataclass
-class ConeMasks:
-    nonneg: np.ndarray
-    nonpos: np.ndarray
-    zero: np.ndarray
-    free: np.ndarray
-
-
-@dataclass
 class CurvatureSample:
     direction_id: int
     q_adj: float
     q_fd: float
     rel_err: float
     fd_valid: bool = True
-
-
-@dataclass
-class CertificateReport:
-    fooc_min_sample: float
-    go_lhs: Optional[float]
-    go_status: str
-    go_status_strict: str
-    uloc_lhs: Optional[float]
-    uloc_rhs: float
-    uloc_status: str
-    constants_used: dict
-    factors: dict
-    smallness_max: float
-    smallness_status: str
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +118,10 @@ def fooc_sample_min(U: ControlPath, upsilon: np.ndarray, n_samples: int,
 
 def critical_cone_mask(U: ControlPath, upsilon: np.ndarray,
                        tol_active: Optional[float] = None,
-                       tol_upsilon: Optional[float] = None) -> ConeMasks:
-    """Per-sample direction constraints of the critical cone.
+                       tol_upsilon: Optional[float] = None) -> np.ndarray:
+    """The critical cone as one label per control sample: an array of the
+    shape of ``U.intensities`` holding ``"zero"``, ``"nonneg"``,
+    ``"nonpos"`` or ``"free"``, the constraint on a direction there.
 
     Sign-constrained where a bound is active, forced to zero where the
     first-order quantity is decisively nonzero (the zero rule dominates the
@@ -177,18 +142,18 @@ def critical_cone_mask(U: ControlPath, upsilon: np.ndarray,
     at_lower = np.abs(U.intensities - U.lower) <= tol_active
     at_upper = np.abs(U.upper - U.intensities) <= tol_active
     forced = np.abs(upsilon) > tol_upsilon
-    zero = forced | (at_lower & at_upper)
-    nonneg = at_lower & ~zero
-    nonpos = at_upper & ~zero & ~nonneg
-    free = ~(zero | nonneg | nonpos)
-    return ConeMasks(nonneg=nonneg, nonpos=nonpos, zero=zero, free=free)
+    # the first rule that holds names the sample
+    return np.select([forced | (at_lower & at_upper), at_lower, at_upper],
+                     ["zero", "nonneg", "nonpos"], "free")
 
 
-def project_onto_cone(h: np.ndarray, masks: ConeMasks) -> np.ndarray:
+def project_onto_cone(h: np.ndarray, cone: np.ndarray) -> np.ndarray:
+    """``h`` projected onto the cone of :func:`critical_cone_mask` labels."""
     out = h.copy()
-    out[masks.zero] = 0.0
-    out[masks.nonneg] = np.maximum(out[masks.nonneg], 0.0)
-    out[masks.nonpos] = np.minimum(out[masks.nonpos], 0.0)
+    out[cone == "zero"] = 0.0
+    for label, bound in (("nonneg", np.maximum), ("nonpos", np.minimum)):
+        at = cone == label
+        out[at] = bound(out[at], 0.0)
     return out
 
 
@@ -246,13 +211,13 @@ def curvature(state: ReducedState, hs: np.ndarray, eps_fd: float) -> list:
     return samples
 
 
-def second_order_scan(state: ReducedState, masks: ConeMasks, n_dirs: int,
+def second_order_scan(state: ReducedState, cone: np.ndarray, n_dirs: int,
                       rng: np.random.Generator, eps_fd: float):
     """``(min_rayleigh, samples)``: the minimum Rayleigh value Q(h)/||h||^2
     over random critical directions at ``state`` and their
     :class:`CurvatureSample` list.
 
-    Directions are drawn, projected onto ``masks`` (the cone the caller
+    Directions are drawn, projected onto ``cone`` (the labels the caller
     built, :func:`critical_cone_mask`) and normalized, then sampled by one
     :func:`curvature` call; a sample keeps the index of its draw.  The scan
     warns rather than fails away from stationarity.  All directions
@@ -267,7 +232,7 @@ def second_order_scan(state: ReducedState, masks: ConeMasks, n_dirs: int,
         )
     directions, ids = [], []
     for d in range(n_dirs):
-        h = project_onto_cone(rng.standard_normal(U.intensities.shape), masks)
+        h = project_onto_cone(rng.standard_normal(U.intensities.shape), cone)
         nrm = control_norm_rms(h, U.dt)
         if nrm >= 1e-14:
             directions.append(h / nrm)
@@ -343,26 +308,34 @@ def _estimate_lipschitz_pair(U: ControlPath, problem: ReducedProblem,
     return float(state_best**2), float(costate_best**2)
 
 
-def global_and_uniqueness_report(state: ReducedState, constants: UserConstants,
-                                 rng: np.random.Generator,
-                                 n_fooc_samples: int) -> CertificateReport:
-    """Assemble the certificate report at ``state``.
+def global_and_uniqueness_report(state: ReducedState, rng: np.random.Generator, *,
+                                 c_go: Optional[float] = None,
+                                 c4n: Optional[float] = None,
+                                 c2: Optional[float] = None,
+                                 c3: Optional[float] = None,
+                                 ctilde: Optional[float] = None) -> dict:
+    """The global-optimality and uniqueness report at ``state``: a dict
+    keyed by the ``report.txt`` names, in the file's order (the comparisons
+    and verdicts, then the ``factor.*`` norms they are built from, then the
+    ``constant.*`` values used).
 
     All measurable factors are computed from its state and costate; the two
-    comparisons are assembled with the supplied constants.  Missing
-    Lipschitz constants fall back to empirical estimators and downgrade the
-    uniqueness verdict to INDETERMINATE; the global-condition constant and
-    the embedding constant have no estimator and are required for their
-    respective comparisons.
+    comparisons are assembled with the constants, named as their
+    ``certify.*`` config keys: ``c_go`` the aggregate constant of the
+    global condition, ``c4n`` the H1 -> L4 embedding constant, ``c2``/``c3``
+    the state and costate Lipschitz constants and ``ctilde`` the constant
+    whose inverse square root bounds the smallness monitor.  Missing
+    Lipschitz constants fall back to empirical estimators drawn from
+    ``rng`` (``constant.C2_source``/``C3_source`` then read ``estimated``)
+    and downgrade the uniqueness verdict to INDETERMINATE; ``c_go`` and
+    ``c4n`` have no estimator and are required.
     """
-    if constants.go_constant is None or constants.c4n is None:
-        missing = [name for name, v in (("go_constant", constants.go_constant),
-                                        ("c4n", constants.c4n)) if v is None]
+    if c_go is None or c4n is None:
+        missing = [name for name, v in (("c_go", c_go), ("c4n", c4n)) if v is None]
         raise ValueError(
             "missing required constants with no estimator fallback: "
             + ", ".join(missing))
     U, traj, phi, coils = state.U, state.traj, _costate(state), state.problem.coils
-    fooc_min = fooc_sample_min(U, state.grad, n_fooc_samples, rng)
 
     grid = traj.grid
     m_norms = space_time_norms(grid, traj.frames, traj.dt)
@@ -372,68 +345,57 @@ def global_and_uniqueness_report(state: ReducedState, constants: UserConstants,
     c_ab = (control_norm_rms(U.lower, U.dt) ** 2
             + control_norm_rms(U.upper, U.dt) ** 2)
 
-    constants_used = {}
-    estimated = False
-    c2, c3 = constants.c2, constants.c3
+    constants = {}
     if c2 is None or c3 is None:
         c2_est, c3_est = _estimate_lipschitz_pair(U, state.problem, rng)
         if c2 is None:
             c2 = c2_est
-            constants_used["C2_source"] = "estimated"
-            estimated = True
+            constants["constant.C2_source"] = "estimated"
         if c3 is None:
             c3 = c3_est
-            constants_used["C3_source"] = "estimated"
-            estimated = True
-    constants_used.update({"C2": c2, "C3": c3})
+            constants["constant.C3_source"] = "estimated"
+    estimated = bool(constants)
+    constants.update({"constant.C2": c2, "constant.C3": c3,
+                      "constant.C_go": c_go, "constant.C4n": c4n})
 
     # global condition: C (1 + ||m||_{L2 H1}) ||phi||_{L2 L2} vs 1/2
-    constants_used["C_go"] = constants.go_constant
-    go_lhs = constants.go_constant * (1.0 + m_norms["l2_h1"]) * phi_norms["l2_l2"]
-    go_status = PASS if go_lhs <= 0.5 else FAIL
-    go_status_strict = PASS if go_lhs < 0.5 else FAIL
+    go_lhs = c_go * (1.0 + m_norms["l2_h1"]) * phi_norms["l2_l2"]
 
     # uniqueness bound: 2 C4n^4 ||B||_H1^2 (4 C2 ||phi||_{Linf L2}^2
     #   + (C2 + 2 C3)(4 C2 C_ab + ||m||_{Linf H1} + |Omega|)) vs 1/T
     uloc_rhs = 1.0 / T
-    constants_used["C4n"] = constants.c4n
     bracket = (4.0 * c2 * phi_norms["linf_l2"] ** 2
                + (c2 + 2.0 * c3) * (4.0 * c2 * c_ab
                                     + m_norms["linf_h1"] + grid.volume))
-    uloc_lhs = 2.0 * constants.c4n**4 * b_h1_sq * bracket
+    uloc_lhs = 2.0 * c4n**4 * b_h1_sq * bracket
     if estimated:
         uloc_status = INDETERMINATE
     else:
         uloc_status = PASS if uloc_lhs < uloc_rhs else FAIL
 
-    mon = smallness_monitor(traj)
-    smallness_max = float(mon.max())
-    if constants.smallness is not None:
-        constants_used["Ctilde"] = constants.smallness
-        threshold = 1.0 / np.sqrt(constants.smallness)
-        smallness_status = PASS if smallness_max < threshold else FAIL
+    smallness_max = float(smallness_monitor(traj).max())
+    if ctilde is not None:
+        constants["constant.Ctilde"] = ctilde
+        smallness_status = PASS if smallness_max < 1.0 / np.sqrt(ctilde) else FAIL
     else:
         smallness_status = INDETERMINATE
 
-    return CertificateReport(
-        fooc_min_sample=fooc_min,
-        go_lhs=go_lhs,
-        go_status=go_status,
-        go_status_strict=go_status_strict,
-        uloc_lhs=uloc_lhs,
-        uloc_rhs=uloc_rhs,
-        uloc_status=uloc_status,
-        constants_used=constants_used,
-        factors={
-            "m_l2_h1": m_norms["l2_h1"],
-            "m_linf_h1": m_norms["linf_h1"],
-            "phi_l2_l2": phi_norms["l2_l2"],
-            "phi_linf_l2": phi_norms["linf_l2"],
-            "b_h1_sq_max": b_h1_sq,
-            "c_ab": c_ab,
-            "domain_volume": grid.volume,
-            "T": T,
-        },
-        smallness_max=smallness_max,
-        smallness_status=smallness_status,
-    )
+    return {
+        "go_lhs": go_lhs,
+        "go_status": PASS if go_lhs <= 0.5 else FAIL,
+        "go_status_strict": PASS if go_lhs < 0.5 else FAIL,
+        "uloc_lhs": uloc_lhs,
+        "uloc_rhs": uloc_rhs,
+        "uloc_status": uloc_status,
+        "smallness_max": smallness_max,
+        "smallness_status": smallness_status,
+        "factor.m_l2_h1": m_norms["l2_h1"],
+        "factor.m_linf_h1": m_norms["linf_h1"],
+        "factor.phi_l2_l2": phi_norms["l2_l2"],
+        "factor.phi_linf_l2": phi_norms["linf_l2"],
+        "factor.b_h1_sq_max": b_h1_sq,
+        "factor.c_ab": c_ab,
+        "factor.domain_volume": grid.volume,
+        "factor.T": T,
+        **constants,
+    }

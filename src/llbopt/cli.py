@@ -28,6 +28,7 @@ from .certify import (
     check_sampling_box,
     critical_cone_mask,
     curvature,
+    fooc_sample_min,
     global_and_uniqueness_report,
     second_order_scan,
 )
@@ -202,36 +203,24 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
     read_input(box_key, check_sampling_box, U)
     state = reduced_state(U, ReducedProblem(m0, sim, coils, cfg.build_targets(grid, coils, sim)),
                           keep_costate=True)
-    masks = critical_cone_mask(U, state.grad, tol_active=cfg.get("certify.tol_active"),
-                               tol_upsilon=cfg.get("certify.tol_upsilon"))
+    cone = critical_cone_mask(U, state.grad, tol_active=cfg.get("certify.tol_active"),
+                              tol_upsilon=cfg.get("certify.tol_upsilon"))
     try:
         min_rayleigh, samples = second_order_scan(
-            state, masks, cfg["certify.n_dirs"], np.random.default_rng(cfg.seed),
+            state, cone, cfg["certify.n_dirs"], np.random.default_rng(cfg.seed),
             cfg["certify.eps_fd"])
     except TrivialConeError:
         # sampled cone degenerated to {0}; the first-order report still stands
         min_rayleigh, samples = None, []
-    report = global_and_uniqueness_report(
-        state, cfg.build_constants(), np.random.default_rng(cfg.seed + 1),
-        cfg["certify.n_fooc_samples"])
+    # the variational-inequality samples first, then the Lipschitz pairs, from one stream
+    rng = np.random.default_rng(cfg.seed + 1)
+    fooc_min = fooc_sample_min(U, state.grad, cfg["certify.n_fooc_samples"], rng)
+    # each analysis constant is the keyword its certify.<name> key names
+    report = global_and_uniqueness_report(state, rng, **{
+        name: cfg.get(f"certify.{name}") for name in ("c_go", "c4n", "c2", "c3", "ctilde")})
 
-    lines = {
-        "pf_residual": state.residual,
-        "fooc_min_sample": report.fooc_min_sample,
-        "min_rayleigh": min_rayleigh,
-        "go_lhs": report.go_lhs,
-        "go_status": report.go_status,
-        "go_status_strict": report.go_status_strict,
-        "uloc_lhs": report.uloc_lhs,
-        "uloc_rhs": report.uloc_rhs,
-        "uloc_status": report.uloc_status,
-        "smallness_max": report.smallness_max,
-        "smallness_status": report.smallness_status,
-    }
-    for k, v in report.factors.items():
-        lines[f"factor.{k}"] = v
-    for k, v in report.constants_used.items():
-        lines[f"constant.{k}"] = v
+    lines = {"pf_residual": state.residual, "fooc_min_sample": fooc_min,
+             "min_rayleigh": min_rayleigh, **report}
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         for k, v in lines.items():
             if v is None:
@@ -242,18 +231,15 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
     write_csv(os.path.join(out_dir, "upsilon.csv"),
               ["t"] + [f"upsilon_{i+1}" for i in range(n)],
               [[t] + list(state.grad[j]) for j, t in enumerate(U.times)])
-    labels = np.where(masks.zero, "zero",
-                      np.where(masks.nonneg, "nonneg",
-                               np.where(masks.nonpos, "nonpos", "free")))
     write_csv(os.path.join(out_dir, "masks.csv"),
               ["t"] + [f"mask_{i+1}" for i in range(n)],
-              [[t] + list(labels[j]) for j, t in enumerate(U.times)])
+              [[t] + list(cone[j]) for j, t in enumerate(U.times)])
     write_curvature(out_dir, samples)
     if not quiet:
         ray = "n/a" if min_rayleigh is None else f"{min_rayleigh:.6g}"
         print(f"certify: pf_residual {state.residual:.3e}, "
-              f"min rayleigh {ray}, GO {report.go_status}, "
-              f"ULOC {report.uloc_status}")
+              f"min rayleigh {ray}, GO {report['go_status']}, "
+              f"ULOC {report['uloc_status']}")
     return EXIT_OK
 
 
@@ -348,11 +334,16 @@ def temporal_self_convergence(cfg: RunConfig):
     return dts[:n_levels], errors, loglog_slope(dts[:n_levels], errors)
 
 
-def spatial_laplacian_order(L: float, resolutions=(16, 32, 64, 128, 256)):
-    """Observed order of the Laplacian eigenvalue of cos(pi x / L)."""
+LAPLACIAN_RESOLUTIONS = (16, 32, 64, 128, 256)
+"""Cell counts of the spatial study in :func:`spatial_laplacian_order`."""
+
+
+def spatial_laplacian_order(L: float):
+    """Observed order of the Laplacian eigenvalue of cos(pi x / L) over the
+    1D grids of :data:`LAPLACIAN_RESOLUTIONS` cells."""
     target = -(np.pi / L) ** 2
     hs, errs = [], []
-    for n in resolutions:
+    for n in LAPLACIAN_RESOLUTIONS:
         g = Grid((n,), (L,))
         x = g.axis_coords(0)
         f = np.zeros(g.shape + (3,))

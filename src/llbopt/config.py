@@ -23,7 +23,6 @@ from .coils import CoilSet, ControlPath, gaussian_coil, uniform_coil
 from .grid import Grid, Trajectory, VectorField, decode_record, encode_record, read_field
 from .llb import SimConfig, simulate, time_tolerance
 from .optimize import OptimizeConfig, TrackingTargets
-from .certify import UserConstants
 
 
 class ConfigError(ValueError):
@@ -297,15 +296,6 @@ class RunConfig:
         return OptimizeConfig(tol=self.raw["solver.opt_tol"],
                               max_iters=self.raw["solver.opt_max_iters"],
                               max_halvings=self.raw["solver.max_halvings"])
-
-    def build_constants(self) -> UserConstants:
-        return UserConstants(
-            go_constant=self.raw.get("certify.c_go"),
-            c4n=self.raw.get("certify.c4n"),
-            c2=self.raw.get("certify.c2"),
-            c3=self.raw.get("certify.c3"),
-            smallness=self.raw.get("certify.ctilde"),
-        )
 
 
 def parse_config(path) -> RunConfig:

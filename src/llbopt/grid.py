@@ -142,10 +142,6 @@ class Trajectory:
         return self.values.shape[-self.grid.dim - 2] - 1
 
     @property
-    def final_time(self) -> float:
-        return self.n_steps * self.dt
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 

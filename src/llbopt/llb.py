@@ -79,7 +79,6 @@ from .grid import (
     cross,
     dot,
     frame_norms,
-    grad_sq_integral,
     laplacian_values,
 )
 
@@ -421,7 +420,6 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
     check_time_grid(U, cfg, "control and config")
 
     batch = np.broadcast_shapes(m0.values.shape[:-grid.dim - 1], U.intensities.shape[:-2])
-    intensities = np.moveaxis(U.intensities, -2, 0)
     warned = False
     rhs = None  # the right-hand side of the last solve, one frame per member
 
@@ -441,7 +439,7 @@ def simulate(m0: VectorField, U: ControlPath, coils: CoilSet, cfg: SimConfig, *,
                 RuntimeWarning,
             )
             warned = True
-        u = synthesize_values(intensities[j], coils)
+        u = synthesize_values(U.intensities[..., j, :], coils)
         new, rhs = step_values(grid, m, lap_m, u, cfg.dt, mag_sq)
         return new
 
@@ -482,13 +480,11 @@ class EnergyTally:
         self.l2_sq, self.grad_sq, self.l4_quart = np.empty((3, n_steps + 1))
 
     def add(self, j: int, m: np.ndarray):
-        w = self.grid.cell_volume
-        self.l2_sq[j] = w * float(np.sum(m * m))
-        self.grad_sq[j] = grad_sq_integral(self.grid, m)
+        (self.l2_sq[j],), (self.grad_sq[j],) = frame_norms(self.grid, (m,), grad=True)
         # |m|_L4^4 is the squared L2 norm of the scalar frame |m|^2, the
         # first of the three copies dot spreads over the components
         mag_sq = dot(m, m)[..., 0]
-        self.l4_quart[j] = w * float(np.sum(mag_sq * mag_sq))
+        self.l4_quart[j] = self.grid.cell_volume * float(np.sum(mag_sq * mag_sq))
 
     def finish(self, U: ControlPath, coils: CoilSet) -> dict:
         """The ledger once every frame is in: |u|^2 per control sample,

@@ -65,8 +65,10 @@ def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
     the discrete directional derivative of the state with respect to the
     control, in the direction dU.
 
-    ``dU`` may be a stack of directions of shape ``batch + (K+1, N)``; they
-    are swept together around the one (unbatched) base trajectory, one
+    ``dU`` may be a stack of directions of shape ``batch + (K+1, N)``, and
+    the base trajectory and base control may carry leading batch axes too
+    (as :func:`~llbopt.adjoint.solve_adjoint` takes them); the batch of the
+    sweep is theirs, broadcast.  The members are swept together, one
     implicit solve per step, and the result has shape ``batch + (K+1,) +
     grid.shape + (3,)``.  A member that turns non-finite raises
     :class:`~llbopt.llb.BlowUpError` for the whole sweep, with the time
@@ -75,9 +77,10 @@ def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
     grid = point.grid
     dt = point.dt
     dvals = point.direction_values(dU)
-    base = point.base_traj.values
+    base = point.base_traj.frames
     controls = point.base_control.intensities
-    directions = np.moveaxis(dvals, -2, 0)
+    batch = np.broadcast_shapes(base.shape[1:-grid.dim - 1], controls.shape[:-2],
+                                dvals.shape[:-2])
     rhs = None  # the right-hand side of the last solve, one frame per member
 
     def advance(j: int, z: np.ndarray) -> np.ndarray:
@@ -85,15 +88,15 @@ def solve_tangent(point: LinearizationPoint, dU) -> Trajectory:
         m = base[j]
         lap_m = laplacian_values(grid, m)
         lap_z = departure_laplacian(grid, dt, z, rhs)
-        u = synthesize_values(controls[j], point.coils)
-        du = synthesize_values(directions[j], point.coils)
+        u = synthesize_values(controls[..., j, :], point.coils)
+        du = synthesize_values(dvals[..., j, :], point.coils)
         # z + dt * dR[z, du], built in place to save frame-sized temporaries
         rhs = reaction_tangent(m, lap_m, u, z, lap_z, du)
         rhs *= dt
         rhs += z
         return implicit_solve(grid, dt, rhs)
 
-    return march(grid, dt, 0.0, dvals.shape[:-2], point.n_steps, advance,
+    return march(grid, dt, 0.0, batch, point.n_steps, advance,
                  "tangent state became non-finite")
 
 

@@ -15,7 +15,6 @@ from llbopt.optimize import (
 from llbopt.tangent import LinearizationPoint, solve_tangent
 from llbopt.cli import smooth_directions
 from llbopt.certify import (
-    UserConstants,
     critical_cone_mask,
     curvature,
     fooc_sample_min,
@@ -40,8 +39,8 @@ def converged(stock_problem):
 
 def scan_at(state, n_dirs, rng):
     """:func:`second_order_scan` at ``state`` over its default cone."""
-    masks = critical_cone_mask(state.U, state.grad)
-    return second_order_scan(state, masks, n_dirs, rng, 1e-3)
+    cone = critical_cone_mask(state.U, state.grad)
+    return second_order_scan(state, cone, n_dirs, rng, 1e-3)
 
 
 class TestFirstOrderResidual:
@@ -82,27 +81,27 @@ class TestConeMasks:
     def test_interior_zero_upsilon_all_free(self):
         U = self.make_path([0.0, 0.2, -0.3])
         ups = np.zeros_like(U.intensities)
-        masks = critical_cone_mask(U, ups)
-        assert np.all(masks.free)
+        cone = critical_cone_mask(U, ups)
+        assert np.all(cone == "free")
 
     def test_lower_active_with_positive_upsilon_forced_zero(self):
         U = self.make_path([-1.0, 0.0])
         ups = np.array([[0.5], [0.0]])
-        masks = critical_cone_mask(U, ups, tol_active=1e-10, tol_upsilon=1e-6)
-        assert masks.zero[0, 0] and not masks.nonneg[0, 0]
-        assert masks.free[1, 0]
+        cone = critical_cone_mask(U, ups, tol_active=1e-10, tol_upsilon=1e-6)
+        assert cone[0, 0] == "zero"  # not nonneg: the zero rule dominates
+        assert cone[1, 0] == "free"
 
     def test_upper_active_with_negative_upsilon_forced_zero(self):
         U = self.make_path([1.0])
         ups = np.array([[-0.4]])
-        masks = critical_cone_mask(U, ups, tol_active=1e-10, tol_upsilon=1e-6)
-        assert masks.zero[0, 0]
+        cone = critical_cone_mask(U, ups, tol_active=1e-10, tol_upsilon=1e-6)
+        assert cone[0, 0] == "zero"
 
     def test_active_bounds_sign_constrained(self):
         U = self.make_path([-1.0, 1.0])
         ups = np.zeros_like(U.intensities)
-        masks = critical_cone_mask(U, ups, tol_active=1e-10, tol_upsilon=1e-6)
-        assert masks.nonneg[0, 0] and masks.nonpos[1, 0]
+        cone = critical_cone_mask(U, ups, tol_active=1e-10, tol_upsilon=1e-6)
+        assert cone[0, 0] == "nonneg" and cone[1, 0] == "nonpos"
 
     def test_monotone_in_upsilon_tolerance(self):
         rng = np.random.default_rng(0)
@@ -113,14 +112,14 @@ class TestConeMasks:
         loose = critical_cone_mask(U, ups, tol_upsilon=1e-4)
         tight = critical_cone_mask(U, ups, tol_upsilon=1e-2)
         # enlarging tol_upsilon never forces more coordinates to zero
-        assert np.all(tight.zero <= loose.zero)
+        assert np.all((tight == "zero") <= (loose == "zero"))
 
     def test_projection_onto_cone(self):
         U = self.make_path([-1.0, 1.0, 0.0])
         ups = np.array([[0.0], [0.0], [5.0]])
-        masks = critical_cone_mask(U, ups, tol_active=1e-10, tol_upsilon=1e-6)
+        cone = critical_cone_mask(U, ups, tol_active=1e-10, tol_upsilon=1e-6)
         h = np.array([[-2.0], [3.0], [4.0]])
-        p = project_onto_cone(h, masks)
+        p = project_onto_cone(h, cone)
         assert p[0, 0] == 0.0    # nonneg at lower bound
         assert p[1, 0] == 0.0    # nonpos at upper bound
         assert p[2, 0] == 0.0    # forced by upsilon
@@ -227,8 +226,7 @@ class TestCurvature:
         with pytest.raises(ValueError, match="keep_costate=True"):
             curvature(streamed, hs, 1e-3)
         with pytest.raises(ValueError, match="keep_costate=True"):
-            global_and_uniqueness_report(streamed, UserConstants(go_constant=1.0, c4n=1.0),
-                                         np.random.default_rng(0), 4)
+            global_and_uniqueness_report(streamed, np.random.default_rng(0), c_go=1.0, c4n=1.0)
 
     def test_unstacked_direction_rejected(self, converged):
         # one input shape: a single direction is a stack of one
@@ -266,14 +264,13 @@ class TestSecondOrderScan:
         state, _ = converged
         free = critical_cone_mask(state.U, state.grad)
         only_first = critical_cone_mask(state.U, state.grad)
-        only_first.zero[:, 1:] = True
-        only_first.free[:, 1:] = False
+        only_first[:, 1:] = "zero"
         seen = []
         real = llbopt.certify.curvature
         monkeypatch.setattr(llbopt.certify, "curvature",
                             lambda state, hs, *args: seen.append(hs) or real(state, hs, *args))
-        for masks in (free, only_first):
-            second_order_scan(state, masks, 3, np.random.default_rng(3), 1e-3)
+        for cone in (free, only_first):
+            second_order_scan(state, cone, 3, np.random.default_rng(3), 1e-3)
         assert np.all(seen[0][:, :, 1] != 0)
         assert np.all(seen[1][:, :, 1] == 0) and np.all(seen[1][:, :, 0] != 0)
 
@@ -368,9 +365,19 @@ class TestLipschitzPairs:
 
 
 def report_at(state, constants, seed, n_fooc_samples=200):
-    """:func:`global_and_uniqueness_report` at ``state``."""
-    return global_and_uniqueness_report(state, constants, np.random.default_rng(seed),
-                                        n_fooc_samples)
+    """The report.txt entries from the first-order sample on: ``fooc_min_sample``
+    (:func:`fooc_sample_min`), then :func:`global_and_uniqueness_report` at
+    ``state`` with the keyword ``constants``, drawing from one generator
+    seeded ``seed``, as ``certify`` does."""
+    rng = np.random.default_rng(seed)
+    fooc = fooc_sample_min(state.U, state.grad, n_fooc_samples, rng)
+    return {"fooc_min_sample": fooc,
+            **global_and_uniqueness_report(state, rng, **constants)}
+
+
+def factors(report):
+    """The ``factor.*`` entries of a report."""
+    return {k: v for k, v in report.items() if k.startswith("factor.")}
 
 
 def initial_state(problem):
@@ -383,55 +390,53 @@ class TestGlobalUniquenessReport:
     def test_zero_residual_go_pass_any_constant(self):
         p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
         rep = report_at(reduced_state(U0, matched(p, U0), keep_costate=True),
-                        UserConstants(go_constant=1e9, c4n=1.0, c2=1.0, c3=1.0), 4)
-        assert rep.go_lhs == 0.0
-        assert rep.go_status == "PASS"
-        assert rep.go_status_strict == "PASS"
+                        dict(c_go=1e9, c4n=1.0, c2=1.0, c3=1.0), 4)
+        assert rep["go_lhs"] == 0.0
+        assert rep["go_status"] == "PASS"
+        assert rep["go_status_strict"] == "PASS"
 
     def test_cab_value(self):
         # a = -1, b = 1, two coils, T = 1: ||a||^2 + ||b||^2 = 4
         problem = tracking_problem(n=16, dt=0.05, T=1.0, lower=-1.0, upper=1.0)
         rep = report_at(initial_state(problem),
-                        UserConstants(go_constant=0.1, c4n=1.0, c2=1.0, c3=1.0), 5,
+                        dict(c_go=0.1, c4n=1.0, c2=1.0, c3=1.0), 5,
                         n_fooc_samples=10)
-        assert rep.factors["c_ab"] == pytest.approx(4.0, rel=1e-12)
+        assert rep["factor.c_ab"] == pytest.approx(4.0, rel=1e-12)
 
     def test_uloc_flips_with_horizon(self):
         # fixed constants: shrinking T turns the comparison around
         def report_for(T):
             problem = tracking_problem(n=16, dt=T / 20, T=T, lower=-1.0, upper=1.0)
             return report_at(initial_state(problem),
-                             UserConstants(go_constant=0.1, c4n=0.5, c2=1.0, c3=1.0), 6,
+                             dict(c_go=0.1, c4n=0.5, c2=1.0, c3=1.0), 6,
                              n_fooc_samples=10)
 
         long_run = report_for(4.0)
         short_run = report_for(0.1)
-        assert long_run.uloc_status == "FAIL"
-        assert short_run.uloc_status == "PASS"
+        assert long_run["uloc_status"] == "FAIL"
+        assert short_run["uloc_status"] == "PASS"
 
     def test_estimated_constants_indeterminate(self, converged):
         state, _ = converged
-        rep = report_at(state, UserConstants(go_constant=0.1, c4n=1.0), 7,
-                        n_fooc_samples=20)
-        assert rep.uloc_status == "INDETERMINATE"
-        assert rep.constants_used["C2_source"] == "estimated"
-        assert rep.constants_used["C2"] > 0
+        rep = report_at(state, dict(c_go=0.1, c4n=1.0), 7, n_fooc_samples=20)
+        assert rep["uloc_status"] == "INDETERMINATE"
+        assert rep["constant.C2_source"] == "estimated"
+        assert rep["constant.C2"] > 0
 
     def test_report_reproducible(self, converged):
         state, _ = converged
-        reps = [report_at(state,
-                          UserConstants(go_constant=0.1, c4n=1.0, c2=1.0, c3=1.0), 8,
+        reps = [report_at(state, dict(c_go=0.1, c4n=1.0, c2=1.0, c3=1.0), 8,
                           n_fooc_samples=25)
                 for _ in range(2)]
-        assert reps[0].go_lhs == reps[1].go_lhs
-        assert reps[0].fooc_min_sample == reps[1].fooc_min_sample
-        assert reps[0].uloc_lhs == reps[1].uloc_lhs
-        assert reps[0].factors == reps[1].factors
+        assert reps[0]["go_lhs"] == reps[1]["go_lhs"]
+        assert reps[0]["fooc_min_sample"] == reps[1]["fooc_min_sample"]
+        assert reps[0]["uloc_lhs"] == reps[1]["uloc_lhs"]
+        assert factors(reps[0]) == factors(reps[1])
 
     def test_missing_required_constants_error(self, converged):
         state, _ = converged
         with pytest.raises(ValueError, match="no estimator fallback"):
-            report_at(state, UserConstants(c2=1.0, c3=1.0), 0, n_fooc_samples=5)
+            report_at(state, dict(c2=1.0, c3=1.0), 0, n_fooc_samples=5)
 
     def test_smallness_monitor_decay(self):
         grid = Grid((8, 8, 8), (1.0, 1.0, 1.0))
@@ -467,8 +472,8 @@ class TestActiveConstraints:
         fooc = fooc_sample_min(U, ups, 100, np.random.default_rng(1))
         assert fooc >= -1e-6
         # decisively nonzero Upsilon pins the active coordinates
-        masks = critical_cone_mask(U, ups)
-        assert np.all(masks.zero[at_upper])
+        cone = critical_cone_mask(U, ups)
+        assert np.all(cone[at_upper] == "zero")
 
 
 class TestFOOCSampling:

@@ -172,6 +172,15 @@ class TestParseConfig:
                                     "time.dt: must be positive, got -1.0",
                                     "coil.1.axis: must be 0, 1 or 2, got 3"]
 
+    def test_one_control_value_spreads_to_every_coil(self, tmp_path):
+        path = tmp_path / "spread.cfg"
+        path.write_text("grid.dim = 1\ngrid.cells = 8\ntime.T = 0.1\ntime.dt = 0.01\n"
+                        "coils.count = 2\ncoil.1.kind = uniform\ncoil.2.kind = uniform\n"
+                        "control.kind = constant\ncontrol.value = 0.5\n")
+        cfg = parse_config(path)
+        assert cfg["control.value"] == [0.5, 0.5]
+        assert np.all(cfg.build_control(10, 2).intensities == 0.5)
+
     def test_coil_file_wrong_grid_named(self, tmp_path):
         from llbopt.grid import Grid, VectorField, write_field
         write_field(tmp_path / "coil.llbfield",
@@ -259,22 +268,31 @@ class TestSubcommands:
         assert (cert / "masks.csv").exists()
         assert (cert / "curvature.csv").exists()
 
+        # the same control without its bound columns keeps the config's box,
+        # which is the one optimize wrote: every output is the same
+        short = tmp_path / "short.csv"
+        short.write_text("".join(",".join(line.split(",")[:3]) + "\n"
+                                 for line in (out / "control.csv").read_text().splitlines()))
+        cert_short = tmp_path / "cert_short"
+        assert main(["certify", "--config", stock_cfg, "--out", str(cert_short),
+                     "--control", str(short), "--quiet"]) == 0
+        for name in ("report.txt", "upsilon.csv", "masks.csv", "curvature.csv"):
+            assert (cert_short / name).read_bytes() == (cert / name).read_bytes(), name
+
     def test_masks_csv_is_the_sampled_cone(self, stock_cfg, tmp_path, monkeypatch):
         out = tmp_path / "opt"
         assert main(["optimize", "--config", stock_cfg, "--out", str(out), "--quiet"]) == 0
         projected = []
         real = llbopt.certify.project_onto_cone
         monkeypatch.setattr(llbopt.certify, "project_onto_cone",
-                            lambda h, masks: projected.append(masks) or real(h, masks))
+                            lambda h, cone: projected.append(cone) or real(h, cone))
         cert = tmp_path / "cert"
         assert main(["certify", "--config", stock_cfg, "--out", str(cert),
                      "--control", str(out / "control.csv"), "--quiet"]) == 0
-        masks = projected[0]
-        assert all(m is masks for m in projected)
+        cone = projected[0]
+        assert all(c is cone for c in projected)
         labels = np.loadtxt(cert / "masks.csv", delimiter=",", skiprows=1, dtype=str)[:, 1:]
-        expected = np.select([masks.zero, masks.nonneg, masks.nonpos],
-                             ["zero", "nonneg", "nonpos"], "free")
-        assert np.array_equal(labels, expected)
+        assert np.array_equal(labels, cone)
         assert np.all(labels == "free")  # a converged interior optimum
 
     def test_tol_upsilon_reaches_the_scan(self, stock_cfg, tmp_path):
@@ -866,6 +884,20 @@ def test_simulate_reads_no_target_input(tmp_path):
     ("checks.curvature_tol", "checks.curvature_tol = -1\n", "check-curvature"),
     ("checks.oracle_tol", "checks.oracle_tol = -1\n", "oracle"),
     ("init.neumann_tol", "init.check_ic = true\ninit.neumann_tol = -1\n", "simulate"),
+    ("grid.cells", "grid.cells = 8.5\n", "simulate"),
+    ("grid.cells", "grid.cells = 8 8\n", "simulate"),
+    ("grid.lengths", "grid.lengths = 1 2\n", "simulate"),
+    ("bounds.lower", TWO_COILS + "bounds.lower = -1 -1 -1\n", "simulate"),
+    ("bounds.upper", TWO_COILS + "bounds.upper = 1 1 1\n", "simulate"),
+    ("control.value", TWO_COILS + "control.kind = constant\ncontrol.value = 1 2 3\n",
+     "simulate"),
+    ("coil.1.kind", "coils.count = 1\ncoil.1.axis = 1\n", "simulate"),
+    ("coil.2.kind", "coils.count = 1\ncoil.1.kind = uniform\ncoil.2.kind = uniform\n",
+     "simulate"),
+    ("init.value", "init.kind = constant\n", "simulate"),
+    # INPUT_BASE has six lines, so the config's own line is line 7
+    ("line 7", "grid.cells 8\n", "simulate"),
+    ("line 7", "coil.one.kind = uniform\n", "simulate"),
     *[(key, kind, "simulate") for key, kind in PATH_KEYS.items()],
     *[(key, kind + f"{key} = nowhere.dat\n", "simulate") for key, kind in PATH_KEYS.items()],
 ], ids=["bounds-broadcast-simulate", "bounds-broadcast-optimize", "expr-name",
@@ -885,7 +917,11 @@ def test_simulate_reads_no_target_input(tmp_path):
         "c3-negative", "ctilde-zero", "ctilde-negative", "dim-4", "dt-negative",
         "T-negative", "coils-count-negative", "coil-kind-bogus", "coil-axis-5",
         "coil-width-negative", "dt-step-count-overflows", "grad-tol-negative",
-        "curvature-tol-negative", "oracle-tol-negative", "neumann-tol-negative"]
+        "curvature-tol-negative", "oracle-tol-negative", "neumann-tol-negative",
+        "cells-not-integer", "cells-wrong-count", "lengths-wrong-count",
+        "lower-wrong-count", "upper-wrong-count", "control-value-wrong-count",
+        "coil-without-kind", "coil-index-past-count", "init-constant-without-value",
+        "line-without-equals", "coil-index-not-integer"]
     + [f"{key}-{what}" for what in ("missing", "not-found") for key in PATH_KEYS])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, key, config, command):
     # 16 cells, so 17 oracle modes over-resolve the grid
@@ -960,6 +996,48 @@ def test_docs_key_tables_match_the_schema():
             assert spec.default is None, key
         elif literal and ".." not in literal.group(1):  # one literal, not a range
             assert spec.parse(literal.group(1)) == spec.default, key
+
+
+def documented_report_keys():
+    """(key, condition) for each row of docs/config.md's report.txt table, in
+    file order; the condition is None for a line written on every run, or
+    (config key, whether the line needs it set)."""
+    rows, inside = [], False
+    with open(DOCS, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.startswith("|"):
+                inside = False
+                continue
+            cells = table_cells(line)
+            if cells[0] == "report.txt key":
+                inside = True
+            elif inside and cells[0].startswith("`"):
+                when = re.fullmatch(r"`(certify\.\w+)` (set|unset)", cells[1])
+                assert when or cells[1] == "always", cells[1]
+                rows.append((cells[0].strip("`"),
+                             when and (when.group(1), when.group(2) == "set")))
+    return rows
+
+
+@pytest.mark.parametrize("drop, add", [
+    (("certify.c2", "certify.c3", "certify.ctilde"), ""),
+    ((), "certify.c2 = 0.01\ncertify.c3 = 0.01\n"),
+], ids=["without-c2-c3-ctilde", "with-c2-c3-ctilde"])
+def test_docs_report_table_matches_a_certify_run(tmp_path, drop, add):
+    stock1d = os.path.join(os.path.dirname(DOCS), os.pardir, "demos", "configs", "stock1d.cfg")
+    lines = [line for line in open(stock1d, encoding="utf-8").read().splitlines()
+             if line.split("=")[0].strip() not in drop]
+    path = tmp_path / "stock1d.cfg"
+    path.write_text("\n".join(lines) + "\n" + add)
+    given = parse_config(str(path)).raw
+    out = tmp_path / "cert"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the base control is not stationary
+        assert main(["certify", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    written = [line.split("=", 1)[0] for line in (out / "report.txt").read_text().splitlines()]
+    expected = [key for key, when in documented_report_keys()
+                if when is None or (when[0] in given) == when[1]]
+    assert written == expected
 
 
 class TestDeterminism:

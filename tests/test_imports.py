@@ -7,6 +7,8 @@ module but ``grid``, which defines them, and ``llb`` imports ``cross`` or
 ``dot``: the model's right-hand side and its derivatives are written once,
 in ``llb``, and the other modules call them.  And no module imports a name from llbopt that it never uses, so a deleted
 function leaves no stale import behind; nor does the package export one.
+The modules form one layered order, :data:`ORDER`: each imports only from
+the modules before it.
 """
 
 import ast
@@ -154,3 +156,64 @@ def test_detects_unused_package_imports(tmp_path):
 def test_package_exports_resolve():
     # a deleted type cannot stay listed in the package's exports
     assert [name for name in llbopt.__all__ if not hasattr(llbopt, name)] == []
+
+
+ORDER = ("grid", "coils", "llb", "tangent", "adjoint", "optimize", "config", "certify", "cli")
+"""The llbopt modules, each importing only from those before it; the
+package's ``__init__`` imports them all and is not in the order."""
+
+
+def package_modules(path):
+    """``(line, module)`` for each llbopt module that ``path`` imports,
+    under any import form; the package itself (``from . import
+    __version__``) is not a module of :data:`ORDER` and is left out."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            hits += [(node.lineno, alias.name.split(".")[1]) for alias in node.names
+                     if alias.name.startswith("llbopt.")]
+            continue
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 0:
+            if parts[0] != "llbopt":
+                continue
+            parts = parts[1:]
+        if parts and parts[0]:
+            hits.append((node.lineno, parts[0]))
+        else:  # from . import <module>
+            hits += [(node.lineno, alias.name) for alias in node.names if alias.name in ORDER]
+    return hits
+
+
+def out_of_order_imports(path):
+    """``file:line module`` for each llbopt module that ``path`` imports and
+    that does not come before it in :data:`ORDER`."""
+    earlier = ORDER[:ORDER.index(path.stem)]
+    return [f"{path.name}:{line} {module}"
+            for line, module in sorted(package_modules(path)) if module not in earlier]
+
+
+def test_modules_import_only_earlier_modules():
+    modules = sorted(SRC.glob("*.py"))
+    assert sorted(p.stem for p in modules if p.stem != "__init__") == sorted(ORDER)
+    hits = [hit for path in modules if path.stem != "__init__"
+            for hit in out_of_order_imports(path)]
+    assert hits == []
+
+
+def test_detects_out_of_order_imports(tmp_path):
+    path = tmp_path / "config.py"
+    path.write_text("from . import __version__\n"
+                    "from .grid import Grid\n"
+                    "from .certify import check_sampling_box\n"
+                    "import llbopt.cli\n"
+                    "from llbopt.config import parse_config\n"
+                    "def f():\n"
+                    "    from .optimize import reduced_state\n"
+                    "    from llbopt import certify\n"
+                    "    from . import cli, tangent\n")
+    assert out_of_order_imports(path) == ["config.py:3 certify", "config.py:4 cli",
+                                          "config.py:5 config", "config.py:8 certify",
+                                          "config.py:9 cli"]

@@ -132,6 +132,25 @@ class TestSolveTangent:
             assert_allclose(z.values[b], ref.values, rtol=1e-13,
                             atol=1e-13 * np.abs(ref.values).max())
 
+    @pytest.mark.parametrize("K, B", [(1, 2), (5, 6), (5, 2)],
+                             ids=["B=K+1=2", "B=K+1=6", "B!=K+1"])
+    def test_batched_base_matches_per_member_sweeps(self, K, B):
+        # B base trajectories, their controls and one direction each: the
+        # base frames are read along time, not along the batch axis
+        grid, dt = Grid((10,), (1.0,)), 1e-2
+        coils = two_gaussian_coils(grid)
+        rng = np.random.default_rng(8)
+        U = ControlPath(0.4 * rng.standard_normal((B, K + 1, 2)), -np.inf, np.inf, dt)
+        traj = simulate(cosine_initial(grid), U, coils, SimConfig(T=K * dt, dt=dt))
+        dU = rng.standard_normal((B, K + 1, 2))
+        z = solve_tangent(LinearizationPoint(traj, U, coils), dU).values
+        assert z.shape == traj.values.shape
+        for b in range(B):
+            member = LinearizationPoint(Trajectory(grid, dt, traj.values[b]),
+                                        ControlPath(U.intensities[b], -np.inf, np.inf, dt),
+                                        coils)
+            assert np.array_equal(z[b], solve_tangent(member, dU[b]).values)
+
     def test_linearity(self):
         point, _ = generic_point(n=24, dt=5e-3)
         rng = np.random.default_rng(0)
