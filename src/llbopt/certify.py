@@ -346,7 +346,8 @@ def global_and_uniqueness_report(state: ReducedState, rng: np.random.Generator, 
             + control_norm_rms(U.upper, U.dt) ** 2)
 
     constants = {}
-    if c2 is None or c3 is None:
+    estimated = c2 is None or c3 is None
+    if estimated:
         c2_est, c3_est = _estimate_lipschitz_pair(U, state.problem, rng)
         if c2 is None:
             c2 = c2_est
@@ -354,7 +355,6 @@ def global_and_uniqueness_report(state: ReducedState, rng: np.random.Generator, 
         if c3 is None:
             c3 = c3_est
             constants["constant.C3_source"] = "estimated"
-    estimated = bool(constants)
     constants.update({"constant.C2": c2, "constant.C3": c3,
                       "constant.C_go": c_go, "constant.C4n": c4n})
 
