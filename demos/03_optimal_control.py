@@ -13,7 +13,6 @@ from llbopt import ControlPath, Grid, SimConfig, VectorField, simulate
 from llbopt import CoilSet, gaussian_coil
 from llbopt.certify import fooc_sample_min
 from llbopt.optimize import (
-    OptimizeConfig,
     ReducedProblem,
     TrackingTargets,
     projected_gradient_descent,
@@ -37,15 +36,18 @@ target_traj = simulate(VectorField(grid, 0.55 * vals + 0.12),
 problem = ReducedProblem(m0, sim, coils, TrackingTargets.from_trajectory(target_traj))
 
 U0 = ControlPath.zeros(K, 2, sim.dt, lower=-5.0, upper=5.0)
-cfg = OptimizeConfig(tol=1e-6, max_iters=500)
 
-state, history = projected_gradient_descent(U0, problem, cfg)
+# the descent settings are the solver.opt_tol, solver.opt_max_iters and
+# solver.max_halvings config keys, here at their defaults
+state, history = projected_gradient_descent(U0, problem, tol=1e-6, max_iters=500,
+                                            max_halvings=40)
 U = state.U
 
 print("iter   cost          tracking      terminal      control       residual")
 for rec in history:
-    print(f"{rec.iteration:4d}   {rec.cost:.6e}  {rec.tracking:.6e}  "
-          f"{rec.terminal:.6e}  {rec.control:.6e}  {rec.residual:.3e}")
+    c = rec.cost  # the cost breakdown measured at that iterate
+    print(f"{rec.iteration:4d}   {c.total:.6e}  {c.tracking:.6e}  "
+          f"{c.terminal:.6e}  {c.control:.6e}  {rec.residual:.3e}")
 
 rs = reduced_state(U, problem)
 res, upsilon = rs.residual, rs.grad

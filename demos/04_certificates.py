@@ -7,7 +7,9 @@ oracle, the sampled cone scan, and the global-optimality / uniqueness
 comparisons with user-supplied analysis constants.  The cone and the
 report come back as the ``certify`` subcommand writes them: one
 ``masks.csv`` label per control sample, and a dict keyed by the
-``report.txt`` names.
+``report.txt`` names.  A minimum over no samples (a cone every drawn
+direction leaves, or no variational-inequality draw with V != U) comes
+back as None, which ``report.txt`` writes as ``unset``.
 """
 
 import numpy as np
@@ -22,7 +24,6 @@ from llbopt.certify import (
     second_order_scan,
 )
 from llbopt.optimize import (
-    OptimizeConfig,
     ReducedProblem,
     TrackingTargets,
     projected_gradient_descent,
@@ -44,7 +45,8 @@ target_traj = simulate(VectorField(grid, 0.55 * vals + 0.12),
 problem = ReducedProblem(m0, sim, coils, TrackingTargets.from_trajectory(target_traj))
 
 opt, _ = projected_gradient_descent(
-    ControlPath.zeros(K, 2, sim.dt, lower=-5.0, upper=5.0), problem, OptimizeConfig(tol=1e-6))
+    ControlPath.zeros(K, 2, sim.dt, lower=-5.0, upper=5.0), problem,
+    tol=1e-6, max_iters=500, max_halvings=40)
 # the certificates read the costate, which the optimizer streams: one more
 # adjoint sweep at U*, on the optimizer's forward sweep, stores it
 state = reduced_state(opt.U, problem, forward=(opt.cost, opt.traj), keep_costate=True)

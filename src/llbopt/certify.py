@@ -18,7 +18,9 @@ states do not keep it.
 What this module returns is what the ``certify`` subcommand writes: the
 cone is the array of ``masks.csv`` labels (:func:`critical_cone_mask`),
 and the report a dict keyed by its ``report.txt`` names
-(:func:`global_and_uniqueness_report`).  The analysis constants (the
+(:func:`global_and_uniqueness_report`).  A minimum over no samples, of
+:func:`fooc_sample_min` or :func:`second_order_scan`, is None, which
+``report.txt`` writes as ``unset``.  The analysis constants (the
 global-condition constant, the smallness constant, the Lipschitz constants
 and the H1->L4 embedding constant) are not constructive, so they enter as
 keywords named as their ``certify.*`` config keys.  Where an empirical
@@ -64,10 +66,6 @@ def _batches(n: int, grid: Grid, n_steps: int, held: int) -> list:
     return [slice(i, i + width) for i in range(0, n, width)]
 
 
-class TrivialConeError(ValueError):
-    """Every sampled critical direction projected to zero."""
-
-
 def _costate(state: ReducedState) -> Trajectory:
     if state.phi is None:
         raise ValueError("the certificates read the costate: build the state with "
@@ -101,19 +99,19 @@ def check_sampling_box(U: ControlPath) -> None:
 
 
 def fooc_sample_min(U: ControlPath, upsilon: np.ndarray, n_samples: int,
-                    rng: np.random.Generator) -> float:
+                    rng: np.random.Generator) -> Optional[float]:
     """Minimum over random feasible V of the normalized variational-inequality
-    value  sum_i int Upsilon_i (V_i - U_i) dt / ||V - U||."""
+    value  sum_i int Upsilon_i (V_i - U_i) dt / ||V - U||; None when no
+    draw gives V != U (no samples, or no coils)."""
     check_sampling_box(U)
-    worst = np.inf
+    values = []
     for _ in range(n_samples):
         V = rng.uniform(U.lower, U.upper)
         diff = V - U.intensities
         denom = control_norm_rms(diff, U.dt)
-        if denom == 0.0:
-            continue
-        worst = min(worst, control_inner_rms(upsilon, diff, U.dt) / denom)
-    return float(worst)
+        if denom != 0.0:
+            values.append(control_inner_rms(upsilon, diff, U.dt) / denom)
+    return float(min(values)) if values else None
 
 
 def critical_cone_mask(U: ControlPath, upsilon: np.ndarray,
@@ -189,7 +187,7 @@ def curvature(state: ReducedState, hs: np.ndarray, eps_fd: float) -> list:
         z_frames = z.frames
 
         def take(j: int, pp: np.ndarray):
-            f = control_adjoint_derivative(traj.values[j], phi.values[j], z_frames[j], pp)
+            f = control_adjoint_derivative(traj.frames[j], phi.frames[j], z_frames[j], pp)
             pairing[sl, j] = coil_pairing(f, coils)
 
         solve_costate_derivative(point, z, phi, hs[sl], consume=take)
@@ -220,8 +218,9 @@ def second_order_scan(state: ReducedState, cone: np.ndarray, n_dirs: int,
     Directions are drawn, projected onto ``cone`` (the labels the caller
     built, :func:`critical_cone_mask`) and normalized, then sampled by one
     :func:`curvature` call; a sample keeps the index of its draw.  The scan
-    warns rather than fails away from stationarity.  All directions
-    degenerating to zero means the sampled cone is numerically trivial.
+    warns rather than fails away from stationarity.  When every direction
+    projects to zero the sampled cone is numerically trivial, and the scan
+    returns ``(None, [])``: a minimum over no samples is None.
     """
     U, residual = state.U, state.residual
     if residual > 1e-3:
@@ -238,7 +237,7 @@ def second_order_scan(state: ReducedState, cone: np.ndarray, n_dirs: int,
             directions.append(h / nrm)
             ids.append(d)
     if not directions:
-        raise TrivialConeError("cone numerically trivial: all sampled directions vanish")
+        return None, []
     samples = curvature(state, np.stack(directions), eps_fd)
     for d, sample in zip(ids, samples):
         sample.direction_id = d

@@ -24,7 +24,6 @@ import scipy
 
 from . import __version__
 from .certify import (
-    TrivialConeError,
     check_sampling_box,
     critical_cone_mask,
     curvature,
@@ -157,12 +156,14 @@ def cmd_simulate(cfg: RunConfig, out_dir, quiet):
 
 def cmd_optimize(cfg: RunConfig, out_dir, quiet):
     problem, U0 = _setup(cfg)
-    state, history = projected_gradient_descent(U0, problem, cfg.build_optimize())
+    state, history = projected_gradient_descent(
+        U0, problem, tol=cfg["solver.opt_tol"], max_iters=cfg["solver.opt_max_iters"],
+        max_halvings=cfg["solver.max_halvings"])
     U = state.U
     write_csv(os.path.join(out_dir, "history.csv"),
               ["iter", "cost", "tracking", "terminal", "control", "residual", "step"],
-              [(h.iteration, h.cost, h.tracking, h.terminal, h.control,
-                h.residual, h.step) for h in history])
+              [(h.iteration, h.cost.total, h.cost.tracking, h.cost.terminal,
+                h.cost.control, h.residual, h.step) for h in history])
     rows = [[t] + list(U.intensities[j]) + list(U.lower[j]) + list(U.upper[j])
             for j, t in enumerate(U.times)]
     write_csv(os.path.join(out_dir, "control.csv"), control_csv_header(U.n_coils), rows)
@@ -170,7 +171,7 @@ def cmd_optimize(cfg: RunConfig, out_dir, quiet):
                 state.traj.frame(state.traj.n_steps))
     final = history[-1]
     if not quiet:
-        print(f"optimize: {final.iteration} iterations, cost {final.cost:.8g}, "
+        print(f"optimize: {final.iteration} iterations, cost {final.cost.total:.8g}, "
               f"residual {final.residual:.3e}")
     return EXIT_OK
 
@@ -188,30 +189,27 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
     if missing:
         raise ConfigError([f"{key}: required for the certify subcommand"
                            for key in missing])
-    grid, sim, coils, m0, U = _forward_setup(cfg)
+    problem, U = _setup(cfg)
     # the key that gave the box: an infinite lower bound of the config is
     # bounds.lower, any other fault of its box bounds.upper
     box_key = "bounds.upper" if np.all(np.isfinite(U.lower)) else "bounds.lower"
     if control_csv is not None:
         intens, lower, upper = read_input("--control", read_control_csv, control_csv,
-                                          U.times, coils.n_coils)
+                                          U.times, U.n_coils)
         if lower is not None:
             box_key = "--control"
-            U = read_input("--control", ControlPath, intens, lower, upper, sim.dt)
+            U = read_input("--control", ControlPath, intens, lower, upper, U.dt)
         else:
             U = U.with_intensities(intens)
     read_input(box_key, check_sampling_box, U)
-    state = reduced_state(U, ReducedProblem(m0, sim, coils, cfg.build_targets(grid, coils, sim)),
-                          keep_costate=True)
+    state = reduced_state(U, problem, keep_costate=True)
     cone = critical_cone_mask(U, state.grad, tol_active=cfg.get("certify.tol_active"),
                               tol_upsilon=cfg.get("certify.tol_upsilon"))
-    try:
-        min_rayleigh, samples = second_order_scan(
-            state, cone, cfg["certify.n_dirs"], np.random.default_rng(cfg.seed),
-            cfg["certify.eps_fd"])
-    except TrivialConeError:
-        # sampled cone degenerated to {0}; the first-order report still stands
-        min_rayleigh, samples = None, []
+    # a trivial sampled cone reads min_rayleigh=unset; the first-order
+    # report still stands
+    min_rayleigh, samples = second_order_scan(
+        state, cone, cfg["certify.n_dirs"], np.random.default_rng(cfg.seed),
+        cfg["certify.eps_fd"])
     # the variational-inequality samples first, then the Lipschitz pairs, from one stream
     rng = np.random.default_rng(cfg.seed + 1)
     fooc_min = fooc_sample_min(U, state.grad, cfg["certify.n_fooc_samples"], rng)
@@ -227,7 +225,7 @@ def cmd_certify(cfg: RunConfig, out_dir, quiet, control_csv=None):
                 v = "unset"
             fh.write(f"{k}={v if isinstance(v, str) else _fmt(v)}\n")
 
-    n = coils.n_coils
+    n = U.n_coils
     write_csv(os.path.join(out_dir, "upsilon.csv"),
               ["t"] + [f"upsilon_{i+1}" for i in range(n)],
               [[t] + list(state.grad[j]) for j, t in enumerate(U.times)])

@@ -22,7 +22,7 @@ import numpy as np
 from .coils import CoilSet, ControlPath, gaussian_coil, uniform_coil
 from .grid import Grid, Trajectory, VectorField, decode_record, encode_record, read_field
 from .llb import SimConfig, simulate, time_tolerance
-from .optimize import OptimizeConfig, TrackingTargets
+from .optimize import TrackingTargets
 
 
 class ConfigError(ValueError):
@@ -282,20 +282,15 @@ class RunConfig:
         elif kind == "file":
             m_d = read_input("targets.md_path", read_trajectory, self.path("targets.md_path"),
                              grid, K, sim.dt).values
-        else:  # zero or constant: one frame at every step
+        else:  # zero or constant: a read-only view of one frame at every step
             m_d = np.broadcast_to(self._build_field(grid, "targets.md_").values,
-                                  (K + 1,) + grid.shape + (3,)).copy()
+                                  (K + 1,) + grid.shape + (3,))
 
         if self.raw["targets.momega_kind"] == "final_md":
             m_omega = m_d[-1].copy()
         else:
             m_omega = self._build_field(grid, "targets.momega_").values
         return TrackingTargets(m_d, m_omega)
-
-    def build_optimize(self) -> OptimizeConfig:
-        return OptimizeConfig(tol=self.raw["solver.opt_tol"],
-                              max_iters=self.raw["solver.opt_max_iters"],
-                              max_halvings=self.raw["solver.max_halvings"])
 
 
 def parse_config(path) -> RunConfig:

@@ -58,9 +58,10 @@ class TrackingTargets:
 
     @classmethod
     def constant(cls, grid, vec, n_steps: int) -> "TrackingTargets":
-        frame = np.broadcast_to(np.asarray(vec, dtype=float), grid.shape + (3,))
-        m_d = np.broadcast_to(frame, (n_steps + 1,) + frame.shape).copy()
-        return cls(m_d, frame.copy())
+        """The target ``vec`` at every node and step: ``m_d`` is a read-only
+        view of one frame at every step, not K+1 copies of it."""
+        frame = np.broadcast_to(np.asarray(vec, dtype=float), grid.shape + (3,)).copy()
+        return cls(np.broadcast_to(frame, (n_steps + 1,) + frame.shape), frame.copy())
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory) -> "TrackingTargets":
@@ -99,15 +100,6 @@ class ReducedProblem:
         if self.coils.grid != self.m0.grid:
             raise ValueError("coil/grid incompatibility: coils and m0 live on different grids")
         self.targets.check_compatible(self.m0.grid, self.sim.n_steps)
-
-
-@dataclass
-class OptimizeConfig:
-    """The settings of projected-gradient descent."""
-
-    tol: float = 1e-6
-    max_iters: int = 500
-    max_halvings: int = 40
 
 
 class CostTally:
@@ -220,7 +212,7 @@ def reduced_state(U: ControlPath, problem: ReducedProblem,
     def take(j: int, phi_j: np.ndarray):
         pairing[j] = coil_pairing(control_adjoint(base[j], phi_j), coils)
         if phi is not None:
-            phi.values[j] = phi_j
+            phi.frames[j] = phi_j
 
     tracking_adjoint(traj, U, coils, targets.m_d, targets.m_omega, consume=take)
     grad = U.intensities + pairing
@@ -230,22 +222,21 @@ def reduced_state(U: ControlPath, problem: ReducedProblem,
 @dataclass
 class IterationRecord:
     iteration: int
-    cost: float
-    tracking: float
-    terminal: float
-    control: float
+    cost: CostBreakdown
     residual: float
     step: float
 
 
-def projected_gradient_descent(U0: ControlPath, problem: ReducedProblem,
-                               cfg: OptimizeConfig):
+def projected_gradient_descent(U0: ControlPath, problem: ReducedProblem, *,
+                               tol: float, max_iters: int, max_halvings: int):
     """Projected gradient with Armijo backtracking.
 
-    Iterates U <- P_box(U - s * grad) with s halved from 1 until the
-    sufficient-decrease test (Armijo constant 1e-4) passes; stops when the
-    natural residual at unit step drops below ``tol`` or the iteration
-    budget runs out.
+    Iterates U <- P_box(U - s * grad) with s halved from 1, at most
+    ``max_halvings`` times, until the sufficient-decrease test (Armijo
+    constant 1e-4) passes; stops when the natural residual at unit step
+    drops below ``tol`` or after ``max_iters`` iterations.  The three are
+    the ``solver.opt_tol``, ``solver.opt_max_iters`` and
+    ``solver.max_halvings`` config keys.
     Each line-search trial costs one forward sweep and each accepted step
     one adjoint sweep: the accepted trial's forward sweep is reused.  At
     most one state trajectory is held at a time: a rejected trial's is
@@ -256,26 +247,25 @@ def projected_gradient_descent(U0: ControlPath, problem: ReducedProblem,
     state : ReducedState
         The reduced problem at the final iterate (feasible), ``state.U``.
     history : list[IterationRecord]
-        One record per visited iterate, including the last.
+        One record per visited iterate, including the last, holding the
+        :class:`CostBreakdown` measured there.
     """
     U = U0 if U0.is_feasible() else U0.projected()
     history: list[IterationRecord] = []
     state = reduced_state(U, problem)
 
-    for it in range(cfg.max_iters + 1):
+    for it in range(max_iters + 1):
         U, cost, grad, residual = state.U, state.cost, state.grad, state.residual
         # .step is overwritten with the accepted step once the next iterate
         # exists; it stays 0 on the final record
-        history.append(IterationRecord(it, cost.total, cost.tracking,
-                                       cost.terminal, cost.control, residual,
-                                       0.0))
-        if residual <= cfg.tol or it == cfg.max_iters:
+        history.append(IterationRecord(it, cost, residual, 0.0))
+        if residual <= tol or it == max_iters:
             break
         del state  # free its trajectory before the line search
 
         s = 1.0  # the unit step at which the natural residual is measured
         forward = None
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(max_halvings + 1):
             trial_int = project_box(U.intensities - s * grad, U.lower, U.upper)
             delta = trial_int - U.intensities
             predicted = control_inner_rms(grad, delta, U.dt)
@@ -288,8 +278,8 @@ def projected_gradient_descent(U0: ControlPath, problem: ReducedProblem,
         if forward is None:
             raise StalledDescentError(
                 f"stalled descent: no sufficient decrease after "
-                f"{cfg.max_halvings} halvings at iteration {it}, natural "
-                f"residual {residual:.3e} above tolerance {cfg.tol:g}"
+                f"{max_halvings} halvings at iteration {it}, natural "
+                f"residual {residual:.3e} above tolerance {tol:g}"
             )
         state = reduced_state(trial, problem, forward=forward)
         forward = None  # the state holds the trajectory; `del state` frees it

@@ -14,7 +14,8 @@ from llbopt import (
     gaussian_coil,
     simulate,
 )
-from llbopt.optimize import OptimizeConfig, ReducedProblem, TrackingTargets
+from llbopt.config import SCHEMA
+from llbopt.optimize import ReducedProblem, TrackingTargets
 
 
 def unit_grid_1d(n=32, length=1.0):
@@ -63,7 +64,8 @@ def tracking_problem(n=32, dt=5e-3, T=0.5, amp=0.4, lower=-5.0, upper=5.0,
                      tol=1e-6, dim=1):
     """``(problem, U0, cfg)``: the stock tracking problem (reachable-adjacent
     target from an uncontrolled run, two Gaussian coils), the zero control in
-    its box bounds, and the descent settings."""
+    its box bounds, and the keywords of ``projected_gradient_descent``: the
+    tolerance ``tol`` and the schema's iteration and halving budgets."""
     if dim == 1:
         grid = Grid((n,), (1.0,))
     else:
@@ -77,7 +79,9 @@ def tracking_problem(n=32, dt=5e-3, T=0.5, amp=0.4, lower=-5.0, upper=5.0,
                            coils, sim)
     targets = TrackingTargets.from_trajectory(target_traj)
     U0 = ControlPath.zeros(K, coils.n_coils, dt, lower=lower, upper=upper)
-    return ReducedProblem(m0, sim, coils, targets), U0, OptimizeConfig(tol=tol)
+    descent = {"tol": tol, "max_iters": SCHEMA["solver.opt_max_iters"].default,
+               "max_halvings": SCHEMA["solver.max_halvings"].default}
+    return ReducedProblem(m0, sim, coils, targets), U0, descent
 
 
 def matched(problem, U):

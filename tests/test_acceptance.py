@@ -27,7 +27,7 @@ def report(num, ok, desc, detail):
 def stock_converged(stock_problem):
     p, U0, cfg = stock_problem
     tic = time.perf_counter()
-    state, history = projected_gradient_descent(U0, p, cfg)
+    state, history = projected_gradient_descent(U0, p, **cfg)
     U = state.U
     return U, history, time.perf_counter() - tic
 
@@ -204,7 +204,7 @@ def test_criterion_08_frechet_taylor_test():
 def test_criterion_09_projected_gradient_optimization(stock_problem, stock_converged):
     p, U0, cfg = stock_problem
     U, history, elapsed = stock_converged
-    costs = [h.cost for h in history]
+    costs = [h.cost.total for h in history]
     strict = all(b < a for a, b in zip(costs, costs[1:]))
     residual = history[-1].residual
     iters = history[-1].iteration

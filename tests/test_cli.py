@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import subprocess
@@ -12,12 +13,12 @@ import llbopt.certify
 import llbopt.cli
 import llbopt.llb
 from llbopt.cli import main, smooth_directions
-from llbopt.coils import ControlPath
+from llbopt.coils import ControlPath, gaussian_coil, uniform_coil
 from llbopt.config import (COIL_SCHEMA, REQUIRED, SCHEMA, ConfigError, RunConfig,
                            parse_config, read_control_csv)
 from llbopt.grid import Grid, encode_record, read_field
-from llbopt.llb import BlowUpError, energy_ledger, simulate
-from llbopt.optimize import ReducedProblem
+from llbopt.llb import BlowUpError, SimConfig, energy_ledger, simulate
+from llbopt.optimize import ReducedProblem, TrackingTargets
 
 from conftest import peak_rise, trajectory_bytes
 
@@ -233,6 +234,25 @@ class TestParseConfig:
         np.testing.assert_allclose(targets.m_d, traj.values, rtol=0)
         # momega defaults to the final target frame
         np.testing.assert_allclose(targets.m_omega, traj.values[-1], rtol=0)
+
+    def test_constant_target_holds_one_frame(self, tmp_path):
+        # m_d is a read-only view of one frame at every step: building the
+        # targets allocates m_d's frame and m_Omega's, not K+1 frames
+        path = tmp_path / "const.cfg"
+        path.write_text("grid.dim = 2\ngrid.cells = 32\ntime.T = 0.1\ntime.dt = 1e-3\n"
+                        "targets.md_kind = constant\ntargets.md_value = 0.1 0.2 0.3\n")
+        cfg = parse_config(path)
+        grid, sim = cfg.build_grid(), cfg.build_sim()
+        coils, K = cfg.build_coils(grid), sim.n_steps
+        frame = trajectory_bytes(grid, K) / (K + 1)
+        for build in (lambda: cfg.build_targets(grid, coils, sim),
+                      lambda: TrackingTargets.constant(grid, (0.1, 0.2, 0.3), K)):
+            targets, peak = peak_rise(build)
+            assert peak < 3 * frame
+            assert targets.m_d.shape == (K + 1,) + grid.shape + (3,)
+            assert not targets.m_d.flags.writeable
+            assert np.all(targets.m_d == [0.1, 0.2, 0.3])
+            assert np.all(targets.m_omega == [0.1, 0.2, 0.3])
 
 
 class TestSubcommands:
@@ -998,6 +1018,16 @@ def test_docs_key_tables_match_the_schema():
             assert spec.parse(literal.group(1)) == spec.default, key
 
 
+def test_library_defaults_repeat_the_schema():
+    # the schema decides every CLI default; a library default that repeats
+    # one must agree with it
+    assert (inspect.signature(SimConfig).parameters["blowup_threshold"].default
+            == SCHEMA["solver.blowup_threshold"].default)
+    for coil in (gaussian_coil, uniform_coil):
+        assert (inspect.signature(coil).parameters["amplitude"].default
+                == COIL_SCHEMA["amplitude"].default), coil.__name__
+
+
 def documented_report_keys():
     """(key, condition) for each row of docs/config.md's report.txt table, in
     file order; the condition is None for a line written on every run, or
@@ -1019,14 +1049,13 @@ def documented_report_keys():
     return rows
 
 
-@pytest.mark.parametrize("drop, add", [
-    (("certify.c2", "certify.c3", "certify.ctilde"), ""),
-    ((), "certify.c2 = 0.01\ncertify.c3 = 0.01\n"),
-], ids=["without-c2-c3-ctilde", "with-c2-c3-ctilde"])
-def test_docs_report_table_matches_a_certify_run(tmp_path, drop, add):
+def certify_stock1d(tmp_path, drop=(), add=""):
+    """Run certify on demos/configs/stock1d.cfg without the keys starting
+    with one of ``drop`` and with the lines ``add``; returns the config's
+    parsed keys and the ``report.txt`` lines as (key, value) pairs."""
     stock1d = os.path.join(os.path.dirname(DOCS), os.pardir, "demos", "configs", "stock1d.cfg")
     lines = [line for line in open(stock1d, encoding="utf-8").read().splitlines()
-             if line.split("=")[0].strip() not in drop]
+             if not line.split("=")[0].strip().startswith(drop)]
     path = tmp_path / "stock1d.cfg"
     path.write_text("\n".join(lines) + "\n" + add)
     given = parse_config(str(path)).raw
@@ -1034,10 +1063,28 @@ def test_docs_report_table_matches_a_certify_run(tmp_path, drop, add):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the base control is not stationary
         assert main(["certify", "--config", str(path), "--out", str(out), "--quiet"]) == 0
-    written = [line.split("=", 1)[0] for line in (out / "report.txt").read_text().splitlines()]
+    return given, [tuple(line.split("=", 1))
+                   for line in (out / "report.txt").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("drop, add", [
+    (("certify.c2", "certify.c3", "certify.ctilde"), ""),
+    ((), "certify.c2 = 0.01\ncertify.c3 = 0.01\n"),
+], ids=["without-c2-c3-ctilde", "with-c2-c3-ctilde"])
+def test_docs_report_table_matches_a_certify_run(tmp_path, drop, add):
+    given, report = certify_stock1d(tmp_path, drop, add)
     expected = [key for key, when in documented_report_keys()
                 if when is None or (when[0] in given) == when[1]]
-    assert written == expected
+    assert [key for key, _ in report] == expected
+
+
+@pytest.mark.parametrize("drop, add", [
+    ((), "certify.n_fooc_samples = 0\n"),
+    (("coil", "control."), "coils.count = 0\n"),  # every draw has V = U
+], ids=["no-samples", "no-coils"])
+def test_fooc_min_sample_is_unset_without_a_sample(tmp_path, drop, add):
+    _, report = certify_stock1d(tmp_path, drop, add)
+    assert dict(report)["fooc_min_sample"] == "unset"
 
 
 class TestDeterminism:

@@ -11,7 +11,6 @@ from llbopt.llb import SimConfig, blowup_times, simulate
 from llbopt.optimize import (
     CostBreakdown,
     CostTally,
-    OptimizeConfig,
     ReducedProblem,
     TrackingTargets,
     coil_pairing,
@@ -247,19 +246,19 @@ class TestReducedGradient:
 class TestProjectedGradientDescent:
     def test_converges_on_stock_problem(self, stock_problem):
         p, U0, cfg = stock_problem
-        state, history = projected_gradient_descent(U0, p, cfg)
+        state, history = projected_gradient_descent(U0, p, **cfg)
         U = state.U
-        assert history[-1].residual <= cfg.tol
-        assert history[-1].iteration <= cfg.max_iters
-        costs = [h.cost for h in history]
+        assert history[-1].residual <= cfg["tol"]
+        assert history[-1].iteration <= cfg["max_iters"]
+        costs = [h.cost.total for h in history]
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert U.is_feasible()
 
     def test_immediate_return_at_fixed_point(self, stock_problem):
         p, U0, cfg = stock_problem
-        state, history = projected_gradient_descent(U0, p, cfg)
+        state, history = projected_gradient_descent(U0, p, **cfg)
         U = state.U
-        state2, history2 = projected_gradient_descent(U, p, cfg)
+        state2, history2 = projected_gradient_descent(U, p, **cfg)
         U2 = state2.U
         assert len(history2) == 1
         assert history2[0].iteration == 0
@@ -270,15 +269,15 @@ class TestProjectedGradientDescent:
         p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.2)
         p = matched(p, U0.with_intensities(np.zeros_like(U0.intensities)))
         start = U0.with_intensities(U0.intensities + 1.5)
-        state, history = projected_gradient_descent(start, p, cfg)
+        state, history = projected_gradient_descent(start, p, **cfg)
         U = state.U
         assert np.abs(U.intensities).max() <= 1e-6
 
     def test_infeasible_start_projected(self, stock_problem):
         p, U0, cfg = stock_problem
         bad = ControlPath(U0.intensities + 100.0, U0.lower, U0.upper, U0.dt)
-        state, history = projected_gradient_descent(
-            bad, p, OptimizeConfig(tol=1e-4, max_iters=50))
+        state, history = projected_gradient_descent(bad, p, **{**cfg, "tol": 1e-4,
+                                                               "max_iters": 50})
         U = state.U
         assert U.is_feasible()
         assert history[-1].residual <= 1e-4
@@ -286,7 +285,7 @@ class TestProjectedGradientDescent:
     def test_fixed_point_is_projection_formula(self, stock_problem):
         # at U*, U* = P_box(-pairing) within the stopping tolerance
         p, U0, cfg = stock_problem
-        state, _ = projected_gradient_descent(U0, p, cfg)
+        state, _ = projected_gradient_descent(U0, p, **cfg)
         U = state.U
         g = reduced_state(U, p).grad
         from llbopt.coils import project_box
@@ -294,13 +293,13 @@ class TestProjectedGradientDescent:
         clamp = project_box(-pairing, U.lower, U.upper)
         from llbopt.coils import control_norm_rms
         gap = control_norm_rms(U.intensities - clamp, U.dt) / np.sqrt(U.final_time)
-        assert gap <= cfg.tol
+        assert gap <= cfg["tol"]
 
     def test_returned_state_is_the_final_control_bit_for_bit(self, stock_problem):
         # the state comes from the accepted trial's forward sweep, not a
         # fresh one, and must be exactly what a fresh evaluation gives
         p, U0, cfg = stock_problem
-        state, history = projected_gradient_descent(U0, p, cfg)
+        state, history = projected_gradient_descent(U0, p, **cfg)
         assert len(history) > 1
         assert np.array_equal(state.traj.values,
                               simulate(p.m0, state.U, p.coils, p.sim).values)
@@ -317,7 +316,7 @@ class TestProjectedGradientDescent:
 
     def test_converges_in_2d(self):
         p, U0, cfg = tracking_problem(n=16, dt=1e-2, T=0.3, dim=2)
-        state, history = projected_gradient_descent(U0, p, cfg)
+        state, history = projected_gradient_descent(U0, p, **cfg)
         U = state.U
-        assert history[-1].residual <= cfg.tol
+        assert history[-1].residual <= cfg["tol"]
         assert U.is_feasible()
