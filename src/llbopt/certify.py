@@ -19,8 +19,9 @@ What this module returns is what the ``certify`` subcommand writes: the
 cone is the array of ``masks.csv`` labels (:func:`critical_cone_mask`),
 and the report a dict keyed by its ``report.txt`` names
 (:func:`global_and_uniqueness_report`).  A minimum over no samples, of
-:func:`fooc_sample_min` or :func:`second_order_scan`, is None, which
-``report.txt`` writes as ``unset``.  The analysis constants (the
+:func:`fooc_sample_min` or :func:`second_order_scan`, is None, and so is a
+Lipschitz estimate with no pair and what is built from it; ``report.txt``
+writes None as ``unset``.  The analysis constants (the
 global-condition constant, the smallness constant, the Lipschitz constants
 and the H1->L4 embedding constant) are not constructive, so they enter as
 keywords named as their ``certify.*`` config keys.  Where an empirical
@@ -273,7 +274,9 @@ def smallness_monitor(traj: Trajectory) -> np.ndarray:
 def _estimate_lipschitz_pair(U: ControlPath, problem: ReducedProblem,
                              rng: np.random.Generator, n_pairs: int = 3,
                              spread: float = 0.2):
-    """Empirical (lower-bound) squared Lipschitz ratios for state and costate.
+    """Empirical (lower-bound) squared Lipschitz ratios for state and costate;
+    (None, None) when no drawn pair has U1 != U2 (no coils): a maximum over
+    no pairs is None.
 
     The pairs' forwards run as one batched sweep and their costates as one
     batched adjoint sweep (split only to stay within :data:`BUDGET`); a
@@ -288,6 +291,8 @@ def _estimate_lipschitz_pair(U: ControlPath, problem: ReducedProblem,
         if denom != 0.0:
             pairs.append((U1, U2))
             denoms.append(denom)
+    if not pairs:
+        return None, None
     state_best = 0.0
     costate_best = 0.0
     grid, coils, targets = problem.m0.grid, problem.coils, problem.targets
@@ -326,7 +331,8 @@ def global_and_uniqueness_report(state: ReducedState, rng: np.random.Generator, 
     whose inverse square root bounds the smallness monitor.  Missing
     Lipschitz constants fall back to empirical estimators drawn from
     ``rng`` (``constant.C2_source``/``C3_source`` then read ``estimated``)
-    and downgrade the uniqueness verdict to INDETERMINATE; ``c_go`` and
+    and downgrade the uniqueness verdict to INDETERMINATE; an estimate with
+    no pair to draw on is None, and so is ``uloc_lhs``.  ``c_go`` and
     ``c4n`` have no estimator and are required.
     """
     if c_go is None or c4n is None:
@@ -363,10 +369,12 @@ def global_and_uniqueness_report(state: ReducedState, rng: np.random.Generator, 
     # uniqueness bound: 2 C4n^4 ||B||_H1^2 (4 C2 ||phi||_{Linf L2}^2
     #   + (C2 + 2 C3)(4 C2 C_ab + ||m||_{Linf H1} + |Omega|)) vs 1/T
     uloc_rhs = 1.0 / T
-    bracket = (4.0 * c2 * phi_norms["linf_l2"] ** 2
-               + (c2 + 2.0 * c3) * (4.0 * c2 * c_ab
-                                    + m_norms["linf_h1"] + grid.volume))
-    uloc_lhs = 2.0 * c4n**4 * b_h1_sq * bracket
+    uloc_lhs = None  # unset with an unset Lipschitz constant
+    if c2 is not None and c3 is not None:
+        bracket = (4.0 * c2 * phi_norms["linf_l2"] ** 2
+                   + (c2 + 2.0 * c3) * (4.0 * c2 * c_ab
+                                        + m_norms["linf_h1"] + grid.volume))
+        uloc_lhs = 2.0 * c4n**4 * b_h1_sq * bracket
     if estimated:
         uloc_status = INDETERMINATE
     else:

@@ -5,11 +5,11 @@ Time stepping is first-order IMEX Euler: the Laplacian is implicit
 time level.  Each implicit stage solves (I - dt*lap_h) m = rhs exactly: the
 orthonormal DCT-II diagonalizes the mirror-ghost Neumann Laplacian, so the
 solve is a forward transform, a division by 1 + dt*lambda_k and an inverse
-transform.  The transform is applied one spatial axis at a time as a
-matmul with the cached DCT-II matrix of that axis rather than through
-``scipy.fft``: importing that module pulls in ``numpy.testing``,
-``numpy.f2py`` and ``scipy.special``, about 0.4 s of every CLI process's
-start-up on a 2-core machine.  ``scipy.integrate`` (about 0.2 s) is
+transform.  The transform is one whole-frame matrix product per spatial
+axis with that axis's cached DCT-II matrix, not ``scipy.fft``: importing
+that module pulls in ``numpy.testing``, ``numpy.f2py`` and
+``scipy.special``, about 0.4 s of every CLI process's start-up on a
+2-core machine.  ``scipy.integrate`` (about 0.2 s) is
 likewise imported only by the Galerkin oracle, which expands the state in
 the same basis: its projection and synthesis are this transform and its
 inverse, restricted to the modes of lowest eigenvalue.
@@ -21,13 +21,13 @@ and dot products are :func:`~llbopt.grid.cross` and :func:`~llbopt.grid.dot`
 (numpy's move axes and copy, or reduce over the length-3 axis at several
 times the arithmetic's cost), the Laplacian slices its axes in place, and
 |m|^2 is formed once per forward step, for the resolution check and R.
-No inner loop runs along the length-3 component axis: the solve's
-transforms multiply the axis-last view of a frame (:func:`_apply_along`),
-its divisor is cached at the frame shape, and ``dot`` spreads each nodewise
-sum over the three components, so every |m|^2, m.z and m.phi scaling is
-elementwise.  The cross product is linear in each factor, so two products
-that share one are one product of the summed others: a forward step makes
-one, m x (lap m + u), a tangent and a costate step two.
+No inner loop runs along the length-3 component axis: each of the solve's
+transforms is one product per spatial axis over the whole frame, its
+divisor is cached at the full spectral shape, and ``dot`` spreads each
+nodewise sum over the three components, so every |m|^2, m.z and m.phi
+scaling is elementwise.  The cross product is linear in each factor, so
+two products that share one are one product of the summed others: a
+forward step makes one, m x (lap m + u), a tangent and a costate step two.
 
 The model's right-hand side R(m, u) is written once, in :func:`reaction`,
 next to each derivative taken of it: :func:`reaction_tangent` (the tangent
@@ -142,57 +142,36 @@ class SimConfig:
 
 @functools.lru_cache(maxsize=None)
 def _dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix C[k, i] = sqrt(2/n) cos(pi k (2i+1) / 2n),
-    row 0 scaled by 1/sqrt(2); read-only because it is shared."""
-    k = np.arange(n)[:, None]
-    i = np.arange(n)[None, :]
-    C = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * i + 1) / (2 * n))
-    C[0] /= np.sqrt(2.0)
-    C.flags.writeable = False
-    return C
-
-
-@functools.lru_cache(maxsize=None)
-def _dct_matrix_t(n: int) -> np.ndarray:
-    """The transpose of :func:`_dct_matrix`, C-contiguous and read-only: the
-    right factor of the forward transform in :func:`_apply_along`."""
-    Ct = np.ascontiguousarray(_dct_matrix(n).T)
-    Ct.flags.writeable = False
-    return Ct
-
-
-def _apply_along(right: np.ndarray, x: np.ndarray, ax: int) -> np.ndarray:
-    """mat @ x along axis ``ax``, given ``right`` = mat^T C-contiguous.
-
-    The product is taken on the axis-last view of ``x``
-    (``x.reshape(lead, n, -1).swapaxes(1, 2)``) times ``right``, written
-    through the same view of a contiguous result: numpy hands each stacked
-    product to BLAS as one matrix product, and no inner loop runs along the
-    trailing axes (the length-3 component axis, for the last spatial axis).
-    """
-    shape = x.shape
-    lead, n = math.prod(shape[:ax]), shape[ax]
-    out = np.empty(shape)
-    np.matmul(x.reshape(lead, n, -1).swapaxes(1, 2), right,
-              out=out.reshape(lead, n, -1).swapaxes(1, 2))
-    return out
+    """M = C^T, C the orthonormal DCT-II matrix C[k, i] = sqrt(2/n)
+    cos(pi k (2i+1) / 2n) with row 0 scaled by 1/sqrt(2): ``x @ M``
+    transforms the rows of ``x`` and ``M @ y`` inverts it on the columns of
+    ``y``; read-only because it is shared."""
+    i = np.arange(n)[:, None]
+    k = np.arange(n)[None, :]
+    M = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * i + 1) / (2 * n))
+    M[:, 0] /= np.sqrt(2.0)
+    M.flags.writeable = False
+    return M
 
 
 def _dct(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II of ``x`` over its spatial axes, the ``grid.dim``
-    axes just before the last (component) axis."""
-    first = x.ndim - 1 - grid.dim
-    for ax, n in enumerate(grid.cells, start=first):
-        x = _apply_along(_dct_matrix_t(n), x, ax)
-    return x
+    """Orthonormal DCT-II of a frame ``x``, ``batch + grid.shape + (3,)``,
+    over its spatial axes, component-first: ``batch + (3,) + grid.shape``.
+    Each whole-frame product transforms the leading spatial axis and moves
+    it last."""
+    batch = x.shape[:x.ndim - 1 - grid.dim]
+    for n in grid.cells:
+        x = x.reshape(batch + (n, -1)).swapaxes(-1, -2) @ _dct_matrix(n)
+    return x.reshape(batch + (3,) + grid.shape)
 
 
-def _idct(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_dct`: the transposed matrices, axis by axis."""
-    first = x.ndim - 1 - grid.dim
-    for ax, n in enumerate(grid.cells, start=first):
-        x = _apply_along(_dct_matrix(n), x, ax)
-    return x
+def _idct(grid: Grid, y: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_dct`: each product inverts the trailing spatial
+    axis and moves it first, back to ``batch + grid.shape + (3,)``."""
+    batch = y.shape[:y.ndim - 1 - grid.dim]
+    for n in reversed(grid.cells):
+        y = _dct_matrix(n) @ y.reshape(batch + (-1, n)).swapaxes(-1, -2)
+    return y.reshape(batch + grid.shape + (3,))
 
 
 def _eigenvalues(grid: Grid) -> tuple:
@@ -206,13 +185,12 @@ def _eigenvalues(grid: Grid) -> tuple:
 @functools.lru_cache(maxsize=16)
 def _denominator(grid: Grid, dt: float) -> np.ndarray:
     """The diagonal 1 + dt*lambda_k of (I - dt*lap_h) in the cosine basis,
-    at the frame shape ``grid.shape + (3,)``, so that the division runs
-    elementwise rather than along the length-3 component axis; read-only
-    because it is shared."""
-    denom = np.ones(grid.shape)
+    at the full spectral shape ``(3,) + grid.shape`` of :func:`_dct`: a
+    divisor that broadcasts over the component axis would have numpy
+    allocate a second frame.  Read-only because it is shared."""
+    denom = np.ones((3,) + grid.shape)
     for lam in _eigenvalues(grid):
-        denom = denom + dt * lam
-    denom = np.repeat(denom[..., None], 3, axis=-1)
+        denom += dt * lam
     denom.flags.writeable = False
     return denom
 
@@ -226,14 +204,12 @@ def implicit_solve(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
     orthonormal DCT-II over the spatial axes diagonalizes the mirror-ghost
     Laplacian with eigenvalues -sum_ax (2 - 2 cos(pi k_ax / n_ax)) / h_ax^2
     (:func:`_eigenvalues`; the Galerkin oracle runs on the same basis).
-    The basis change, :func:`_dct` and :func:`_idct`, is applied per axis
-    by ``matmul`` with :func:`_dct_matrix` (and its transpose on the way
-    back), which keeps ``scipy.fft`` and its import cost out of the
-    process; each product runs on the axis-last view of the frame
-    (:func:`_apply_along`), so no inner loop runs along the length-3
-    component axis.  The divisor 1 + dt*lambda_k is built once per
-    (grid, dt) at the frame shape and cached (:func:`_denominator`), so a
-    step's solve is the two transforms and one elementwise division.
+    The basis change, :func:`_dct` and :func:`_idct`, is one whole-frame
+    matrix product per spatial axis with :func:`_dct_matrix`, which keeps
+    ``scipy.fft`` and its import cost out of the process.  The divisor
+    1 + dt*lambda_k is built once per (grid, dt) at the spectral shape and
+    cached (:func:`_denominator`), so a step's solve is the two transforms
+    and one elementwise division.
 
     The cosine basis diagonalizes exactly the Laplacian of
     :func:`~llbopt.grid.laplacian_values`, so with S = (I - dt*lap_h)^-1,
@@ -558,12 +534,12 @@ def simulate_galerkin(m0: VectorField, U: ControlPath, coils: CoilSet,
         return synthesize_values(Ut, coils)
 
     def synth(a_flat: np.ndarray) -> np.ndarray:
-        coeffs = np.zeros((grid.node_count, 3))
-        coeffs[modes] = a_flat.reshape(n_modes, 3) / root_w
-        return _idct(grid, coeffs.reshape(grid.shape + (3,)))
+        coeffs = np.zeros((3, grid.node_count))
+        coeffs[:, modes] = a_flat.reshape(3, n_modes) / root_w
+        return _idct(grid, coeffs.reshape((3,) + grid.shape))
 
     def project(field_vals: np.ndarray) -> np.ndarray:
-        return root_w * _dct(grid, field_vals).reshape(-1, 3)[modes]
+        return root_w * _dct(grid, field_vals).reshape(3, -1)[:, modes]
 
     def rhs(t: float, a_flat: np.ndarray) -> np.ndarray:
         m = synth(a_flat)

@@ -21,6 +21,7 @@ from llbopt.llb import BlowUpError, SimConfig, energy_ledger, simulate
 from llbopt.optimize import ReducedProblem, TrackingTargets
 
 from conftest import peak_rise, trajectory_bytes
+from test_imports import ORDER
 
 STOCK = """
 grid.dim = 1
@@ -1087,6 +1088,20 @@ def test_fooc_min_sample_is_unset_without_a_sample(tmp_path, drop, add):
     assert dict(report)["fooc_min_sample"] == "unset"
 
 
+@pytest.mark.parametrize("add, unset", [
+    ("", {"constant.C2", "constant.C3"}),
+    ("certify.c2 = 0.01\n", {"constant.C3"}),
+], ids=["both-estimated", "c3-estimated"])
+def test_lipschitz_estimate_is_unset_without_a_pair(tmp_path, add, unset):
+    # with no coil every drawn pair has U1 = U2: a maximum over no pairs
+    # reads unset, not 0, and so does the uniqueness bound built from it
+    _, report = certify_stock1d(tmp_path, ("coil", "control."), "coils.count = 0\n" + add)
+    report = dict(report)
+    assert {key for key in ("constant.C2", "constant.C3") if report[key] == "unset"} == unset
+    assert report["uloc_lhs"] == "unset"
+    assert report["uloc_status"] == "INDETERMINATE"
+
+
 class TestDeterminism:
     def test_identical_config_seed_bit_identical_csv(self, stock_cfg, tmp_path):
         outs = []
@@ -1109,15 +1124,27 @@ class TestDeterminism:
         assert manifest["versions"]["llbopt"]
 
 
-def test_cli_import_skips_slow_scipy_modules():
-    # the implicit solve is numpy-only and the ODE oracle imports
-    # scipy.integrate on use, so start-up never loads these
+def loaded_after_cli_import(names):
+    """Which of the modules ``names`` a fresh process has loaded once it
+    has imported ``llbopt.cli``."""
     code = ("import sys, llbopt.cli; "
-            "print(' '.join(m for m in ('scipy.fft', 'scipy.integrate', "
-            "'scipy.special') if m in sys.modules))")
+            f"print(' '.join(m for m in {tuple(names)!r} if m in sys.modules))")
     src = os.path.dirname(os.path.dirname(llbopt.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == ""
+    return out.stdout.split()
+
+
+def test_cli_import_skips_slow_scipy_modules():
+    # the implicit solve is numpy-only and the ODE oracle imports
+    # scipy.integrate on use, so start-up never loads these
+    assert loaded_after_cli_import(("scipy.fft", "scipy.integrate", "scipy.special")) == []
+
+
+def test_cli_import_loads_every_module():
+    # a tracer that wraps functions once llbopt.cli is imported finds each
+    # module in sys.modules only if that import loaded it
+    names = [f"llbopt.{name}" for name in ORDER]
+    assert loaded_after_cli_import(names) == names

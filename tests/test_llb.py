@@ -749,15 +749,20 @@ class TestCosineBasis:
 
     def test_truncated_oracle_keeps_the_lowest_modes(self):
         # ties go in index order: on the 4x4 square the 5 kept modes end
-        # between the tied (0, 2) and (2, 0)
+        # between the tied (0, 2) and (2, 0); the coefficients are
+        # component-first, so a mode held by one component comes back in
+        # that component alone
         for g in BASIS_GRIDS + [Grid((4, 4), (1.0, 1.0))]:
             ranked = sorted(np.ndindex(g.cells), key=lambda k: (cosine_mode(g, k)[1], k))
             n_modes = max(1, g.node_count // 3)
             for j, k in enumerate(ranked):
-                vals = cosine_mode(g, k)[0][..., None] * np.array([1.0, -2.0, 0.5])
-                start = self.oracle_start(VectorField(g, vals), n_modes)
-                kept = vals if j < n_modes else 0.0
-                assert np.linalg.norm(start - kept) <= 1e-14 * np.linalg.norm(vals)
+                mode = cosine_mode(g, k)[0]
+                one_component = np.zeros(g.shape + (3,))
+                one_component[..., j % 3] = mode
+                for vals in (mode[..., None] * np.array([1.0, -2.0, 0.5]), one_component):
+                    start = self.oracle_start(VectorField(g, vals), n_modes)
+                    kept = vals if j < n_modes else 0.0
+                    assert np.linalg.norm(start - kept) <= 1e-14 * np.linalg.norm(vals)
 
     def test_oracle_rejects_mode_count_outside_range(self):
         g = Grid((4,), (1.0,))
