@@ -2,8 +2,11 @@
 
 Subcommands: simulate, optimize, certify, check-grad, check-taylor,
 check-curvature, convergence, oracle.  Every run writes a manifest
-(config hash, package/library versions, seed) into its output directory;
-identical config + seed produces bit-identical CSV outputs.
+(config hash, seed and the versions of llbopt, numpy and python, plus
+scipy's for ``oracle``, whose output scipy computes) into its output
+directory; identical config + seed produces bit-identical CSV
+outputs.  Start-up imports neither scipy nor OpenSSL: the config hash is
+the interpreter's builtin SHA-256.
 
 Exit codes: 0 success, 2 config validation failure, 3 solver blow-up (state
 over the threshold, non-finite tangent or costate), stalled descent or a
@@ -14,13 +17,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
 
 import numpy as np
-import scipy
+
+# the interpreter's builtin SHA-256 (_sha2 from 3.12, _sha256 before), as
+# random.py takes _sha512: hashlib would load OpenSSL's libcrypto
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .certify import (
@@ -73,18 +84,21 @@ def write_csv(path, header, rows):
 
 def write_manifest(out_dir, subcommand, config_path, seed):
     with open(config_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        digest = sha256(fh.read()).hexdigest()
+    versions = {
+        "llbopt": __version__,
+        "numpy": np.__version__,
+        "python": sys.version.split()[0],
+    }
+    if subcommand in _WITH_SCIPY:
+        import scipy
+        versions["scipy"] = scipy.__version__
     manifest = {
         "subcommand": subcommand,
         "config": os.path.abspath(config_path),
         "config_sha256": digest,
         "seed": int(seed),
-        "versions": {
-            "llbopt": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": sys.version.split()[0],
-        },
+        "versions": versions,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -409,6 +423,10 @@ _COMMANDS = {
 # the checks that differentiate along coil directions: with no coil there is
 # no direction, and the check would pass or fail on nothing
 _ALONG_COILS = ("check-grad", "check-taylor", "check-curvature")
+
+# the subcommands whose outputs scipy computes, the only ones that load it
+# and record its version in the manifest
+_WITH_SCIPY = ("oracle",)
 
 
 def main(argv=None) -> int:

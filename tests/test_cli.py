@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -964,6 +966,7 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, key, config, comman
 
 DOCS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "docs", "config.md")
+STOCK1D = os.path.join(os.path.dirname(DOCS), os.pardir, "demos", "configs", "stock1d.cfg")
 
 
 def table_cells(line):
@@ -1054,8 +1057,7 @@ def certify_stock1d(tmp_path, drop=(), add=""):
     """Run certify on demos/configs/stock1d.cfg without the keys starting
     with one of ``drop`` and with the lines ``add``; returns the config's
     parsed keys and the ``report.txt`` lines as (key, value) pairs."""
-    stock1d = os.path.join(os.path.dirname(DOCS), os.pardir, "demos", "configs", "stock1d.cfg")
-    lines = [line for line in open(stock1d, encoding="utf-8").read().splitlines()
+    lines = [line for line in open(STOCK1D, encoding="utf-8").read().splitlines()
              if not line.split("=")[0].strip().startswith(drop)]
     path = tmp_path / "stock1d.cfg"
     path.write_text("\n".join(lines) + "\n" + add)
@@ -1114,7 +1116,6 @@ class TestDeterminism:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_seed_override_recorded(self, stock_cfg, tmp_path):
-        import json
         out = tmp_path / "seeded"
         assert main(["simulate", "--config", stock_cfg, "--out", str(out),
                      "--seed", "99", "--quiet"]) == 0
@@ -1124,10 +1125,12 @@ class TestDeterminism:
         assert manifest["versions"]["llbopt"]
 
 
-def loaded_after_cli_import(names):
+def loaded_after_cli_import(names, argv=None):
     """Which of the modules ``names`` a fresh process has loaded once it
-    has imported ``llbopt.cli``."""
-    code = ("import sys, llbopt.cli; "
+    has imported ``llbopt.cli`` and, given ``argv``, run its ``main`` on
+    them to exit code 0."""
+    run = "" if argv is None else f"assert llbopt.cli.main({list(argv)!r}) == 0; "
+    code = (f"import sys, llbopt.cli; {run}"
             f"print(' '.join(m for m in {tuple(names)!r} if m in sys.modules))")
     src = os.path.dirname(os.path.dirname(llbopt.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1148,3 +1151,43 @@ def test_cli_import_loads_every_module():
     # module in sys.modules only if that import loaded it
     names = [f"llbopt.{name}" for name in ORDER]
     assert loaded_after_cli_import(names) == names
+
+
+def test_cli_import_skips_scipy_and_openssl():
+    # the manifest's config hash is the builtin SHA-256, not hashlib's
+    # OpenSSL one, and only oracle records the scipy version
+    assert loaded_after_cli_import(("scipy", "_hashlib")) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_stock_run_loads_no_scipy_openssl_or_numpy_random(command, tmp_path):
+    # neither a forward sweep nor the descent draws or integrates anything
+    argv = [command, "--config", STOCK1D, "--out", str(tmp_path / "o"), "--quiet"]
+    assert loaded_after_cli_import(("scipy", "_hashlib", "numpy.random"), argv) == []
+
+
+def read_manifest(argv):
+    assert main(argv + ["--quiet"]) == 0
+    out = argv[argv.index("--out") + 1]
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_manifest_hashes_the_config_and_lists_no_scipy_outside_oracle(stock_cfg, tmp_path):
+    manifest = read_manifest(["simulate", "--config", stock_cfg, "--out", str(tmp_path)])
+    with open(stock_cfg, "rb") as fh:
+        assert manifest["config_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+    assert sorted(manifest["versions"]) == ["llbopt", "numpy", "python"]
+    assert manifest["versions"]["numpy"] == np.__version__
+
+
+def test_oracle_manifest_records_the_scipy_version(tmp_path):
+    import scipy
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text(
+        "grid.dim = 1\ngrid.cells = 16\ntime.T = 0.01\ntime.dt = 1e-3\n"
+        "init.kind = expr\ninit.expr_x = 0.08*cos(pi*x)\n"
+        "init.expr_y = 0.05\ninit.expr_z = 0\n"
+        "checks.oracle_modes = 4\nchecks.oracle_tol = 1e-2\n")
+    manifest = read_manifest(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert manifest["versions"]["scipy"] == scipy.__version__

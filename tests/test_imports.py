@@ -8,7 +8,10 @@ module but ``grid``, which defines them, and ``llb`` imports ``cross`` or
 in ``llb``, and the other modules call them.  And no module imports a name from llbopt that it never uses, so a deleted
 function leaves no stale import behind; nor does the package export one.
 The modules form one layered order, :data:`ORDER`: each imports only from
-the modules before it.
+the modules before it.  No module imports scipy or hashlib when it is
+imported, so no CLI process pays for them at start-up:
+``llb.simulate_galerkin``, the one user of scipy, imports ``scipy.integrate``
+in its own body.
 """
 
 import ast
@@ -156,6 +159,62 @@ def test_detects_unused_package_imports(tmp_path):
 def test_package_exports_resolve():
     # a deleted type cannot stay listed in the package's exports
     assert [name for name in llbopt.__all__ if not hasattr(llbopt, name)] == []
+
+
+START_UP_BANNED = ("scipy", "hashlib")
+"""Libraries no llbopt module may load on import: scipy costs a process
+about 10 ms of start-up, hashlib about 4 ms and OpenSSL's libcrypto."""
+
+
+def start_up_imports(path):
+    """``file:line module`` for each :data:`START_UP_BANNED` module (or a
+    submodule of one) that ``path`` imports when it is itself imported:
+    outside every function body and every ``except`` clause, whose
+    fallback runs only where the import before it failed."""
+    hits = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ExceptHandler)):
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                modules = [child.module]
+            else:
+                modules = []
+            hits.extend(f"{path.name}:{child.lineno} {module}" for module in modules
+                        if module.split(".")[0] in START_UP_BANNED)
+            visit(child)
+
+    visit(ast.parse(path.read_text(), filename=str(path)))
+    return hits
+
+
+def test_no_module_imports_scipy_or_hashlib_at_start_up():
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in start_up_imports(path)]
+    assert hits == []
+
+
+def test_detects_start_up_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy, scipy\n"
+                    "from scipy.integrate import solve_ivp\n"
+                    "import scipyx, hashlib as h\n"
+                    "from . import scipy\n"
+                    "try:\n"
+                    "    import scipy.fft\n"
+                    "    from _sha256 import sha256\n"
+                    "except ImportError:\n"
+                    "    from hashlib import sha256\n"
+                    "class A:\n"
+                    "    import scipy.special\n"
+                    "def f():\n"
+                    "    from scipy.integrate import solve_ivp\n"
+                    "    import hashlib\n")
+    assert start_up_imports(path) == ["mod.py:1 scipy", "mod.py:2 scipy.integrate",
+                                      "mod.py:3 hashlib", "mod.py:6 scipy.fft",
+                                      "mod.py:11 scipy.special"]
 
 
 ORDER = ("grid", "coils", "llb", "tangent", "adjoint", "optimize", "config", "certify", "cli")
