@@ -3,15 +3,15 @@
 Two Gaussian coils steer the magnetization toward the evolution of an
 uncontrolled run started from different initial data; projected gradient
 descent with Armijo backtracking drives the clamp-formula residual to
-1e-6, and the optimality of the result is checked by sampling the
-variational inequality.
+1e-6, and the optimality of the result is checked by the variational
+inequality's minimum over the box's feasible directions, in closed form.
 """
 
 import numpy as np
 
 from llbopt import ControlPath, Grid, SimConfig, VectorField, simulate
 from llbopt import CoilSet, gaussian_coil
-from llbopt.certify import fooc_sample_min
+from llbopt.certify import fooc_min
 from llbopt.optimize import (
     ReducedProblem,
     TrackingTargets,
@@ -51,9 +51,10 @@ for rec in history:
 
 rs = reduced_state(U, problem)
 res, upsilon = rs.residual, rs.grad
-fooc = fooc_sample_min(U, upsilon, 200, np.random.default_rng(0))
+fooc = fooc_min(U, upsilon)
 print()
 print(f"clamp-formula residual at U*: {res:.3e}")
-print(f"min sampled variational-inequality value (normalized): {fooc:+.3e}")
+print(f"min variational-inequality value over feasible directions "
+      f"(normalized, exact): {fooc:+.3e}")
 print(f"intensity range: [{U.intensities.min():+.4f}, {U.intensities.max():+.4f}] "
       f"inside the box [-5, 5]")

@@ -1,15 +1,15 @@
 """Optimality certificates at a converged control.
 
 After optimizing the stock problem this evaluates, in order: the
-first-order clamp residual, the sampled variational inequality and the
-critical cone, second-derivative samples against a finite-difference
+first-order clamp residual, the variational inequality in closed form and
+the critical cone, second-derivative samples against a finite-difference
 oracle, the sampled cone scan, and the global-optimality / uniqueness
 comparisons with user-supplied analysis constants.  The cone and the
 report come back as the ``certify`` subcommand writes them: one
 ``masks.csv`` label per control sample, and a dict keyed by the
-``report.txt`` names.  A minimum over no samples (a cone every drawn
-direction leaves, or no variational-inequality draw with V != U) comes
-back as None, which ``report.txt`` writes as ``unset``.
+``report.txt`` names.  A minimum over no direction (a cone every drawn
+direction leaves, or a box with no feasible direction) comes back as None,
+which ``report.txt`` writes as ``unset``.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from llbopt import CoilSet, gaussian_coil
 from llbopt.certify import (
     critical_cone_mask,
     curvature,
-    fooc_sample_min,
+    fooc_min,
     global_and_uniqueness_report,
     second_order_scan,
 )
@@ -76,14 +76,15 @@ min_rayleigh, samples = second_order_scan(
 print(f"cone scan: min Q(h)/|h|^2 = {min_rayleigh:.6f} over {len(samples)} "
       f"directions (positive => second-order condition holds on the sample)")
 
-# --- first-order samples, then the report with user constants ---------------
-# the constants are keywords named as their certify.* config keys
-rng = np.random.default_rng(5)
-fooc_min = fooc_sample_min(state.U, state.grad, 200, rng)
-report = global_and_uniqueness_report(state, rng, c_go=0.05, c4n=1.2, ctilde=0.01)
+# --- the exact first-order minimum, then the report with user constants -----
+# -|P_T(-Upsilon)| over the box's tangent cone T at U*; the constants are
+# keywords named as their certify.* config keys
+fooc = fooc_min(state.U, state.grad)
+report = global_and_uniqueness_report(state, np.random.default_rng(5), c_go=0.05,
+                                      c4n=1.2, ctilde=0.01)
 print()
 print(f"pf residual           {state.residual:.3e}")
-print(f"FOOC sampled min      {fooc_min:+.3e}")
+print(f"FOOC min (exact)      {fooc:+.3e}")
 print(f"global condition      lhs = {report['go_lhs']:.4f} vs 1/2 "
       f"-> {report['go_status']} (strict: {report['go_status_strict']})")
 print(f"uniqueness bound      lhs = {report['uloc_lhs']:.4f} vs 1/T = "

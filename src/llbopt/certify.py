@@ -1,7 +1,7 @@
 """Numerical evaluation of the optimality certificates at a candidate
-control: first-order variational-inequality samples, the critical cone,
-second-order curvature samples and scan, and the global-optimality /
-uniqueness comparisons.
+control: the first-order variational inequality in closed form, the
+critical cone, second-order curvature samples and scan, and the
+global-optimality / uniqueness comparisons.
 
 Every certificate is a statement at one point of one problem: a
 :class:`~llbopt.optimize.ReducedState`, which holds the
@@ -18,8 +18,8 @@ states do not keep it.
 What this module returns is what the ``certify`` subcommand writes: the
 cone is the array of ``masks.csv`` labels (:func:`critical_cone_mask`),
 and the report a dict keyed by its ``report.txt`` names
-(:func:`global_and_uniqueness_report`).  A minimum over no samples, of
-:func:`fooc_sample_min` or :func:`second_order_scan`, is None, and so is a
+(:func:`global_and_uniqueness_report`).  A minimum over no direction, of
+:func:`fooc_min` or :func:`second_order_scan`, is None, and so is a
 Lipschitz estimate with no pair and what is built from it; ``report.txt``
 writes None as ``unset``.  The analysis constants (the
 global-condition constant, the smallness constant, the Lipschitz constants
@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .adjoint import solve_costate_derivative, tracking_adjoint
-from .coils import ControlPath, coil_pairing, control_inner_rms, control_norm_rms
+from .coils import ControlPath, coil_pairing, control_norm_rms
 from .grid import Grid, Trajectory, frame_norms, laplacian_values, time_integral
 from .llb import BlowUpError, blowup_times, control_adjoint_derivative, simulate
 from .optimize import ReducedProblem, ReducedState, natural_residual, streamed_cost
@@ -87,32 +87,25 @@ class CurvatureSample:
 # first order
 # ---------------------------------------------------------------------------
 
-def check_sampling_box(U: ControlPath) -> None:
-    """Raise ValueError unless the variational-inequality samples of
-    :func:`fooc_sample_min` can be drawn from the box of ``U``: finite
-    bounds and a finite width upper - lower."""
-    # an infinite bound, or finite ones whose width overflows, reads non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        width = U.upper - U.lower
-    if not np.all(np.isfinite(width)):
-        raise ValueError("sampling the variational inequality needs a finite box: "
-                         "finite bounds and a finite width upper - lower")
+def fooc_min(U: ControlPath, upsilon: np.ndarray,
+             tol_active: Optional[float] = None) -> Optional[float]:
+    """The first-order certificate in closed form: -||P_T(-Upsilon)||, T the
+    tangent cone of the box at ``U``; None when T is {0} (no coils, or
+    coincident bounds everywhere).
 
-
-def fooc_sample_min(U: ControlPath, upsilon: np.ndarray, n_samples: int,
-                    rng: np.random.Generator) -> Optional[float]:
-    """Minimum over random feasible V of the normalized variational-inequality
-    value  sum_i int Upsilon_i (V_i - U_i) dt / ||V - U||; None when no
-    draw gives V != U (no samples, or no coils)."""
-    check_sampling_box(U)
-    values = []
-    for _ in range(n_samples):
-        V = rng.uniform(U.lower, U.upper)
-        diff = V - U.intensities
-        denom = control_norm_rms(diff, U.dt)
-        if denom != 0.0:
-            values.append(control_inner_rms(upsilon, diff, U.dt) / denom)
-    return float(min(values)) if values else None
+    The box minus U is a polyhedron around 0, so by Moreau's decomposition
+    this is min(0, the minimum over feasible V != U of the normalized
+    variational inequality  sum_i int Upsilon_i (V_i - U_i) dt / ||V - U||):
+    0 exactly where the inequality holds.  T is the
+    :func:`critical_cone_mask` labels with nothing forced to zero (bounds
+    active within ``tol_active``), projected onto by
+    :func:`project_onto_cone`.
+    """
+    cone = critical_cone_mask(U, upsilon, tol_active, tol_upsilon=np.inf)
+    if np.all(cone == "zero"):
+        return None
+    # 0.0 - x, not -x: an exact 0 reads 0, not -0
+    return 0.0 - control_norm_rms(project_onto_cone(-upsilon, cone), U.dt)
 
 
 def critical_cone_mask(U: ControlPath, upsilon: np.ndarray,
@@ -131,7 +124,8 @@ def critical_cone_mask(U: ControlPath, upsilon: np.ndarray,
     noise, so a converged interior optimum keeps a free cone.
     """
     if tol_active is None:
-        gap = np.abs(U.upper - U.lower)
+        with np.errstate(over="ignore"):  # finite bounds whose width overflows
+            gap = np.abs(U.upper - U.lower)
         tol_active = 1e-8 * (1.0 + float(np.max(gap[np.isfinite(gap)], initial=0.0)))
     if tol_upsilon is None:
         ups_scale = float(np.max(np.abs(upsilon))) if upsilon.size else 0.0
@@ -371,10 +365,11 @@ def global_and_uniqueness_report(state: ReducedState, rng: np.random.Generator, 
     uloc_rhs = 1.0 / T
     uloc_lhs = None  # unset with an unset Lipschitz constant
     if c2 is not None and c3 is not None:
+        # a zero factor zeroes its product, also with the inf C_ab of an open box
+        c2_ab = 4.0 * c2 * c_ab if c2 else 0.0
         bracket = (4.0 * c2 * phi_norms["linf_l2"] ** 2
-                   + (c2 + 2.0 * c3) * (4.0 * c2 * c_ab
-                                        + m_norms["linf_h1"] + grid.volume))
-        uloc_lhs = 2.0 * c4n**4 * b_h1_sq * bracket
+                   + (c2 + 2.0 * c3) * (c2_ab + m_norms["linf_h1"] + grid.volume))
+        uloc_lhs = 2.0 * c4n**4 * b_h1_sq * bracket if b_h1_sq else 0.0
     if estimated:
         uloc_status = INDETERMINATE
     else:

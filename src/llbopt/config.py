@@ -115,7 +115,6 @@ SCHEMA = {
     "solver.max_halvings": Key(int, 40, check=_NONNEGATIVE),
     "certify.n_dirs": Key(int, 8, check=_AT_LEAST_ONE),
     "certify.eps_fd": Key(float, 1e-3, check=_POSITIVE),
-    "certify.n_fooc_samples": Key(int, 200, check=_NONNEGATIVE),
     "certify.tol_active": Key(float, check=_NONNEGATIVE),
     "certify.tol_upsilon": Key(float, check=_NONNEGATIVE),
     "certify.c_go": Key(float, check=_POSITIVE),

@@ -1,9 +1,13 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 import llbopt.certify
 from llbopt.adjoint import tracking_adjoint
-from llbopt.coils import CoilSet, ControlPath, control_norm_rms, uniform_coil
+from llbopt.coils import (CoilSet, ControlPath, control_inner_rms, control_norm_rms,
+                          uniform_coil)
 from llbopt.grid import Grid, VectorField
 from llbopt.llb import BlowUpError, SimConfig, simulate
 from llbopt.optimize import (
@@ -17,7 +21,7 @@ from llbopt.cli import smooth_directions
 from llbopt.certify import (
     critical_cone_mask,
     curvature,
-    fooc_sample_min,
+    fooc_min,
     global_and_uniqueness_report,
     project_onto_cone,
     second_order_scan,
@@ -364,15 +368,14 @@ class TestLipschitzPairs:
         assert errs[-1] <= 1e-2
 
 
-def report_at(state, constants, seed, n_fooc_samples=200):
-    """The report.txt entries from the first-order sample on: ``fooc_min_sample``
-    (:func:`fooc_sample_min`), then :func:`global_and_uniqueness_report` at
-    ``state`` with the keyword ``constants``, drawing from one generator
-    seeded ``seed``, as ``certify`` does."""
-    rng = np.random.default_rng(seed)
-    fooc = fooc_sample_min(state.U, state.grad, n_fooc_samples, rng)
-    return {"fooc_min_sample": fooc,
-            **global_and_uniqueness_report(state, rng, **constants)}
+def report_at(state, constants, seed):
+    """The report.txt entries from the first-order certificate on:
+    ``fooc_min`` (:func:`fooc_min`), then :func:`global_and_uniqueness_report`
+    at ``state`` with the keyword ``constants``, drawing from a generator
+    seeded ``seed``."""
+    return {"fooc_min": fooc_min(state.U, state.grad),
+            **global_and_uniqueness_report(state, np.random.default_rng(seed),
+                                           **constants)}
 
 
 def factors(report):
@@ -399,8 +402,7 @@ class TestGlobalUniquenessReport:
         # a = -1, b = 1, two coils, T = 1: ||a||^2 + ||b||^2 = 4
         problem = tracking_problem(n=16, dt=0.05, T=1.0, lower=-1.0, upper=1.0)
         rep = report_at(initial_state(problem),
-                        dict(c_go=0.1, c4n=1.0, c2=1.0, c3=1.0), 5,
-                        n_fooc_samples=10)
+                        dict(c_go=0.1, c4n=1.0, c2=1.0, c3=1.0), 5)
         assert rep["factor.c_ab"] == pytest.approx(4.0, rel=1e-12)
 
     def test_uloc_flips_with_horizon(self):
@@ -408,35 +410,52 @@ class TestGlobalUniquenessReport:
         def report_for(T):
             problem = tracking_problem(n=16, dt=T / 20, T=T, lower=-1.0, upper=1.0)
             return report_at(initial_state(problem),
-                             dict(c_go=0.1, c4n=0.5, c2=1.0, c3=1.0), 6,
-                             n_fooc_samples=10)
+                             dict(c_go=0.1, c4n=0.5, c2=1.0, c3=1.0), 6)
 
         long_run = report_for(4.0)
         short_run = report_for(0.1)
         assert long_run["uloc_status"] == "FAIL"
         assert short_run["uloc_status"] == "PASS"
 
+    def test_open_box_uniqueness_bound(self):
+        # C_ab is inf; a zero C2 zeroes its product with it instead of a NaN
+        state = initial_state(tracking_problem(n=16, dt=0.05, T=1.0, lower=-np.inf,
+                                               upper=np.inf))
+        rep = report_at(state, dict(c_go=0.1, c4n=1.0, c2=0.0, c3=0.0), 5)
+        assert rep["factor.c_ab"] == np.inf
+        assert (rep["uloc_lhs"], rep["uloc_status"]) == (0.0, "PASS")
+        rep = report_at(state, dict(c_go=0.1, c4n=1.0, c2=0.0, c3=1.0), 5)
+        assert np.isfinite(rep["uloc_lhs"])
+        rep = report_at(state, dict(c_go=0.1, c4n=1.0, c2=1.0, c3=0.0), 5)
+        assert (rep["uloc_lhs"], rep["uloc_status"]) == (np.inf, "FAIL")
+        # so do coil fields of zero norm
+        p, U0, _ = tracking_problem(n=16, dt=0.05, T=1.0, lower=-np.inf, upper=np.inf)
+        still = CoilSet.from_fields([uniform_coil(p.m0.grid, 0, amplitude=0.0)] * 2)
+        rep = report_at(reduced_state(U0, dataclasses.replace(p, coils=still),
+                                      keep_costate=True),
+                        dict(c_go=0.1, c4n=1.0, c2=1.0, c3=1.0), 5)
+        assert (rep["factor.b_h1_sq_max"], rep["uloc_lhs"]) == (0.0, 0.0)
+
     def test_estimated_constants_indeterminate(self, converged):
         state, _ = converged
-        rep = report_at(state, dict(c_go=0.1, c4n=1.0), 7, n_fooc_samples=20)
+        rep = report_at(state, dict(c_go=0.1, c4n=1.0), 7)
         assert rep["uloc_status"] == "INDETERMINATE"
         assert rep["constant.C2_source"] == "estimated"
         assert rep["constant.C2"] > 0
 
     def test_report_reproducible(self, converged):
         state, _ = converged
-        reps = [report_at(state, dict(c_go=0.1, c4n=1.0, c2=1.0, c3=1.0), 8,
-                          n_fooc_samples=25)
+        reps = [report_at(state, dict(c_go=0.1, c4n=1.0, c2=1.0, c3=1.0), 8)
                 for _ in range(2)]
         assert reps[0]["go_lhs"] == reps[1]["go_lhs"]
-        assert reps[0]["fooc_min_sample"] == reps[1]["fooc_min_sample"]
+        assert reps[0]["fooc_min"] == reps[1]["fooc_min"]
         assert reps[0]["uloc_lhs"] == reps[1]["uloc_lhs"]
         assert factors(reps[0]) == factors(reps[1])
 
     def test_missing_required_constants_error(self, converged):
         state, _ = converged
         with pytest.raises(ValueError, match="no estimator fallback"):
-            report_at(state, dict(c2=1.0, c3=1.0), 0, n_fooc_samples=5)
+            report_at(state, dict(c2=1.0, c3=1.0), 0)
 
     def test_smallness_monitor_decay(self):
         grid = Grid((8, 8, 8), (1.0, 1.0, 1.0))
@@ -452,16 +471,21 @@ class TestGlobalUniquenessReport:
         assert mon.max() <= 2.0 * mon[0]
 
 
+@pytest.fixture(scope="module")
+def tight_box():
+    """``(U, upsilon, tol)`` at the optimum of a box tight enough that most of
+    it sits on the upper bound, and the descent tolerance reached there."""
+    p, U0, cfg = tracking_problem(n=32, dt=5e-3, T=0.5, lower=-0.004, upper=0.004)
+    state, _ = projected_gradient_descent(U0, p, **cfg)
+    rs = reduced_state(state.U, p)
+    assert rs.residual <= cfg["tol"]
+    return state.U, rs.grad, cfg["tol"]
+
+
 class TestActiveConstraints:
-    def test_binding_bounds_satisfy_sign_conditions(self):
-        # bounds tight enough that most of the optimum sits on the upper
-        # bound: there Upsilon must be <= 0 and the cone pins the direction
-        p, U0, cfg = tracking_problem(n=32, dt=5e-3, T=0.5, lower=-0.004, upper=0.004)
-        state, history = projected_gradient_descent(U0, p, **cfg)
-        U = state.U
-        rs = reduced_state(U, p)
-        res, ups = rs.residual, rs.grad
-        assert res <= cfg["tol"]
+    def test_binding_bounds_satisfy_sign_conditions(self, tight_box):
+        # there Upsilon must be <= 0 and the cone pins the direction
+        U, ups, _ = tight_box
         at_upper = np.abs(U.upper - U.intensities) <= 1e-12
         at_lower = np.abs(U.intensities - U.lower) <= 1e-12
         assert at_upper.sum() > 0
@@ -469,33 +493,54 @@ class TestActiveConstraints:
         if at_lower.any():
             assert np.all(ups[at_lower] >= -1e-10)
         # variational inequality holds with margin once constraints bind
-        fooc = fooc_sample_min(U, ups, 100, np.random.default_rng(1))
-        assert fooc >= -1e-6
+        assert fooc_min(U, ups) >= -1e-6
         # decisively nonzero Upsilon pins the active coordinates
         cone = critical_cone_mask(U, ups)
         assert np.all(cone[at_upper] == "zero")
 
 
-class TestFOOCSampling:
-    def test_nonnegative_at_fixed_point(self, converged):
+def vi_value(U, upsilon, d):
+    """The normalized variational inequality sum_i int Upsilon_i d_i dt / ||d||."""
+    return control_inner_rms(upsilon, d, U.dt) / control_norm_rms(d, U.dt)
+
+
+class TestFOOCMin:
+    def test_interior_optimum_reads_minus_the_residual(self, converged):
+        # every sample is interior, so P_T(-Upsilon) = -Upsilon, and the
+        # clamp residual is ||Upsilon|| / sqrt(T)
         state, _ = converged
-        val = fooc_sample_min(state.U, state.grad, 200, np.random.default_rng(9))
-        assert val >= -1e-6
+        U = state.U
+        assert np.all(critical_cone_mask(U, state.grad, tol_upsilon=np.inf) == "free")
+        assert fooc_min(U, state.grad) == pytest.approx(
+            -state.residual * np.sqrt(U.final_time), rel=1e-12)
 
-    def test_no_draw_is_none(self):
-        # a minimum over no samples: none drawn, or every draw V = U (no coils)
-        U = ControlPath(np.zeros((3, 1)), -1.0, 1.0, 0.5)
-        assert fooc_sample_min(U, np.zeros((3, 1)), 0, np.random.default_rng(0)) is None
-        U = ControlPath(np.zeros((3, 0)), -1.0, 1.0, 0.5)
-        assert fooc_sample_min(U, np.zeros((3, 0)), 5, np.random.default_rng(0)) is None
+    def test_tight_box_attains_the_minimum(self, tight_box):
+        U, ups, _ = tight_box
+        cone = critical_cone_mask(U, ups, tol_upsilon=np.inf)
+        d_star = project_onto_cone(-ups, cone)
+        value = fooc_min(U, ups)
+        assert value < 0
+        assert value == pytest.approx(vi_value(U, ups, d_star), rel=1e-12)
+        # no direction of the tangent cone, and no feasible V - U, goes lower
+        rng = np.random.default_rng(11)
+        ds = [project_onto_cone(rng.standard_normal(U.intensities.shape), cone)
+              for _ in range(200)]
+        ds += [rng.uniform(U.lower, U.upper) - U.intensities for _ in range(200)]
+        assert value <= min(vi_value(U, ups, d) for d in ds if np.any(d))
 
-    def test_needs_finite_bounds(self):
-        U = ControlPath(np.zeros((3, 1)), -np.inf, np.inf, 0.5)
-        with pytest.raises(ValueError, match="finite box"):
-            fooc_sample_min(U, np.zeros((3, 1)), 5, np.random.default_rng(0))
+    @pytest.mark.parametrize("U", [
+        ControlPath(np.zeros((3, 0)), -1.0, 1.0, 0.5),
+        ControlPath(np.ones((3, 1)), 1.0, 1.0, 0.5),
+    ], ids=["no-coils", "coincident-bounds"])
+    def test_no_feasible_direction_is_none(self, U):
+        assert fooc_min(U, np.ones(U.intensities.shape)) is None
 
-    def test_needs_a_finite_box_width(self):
-        # finite bounds whose width upper - lower overflows
-        U = ControlPath(np.zeros((3, 1)), -1e308, 1e308, 0.5)
-        with pytest.raises(ValueError, match="finite box"):
-            fooc_sample_min(U, np.zeros((3, 1)), 5, np.random.default_rng(0))
+    @pytest.mark.parametrize("bound", [np.inf, 1e308], ids=["infinite", "overflowing-width"])
+    def test_open_box_reads_minus_the_norm(self, bound):
+        U = ControlPath(np.zeros((3, 1)), -bound, bound, 0.5)
+        ups = np.array([[1.0], [-2.0], [0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fooc_min(U, ups) == -control_norm_rms(ups, U.dt)
+            # an exact 0 is +0, which report.txt writes 0, not -0
+            assert str(fooc_min(U, np.zeros((3, 1)))) == "0.0"

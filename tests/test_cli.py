@@ -57,7 +57,6 @@ certify.c_go = 0.05
 certify.c4n = 1.2
 certify.ctilde = 4.0
 certify.n_dirs = 3
-certify.n_fooc_samples = 50
 seed = 7
 """
 
@@ -312,11 +311,15 @@ class TestSubcommands:
         cert = tmp_path / "cert"
         assert main(["certify", "--config", stock_cfg, "--out", str(cert),
                      "--control", str(out / "control.csv"), "--quiet"]) == 0
-        cone = projected[0]
-        assert all(c is cone for c in projected)
+        # the scan projects first, onto one cone; fooc_min last, onto the
+        # box's tangent cone
+        *scan, tangent = projected
+        cone = scan[0]
+        assert all(c is cone for c in scan)
         labels = np.loadtxt(cert / "masks.csv", delimiter=",", skiprows=1, dtype=str)[:, 1:]
         assert np.array_equal(labels, cone)
         assert np.all(labels == "free")  # a converged interior optimum
+        assert tangent is not cone and np.all(tangent == "free")
 
     def test_tol_upsilon_reaches_the_scan(self, stock_cfg, tmp_path):
         # a zero-rule tolerance of 0 pins every coordinate where Upsilon is
@@ -726,8 +729,6 @@ def control_table(header, *rows):
     ("--control", "", b"t\n", "certify"),
     ("--control", "", None, "certify"),
     ("--control", "coils.count = 1\ncoil.1.kind = uniform\nbounds.lower = -1\n"
-     "bounds.upper = 1\n", control_table("t,U_1,a_1,b_1", *["0,-inf,1"] * 21), "certify"),
-    ("--control", "coils.count = 1\ncoil.1.kind = uniform\nbounds.lower = -1\n"
      "bounds.upper = 1\n", control_table("t,U_1,a_1,b_1", *["0,1,-1"] * 21), "certify"),
     ("targets.md_path", MD_FILE, field_records(16, 1, np.nan) + field_records(16, 20),
      "optimize"),
@@ -741,9 +742,6 @@ def control_table(header, *rows):
      b"t,U_1\n" + b"".join(b"%g,0\n" % (0.5 * j) for j in range(21)), "simulate"),
     ("--control", UNIFORM_COIL + "bounds.lower = -1\nbounds.upper = 1\n",
      control_table("t,U_1", *["0"] * 21).replace(b"0.00,", b"nan,"), "certify"),
-    # a finite box whose width upper - lower overflows
-    ("--control", UNIFORM_COIL, control_table("t,U_1,a_1,b_1", *["0,-1e308,1e308"] * 21),
-     "certify"),
     # headers whose column count fits: one coil's bounded control on three
     # coils, and a one-coil table under other names
     ("--control", THREE_COILS, control_table("t,U_1,a_1,b_1", *["0,-1,1"] * 21), "certify"),
@@ -755,9 +753,9 @@ def control_table(header, *rows):
      control_table("time,V", *["0"] * 21), "simulate"),
 ], ids=["md-K-frames", "md-K+5-frames", "md-bad-header", "init-wrong-grid",
         "momega-wrong-grid", "coil-bad-header", "control-short", "flag-short",
-        "flag-no-rows", "flag-missing", "flag-infinite-bound", "flag-empty-box",
+        "flag-no-rows", "flag-missing", "flag-empty-box",
         "md-nan-frame", "control-nan-intensity", "flag-nan-intensity", "flag-nan-bound",
-        "control-t-off-grid", "flag-nan-time", "flag-overflowing-width",
+        "control-t-off-grid", "flag-nan-time",
         "flag-one-coil-header-on-three-coils", "control-one-coil-header-on-three-coils",
         "flag-unnamed-header", "control-unnamed-header"])
 def test_unreadable_input_file_exits_2_naming_the_key(tmp_path, capsys, key, config,
@@ -776,6 +774,31 @@ def test_unreadable_input_file_exits_2_naming_the_key(tmp_path, capsys, key, con
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid configuration: {key}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config, content", [
+    (UNIFORM_COIL, None),  # the default box, -inf .. inf
+    (UNIFORM_COIL + "bounds.lower = -1e308\nbounds.upper = 1e308\n", None),
+    (UNIFORM_COIL + "bounds.lower = -1\nbounds.upper = 1\n",
+     control_table("t,U_1,a_1,b_1", *["0,-inf,1"] * 21)),
+    # a finite box whose width upper - lower overflows
+    (UNIFORM_COIL, control_table("t,U_1,a_1,b_1", *["0,-1e308,1e308"] * 21)),
+], ids=["infinite-bounds", "overflowing-width", "flag-infinite-bound",
+        "flag-overflowing-width"])
+def test_certify_accepts_an_open_box(tmp_path, capsys, config, content):
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text(INPUT_BASE + config)
+    argv = ["certify", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]
+    if content is not None:
+        (tmp_path / "in.dat").write_bytes(content)
+        argv += ["--control", str(tmp_path / "in.dat")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    report = dict(line.split("=", 1)
+                  for line in (tmp_path / "o" / "report.txt").read_text().splitlines())
+    assert np.isfinite(float(report["fooc_min"]))
 
 
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["a-file", "under-a-file"])
@@ -852,7 +875,6 @@ def test_simulate_reads_no_target_input(tmp_path):
     ("checks.taylor_eps", "checks.taylor_eps = 0.1 -0.01\n", "check-taylor"),
     ("checks.taylor_eps", "checks.taylor_eps = 0.1 0.1\n", "check-taylor"),
     ("solver.max_halvings", "solver.max_halvings = -1\n", "optimize"),
-    ("certify.n_fooc_samples", "certify.n_fooc_samples = -3\n", "certify"),
     ("time.dt", "time.dt = nan\n", "simulate"),
     ("time.T", "time.T = nan\n", "simulate"),
     ("grid.lengths", "grid.lengths = nan\n", "simulate"),
@@ -863,7 +885,6 @@ def test_simulate_reads_no_target_input(tmp_path):
      "targets.md_init_value = 0 -inf 0\n", "optimize"),
     ("targets.momega_value", "targets.momega_kind = constant\n"
      "targets.momega_value = 0 inf 0\n", "optimize"),
-    ("bounds.lower", "coils.count = 1\ncoil.1.kind = uniform\n", "certify"),
     ("coils.count", "", "check-curvature"),
     ("coils.count", "", "check-grad"),
     ("coils.count", "", "check-taylor"),
@@ -880,8 +901,6 @@ def test_simulate_reads_no_target_input(tmp_path):
     ("solver.blowup_threshold", "solver.blowup_threshold = nan\n", "simulate"),
     ("checks.taylor_eps", "checks.taylor_eps = inf 0.1\n", "check-taylor"),
     ("certify.c_go", "certify.c_go = inf\n", "certify"),
-    ("bounds.upper", "coils.count = 1\ncoil.1.kind = uniform\nbounds.lower = -1e308\n"
-     "bounds.upper = 1e308\n", "certify"),
     ("seed", ONE_COIL_BOX + "seed = -3\n", "check-grad"),
     ("--seed", ONE_COIL_BOX, "certify"),
     ("certify.tol_active", ONE_COIL_BOX + "certify.tol_active = -1\n", "certify"),
@@ -928,12 +947,12 @@ def test_simulate_reads_no_target_input(tmp_path):
         "expr-wrong-shape", "oracle-modes-0", "oracle-modes-over-nodes",
         "temporal-range-one-value", "spatial-range-reversed", "taylor-one-eps",
         "taylor-negative-eps", "taylor-repeated-eps", "halvings-negative",
-        "fooc-samples-negative", "dt-nan", "T-nan", "lengths-nan", "init-value-nan",
+        "dt-nan", "T-nan", "lengths-nan", "init-value-nan",
         "md-value-nan", "md-init-value-inf", "momega-value-inf",
-        "certify-infinite-bounds", "check-curvature-no-coils", "check-grad-no-coils",
+        "check-curvature-no-coils", "check-grad-no-coils",
         "check-taylor-no-coils", "grad-tol-nan", "curvature-tol-nan", "oracle-tol-nan",
         "T-inf", "coil-amplitude-inf", "coil-width-nan", "lengths-inf", "lower-nan",
-        "blowup-threshold-nan", "taylor-eps-inf", "c-go-inf", "certify-overflowing-width",
+        "blowup-threshold-nan", "taylor-eps-inf", "c-go-inf",
         "seed-negative",
         "flag-seed-negative", "tol-active-negative", "tol-upsilon-negative",
         "blowup-threshold-negative", "c-go-negative", "c4n-zero", "c2-negative",
@@ -1082,12 +1101,24 @@ def test_docs_report_table_matches_a_certify_run(tmp_path, drop, add):
 
 
 @pytest.mark.parametrize("drop, add", [
-    ((), "certify.n_fooc_samples = 0\n"),
-    (("coil", "control."), "coils.count = 0\n"),  # every draw has V = U
-], ids=["no-samples", "no-coils"])
-def test_fooc_min_sample_is_unset_without_a_sample(tmp_path, drop, add):
+    (("coil", "control."), "coils.count = 0\n"),
+    (("bounds.", "control."), "bounds.lower = 0\nbounds.upper = 0\n"),
+], ids=["no-coils", "coincident-bounds"])
+def test_fooc_min_is_unset_without_a_feasible_direction(tmp_path, drop, add):
     _, report = certify_stock1d(tmp_path, drop, add)
-    assert dict(report)["fooc_min_sample"] == "unset"
+    assert dict(report)["fooc_min"] == "unset"
+
+
+def test_fooc_min_on_the_default_open_box(tmp_path):
+    # no bounds: T is the whole space, so fooc_min is -||Upsilon||, which
+    # the clamp residual ||Upsilon|| / sqrt(T) measures too
+    _, report = certify_stock1d(tmp_path, ("bounds.",))
+    report = dict(report)
+    fooc = float(report["fooc_min"])
+    assert np.isfinite(fooc) and fooc < 0
+    assert fooc == pytest.approx(
+        -float(report["pf_residual"]) * np.sqrt(float(report["factor.T"])), rel=1e-9)
+    assert report["factor.c_ab"] == "inf"
 
 
 @pytest.mark.parametrize("add, unset", [

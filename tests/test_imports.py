@@ -266,7 +266,7 @@ def test_detects_out_of_order_imports(tmp_path):
     path = tmp_path / "config.py"
     path.write_text("from . import __version__\n"
                     "from .grid import Grid\n"
-                    "from .certify import check_sampling_box\n"
+                    "from .certify import fooc_min\n"
                     "import llbopt.cli\n"
                     "from llbopt.config import parse_config\n"
                     "def f():\n"
